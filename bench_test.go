@@ -8,6 +8,7 @@ package graphsql
 // same experiments at configurable scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -62,13 +63,13 @@ func benchPairQuery(b *testing.B, sf int, query string) {
 	e, ds := benchSetup(b, sf)
 	src, dst := ds.RandomPairs(256, benchSeed)
 	// Warm-up.
-	if _, err := e.Query(query, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
+	if _, err := e.QueryCtx(context.Background(), query, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(src)
-		if _, err := e.Query(query, types.NewInt(src[k]), types.NewInt(dst[k])); err != nil {
+		if _, err := e.QueryCtx(context.Background(), query, types.NewInt(src[k]), types.NewInt(dst[k])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func BenchmarkCSRBuild(b *testing.B) {
 			chunk := friends.Chunk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildGraph(chunk, 0, 1); err != nil {
+				if _, err := core.BuildGraphCtx(context.Background(), chunk, 0, 1, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -223,7 +224,7 @@ func BenchmarkGraphIndex(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(src)
-				if _, err := e.Query(bench.Q13, types.NewInt(src[k]), types.NewInt(dst[k])); err != nil {
+				if _, err := e.QueryCtx(context.Background(), bench.Q13, types.NewInt(src[k]), types.NewInt(dst[k])); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +235,7 @@ func BenchmarkGraphIndex(b *testing.B) {
 // Small wrappers keep the baseline imports in one place.
 
 func benchNative(e *engine.Engine, s, d int64) (int64, error) {
-	res, err := e.Query(bench.Q13, types.NewInt(s), types.NewInt(d))
+	res, err := e.QueryCtx(context.Background(), bench.Q13, types.NewInt(s), types.NewInt(d))
 	if err != nil {
 		return -1, err
 	}
@@ -245,15 +246,15 @@ func benchNative(e *engine.Engine, s, d int64) (int64, error) {
 }
 
 func benchRecursive(e *engine.Engine, s, d int64) (int64, error) {
-	return baseline.RecursiveCTE(e, "friends", "src", "dst", s, d, 0)
+	return baseline.RecursiveCTE(context.Background(), e, "friends", "src", "dst", s, d, 0)
 }
 
 func benchPSM(e *engine.Engine, s, d int64) (int64, error) {
-	return baseline.PSM(e, "friends", "src", "dst", s, d, 0)
+	return baseline.PSM(context.Background(), e, "friends", "src", "dst", s, d, 0)
 }
 
 func benchSelfJoin(e *engine.Engine, s, d int64) (int64, error) {
-	return baseline.SelfJoinChain(e, "friends", "src", "dst", s, d, 3)
+	return baseline.SelfJoinChain(context.Background(), e, "friends", "src", "dst", s, d, 3)
 }
 
 // BenchmarkDynamicIndex runs the E7 updatable-index ablation: an

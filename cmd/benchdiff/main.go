@@ -1,5 +1,5 @@
 // Command benchdiff compares -exp parallel / -exp execpar / -exp
-// bfspar / -exp parse / -exp trace / -exp execstream JSON artifacts
+// bfspar / -exp parse / -exp trace JSON artifacts
 // against a committed baseline (bench_baseline.json) and fails when a
 // configuration regressed. Parallel-family points compare self-relative speedups —
 // not absolute seconds — so the check is meaningful across hosts of
@@ -49,11 +49,6 @@ type Baseline struct {
 	BfsPar   []bench.BfsParPoint   `json:"bfspar,omitempty"`
 	Parse    []bench.ParsePoint    `json:"parse,omitempty"`
 	Trace    []bench.TracePoint    `json:"trace,omitempty"`
-	// ExecStream points gate on the pull executor's time-to-first-row
-	// speedup over the materializing executor — a same-host ratio, like
-	// the trace overhead points. Points without TTFR signal in the
-	// baseline (breakers: ratio near 1) are skipped by the signal floor.
-	ExecStream []bench.ExecStreamPoint `json:"execstream,omitempty"`
 }
 
 func readJSON(path string, v any) error {
@@ -71,13 +66,11 @@ func main() {
 	bfsparPath := flag.String("bfspar", "", "-exp bfspar artifact")
 	parsePath := flag.String("parse", "", "-exp parse artifact")
 	tracePath := flag.String("trace", "", "-exp trace artifact")
-	execstreamPath := flag.String("execstream", "", "-exp execstream artifact")
 	allocSlack := flag.Float64("max-alloc-growth", 0.5, "fail when a parse stage's allocs/op exceeds baseline by more than this absolute slack")
 	traceSlack := flag.Float64("max-trace-overhead-growth", 0.15, "fail when a workload's traced/untraced overhead ratio exceeds baseline by more than this absolute slack")
 	threshold := flag.Float64("max-regression", 0.25, "fail when speedup drops by more than this fraction")
 	signalFloor := flag.Float64("signal-floor", 1.05, "skip baseline points whose speedup is below this (no parallel signal)")
 	minSeconds := flag.Float64("min-seconds", 0.002, "skip points faster than this (scheduler noise)")
-	minTTFR := flag.Float64("min-ttfr-seconds", 0.0001, "skip execstream points whose materialize time-to-first-row is faster than this (timer noise)")
 	record := flag.Bool("record", false, "write the artifacts as the new baseline instead of comparing")
 	host := flag.String("host", "", "host label stored with -record")
 	allowEmpty := flag.Bool("allow-empty", false, "exit 0 even when every point was skipped (gate unarmed)")
@@ -109,11 +102,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *execstreamPath != "" {
-		if err := readJSON(*execstreamPath, &cur.ExecStream); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *record {
 		cur.Host = *host
@@ -124,8 +112,8 @@ func main() {
 		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("baseline recorded to %s (%d parallel, %d execpar, %d bfspar, %d parse, %d trace, %d execstream points)\n",
-			*baselinePath, len(cur.Parallel), len(cur.ExecPar), len(cur.BfsPar), len(cur.Parse), len(cur.Trace), len(cur.ExecStream))
+		fmt.Printf("baseline recorded to %s (%d parallel, %d execpar, %d bfspar, %d parse, %d trace points)\n",
+			*baselinePath, len(cur.Parallel), len(cur.ExecPar), len(cur.BfsPar), len(cur.Parse), len(cur.Trace))
 		return
 	}
 
@@ -149,10 +137,6 @@ func main() {
 	baseBfs := map[string]point{}
 	for _, p := range base.BfsPar {
 		baseBfs[fmt.Sprintf("bfspar/sf%d/w%d", p.SF, p.Workers)] = point{p.Speedup, p.TraversalSeconds}
-	}
-	baseStream := map[string]point{}
-	for _, p := range base.ExecStream {
-		baseStream[fmt.Sprintf("execstream/%s/sf%d", p.Workload, p.SF)] = point{p.TTFRSpeedup, p.MaterializeTTFRNs / 1e9}
 	}
 
 	compared, skipped, failures := 0, 0, 0
@@ -194,35 +178,6 @@ func main() {
 		} else {
 			skipped++
 		}
-	}
-	// ExecStream points gate on the TTFR speedup ratio (materialize
-	// TTFR / pull TTFR): both sides run on the same machine seconds
-	// apart, so the ratio travels across hosts like the trace points.
-	// They carry their own noise floor — the materialize TTFR, in the
-	// hundreds of microseconds even at smoke shapes, is far below the
-	// whole-drain -min-seconds floor but still stable as a best-of-N
-	// ratio. Points without pull advantage in the baseline (pure scans,
-	// breakers: ratio under the signal floor) are skipped by design.
-	for _, p := range cur.ExecStream {
-		key := fmt.Sprintf("execstream/%s/sf%d", p.Workload, p.SF)
-		b, ok := baseStream[key]
-		if !ok {
-			skipped++
-			continue
-		}
-		if b.speedup < *signalFloor || b.seconds < *minTTFR || p.MaterializeTTFRNs/1e9 < *minTTFR {
-			skipped++
-			continue
-		}
-		compared++
-		drop := 1 - p.TTFRSpeedup/b.speedup
-		status := "ok"
-		if drop > *threshold {
-			failures++
-			status = "REGRESSION"
-		}
-		fmt.Printf("%-40s baseline %6.3fx  now %6.3fx  drop %+6.1f%%  %s\n",
-			key, b.speedup, p.TTFRSpeedup, drop*100, status)
 	}
 	// Parse points gate on allocs/op — deterministic per build, so no
 	// signal or noise floor applies and they count as compared on any

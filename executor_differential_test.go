@@ -3,38 +3,30 @@ package graphsql
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"graphsql/internal/testutil"
 )
 
-// The executor differential extends the determinism guarantee across
-// the executor seam: the pull executor (batch-at-a-time, execution
-// during the cursor drain) and the materializing executor must render
-// every corpus query byte-identically, at every differential
-// parallelism setting, and regardless of the operator batch size. The
-// two executors share the materializing operator cores for breakers,
-// so a divergence here means a pipeline operator (scan, filter,
-// project, unnest, union-all, limit) streams something its
-// materializing twin would not.
+// The batch-size differential pins the re-batching invariant: at every
+// differential parallelism setting, every corpus query must render
+// byte-identically whatever the operator batch size. The reference is
+// one batch per operator (BatchRows 1_000_000, far above any corpus
+// cardinality): each operator core applied exactly once to its whole
+// input. A divergence therefore means a pipeline operator (scan,
+// filter, project, unnest, union-all, limit) or a breaker's output
+// window mishandles a batch boundary. TestCorpusGolden additionally
+// ties the single-batch reference to the frozen verdicts of the
+// retired materializing interpreter.
 
-// executorRuns enumerates the executor configurations under
-// differential test; the materializing executor is the reference.
-func executorRuns() []QueryOptions {
+// batchRuns enumerates the batch sizes under differential test; the
+// single-batch run comes first and is the reference.
+func batchRuns() []QueryOptions {
 	return []QueryOptions{
-		{Executor: ExecutorMaterialize},
-		{Executor: ExecutorPull},
-		{Executor: ExecutorPull, BatchRows: 3}, // tiny batches force every window boundary
-		{Executor: ExecutorPull, BatchRows: 1000000},
+		{BatchRows: 1_000_000},
+		{BatchRows: 3}, // tiny batches force every window boundary
+		{},             // default
 	}
-}
-
-func describeRun(qo QueryOptions) string {
-	if qo.BatchRows > 0 {
-		return fmt.Sprintf("%s/batch=%d", qo.Executor, qo.BatchRows)
-	}
-	return qo.Executor
 }
 
 func TestExecutorDifferential(t *testing.T) {
@@ -44,21 +36,20 @@ func TestExecutorDifferential(t *testing.T) {
 		db := openCorpusDB(t, p)
 		sess := db.Session()
 		for qi, q := range testutil.Queries() {
-			runs := executorRuns()
+			runs := batchRuns()
 			ref, err := sess.QueryOpts(ctx, runs[0], q)
 			if err != nil {
-				t.Fatalf("parallelism %d q%02d %s: %v\nquery: %s", p, qi, describeRun(runs[0]), err, q)
+				t.Fatalf("parallelism %d q%02d batch=%d: %v\nquery: %s", p, qi, runs[0].BatchRows, err, q)
 			}
 			want := ref.String()
 			for _, qo := range runs[1:] {
 				got, err := sess.QueryOpts(ctx, qo, q)
 				if err != nil {
-					t.Fatalf("parallelism %d q%02d %s: %v\nquery: %s", p, qi, describeRun(qo), err, q)
+					t.Fatalf("parallelism %d q%02d batch=%d: %v\nquery: %s", p, qi, qo.BatchRows, err, q)
 				}
 				if got.String() != want {
-					t.Errorf("parallelism %d q%02d: %s renders differently from %s\nquery: %s\n--- %s (%d rows)\n%s--- %s (%d rows)\n%s",
-						p, qi, describeRun(qo), describeRun(runs[0]), q,
-						describeRun(runs[0]), ref.Len(), want, describeRun(qo), got.Len(), got.String())
+					t.Errorf("parallelism %d q%02d: batch=%d renders differently from the single-batch run\nquery: %s\n--- single batch (%d rows)\n%s--- batch=%d (%d rows)\n%s",
+						p, qi, qo.BatchRows, q, ref.Len(), want, qo.BatchRows, got.Len(), got.String())
 				}
 			}
 		}
@@ -66,7 +57,7 @@ func TestExecutorDifferential(t *testing.T) {
 }
 
 // TestExecutorStreamingEquivalence locks the streamed drain to the
-// buffered result: reassembling a pull cursor's windows — tiny operator
+// buffered result: reassembling a cursor's windows — tiny operator
 // batches, a window size coprime to them, so windows constantly span
 // batch boundaries — must reproduce DB.Query exactly, and the frame
 // sequence must be the deterministic ceil(n/window) shape the wire
@@ -80,7 +71,7 @@ func TestExecutorStreamingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%02d: %v\nquery: %s", qi, err, q)
 		}
-		rows, err := db.QueryRows(ctx, QueryOptions{Executor: ExecutorPull, BatchRows: 3}, q)
+		rows, err := db.QueryRows(ctx, QueryOptions{BatchRows: 3}, q)
 		if err != nil {
 			t.Fatalf("q%02d: QueryRows: %v\nquery: %s", qi, err, q)
 		}
@@ -116,37 +107,27 @@ func TestExecutorStreamingEquivalence(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeExecutors runs EXPLAIN ANALYZE under each executor
-// and checks the contract both must honor: the annotated root reports
-// the true result cardinality and a wall time. The per-operator actuals
-// underneath are allowed to differ — a pull Limit stops pulling its
-// child as soon as the quota fills, so upstream operators legitimately
-// report fewer rows than under full materialization.
-func TestExplainAnalyzeExecutors(t *testing.T) {
+// TestExplainAnalyzeExecutor runs EXPLAIN ANALYZE through the session
+// path (prepared-plan cache, per-statement options) and checks the
+// contract the executor must honor there too: the annotated root
+// reports the true result cardinality and a wall time. The
+// per-operator actuals underneath may legitimately be smaller than the
+// operator's full output — a Limit stops pulling its child as soon as
+// the quota fills.
+func TestExplainAnalyzeExecutor(t *testing.T) {
 	forceParallelOperators(t)
 	ctx := context.Background()
 	db := openCorpusDB(t, 2)
 	sess := db.Session()
-	for _, executor := range []string{ExecutorMaterialize, ExecutorPull} {
-		qo := QueryOptions{Executor: executor}
-		for qi, q := range testutil.Queries() {
-			ref, err := sess.QueryOpts(ctx, qo, q)
-			if err != nil {
-				t.Fatalf("%s q%02d: %v\nquery: %s", executor, qi, err, q)
-			}
-			plan, err := sess.QueryOpts(ctx, qo, "EXPLAIN ANALYZE "+q)
-			if err != nil {
-				t.Fatalf("%s q%02d: EXPLAIN ANALYZE: %v\nquery: %s", executor, qi, err, q)
-			}
-			text := planText(t, plan)
-			firstLine, _, _ := strings.Cut(text, "\n")
-			if !strings.Contains(firstLine, fmt.Sprintf("rows=%d", ref.Len())) {
-				t.Fatalf("%s q%02d: annotated root does not report the true cardinality %d:\n%s\nquery: %s",
-					executor, qi, ref.Len(), text, q)
-			}
-			if !strings.Contains(firstLine, "time=") {
-				t.Fatalf("%s q%02d: no timing on the root line:\n%s", executor, qi, text)
-			}
+	for qi, q := range testutil.Queries() {
+		ref, err := sess.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("q%02d: %v\nquery: %s", qi, err, q)
 		}
+		plan, err := sess.Query(ctx, "EXPLAIN ANALYZE "+q)
+		if err != nil {
+			t.Fatalf("q%02d: EXPLAIN ANALYZE: %v\nquery: %s", qi, err, q)
+		}
+		requireAnalyzedRoot(t, fmt.Sprintf("q%02d", qi), plan, ref.Len(), q)
 	}
 }

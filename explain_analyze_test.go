@@ -23,6 +23,20 @@ func planText(t *testing.T, res *Result) string {
 	return b.String()
 }
 
+// requireAnalyzedRoot checks the EXPLAIN ANALYZE contract on the root
+// line: the true result cardinality and a wall time.
+func requireAnalyzedRoot(t *testing.T, label string, plan *Result, wantRows int, q string) {
+	t.Helper()
+	text := planText(t, plan)
+	firstLine, _, _ := strings.Cut(text, "\n")
+	if !strings.Contains(firstLine, fmt.Sprintf("rows=%d", wantRows)) {
+		t.Fatalf("%s: annotated root does not report the true cardinality %d:\n%s\nquery: %s", label, wantRows, text, q)
+	}
+	if !strings.Contains(firstLine, "time=") {
+		t.Fatalf("%s: no timing on the root line:\n%s", label, text)
+	}
+}
+
 // TestExplainAnalyzeDifferential locks down the EXPLAIN ANALYZE
 // contract at every differential parallelism setting: analyzing a
 // query really executes it (the annotated root reports the true result
@@ -43,15 +57,7 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parallelism %d q%02d: EXPLAIN ANALYZE: %v\nquery: %s", p, qi, err, q)
 			}
-			text := planText(t, plan)
-			firstLine, _, _ := strings.Cut(text, "\n")
-			if !strings.Contains(firstLine, fmt.Sprintf("rows=%d", ref.Len())) {
-				t.Fatalf("parallelism %d q%02d: annotated root does not report the true cardinality %d:\n%s\nquery: %s",
-					p, qi, ref.Len(), text, q)
-			}
-			if !strings.Contains(firstLine, "time=") {
-				t.Fatalf("parallelism %d q%02d: no timing on the root line:\n%s", p, qi, text)
-			}
+			requireAnalyzedRoot(t, fmt.Sprintf("parallelism %d q%02d", p, qi), plan, ref.Len(), q)
 			after, err := db.Query(q)
 			if err != nil {
 				t.Fatalf("parallelism %d q%02d: re-run: %v", p, qi, err)
@@ -116,5 +122,54 @@ func TestExplainWithoutAnalyze(t *testing.T) {
 	}
 	if strings.Contains(got, "rows=") {
 		t.Fatalf("plain EXPLAIN carries actuals: %s", got)
+	}
+}
+
+// TestExplainAnalyzeZeroRowOperators: an operator pulled to exhaustion
+// reports rows= even when it never emitted a batch, so a zero-row join
+// or filter reads rows=0 (and rows_in=) instead of losing its actuals.
+func TestExplainAnalyzeZeroRowOperators(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE t (a BIGINT)`)
+	db.MustExec(`INSERT INTO t VALUES (1),(2),(3),(4),(5),(6),(7)`)
+	analyze := func(q string) string {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatalf("%v\nquery: %s", err, q)
+		}
+		return planText(t, plan)
+	}
+
+	// Every operator of a zero-row filter (and the breakers above it)
+	// is pulled to exhaustion, so every line carries rows=.
+	for _, q := range []string{
+		`SELECT a FROM t WHERE a > 100`,
+		`SELECT a, COUNT(*) FROM t WHERE a > 100 GROUP BY a ORDER BY a`,
+	} {
+		text := analyze(q)
+		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+			if !strings.Contains(line, "rows=") {
+				t.Errorf("operator line without rows=: %q\n%s\nquery: %s", line, text, q)
+			}
+		}
+		if !regexp.MustCompile(`Filter .*\(rows=0, rows_in=7, `).MatchString(text) {
+			t.Errorf("zero-row filter does not report rows=0, rows_in=7:\n%s", text)
+		}
+	}
+
+	// A join whose left side is empty: the join, the LIMIT 0 feeding it
+	// and the projection above all ran to exhaustion and say so. (The
+	// subtree under LIMIT 0 is never pulled and stays without actuals.)
+	text := analyze(`WITH x AS (SELECT a FROM t)
+		SELECT l.a FROM (SELECT a FROM x LIMIT 0) l JOIN x r ON l.a = r.a`)
+	for _, want := range []string{
+		`^Project l\.a \(rows=0, rows_in=0, `,
+		`(?m)^\s+Join .*\(rows=0, rows_in=7, `,
+		`(?m)^\s+Limit \(rows=0, `,
+	} {
+		if !regexp.MustCompile(want).MatchString(text) {
+			t.Errorf("zero-row join plan does not match %s:\n%s", want, text)
+		}
 	}
 }

@@ -61,15 +61,14 @@
 // Every query path funnels into one core, DB.QueryRows (ctx first, a
 // QueryOptions struct, returning a *Rows cursor); Query, QueryCtx,
 // QueryScalar and the Session variants are thin wrappers that drain
-// it. Under the default pull executor a SELECT opens its operator tree
-// under the read lock (base tables snapshot, cached graph indexes
-// refresh) and then executes batch-by-batch as the cursor is drained —
-// lock-free, so the first rows of a large result are available while
-// the query is still running and a slow consumer never blocks writers.
-// DataVersion exposes a write counter that result caches key on so a
-// cached SELECT is never served across a write. See the README's
-// "Executor" section for the pull/materialize selection knobs
-// (QueryOptions.Executor, GSQL_EXEC).
+// it. A SELECT opens its operator tree under the read lock (base tables
+// snapshot, cached graph indexes refresh) and then executes
+// batch-by-batch as the cursor is drained — lock-free, so the first
+// rows of a large result are available while the query is still
+// running and a slow consumer never blocks writers. There is one
+// executor and no switch that selects another; see the README's
+// "Executor" section. DataVersion exposes a write counter that result
+// caches key on so a cached SELECT is never served across a write.
 //
 // cmd/gsqld exposes all of this over HTTP — a multi-graph registry
 // with copy-on-swap reloads, an admission-control scheduler, a
@@ -294,10 +293,10 @@ func (db *DB) QueryCtx(ctx context.Context, sql string, args ...any) (*Result, e
 
 // Rows is an incrementally consumable query result: the client side of
 // the engine's row-batch cursor seam (internal/exec.Cursor) and what
-// the gsqld streaming response rides on. Under the pull executor the
-// query executes batch by batch *as Rows is drained* — the first batch
-// of a 100k-row result is available before the query finishes, and the
-// full row-major copy never exists in memory at once. NextBatch polls
+// the gsqld streaming response rides on. A SELECT executes batch by
+// batch *as Rows is drained* — the first batch of a 100k-row result is
+// available before the query finishes, and the full row-major copy
+// never exists in memory at once. NextBatch polls
 // the query's context, keeping the cursor under the same cancellation
 // contract as execution, and converts any panic raised by in-drain
 // operator code into a *QueryPanicError, the same containment the
@@ -319,10 +318,9 @@ func newRows(cur *exec.Cursor) *Rows {
 }
 
 // Len returns the total row count of the result, or -1 while it is
-// still unknown: under the pull executor a SELECT is executed as its
-// Rows is drained, so the total only becomes known at exhaustion.
-// Materialized results (non-SELECT statements, the materializing
-// executor) know their count up front.
+// still unknown: a SELECT is executed as its Rows is drained, so the
+// total only becomes known at exhaustion. Non-SELECT results are
+// materialized and know their count up front.
 func (r *Rows) Len() int { return r.cur.NumRows() }
 
 // NextBatch returns the next batch of up to maxRows rows (maxRows <= 0
@@ -401,7 +399,6 @@ func (db *DB) QueryRows(ctx context.Context, qo QueryOptions, sql string, args .
 	opts := &engine.ExecOptions{
 		Parallelism: override,
 		Trace:       qo.Trace,
-		Executor:    qo.Executor,
 		BatchRows:   qo.BatchRows,
 	}
 	db.mu.RLock()
@@ -429,14 +426,6 @@ func (db *DB) QueryRows(ctx context.Context, qo QueryOptions, sql string, args .
 		return nil, err
 	}
 	return newRows(cur), nil
-}
-
-// QueryRowsCtx is QueryRows with default options, kept for callers of
-// the original cursor API.
-//
-// Deprecated: use QueryRows, which additionally takes QueryOptions.
-func (db *DB) QueryRowsCtx(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	return db.QueryRows(ctx, QueryOptions{}, sql, args...)
 }
 
 // DataVersion reports a counter bumped by every statement that may

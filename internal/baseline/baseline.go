@@ -12,6 +12,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -26,11 +27,11 @@ import (
 // by issuing one set-oriented join per BFS level through the engine,
 // exactly what a recursive CTE runtime does. maxDepth bounds the
 // number of iterations (<= 0 means no bound).
-func RecursiveCTE(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxDepth int) (int64, error) {
+func RecursiveCTE(ctx context.Context, e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxDepth int) (int64, error) {
 	if src == dst {
 		// Mirror REACHES semantics: a vertex trivially reaches itself
 		// when it is a vertex of the graph.
-		ok, err := isVertex(e, edgeTable, srcCol, dstCol, src)
+		ok, err := isVertex(ctx, e, edgeTable, srcCol, dstCol, src)
 		if err != nil {
 			return -1, err
 		}
@@ -42,20 +43,20 @@ func RecursiveCTE(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst i
 	// visited holds all ids seen so far; frontier the last level.
 	_ = e.Catalog().DropTable("__bl_visited")
 	_ = e.Catalog().DropTable("__bl_frontier")
-	if _, err := e.Query(`CREATE TABLE __bl_visited (id BIGINT)`); err != nil {
+	if _, err := e.QueryCtx(ctx, `CREATE TABLE __bl_visited (id BIGINT)`); err != nil {
 		return -1, err
 	}
-	if _, err := e.Query(`CREATE TABLE __bl_frontier (id BIGINT)`); err != nil {
+	if _, err := e.QueryCtx(ctx, `CREATE TABLE __bl_frontier (id BIGINT)`); err != nil {
 		return -1, err
 	}
 	defer func() {
 		_ = e.Catalog().DropTable("__bl_visited")
 		_ = e.Catalog().DropTable("__bl_frontier")
 	}()
-	if _, err := e.Query(`INSERT INTO __bl_visited VALUES (?)`, types.NewInt(src)); err != nil {
+	if _, err := e.QueryCtx(ctx, `INSERT INTO __bl_visited VALUES (?)`, types.NewInt(src)); err != nil {
 		return -1, err
 	}
-	if _, err := e.Query(`INSERT INTO __bl_frontier VALUES (?)`, types.NewInt(src)); err != nil {
+	if _, err := e.QueryCtx(ctx, `INSERT INTO __bl_frontier VALUES (?)`, types.NewInt(src)); err != nil {
 		return -1, err
 	}
 	// One set-oriented expansion per BFS level, the semi-naive step of
@@ -68,7 +69,7 @@ func RecursiveCTE(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst i
 		dstCol, edgeTable, srcCol)
 
 	for depth := 1; maxDepth <= 0 || depth <= maxDepth; depth++ {
-		next, err := e.Query(expand)
+		next, err := e.QueryCtx(ctx, expand)
 		if err != nil {
 			return -1, err
 		}
@@ -87,7 +88,7 @@ func RecursiveCTE(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst i
 			return int64(depth), nil
 		}
 		// frontier := next; visited += next.
-		if _, err := e.Query(`DELETE FROM __bl_frontier`); err != nil {
+		if _, err := e.QueryCtx(ctx, `DELETE FROM __bl_frontier`); err != nil {
 			return -1, err
 		}
 		ftab, _ := e.Catalog().Table("__bl_frontier")
@@ -101,9 +102,9 @@ func RecursiveCTE(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst i
 }
 
 // isVertex checks membership of id in srcCol ∪ dstCol.
-func isVertex(e *engine.Engine, edgeTable, srcCol, dstCol string, id int64) (bool, error) {
+func isVertex(ctx context.Context, e *engine.Engine, edgeTable, srcCol, dstCol string, id int64) (bool, error) {
 	q := fmt.Sprintf(`SELECT COUNT(*) FROM %s WHERE %s = ? OR %s = ?`, edgeTable, srcCol, dstCol)
-	res, err := e.Query(q, types.NewInt(id), types.NewInt(id))
+	res, err := e.QueryCtx(ctx, q, types.NewInt(id), types.NewInt(id))
 	if err != nil {
 		return false, err
 	}
@@ -113,9 +114,9 @@ func isVertex(e *engine.Engine, edgeTable, srcCol, dstCol string, id int64) (boo
 // PSM mimics a persistent stored module: a procedural BFS that keeps
 // its queue in application state and performs one point query per
 // dequeued vertex — the "interpretation overhead" cost profile of §1.
-func PSM(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxDepth int) (int64, error) {
+func PSM(ctx context.Context, e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxDepth int) (int64, error) {
 	if src == dst {
-		ok, err := isVertex(e, edgeTable, srcCol, dstCol, src)
+		ok, err := isVertex(ctx, e, edgeTable, srcCol, dstCol, src)
 		if err != nil {
 			return -1, err
 		}
@@ -137,7 +138,7 @@ func PSM(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, max
 		if maxDepth > 0 && cur.d >= int64(maxDepth) {
 			continue
 		}
-		res, err := e.Query(neighbors, types.NewInt(cur.id))
+		res, err := e.QueryCtx(ctx, neighbors, types.NewInt(cur.id))
 		if err != nil {
 			return -1, err
 		}
@@ -162,9 +163,9 @@ func PSM(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, max
 // returns the smallest k with a match, or -1 if none exists within the
 // bound. Cost grows explosively with k, which is the point of the
 // experiment.
-func SelfJoinChain(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxHops int) (int64, error) {
+func SelfJoinChain(ctx context.Context, e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64, maxHops int) (int64, error) {
 	if src == dst {
-		ok, err := isVertex(e, edgeTable, srcCol, dstCol, src)
+		ok, err := isVertex(ctx, e, edgeTable, srcCol, dstCol, src)
 		if err != nil {
 			return -1, err
 		}
@@ -180,7 +181,7 @@ func SelfJoinChain(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst 
 			fmt.Fprintf(&b, " JOIN %s e%d ON e%d.%s = e%d.%s", edgeTable, i, i-1, dstCol, i, srcCol)
 		}
 		fmt.Fprintf(&b, " WHERE e1.%s = ? AND e%d.%s = ?", srcCol, k, dstCol)
-		res, err := e.Query(b.String(), types.NewInt(src), types.NewInt(dst))
+		res, err := e.QueryCtx(ctx, b.String(), types.NewInt(src), types.NewInt(dst))
 		if err != nil {
 			return -1, err
 		}
@@ -193,10 +194,10 @@ func SelfJoinChain(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst 
 
 // Native answers the same question with the paper's extension: one
 // REACHES + CHEAPEST SUM(1) query.
-func Native(e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64) (int64, error) {
+func Native(ctx context.Context, e *engine.Engine, edgeTable, srcCol, dstCol string, src, dst int64) (int64, error) {
 	q := fmt.Sprintf(`SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER %s EDGE (%s, %s)`,
 		edgeTable, srcCol, dstCol)
-	res, err := e.Query(q, types.NewInt(src), types.NewInt(dst))
+	res, err := e.QueryCtx(ctx, q, types.NewInt(src), types.NewInt(dst))
 	if err != nil {
 		return -1, err
 	}

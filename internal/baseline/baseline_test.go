@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"graphsql/internal/engine"
@@ -38,28 +39,28 @@ func TestAllMethodsAgreeOnLineGraph(t *testing.T) {
 		{1, 1, 0},
 	}
 	for _, c := range cases {
-		native, err := Native(e, "edges", "src", "dst", c.s, c.d)
+		native, err := Native(context.Background(), e, "edges", "src", "dst", c.s, c.d)
 		if err != nil {
 			t.Fatalf("native(%d,%d): %v", c.s, c.d, err)
 		}
 		if native != c.want {
 			t.Errorf("native(%d,%d) = %d, want %d", c.s, c.d, native, c.want)
 		}
-		rec, err := RecursiveCTE(e, "edges", "src", "dst", c.s, c.d, 0)
+		rec, err := RecursiveCTE(context.Background(), e, "edges", "src", "dst", c.s, c.d, 0)
 		if err != nil {
 			t.Fatalf("recursive(%d,%d): %v", c.s, c.d, err)
 		}
 		if rec != c.want {
 			t.Errorf("recursive(%d,%d) = %d, want %d", c.s, c.d, rec, c.want)
 		}
-		psm, err := PSM(e, "edges", "src", "dst", c.s, c.d, 0)
+		psm, err := PSM(context.Background(), e, "edges", "src", "dst", c.s, c.d, 0)
 		if err != nil {
 			t.Fatalf("psm(%d,%d): %v", c.s, c.d, err)
 		}
 		if psm != c.want {
 			t.Errorf("psm(%d,%d) = %d, want %d", c.s, c.d, psm, c.want)
 		}
-		sj, err := SelfJoinChain(e, "edges", "src", "dst", c.s, c.d, 4)
+		sj, err := SelfJoinChain(context.Background(), e, "edges", "src", "dst", c.s, c.d, 4)
 		if err != nil {
 			t.Fatalf("selfjoin(%d,%d): %v", c.s, c.d, err)
 		}
@@ -72,7 +73,7 @@ func TestAllMethodsAgreeOnLineGraph(t *testing.T) {
 func TestSelfJoinChainRespectsBound(t *testing.T) {
 	e := lineEngine(t)
 	// 2 -> 5 needs 3 hops; a bound of 2 must miss it.
-	got, err := SelfJoinChain(e, "edges", "src", "dst", 2, 5, 2)
+	got, err := SelfJoinChain(context.Background(), e, "edges", "src", "dst", 2, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSelfJoinChainRespectsBound(t *testing.T) {
 
 func TestRecursiveCTECleansUpTempTables(t *testing.T) {
 	e := lineEngine(t)
-	if _, err := RecursiveCTE(e, "edges", "src", "dst", 1, 4, 0); err != nil {
+	if _, err := RecursiveCTE(context.Background(), e, "edges", "src", "dst", 1, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.Catalog().Table("__bl_visited"); ok {
@@ -97,10 +98,14 @@ func TestRecursiveCTECleansUpTempTables(t *testing.T) {
 func TestSelfNonVertexIsUnreachable(t *testing.T) {
 	e := lineEngine(t)
 	for _, f := range []func() (int64, error){
-		func() (int64, error) { return Native(e, "edges", "src", "dst", 999, 999) },
-		func() (int64, error) { return RecursiveCTE(e, "edges", "src", "dst", 999, 999, 0) },
-		func() (int64, error) { return PSM(e, "edges", "src", "dst", 999, 999, 0) },
-		func() (int64, error) { return SelfJoinChain(e, "edges", "src", "dst", 999, 999, 3) },
+		func() (int64, error) { return Native(context.Background(), e, "edges", "src", "dst", 999, 999) },
+		func() (int64, error) {
+			return RecursiveCTE(context.Background(), e, "edges", "src", "dst", 999, 999, 0)
+		},
+		func() (int64, error) { return PSM(context.Background(), e, "edges", "src", "dst", 999, 999, 0) },
+		func() (int64, error) {
+			return SelfJoinChain(context.Background(), e, "edges", "src", "dst", 999, 999, 3)
+		},
 	} {
 		got, err := f()
 		if err != nil {
@@ -125,18 +130,18 @@ func TestMethodsAgreeOnGeneratedGraph(t *testing.T) {
 	}
 	src, dst := ds.RandomPairs(8, 11)
 	for i := range src {
-		native, err := Native(e, "friends", "src", "dst", src[i], dst[i])
+		native, err := Native(context.Background(), e, "friends", "src", "dst", src[i], dst[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := RecursiveCTE(e, "friends", "src", "dst", src[i], dst[i], 0)
+		rec, err := RecursiveCTE(context.Background(), e, "friends", "src", "dst", src[i], dst[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec != native {
 			t.Errorf("pair %d: recursive %d != native %d", i, rec, native)
 		}
-		psm, err := PSM(e, "friends", "src", "dst", src[i], dst[i], 0)
+		psm, err := PSM(context.Background(), e, "friends", "src", "dst", src[i], dst[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}

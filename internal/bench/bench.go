@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -122,7 +123,7 @@ func Table1(o Options) error {
 func timeQuery(e *engine.Engine, q string, src, dst []int64) (time.Duration, error) {
 	start := time.Now()
 	for i := range src {
-		if _, err := e.Query(q, types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
+		if _, err := e.QueryCtx(context.Background(), q, types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
 			return 0, err
 		}
 	}
@@ -144,7 +145,7 @@ func Fig1a(o Options) error {
 		e.SetParallelism(o.Parallelism)
 		src, dst := ds.RandomPairs(o.Pairs, o.Seed+uint64(sf))
 		// Warm up once so first-use allocation noise drops out.
-		if _, err := e.Query(Q13, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
+		if _, err := e.QueryCtx(context.Background(), Q13, types.NewInt(src[0]), types.NewInt(dst[0])); err != nil {
 			return err
 		}
 		t13, err := timeQuery(e, Q13, src, dst)
@@ -213,7 +214,7 @@ func RunBatch(e *engine.Engine, ds *ldbc.Dataset, b int, seed uint64) (time.Dura
 		FROM pairs p
 		WHERE p.src REACHES p.dst OVER friends EDGE (src, dst)`
 	start := time.Now()
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		return 0, err
 	}
 	return time.Since(start) / time.Duration(b), nil
@@ -241,16 +242,16 @@ func Baselines(o Options) error {
 	}
 	methods := []method{
 		{"native REACHES", func(s, d int64) (int64, error) {
-			return baseline.Native(e, "friends", "src", "dst", s, d)
+			return baseline.Native(context.Background(), e, "friends", "src", "dst", s, d)
 		}},
 		{"recursive CTE", func(s, d int64) (int64, error) {
-			return baseline.RecursiveCTE(e, "friends", "src", "dst", s, d, 0)
+			return baseline.RecursiveCTE(context.Background(), e, "friends", "src", "dst", s, d, 0)
 		}},
 		{"PSM (row-at-a-time)", func(s, d int64) (int64, error) {
-			return baseline.PSM(e, "friends", "src", "dst", s, d, 0)
+			return baseline.PSM(context.Background(), e, "friends", "src", "dst", s, d, 0)
 		}},
 		{"self-join chain (<=3 hops)", func(s, d int64) (int64, error) {
-			return baseline.SelfJoinChain(e, "friends", "src", "dst", s, d, 3)
+			return baseline.SelfJoinChain(context.Background(), e, "friends", "src", "dst", s, d, 3)
 		}},
 	}
 	fmt.Fprintf(o.Out, "%-28s %14s\n", "method", "avg time (s)")
@@ -286,7 +287,7 @@ func Phases(o Options) error {
 		friends, _ := e.Catalog().Table("friends")
 		// Phase 1: CSR construction from the edge chunk.
 		start := time.Now()
-		pg, err := core.BuildGraphP(friends.Chunk(), 0, 1, o.Parallelism)
+		pg, err := core.BuildGraphCtx(context.Background(), friends.Chunk(), 0, 1, o.Parallelism)
 		if err != nil {
 			return err
 		}
@@ -384,7 +385,7 @@ func BuildRuntimeGraph(ds *ldbc.Dataset) (*graph.CSR, []int64, *graph.Dict) {
 	for i := 0; i < m; i++ {
 		dst[i] = dict.EncodeInt(ds.Dst[i])
 	}
-	g, err := graph.BuildCSR(dict.Len(), src, dst)
+	g, err := graph.BuildCSRParallelCtx(context.Background(), dict.Len(), src, dst, 1)
 	if err != nil {
 		panic(err) // ids are dense by construction
 	}

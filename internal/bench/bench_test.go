@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -138,7 +139,7 @@ func TestBatchedAnswersMatchSinglePair(t *testing.T) {
 		pairs.Cols[0].AppendInt(src[i])
 		pairs.Cols[1].AppendInt(dst[i])
 	}
-	batched, err := e.Query(`
+	batched, err := e.QueryCtx(context.Background(), `
 		SELECT p.src, p.dst, CHEAPEST SUM(1) AS cost
 		FROM p2 p
 		WHERE p.src REACHES p.dst OVER friends EDGE (src, dst)`)
@@ -151,7 +152,7 @@ func TestBatchedAnswersMatchSinglePair(t *testing.T) {
 		got[[2]int64{r[0].I, r[1].I}] = r[2].I
 	}
 	for i := range src {
-		single, err := e.Query(Q13, intValue(src[i]), intValue(dst[i]))
+		single, err := e.QueryCtx(context.Background(), Q13, intValue(src[i]), intValue(dst[i]))
 		if err != nil {
 			t.Fatal(err)
 		}

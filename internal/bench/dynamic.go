@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -74,7 +75,7 @@ func RunDynamicPolicy(policy string, sf, shrink, pairs int, seed uint64) (time.D
 		}
 		for q := 0; q < pairs; q++ {
 			s, d := take()
-			if _, err := e.Query(Q13, types.NewInt(s), types.NewInt(d)); err != nil {
+			if _, err := e.QueryCtx(context.Background(), Q13, types.NewInt(s), types.NewInt(d)); err != nil {
 				return 0, err
 			}
 		}
@@ -119,7 +120,7 @@ func VerifyDynamicAgainstAdhoc(sf, shrink, pairs int, seed uint64) error {
 				}
 			}
 			s, d := src[pairs+i], dst[pairs+i]
-			res, err := e.Query(Q13, types.NewInt(s), types.NewInt(d))
+			res, err := e.QueryCtx(context.Background(), Q13, types.NewInt(s), types.NewInt(d))
 			if err != nil {
 				return err
 			}

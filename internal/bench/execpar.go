@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -82,7 +83,7 @@ func ExecPar(o Options) error {
 				var render string
 				for r := 0; r < execParReps; r++ {
 					start := time.Now()
-					res, err := e.Query(wl.query)
+					res, err := e.QueryCtx(context.Background(), wl.query)
 					if err != nil {
 						return fmt.Errorf("%s: %w", wl.name, err)
 					}

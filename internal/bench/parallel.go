@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -64,7 +65,7 @@ func Parallel(o Options) error {
 			build, query := time.Duration(1<<62), time.Duration(1<<62)
 			for r := 0; r < parallelReps; r++ {
 				start := time.Now()
-				if _, err := core.BuildGraphP(chunk, 0, 1, w); err != nil {
+				if _, err := core.BuildGraphCtx(context.Background(), chunk, 0, 1, w); err != nil {
 					return err
 				}
 				if d := time.Since(start); d < build {

@@ -87,7 +87,7 @@ func TestBuildGraphCtxMidBuild(t *testing.T) {
 // ctx-threaded build is bit-identical to the plain one.
 func TestBuildGraphCtxUncanceled(t *testing.T) {
 	c := bigEdgeChunk(70000)
-	want, err := BuildGraphP(c, 0, 1, 4)
+	want, err := BuildGraphCtx(context.Background(), c, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

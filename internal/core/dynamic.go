@@ -25,7 +25,7 @@ import (
 // the engine).
 type DynamicGraph struct {
 	// mu makes the index safe for concurrent readers with occasional
-	// refreshes: Match and the accessors take the read lock, Refresh
+	// refreshes: MatchCtx and the accessors take the read lock, RefreshCtx
 	// upgrades to the write lock only when there are rows to absorb.
 	// The caller must still serialize refreshes against table writes
 	// (the facade's RWMutex does).
@@ -53,7 +53,8 @@ func NewDynamicGraph(edges *storage.Chunk, srcIdx, dstIdx int) (*DynamicGraph, e
 // inherited by snapshot rebuilds and solvers (<= 0 means one worker
 // per CPU).
 func NewDynamicGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*DynamicGraph, error) {
-	pg, err := BuildGraphP(edges, srcIdx, dstIdx, parallelism)
+	//gsqlvet:allow ctxprop index builds run outside any request (engine.BuildGraphIndex carries no context)
+	pg, err := BuildGraphCtx(context.Background(), edges, srcIdx, dstIdx, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -102,21 +103,15 @@ func (dg *DynamicGraph) rebuildThreshold() int {
 	return t
 }
 
-// Refresh absorbs rows appended to the table chunk since the last
+// RefreshCtx absorbs rows appended to the table chunk since the last
 // refresh. It must be called with the full current chunk of the same
 // table the index was built on; rows before appliedRows are assumed
 // unchanged (append-only contract). Returns whether a full rebuild
-// happened.
-func (dg *DynamicGraph) Refresh(current *storage.Chunk) (rebuilt bool, err error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use RefreshCtx
-	return dg.RefreshCtx(context.Background(), current)
-}
-
-// RefreshCtx is Refresh with a cancellation context: a snapshot rebuild
-// triggered by delta growth runs the full graph construction, and the
-// ctx is threaded through its dictionary-encode and CSR chunk loops so
-// a canceled query does not pin the write lock for the whole rebuild.
-// On cancellation the index is left unchanged.
+// happened. A snapshot rebuild triggered by delta growth runs the full
+// graph construction, and the ctx is threaded through its
+// dictionary-encode and CSR chunk loops so a canceled query does not
+// pin the write lock for the whole rebuild. On cancellation the index
+// is left unchanged.
 func (dg *DynamicGraph) RefreshCtx(ctx context.Context, current *storage.Chunk) (rebuilt bool, err error) {
 	n := current.NumRows()
 	// Fast path: nothing to absorb. Taken under the read lock so
@@ -151,7 +146,7 @@ func (dg *DynamicGraph) RefreshCtx(ctx context.Context, current *storage.Chunk) 
 	}
 	// The snapshot's Edges chunk must stay row-aligned with the CSR
 	// Perm and the delta rows; append the new rows (skipping NULL
-	// endpoints exactly like BuildGraph does).
+	// endpoints exactly like BuildGraphCtx does).
 	sc, dc := current.Cols[dg.pg.SrcIdx], current.Cols[dg.pg.DstIdx]
 	if sc.Kind != dg.pg.KeyKind {
 		return false, fmt.Errorf("graph index: key kind changed from %v to %v", dg.pg.KeyKind, sc.Kind)
@@ -187,7 +182,7 @@ func (dg *DynamicGraph) RefreshCtx(ctx context.Context, current *storage.Chunk) 
 }
 
 // ownEdgesChunk makes the prepared graph's edge chunk privately
-// writable, copying exactly the snapshot rows. BuildGraph aliases the
+// writable, copying exactly the snapshot rows. BuildGraphCtx aliases the
 // table columns when no NULL compaction happened; before appending
 // delta rows we must copy, or the base table would be corrupted (and
 // rows appended to the table since the snapshot would be duplicated).
@@ -208,7 +203,7 @@ func ownEdgesChunk(pg *PreparedGraph, snapshotRows int) {
 
 // Solver returns a solver over the snapshot plus the delta. The
 // returned solver aliases the live delta, so the caller must not run
-// it concurrently with Refresh (the query path uses MatchCtx, which
+// it concurrently with RefreshCtx (the query path uses MatchCtx, which
 // holds the read lock for the whole solve, instead).
 func (dg *DynamicGraph) Solver() *graph.Solver {
 	dg.mu.RLock()
@@ -218,15 +213,10 @@ func (dg *DynamicGraph) Solver() *graph.Solver {
 	return s
 }
 
-// Match runs a GraphMatch through the dynamic index (snapshot+delta).
-func (dg *DynamicGraph) Match(gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use MatchCtx
-	return dg.MatchCtx(context.Background(), gm, input, xCol, yCol, ctx)
-}
-
-// MatchCtx is Match with a cancellation context. The read lock is held
-// for the duration of the solve, so a concurrent Refresh waits for
-// in-flight matches instead of mutating the snapshot under them.
+// MatchCtx runs a GraphMatch through the dynamic index
+// (snapshot+delta). The read lock is held for the duration of the
+// solve, so a concurrent refresh waits for in-flight matches instead
+// of mutating the snapshot under them.
 func (dg *DynamicGraph) MatchCtx(stdctx context.Context, gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context) (*storage.Chunk, error) {
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
@@ -235,7 +225,7 @@ func (dg *DynamicGraph) MatchCtx(stdctx context.Context, gm *plan.GraphMatch, in
 
 // Reachability answers one pair over the current snapshot+delta. The
 // read lock is held for the whole solve: the dictionary lookups and
-// the delta adjacency are mutated in place by Refresh.
+// the delta adjacency are mutated in place by RefreshCtx.
 func (dg *DynamicGraph) Reachability(srcKey, dstKey types.Value) (bool, error) {
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()

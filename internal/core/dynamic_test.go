@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 	// Close the cycle and introduce a brand-new vertex 4.
 	appendEdge(tbl, 3, 1, 1)
 	appendEdge(tbl, 3, 4, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	if dg.DeltaEdges() != 2 {
@@ -57,7 +58,7 @@ func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := dg.Refresh(tbl); err != nil {
+		if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,10 +66,10 @@ func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 		t.Fatalf("no-op refreshes created %d delta edges", dg.DeltaEdges())
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	if dg.DeltaEdges() != 1 {
@@ -87,7 +88,7 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		appendEdge(tbl, i, i+1, 1)
 	}
-	rebuilt, err := dg.Refresh(tbl)
+	rebuilt, err := dg.RefreshCtx(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDynamicGraphRejectsShrunkTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	smaller := dynTable([][3]int64{{1, 2, 1}})
-	if _, err := dg.Refresh(smaller); err == nil {
+	if _, err := dg.RefreshCtx(context.Background(), smaller); err == nil {
 		t.Fatal("a shrunk table must violate the append-only contract")
 	}
 }
@@ -125,7 +126,7 @@ func TestDynamicGraphDoesNotCorruptBaseTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendEdge(tbl, 2, 3, 1)
-	if _, err := dg.Refresh(tbl); err != nil {
+	if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 		t.Fatal(err)
 	}
 	// The index's private edge chunk grows; the base table must not.
@@ -157,10 +158,10 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 			for i := 0; i < r.Intn(6); i++ {
 				appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 			}
-			if _, err := dg.Refresh(tbl); err != nil {
+			if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildGraph(tbl, 0, 1)
+			fresh, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

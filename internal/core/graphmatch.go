@@ -50,27 +50,15 @@ type PreparedGraph struct {
 // stringKeyed reports whether vertex keys use the string key space.
 func stringKeyed(k types.Kind) bool { return k == types.KindString }
 
-// BuildGraph compiles an edge chunk into a PreparedGraph with the
-// default parallelism (one worker per CPU, size-gated). The source and
-// destination columns must share one comparable scalar kind.
-func BuildGraph(edges *storage.Chunk, srcIdx, dstIdx int) (*PreparedGraph, error) {
-	return BuildGraphP(edges, srcIdx, dstIdx, 0)
-}
-
-// BuildGraphP is BuildGraph with an explicit parallelism: dictionary
-// encoding and CSR construction run chunked over up to that many
-// workers (<= 0 means one per CPU), and solvers over the resulting
-// graph inherit the same budget. The graph is bit-identical to a
-// sequential build at any setting.
-func BuildGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildGraphCtx
-	return BuildGraphCtx(context.Background(), edges, srcIdx, dstIdx, parallelism)
-}
-
-// BuildGraphCtx is BuildGraphP with a cancellation context threaded
-// through the dictionary-encode and CSR chunk loops: a cancel landing
-// during ad-hoc graph construction aborts the build within a few
-// thousand rows instead of finishing it. A nil ctx never cancels.
+// BuildGraphCtx compiles an edge chunk into a PreparedGraph. The source
+// and destination columns must share one comparable scalar kind.
+// Dictionary encoding and CSR construction run chunked over up to
+// parallelism workers (<= 0 means one per CPU, size-gated), and solvers
+// over the resulting graph inherit the same budget; the graph is
+// bit-identical to a sequential build at any setting. The context is
+// threaded through the dictionary-encode and CSR chunk loops: a cancel
+// landing during ad-hoc graph construction aborts the build within a
+// few thousand rows instead of finishing it. A nil ctx never cancels.
 func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
 	if srcIdx < 0 || srcIdx >= len(edges.Cols) || dstIdx < 0 || dstIdx >= len(edges.Cols) {
 		return nil, fmt.Errorf("graph build: edge column index out of range")
@@ -156,16 +144,10 @@ func (pg *PreparedGraph) encodeColumn(c *storage.Column) []graph.VertexID {
 	return out
 }
 
-// Match executes a GraphMatch over a prepared graph: it filters the
+// MatchCtx executes a GraphMatch over a prepared graph: it filters the
 // input rows by the reachability predicate and appends one cost (and
 // optional path) column per CheapestSpec. X and Y are the evaluated
-// key columns of the input chunk.
-func (pg *PreparedGraph) Match(gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use MatchCtx
-	return pg.MatchCtx(context.Background(), gm, input, xCol, yCol, ctx)
-}
-
-// MatchCtx is Match with a cancellation context, checked at the
+// key columns of the input chunk. The context is checked at the
 // solver's source-group boundaries and before output materialization.
 func (pg *PreparedGraph) MatchCtx(stdctx context.Context, gm *plan.GraphMatch, input *storage.Chunk, xCol, yCol *storage.Column, ctx *expr.Context) (*storage.Chunk, error) {
 	return pg.match(stdctx, gm, input, xCol, yCol, ctx, nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func edgeChunk(edges [][3]int64) *storage.Chunk {
 }
 
 func TestBuildGraphIntKeys(t *testing.T) {
-	pg, err := BuildGraph(edgeChunk([][3]int64{{10, 20, 1}, {20, 30, 1}}), 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), edgeChunk([][3]int64{{10, 20, 1}, {20, 30, 1}}), 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,10 @@ func TestBuildGraphErrors(t *testing.T) {
 		{Name: "s", Kind: types.KindInt},
 		{Name: "d", Kind: types.KindString},
 	})
-	if _, err := BuildGraph(mixed, 0, 1); err == nil || !strings.Contains(err.Error(), "differs") {
+	if _, err := BuildGraphCtx(context.Background(), mixed, 0, 1, 0); err == nil || !strings.Contains(err.Error(), "differs") {
 		t.Fatalf("expected kind mismatch, got %v", err)
 	}
-	if _, err := BuildGraph(edgeChunk(nil), 0, 9); err == nil {
+	if _, err := BuildGraphCtx(context.Background(), edgeChunk(nil), 0, 9, 0); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 }
@@ -57,7 +58,7 @@ func TestBuildGraphCompactsNullEndpoints(t *testing.T) {
 	c.AppendRow([]types.Value{types.NewInt(1), types.NewInt(2)})
 	c.AppendRow([]types.Value{types.NewNull(types.KindInt), types.NewInt(3)})
 	c.AppendRow([]types.Value{types.NewInt(2), types.NewNull(types.KindInt)})
-	pg, err := BuildGraph(c, 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), c, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestBuildGraphCompactsNullEndpoints(t *testing.T) {
 }
 
 func TestReachabilityHelper(t *testing.T) {
-	pg, err := BuildGraph(edgeChunk([][3]int64{{1, 2, 1}, {2, 3, 1}}), 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), edgeChunk([][3]int64{{1, 2, 1}, {2, 3, 1}}), 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestReachabilityHelper(t *testing.T) {
 // matchHelper runs a GraphMatch over an input chunk of (x, y) pairs.
 func matchHelper(t *testing.T, edges *storage.Chunk, pairs [][2]int64, specs []plan.CheapestSpec) *storage.Chunk {
 	t.Helper()
-	pg, err := BuildGraph(edges, 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), edges, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func matchHelper(t *testing.T, edges *storage.Chunk, pairs [][2]int64, specs []p
 		Specs: specs,
 		Sch:   sch,
 	}
-	out, err := pg.Match(gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
+	out, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestMatchFloatWeights(t *testing.T) {
 
 func TestMatchRejectsNonPositiveWeights(t *testing.T) {
 	edges := edgeChunk([][3]int64{{1, 2, 0}})
-	pg, err := BuildGraph(edges, 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), edges, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMatchRejectsNonPositiveWeights(t *testing.T) {
 		}},
 		Sch: append(append(storage.Schema{}, in.Schema...), storage.ColMeta{Name: "cost", Kind: types.KindInt}),
 	}
-	if _, err := pg.Match(gm, in, in.Cols[0], in.Cols[1], &expr.Context{}); err == nil ||
+	if _, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{}); err == nil ||
 		!strings.Contains(err.Error(), "positive") {
 		t.Fatalf("expected positivity error, got %v", err)
 	}
@@ -212,7 +213,7 @@ func TestMatchRejectsNonPositiveWeights(t *testing.T) {
 
 func TestMatchNullKeysFilteredOut(t *testing.T) {
 	edges := edgeChunk([][3]int64{{1, 2, 1}})
-	pg, err := BuildGraph(edges, 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), edges, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestMatchNullKeysFilteredOut(t *testing.T) {
 		X: &expr.ColRef{Idx: 0, K: types.KindInt}, Y: &expr.ColRef{Idx: 1, K: types.KindInt},
 		SrcIdx: 0, DstIdx: 1, Sch: in.Schema,
 	}
-	out, err := pg.Match(gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
+	out, err := pg.MatchCtx(context.Background(), gm, in, in.Cols[0], in.Cols[1], &expr.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestStringKeyedGraph(t *testing.T) {
 	})
 	c.AppendRow([]types.Value{types.NewString("a"), types.NewString("b")})
 	c.AppendRow([]types.Value{types.NewString("b"), types.NewString("c")})
-	pg, err := BuildGraph(c, 0, 1)
+	pg, err := BuildGraphCtx(context.Background(), c, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

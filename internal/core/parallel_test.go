@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,11 +29,11 @@ func TestBuildGraphPEquivalence(t *testing.T) {
 	}
 	c.Cols = []*storage.Column{sc, dc}
 
-	seq, err := BuildGraphP(c, 0, 1, 1)
+	seq, err := BuildGraphCtx(context.Background(), c, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildGraphP(c, 0, 1, 4)
+	par, err := BuildGraphCtx(context.Background(), c, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

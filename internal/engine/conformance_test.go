@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
 
@@ -294,6 +296,53 @@ func TestInsertSelectWithGraphQuery(t *testing.T) {
 	checkCells(t, res, [][]string{{"2", "1"}, {"3", "2"}})
 }
 
+// TestInsertSelectHonorsExecOptions: the SELECT feeding an INSERT runs
+// under the statement's ExecOptions like any other plan — the worker
+// override reaches the GraphMatch operator and the trace records the
+// operator tree — instead of a private context with the engine-wide
+// budget and no trace.
+func TestInsertSelectHonorsExecOptions(t *testing.T) {
+	e := New()
+	e.SetParallelism(4)
+	if _, err := e.ExecScript(`
+		CREATE TABLE g (s BIGINT, d BIGINT);
+		CREATE TABLE v (id BIGINT);
+		CREATE TABLE dists (id BIGINT, hops BIGINT);
+		INSERT INTO g VALUES (1,2),(2,3);
+		INSERT INTO v VALUES (2),(3);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	opts := &ExecOptions{Parallelism: 1, Trace: tr}
+	if _, err := e.QueryOpts(context.Background(), opts, `INSERT INTO dists SELECT id, CHEAPEST SUM(1)
+		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`); err != nil {
+		t.Fatal(err)
+	}
+	checkCells(t, run(t, e, `SELECT id, hops FROM dists ORDER BY id`), [][]string{{"2", "1"}, {"3", "2"}})
+
+	var gm *trace.Node
+	var walk func(n *trace.Node)
+	walk = func(n *trace.Node) {
+		if strings.HasPrefix(n.Name, "GraphMatch") {
+			gm = n
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Tree())
+	if gm == nil {
+		t.Fatalf("INSERT … SELECT recorded no GraphMatch operator span:\n%s", trace.Render(tr.Tree()))
+	}
+	if gm.Workers != 1 {
+		t.Fatalf("GraphMatch ran with workers=%d, want the ExecOptions override 1:\n%s", gm.Workers, trace.Render(tr.Tree()))
+	}
+	if gm.Rows == nil || *gm.Rows != 2 {
+		t.Fatalf("GraphMatch span rows = %v, want 2", gm.Rows)
+	}
+}
+
 func TestManyParamsAndRepeatedExecution(t *testing.T) {
 	e := New()
 	if _, err := e.ExecScript(`
@@ -313,7 +362,7 @@ func TestManyParamsAndRepeatedExecution(t *testing.T) {
 
 func TestErrorMessagesCarryPositions(t *testing.T) {
 	e := New()
-	_, err := e.Query("SELECT\n  nope")
+	_, err := e.QueryCtx(context.Background(), "SELECT\n  nope")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("expected a line-2 position, got %v", err)
 	}

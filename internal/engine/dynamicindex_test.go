@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,7 +25,7 @@ func dynEngine(t *testing.T) *Engine {
 
 func dist(t *testing.T, e *Engine, s, d int64) int64 {
 	t.Helper()
-	res, err := e.Query(pairQ, types.NewInt(s), types.NewInt(d))
+	res, err := e.QueryCtx(context.Background(), pairQ, types.NewInt(s), types.NewInt(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestDynamicIndexAbsorbsInsertsThroughSQL(t *testing.T) {
 	}
 	// Insert a shortcut and a new vertex; the index must absorb both
 	// without a rebuild (delta below the 64-edge floor).
-	if _, err := e.Query(`INSERT INTO e VALUES (1, 3), (3, 9)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (1, 3), (3, 9)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := dist(t, e, 1, 3); got != 1 {
@@ -73,7 +74,7 @@ func TestDynamicIndexRebuildThroughSQL(t *testing.T) {
 	}
 	// Append a long chain: > 64 edges forces a snapshot rebuild.
 	for i := 3; i < 90; i++ {
-		if _, err := e.Query(fmt.Sprintf(`INSERT INTO e VALUES (%d, %d)`, i, i+1)); err != nil {
+		if _, err := e.QueryCtx(context.Background(), fmt.Sprintf(`INSERT INTO e VALUES (%d, %d)`, i, i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestDeleteInvalidatesDynamicIndex(t *testing.T) {
 	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(`DELETE FROM e WHERE d = 3`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `DELETE FROM e WHERE d = 3`); err != nil {
 		t.Fatal(err)
 	}
 	// 1 can no longer reach 3; the query must not use the stale index.
@@ -115,7 +116,7 @@ func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT CHEAPEST SUM(f: w) WHERE ? REACHES ? OVER e f EDGE (s, d)`
-	res, err := e.Query(q, types.NewInt(1), types.NewInt(3))
+	res, err := e.QueryCtx(context.Background(), q, types.NewInt(1), types.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 		t.Fatalf("weighted cost = %d, want 20", res.Cols[0].Ints[0])
 	}
 	// A cheaper delta edge must win, with its weight read correctly.
-	if _, err := e.Query(`INSERT INTO e VALUES (1, 3, 5)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (1, 3, 5)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = e.Query(q, types.NewInt(1), types.NewInt(3))
+	res, err = e.QueryCtx(context.Background(), q, types.NewInt(1), types.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +147,10 @@ func TestPathThroughDynamicIndexDeltaEdge(t *testing.T) {
 	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(`INSERT INTO e VALUES (2, 3)`); err != nil {
+	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (2, 3)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query(`
+	res, err := e.QueryCtx(context.Background(), `
 		SELECT r.s, r.d
 		FROM (
 			SELECT CHEAPEST SUM(f: 1) AS (c, p)

@@ -2,6 +2,11 @@
 // rewriter, and the executor together, mirroring the compiler →
 // optimizer → physical layer pipeline of §3. It also implements the
 // DDL/DML statements and maintains the graph-index cache of §6.
+//
+// Every plan — a SELECT, the source of an INSERT … SELECT, the
+// statement under EXPLAIN ANALYZE — runs through exec's one operator
+// pipeline with the context newExecContext builds, so the worker
+// budget, trace and stats of ExecOptions apply to all of them alike.
 package engine
 
 import (
@@ -107,22 +112,10 @@ type ExecOptions struct {
 	// solver frontier levels) nested under it. Nil disables tracing at
 	// zero cost.
 	Trace *trace.Trace
-	// Executor selects the executor implementation: "" inherits the
-	// process default (the pull executor unless GSQL_EXEC=materialize),
-	// ExecutorPull forces the batch-pull executor, ExecutorMaterialize
-	// forces the legacy full-materialization interpreter. Results are
-	// value-identical either way; the differential corpus pins it.
-	Executor string
-	// BatchRows bounds the rows per batch the pull executor emits;
-	// <= 0 uses exec.DefaultBatchRows.
+	// BatchRows bounds the rows per batch operators emit; <= 0 uses
+	// exec.DefaultBatchRows.
 	BatchRows int
 }
-
-// Executor selection values for ExecOptions.Executor.
-const (
-	ExecutorPull        = "pull"
-	ExecutorMaterialize = "materialize"
-)
 
 // DefaultExecOptions returns options that inherit every engine default.
 func DefaultExecOptions() ExecOptions { return ExecOptions{Parallelism: -1} }
@@ -251,8 +244,8 @@ func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err
 
 // request bundles one prepared-statement execution for run, the single
 // internal entry point every public query path funnels into: panic
-// containment, parameter validation, executor selection, tracing and
-// parallelism resolution are applied in exactly one place.
+// containment, parameter validation, tracing and parallelism
+// resolution are applied in exactly one place.
 type request struct {
 	prep   *Prepared
 	params []types.Value
@@ -263,9 +256,9 @@ type request struct {
 }
 
 // run executes one request. Exactly one of chunk/cur is populated:
-// with wantCursor a cursor is returned (operator-backed for a SELECT
-// under the pull executor, a windowed snapshot otherwise), without it
-// the materialized result chunk.
+// with wantCursor a cursor is returned (operator-backed for a SELECT,
+// a windowed snapshot of the result otherwise), without it the
+// materialized result chunk.
 func (e *Engine) run(ctx context.Context, req request) (chunk *storage.Chunk, cur *exec.Cursor, err error) {
 	defer recoverExecPanic(&err)
 	p := req.prep
@@ -311,13 +304,12 @@ func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOption
 }
 
 // ExecPreparedCursor executes a prepared statement and returns an
-// incremental cursor over its result. For a SELECT under the pull
-// executor the cursor is operator-backed: Open runs here, under
-// whatever lock discipline the caller holds — base-table scans
-// snapshot and cached graph indexes refresh now — and execution then
-// proceeds batch-by-batch as the cursor is drained, without the lock.
-// Any other statement (and the materializing executor) executes fully
-// here and the cursor windows a snapshot of the result. The caller
+// incremental cursor over its result. For a SELECT the cursor is
+// operator-backed: Open runs here, under whatever lock discipline the
+// caller holds — base-table scans snapshot and cached graph indexes
+// refresh now — and execution then proceeds batch-by-batch as the
+// cursor is drained, without the lock. Any other statement executes
+// fully here and the cursor windows a snapshot of the result. The caller
 // must Close the cursor; exhaustion and errors close it implicitly. A
 // panic while opening surfaces as a *QueryPanicError; the facade
 // applies the same conversion to panics raised during the drain.
@@ -326,55 +318,31 @@ func (e *Engine) ExecPreparedCursor(ctx context.Context, p *Prepared, opts *Exec
 	return cur, err
 }
 
-// newExecContext builds the exec context for one execution, resolving
-// the executor selection: the option wins, otherwise the GSQL_EXEC
-// process default applies.
-func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts *ExecOptions) (*exec.Context, error) {
+// newExecContext builds the exec context for one execution.
+func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts *ExecOptions) *exec.Context {
 	ectx := &exec.Context{
 		Ctx:          ctx,
 		Expr:         &expr.Context{Params: params},
 		GraphIndexes: e.graphIndexes,
 		Parallelism:  e.effectiveParallelism(opts),
 		Stats:        e.Stats,
-		Materialize:  exec.DefaultMaterialize(),
 	}
 	if opts != nil {
 		ectx.BatchRows = opts.BatchRows
-		switch opts.Executor {
-		case "":
-		case ExecutorPull:
-			ectx.Materialize = false
-		case ExecutorMaterialize:
-			ectx.Materialize = true
-		default:
-			return nil, fmt.Errorf("unknown executor %q (supported: %s, %s)", opts.Executor, ExecutorPull, ExecutorMaterialize)
-		}
 	}
-	return ectx, nil
+	return ectx
 }
 
 // runSelect executes a bound plan for run: buffered, or through an
 // incremental cursor when the request asks for one.
 func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*storage.Chunk, *exec.Cursor, error) {
 	opts := req.opts
-	ectx, err := e.newExecContext(ctx, req.params, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !req.wantCursor || ectx.Materialize {
+	ectx := e.newExecContext(ctx, req.params, opts)
+	if !req.wantCursor {
 		chunk, err := e.execSelect(pl, ectx, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !req.wantCursor {
-			return chunk, nil, nil
-		}
-		if chunk != nil {
-			chunk = chunk.Snapshot()
-		}
-		return nil, exec.NewCursor(ctx, chunk), nil
+		return chunk, nil, err
 	}
-	// Pull cursor: execution happens as the cursor drains. The
+	// Cursor: execution happens as the cursor drains. The
 	// "execute" stage span opens now and ends via the cursor's close
 	// hook, so its duration covers the actual execution window and the
 	// in-flight stage shows "execute" for as long as batches flow.
@@ -437,10 +405,7 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 		// A private trace keeps the rendering to this statement's spans
 		// even when the caller traces the enclosing request.
 		tr := trace.New()
-		ectx, err := e.newExecContext(ctx, params, opts)
-		if err != nil {
-			return nil, err
-		}
+		ectx := e.newExecContext(ctx, params, opts)
 		ectx.Trace = tr
 		ectx.TraceSpan = trace.NoSpan
 		if _, err := exec.Execute(pl, ectx); err != nil {
@@ -462,15 +427,9 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 	}, nil
 }
 
-// Query parses, binds, optimizes and executes one statement, returning
-// its result chunk (nil for statements without results).
-func (e *Engine) Query(sql string, params ...types.Value) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; cancellable callers use QueryCtx
-	return e.QueryCtx(context.Background(), sql, params...)
-}
-
-// QueryCtx is Query with a cancellation context, checked at operator
-// and solver chunk boundaries.
+// QueryCtx parses, binds, optimizes and executes one statement,
+// returning its result chunk (nil for statements without results). The
+// context is checked at operator, batch and solver chunk boundaries.
 func (e *Engine) QueryCtx(ctx context.Context, sql string, params ...types.Value) (*storage.Chunk, error) {
 	return e.QueryOpts(ctx, nil, sql, params...)
 }
@@ -539,11 +498,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []type
 		if err != nil {
 			return nil, err
 		}
-		ectx, err := e.newExecContext(ctx, params, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e.execSelect(plan.Rewrite(p), ectx, opts)
+		return e.execSelect(plan.Rewrite(p), e.newExecContext(ctx, params, opts), opts)
 	case *ast.ExplainStmt:
 		return e.execExplain(ctx, t, nil, params, opts)
 	case *ast.CreateTableStmt:
@@ -551,7 +506,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []type
 		return nil, e.execCreateTable(t)
 	case *ast.InsertStmt:
 		e.dataVersion.Add(1)
-		return nil, e.execInsert(ctx, t, params)
+		return nil, e.execInsert(ctx, t, params, opts)
 	case *ast.DropTableStmt:
 		e.dataVersion.Add(1)
 		if err := e.cat.DropTable(t.Name); err != nil {
@@ -631,7 +586,7 @@ func (e *Engine) execCreateTable(t *ast.CreateTableStmt) error {
 	return nil
 }
 
-func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []types.Value) error {
+func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []types.Value, opts *ExecOptions) error {
 	table, ok := e.cat.Table(t.Table)
 	if !ok {
 		return fmt.Errorf("table %q does not exist", t.Table)
@@ -678,7 +633,7 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 			return err
 		}
 		p = plan.Rewrite(p)
-		res, err := exec.Execute(p, &exec.Context{Ctx: ctx, Expr: &expr.Context{Params: params}, GraphIndexes: e.graphIndexes, Parallelism: e.parallelism})
+		res, err := e.execSelect(p, e.newExecContext(ctx, params, opts), opts)
 		if err != nil {
 			return err
 		}

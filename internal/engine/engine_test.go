@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // run executes SQL, failing the test on error.
 func run(t *testing.T, e *Engine, sql string, params ...types.Value) *storage.Chunk {
 	t.Helper()
-	res, err := e.Query(sql, params...)
+	res, err := e.QueryCtx(context.Background(), sql, params...)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -21,7 +22,7 @@ func run(t *testing.T, e *Engine, sql string, params ...types.Value) *storage.Ch
 // mustFail executes SQL and requires an error containing substr.
 func mustFail(t *testing.T, e *Engine, sql string, substr string) {
 	t.Helper()
-	_, err := e.Query(sql)
+	_, err := e.QueryCtx(context.Background(), sql)
 	if err == nil {
 		t.Fatalf("query %q: expected error containing %q", sql, substr)
 	}
@@ -344,7 +345,7 @@ func TestParameters(t *testing.T) {
 	if res.NumRows() != 2 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	_, err := e.Query(`SELECT ? + ?`, types.NewInt(1))
+	_, err := e.QueryCtx(context.Background(), `SELECT ? + ?`, types.NewInt(1))
 	if err == nil || !strings.Contains(err.Error(), "parameter") {
 		t.Fatalf("expected parameter-count error, got %v", err)
 	}

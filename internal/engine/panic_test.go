@@ -33,7 +33,7 @@ func TestQueryPanicBecomesError(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Query(`SELECT n FROM nums`)
+	_, err := e.QueryCtx(context.Background(), `SELECT n FROM nums`)
 	var qp *QueryPanicError
 	if !errors.As(err, &qp) {
 		t.Fatalf("Query error = %v (%T), want *QueryPanicError", err, err)
@@ -51,7 +51,7 @@ func TestQueryPanicBecomesError(t *testing.T) {
 
 	// The engine must remain fully usable after containment.
 	fault.Reset()
-	res, err := e.Query(`SELECT count(*) FROM nums`)
+	res, err := e.QueryCtx(context.Background(), `SELECT count(*) FROM nums`)
 	if err != nil {
 		t.Fatalf("query after contained panic: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestExecScriptPanicBecomesError(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindError}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Query(`SELECT n FROM nums`)
+	_, err = e.QueryCtx(context.Background(), `SELECT n FROM nums`)
 	var inj *fault.InjectedError
 	if !errors.As(err, &inj) {
 		t.Fatalf("error-kind fault arrived as %v (%T), want *fault.InjectedError", err, err)

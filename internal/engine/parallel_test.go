@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"graphsql/internal/ldbc"
@@ -83,11 +84,11 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 	engines := []*Engine{seq, par}
 	for _, q := range []string{batchedQ13, batchedQ14Path} {
 		loadPairs(t, engines, ds, 96, 31)
-		a, err := seq.Query(q)
+		a, err := seq.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.Query(q)
+		b, err := par.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +123,11 @@ func TestParallelDynamicIndexMatchesSequential(t *testing.T) {
 		}
 	}
 	loadPairs(t, engines, ds, 96, 53)
-	a, err := seq.Query(batchedQ13)
+	a, err := seq.QueryCtx(context.Background(), batchedQ13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Query(batchedQ13)
+	b, err := par.QueryCtx(context.Background(), batchedQ13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestEngineNeverPanics(t *testing.T) {
 					t.Fatalf("engine panicked on %q: %v", src, p)
 				}
 			}()
-			_, _ = e.Query(src)
+			_, _ = e.QueryCtx(context.Background(), src)
 		}()
 	}
 }

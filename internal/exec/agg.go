@@ -75,16 +75,7 @@ func accumRow(aggs []plan.AggSpec, st []aggState, argCols []*storage.Column, row
 	}
 }
 
-func execAggregate(a *plan.Aggregate, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(a.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateCore(a, in, ctx)
-}
-
-// aggregateCore groups and aggregates one materialized input chunk;
-// the pipeline-breaking core shared by both executors.
+// aggregateCore groups and aggregates one materialized input chunk.
 func aggregateCore(a *plan.Aggregate, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	n := in.NumRows()
 

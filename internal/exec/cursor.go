@@ -10,14 +10,15 @@ import (
 // row-oriented consumers (the HTTP streaming path, the facade's Rows,
 // the CLI). It comes in two flavors behind one API:
 //
-//   - chunk-backed (NewCursor): windows an already-materialized result,
-//     so the total row count is known up front. This is what non-SELECT
-//     statements and the legacy materializing executor produce.
-//   - operator-backed (NewOperatorCursor): pulls batches from an open
-//     Operator tree, re-windowing them to the consumer's requested
-//     size. Execution happens *during* iteration — the first window is
-//     available before the query finishes — and the total row count is
-//     unknown until exhaustion.
+//   - operator-backed (NewOperatorCursor): every SELECT. It pulls
+//     batches from an open Operator tree, re-windowing them to the
+//     consumer's requested size. Execution happens *during* iteration —
+//     the first window is available before the query finishes — and the
+//     total row count is unknown until exhaustion.
+//   - chunk-backed (NewCursor): non-SELECT results only (EXPLAIN text,
+//     statement summaries, empty DDL results). It windows an
+//     already-materialized chunk, so the total row count is known up
+//     front.
 //
 // Each Next call polls the cancellation context, keeping a
 // disconnecting client's cursor under the same cancellation contract
@@ -58,7 +59,7 @@ func NewCursor(ctx context.Context, chunk *storage.Chunk) *Cursor {
 // owns the tree: it closes it at exhaustion, on error, and on Close.
 // onClose, if non-nil, runs exactly once when the cursor closes —
 // the engine uses it to end the "execute" trace span, whose lifetime
-// under pull execution is the drain, not the open.
+// is the drain, not the open.
 func NewOperatorCursor(ctx context.Context, op Operator, onClose func()) *Cursor {
 	return &Cursor{ctx: ctx, op: op, onClose: onClose, known: -1}
 }
@@ -86,7 +87,7 @@ func (c *Cursor) NumRows() int { return c.known }
 // is a pure function of the result and maxRows — ceil(n/maxRows)
 // frames — never of the executor's internal batch boundaries (the
 // streamed wire encoding relies on this to stay byte-identical across
-// executors and cache replays). A window served from within a single
+// batch sizes and cache replays). A window served from within a single
 // batch is a zero-copy view valid until the next Next call; one that
 // spans batches is materialized fresh. It returns the context's error
 // if the consumer was canceled between batches; any error closes the

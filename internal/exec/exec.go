@@ -1,25 +1,17 @@
 // Package exec executes bound logical plans over the columnar storage
-// layer. Two executors share one set of operator cores:
+// layer.
 //
-// The default executor is pull-based: Build compiles the plan into an
-// Operator tree (Open / Next / Close) whose pipeline-able operators —
-// scans, filter, projection, UNNEST, LIMIT, UNION ALL — produce and
-// consume bounded storage.Chunk batches, so intermediate memory stays
-// proportional to batch size × pipeline depth and the first batch
-// reaches the consumer before execution completes. Pipeline breakers —
-// join, GraphMatch, aggregation, sort, distinct, the deduplicating set
-// operations, CTE bodies — consume their inputs batch-at-a-time, then
-// run the same parallel materializing cores the legacy executor uses
-// and window their output back into batches.
-//
-// The legacy executor (Context.Materialize, or GSQL_EXEC=materialize
-// process-wide) interprets the plan recursively with every operator
-// fully materialized — the MonetDB execution model the paper's
-// prototype builds on (§3.3: "all intermediate results are fully
-// materialized"). Both executors run the same expression evaluation
-// and the same deterministic parallel cores, so their results are
-// value-identical at any worker count; the differential tests in this
-// package and the engine's corpus pin that down.
+// Build compiles a plan into a pull-based Operator tree (Open / Next /
+// Close). Pipeline-able operators — scans, filter, projection, UNNEST,
+// LIMIT, UNION ALL — produce and consume bounded storage.Chunk batches,
+// so intermediate memory stays proportional to batch size × pipeline
+// depth and the first batch reaches the consumer before execution
+// completes. Pipeline breakers — join, GraphMatch, aggregation, sort,
+// distinct, the deduplicating set operations, CTE bodies — drain their
+// inputs, run a deterministic parallel core over the whole input once,
+// and window the output back into batches. Results are value-identical
+// at any worker count and any batch size; the golden corpus and the
+// batch-size differential tests pin that down.
 package exec
 
 import (
@@ -30,7 +22,6 @@ import (
 
 	"graphsql/internal/core"
 	"graphsql/internal/expr"
-	"graphsql/internal/fault"
 	"graphsql/internal/par"
 	"graphsql/internal/plan"
 	"graphsql/internal/storage"
@@ -41,12 +32,12 @@ import (
 // Context carries per-execution state.
 type Context struct {
 	// Ctx carries optional cancellation (client disconnects, server
-	// timeouts). Operators fully materialize, so it is checked at the
-	// natural chunk boundaries — before every operator runs and at the
-	// solver's source-group boundaries inside GraphMatch — and inside a
-	// single traversal: BFS/Dijkstra poll every few thousand queue pops
-	// and the frontier-parallel BFS polls per level, so one huge
-	// traversal aborts mid-flight. A nil Ctx never cancels.
+	// timeouts). It is polled when each operator opens, at every batch
+	// boundary, at the solver's source-group boundaries inside
+	// GraphMatch, and inside a single traversal: BFS/Dijkstra poll every
+	// few thousand queue pops and the frontier-parallel BFS polls per
+	// level, so one huge traversal aborts mid-flight. A nil Ctx never
+	// cancels.
 	Ctx context.Context
 	// Expr holds the host parameter bindings.
 	Expr *expr.Context
@@ -68,23 +59,15 @@ type Context struct {
 	// Trace costs nothing on the execution path.
 	Trace     *trace.Trace
 	TraceSpan trace.SpanID
-	// Materialize selects the legacy full-materialization interpreter
-	// instead of the pull executor. The zero value follows the process
-	// default (see DefaultMaterialize).
-	Materialize bool
-	// BatchRows bounds the rows per batch the pull executor's operators
-	// emit; <= 0 uses DefaultBatchRows. Ignored by the materializing
-	// executor.
+	// BatchRows bounds the rows per batch operators emit; <= 0 uses
+	// DefaultBatchRows.
 	BatchRows int
-	// shared caches the results of Shared (CTE) subplans within one
-	// execution (materializing executor).
-	shared map[*plan.Shared]*storage.Chunk
-	// sharedPull caches the per-execution state of Shared (CTE)
-	// subplans for the pull executor; see sharedOp.
-	sharedPull map[*plan.Shared]*sharedState
+	// shared caches the per-execution state of Shared (CTE) subplans;
+	// see sharedOp.
+	shared map[*plan.Shared]*sharedState
 }
 
-// batchRows resolves the effective pull-executor batch bound.
+// batchRows resolves the effective batch bound.
 func (ctx *Context) batchRows() int {
 	if ctx.BatchRows > 0 {
 		return ctx.BatchRows
@@ -92,16 +75,16 @@ func (ctx *Context) batchRows() int {
 	return DefaultBatchRows
 }
 
-// sharedPullState returns (allocating on first use) the shared
+// sharedState returns (allocating on first use) the shared
 // materialization state for one CTE plan node.
-func (ctx *Context) sharedPullState(t *plan.Shared) *sharedState {
-	if ctx.sharedPull == nil {
-		ctx.sharedPull = make(map[*plan.Shared]*sharedState)
+func (ctx *Context) sharedState(t *plan.Shared) *sharedState {
+	if ctx.shared == nil {
+		ctx.shared = make(map[*plan.Shared]*sharedState)
 	}
-	st := ctx.sharedPull[t]
+	st := ctx.shared[t]
 	if st == nil {
 		st = &sharedState{}
-		ctx.sharedPull[t] = st
+		ctx.shared[t] = st
 	}
 	return st
 }
@@ -137,117 +120,43 @@ func (ctx *Context) Canceled() error {
 	return ctx.Ctx.Err()
 }
 
-// Execute runs a plan and returns the materialized result, through
-// the executor the Context selects (pull by default; see the package
-// comment). With a trace attached it brackets every operator in a
-// span carrying the operator's Describe line, wall time and output
-// row count, nested to mirror the plan tree.
-func Execute(n plan.Node, ctx *Context) (*storage.Chunk, error) {
+// orDefault fills in what direct exec callers (tests, embedded use)
+// may leave unset, so every operator — and the solver the GraphMatch
+// operator hands off to — sees one non-nil context instead of each
+// re-deciding.
+func (ctx *Context) orDefault() *Context {
 	if ctx == nil {
 		ctx = &Context{}
 	}
 	if ctx.Ctx == nil {
-		// Direct exec callers (tests, embedded use) may not carry a
-		// context; normalizing here keeps every operator below — and the
-		// solver the GraphMatch operator hands off to — on one non-nil
-		// context instead of each re-deciding.
 		//gsqlvet:allow ctxprop library entry point; engine callers always set Ctx
 		ctx.Ctx = context.Background()
 	}
 	if ctx.Expr == nil {
 		ctx.Expr = &expr.Context{}
 	}
-	if !ctx.Materialize {
-		return runPull(n, ctx)
-	}
-	tr := ctx.Trace
-	if tr == nil {
-		return execNode(n, ctx)
-	}
-	parent := ctx.TraceSpan
-	sp := tr.Begin(parent, n.Describe())
-	ctx.TraceSpan = sp
-	out, err := execNode(n, ctx)
-	ctx.TraceSpan = parent
-	if out != nil {
-		tr.SetRows(sp, int64(out.NumRows()))
-	}
-	tr.End(sp)
-	return out, err
+	return ctx
 }
 
-func execNode(n plan.Node, ctx *Context) (*storage.Chunk, error) {
-	if ctx.Expr == nil {
-		ctx.Expr = &expr.Context{}
-	}
-	// Every operator materializes fully, so the pre-operator check makes
-	// a canceled plan tree unwind at the next chunk boundary.
-	if err := ctx.Canceled(); err != nil {
+// Execute runs a plan to completion and returns the whole result as
+// one chunk: Build, Open, drain, Close. With a trace attached every
+// operator records a span carrying its Describe line, wall time and
+// output row count, nested to mirror the plan tree.
+func Execute(n plan.Node, ctx *Context) (*storage.Chunk, error) {
+	ctx = ctx.orDefault()
+	op, err := Build(n, ctx)
+	if err != nil {
 		return nil, err
 	}
-	if err := fault.Inject(fault.PointExecOperator); err != nil {
+	defer op.Close()
+	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	switch t := n.(type) {
-	case *plan.Scan:
-		// Zero-copy view over the base table with the alias-qualified
-		// schema.
-		return &storage.Chunk{Schema: t.Sch, Cols: t.Table.Cols}, nil
-	case *plan.ChunkScan:
-		return t.Chunk, nil
-	case *plan.Rename:
-		in, err := Execute(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &storage.Chunk{Schema: t.Sch, Cols: in.Cols}, nil
-	case *plan.Shared:
-		if c, ok := ctx.shared[t]; ok {
-			return c, nil
-		}
-		c, err := Execute(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.shared == nil {
-			ctx.shared = make(map[*plan.Shared]*storage.Chunk)
-		}
-		ctx.shared[t] = c
-		return c, nil
-	case *plan.Filter:
-		return execFilter(t, ctx)
-	case *plan.Project:
-		return execProject(t, ctx)
-	case *plan.Join:
-		return execJoin(t, ctx)
-	case *plan.GraphMatch:
-		return execGraphMatch(t, ctx)
-	case *plan.Aggregate:
-		return execAggregate(t, ctx)
-	case *plan.Sort:
-		return execSort(t, ctx)
-	case *plan.Limit:
-		return execLimit(t, ctx)
-	case *plan.Distinct:
-		return execDistinct(t, ctx)
-	case *plan.Unnest:
-		return execUnnest(t, ctx)
-	case *plan.SetOp:
-		return execSetOp(t, ctx)
-	}
-	return nil, planNodeError(n)
+	return drainInput(op)
 }
 
 func planNodeError(n plan.Node) error {
 	return fmt.Errorf("internal: unknown plan node %T", n)
-}
-
-func execFilter(f *plan.Filter, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(f.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return filterCore(f, in, ctx)
 }
 
 // filterCore applies the predicate to one input chunk; row-local, so
@@ -264,14 +173,6 @@ func filterCore(f *plan.Filter, in *storage.Chunk, ctx *Context) (*storage.Chunk
 	return in.FilterByMask(mask), nil
 }
 
-func execProject(p *plan.Project, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(p.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return projectCore(p, in, ctx)
-}
-
 // projectCore evaluates the projection over one input chunk.
 func projectCore(p *plan.Project, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	out := &storage.Chunk{Schema: p.Sch, Cols: make([]*storage.Column, len(p.Exprs))}
@@ -285,16 +186,7 @@ func projectCore(p *plan.Project, in *storage.Chunk, ctx *Context) (*storage.Chu
 	return out, nil
 }
 
-func execSort(s *plan.Sort, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(s.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return sortCore(s, in, ctx)
-}
-
-// sortCore orders one materialized input chunk; the pipeline-breaking
-// core shared by both executors.
+// sortCore orders one materialized input chunk.
 func sortCore(s *plan.Sort, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	n := in.NumRows()
 	keys := make([]*storage.Column, len(s.Keys))
@@ -378,44 +270,7 @@ func limitBounds(l *plan.Limit, ctx *Context) (skip, count int, unlimited bool, 
 	return skip, int(v.I), false, nil
 }
 
-func execLimit(l *plan.Limit, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(l.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := in.NumRows()
-	skip, count, unlimited, err := limitBounds(l, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if unlimited {
-		count = n
-	}
-	lo := skip
-	if lo > n {
-		lo = n
-	}
-	hi := lo + count
-	if hi > n {
-		hi = n
-	}
-	rows := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rows = append(rows, i)
-	}
-	return in.Gather(rows), nil
-}
-
-func execDistinct(d *plan.Distinct, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(d.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return distinctCore(d, in, ctx)
-}
-
-// distinctCore deduplicates one materialized input chunk; the
-// pipeline-breaking core shared by both executors.
+// distinctCore deduplicates one materialized input chunk.
 func distinctCore(_ *plan.Distinct, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	n := in.NumRows()
 	workers := ctx.workers(n)
@@ -455,64 +310,6 @@ func distinctCore(_ *plan.Distinct, in *storage.Chunk, ctx *Context) (*storage.C
 		keeps[s] = keep
 	})
 	return in.GatherP(mergeAscending(keeps, n), workers), nil
-}
-
-func execGraphMatch(g *plan.GraphMatch, ctx *Context) (*storage.Chunk, error) {
-	in, err := Execute(g.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	xc, err := g.X.Eval(ctx.Expr, in)
-	if err != nil {
-		return nil, err
-	}
-	yc, err := g.Y.Eval(ctx.Expr, in)
-	if err != nil {
-		return nil, err
-	}
-	// The solver only receives a context.Context, so the trace (and the
-	// GraphMatch span its per-level frontier samples attach to) rides
-	// the context down through core.PreparedGraph.match.
-	stdctx := ctx.Ctx
-	if ctx.Trace != nil {
-		stdctx = trace.NewContext(stdctx, ctx.Trace, ctx.TraceSpan)
-		ctx.Trace.SetWorkers(ctx.TraceSpan, par.Workers(ctx.Parallelism))
-	}
-	// A cached dynamic index serves scans of indexed base tables;
-	// rows inserted since the snapshot are absorbed into its delta
-	// (the paper's §6 updatable graph index).
-	if scan, ok := g.Edge.(*plan.Scan); ok && ctx.GraphIndexes != nil {
-		if dg, ok := ctx.GraphIndexes[GraphIndexKey(scan.Table.Name, g.SrcIdx, g.DstIdx)]; ok {
-			before := dg.AppliedRows()
-			rebuilt, err := dg.RefreshCtx(stdctx, scan.Table.Chunk())
-			if err != nil {
-				return nil, err
-			}
-			if ctx.Stats != nil {
-				ctx.Stats.IndexHits++
-				if rebuilt {
-					ctx.Stats.IndexRebuilds++
-				} else if dg.AppliedRows() != before {
-					ctx.Stats.IndexRefreshes++
-				}
-			}
-			return dg.MatchCtx(stdctx, g, in, xc, yc, ctx.Expr)
-		}
-	}
-	edges, err := Execute(g.Edge, ctx)
-	if err != nil {
-		return nil, err
-	}
-	pg, err := core.BuildGraphCtx(stdctx, edges, g.SrcIdx, g.DstIdx, ctx.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Stats != nil {
-		ctx.Stats.GraphBuilds++
-		ctx.Stats.GraphBuildVertices += pg.NumVertices()
-		ctx.Stats.GraphBuildEdges += pg.NumEdges()
-	}
-	return pg.MatchCtx(stdctx, g, in, xc, yc, ctx.Expr)
 }
 
 // encodeKey appends a type-tagged, self-delimiting encoding of column

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -226,27 +227,30 @@ func TestSharedNodeExecutesOnce(t *testing.T) {
 	c := mkChunk("t", 1, 2, 3)
 	sh := &plan.Shared{Input: scan(c), Name: "cte"}
 	j := &plan.Join{Type: plan.JoinCross, Left: sh, Right: sh}
-	ctx := &Context{}
-	out, err := Execute(j, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 9 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-	if len(ctx.sharedPull) != 1 {
-		t.Fatalf("shared pull cache entries = %d, want 1", len(ctx.sharedPull))
-	}
-	mctx := &Context{Materialize: true}
-	out, err = Execute(j, mctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 9 {
-		t.Fatalf("materialize rows = %d", out.NumRows())
-	}
-	if len(mctx.shared) != 1 {
-		t.Fatalf("shared cache entries = %d, want 1", len(mctx.shared))
+	// The CTE body must be scanned once however its two references are
+	// drained: windowed at a tiny batch, or as one batch.
+	for _, br := range []int{2, singleBatch} {
+		scans := 0
+		prev := SetBatchObserver(func(op string, rows int) {
+			if strings.HasPrefix(op, "ChunkScan") {
+				scans += rows
+			}
+		})
+		ctx := &Context{BatchRows: br}
+		out, err := Execute(j, ctx)
+		SetBatchObserver(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != 9 {
+			t.Fatalf("batch=%d: rows = %d", br, out.NumRows())
+		}
+		if len(ctx.shared) != 1 {
+			t.Fatalf("batch=%d: shared cache entries = %d, want 1", br, len(ctx.shared))
+		}
+		if scans != 3 {
+			t.Fatalf("batch=%d: CTE body scanned %d rows, want 3 (executed once)", br, scans)
+		}
 	}
 }
 

@@ -42,20 +42,7 @@ func extractEquiKeys(on expr.Expr, nLeft int) ([]equiKey, expr.Expr) {
 	return keys, expr.AndAll(residual)
 }
 
-func execJoin(j *plan.Join, ctx *Context) (*storage.Chunk, error) {
-	left, err := Execute(j.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Execute(j.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return joinCore(j, left, right, ctx)
-}
-
-// joinCore joins two materialized operands; the pipeline-breaking
-// core shared by both executors.
+// joinCore joins two materialized operands.
 func joinCore(j *plan.Join, left, right *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	switch j.Type {
 	case plan.JoinCross:

@@ -3,10 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"graphsql/internal/core"
-	"graphsql/internal/expr"
 	"graphsql/internal/fault"
 	"graphsql/internal/par"
 	"graphsql/internal/plan"
@@ -15,23 +13,14 @@ import (
 	"graphsql/internal/types"
 )
 
-// DefaultBatchRows is the row bound of the batches pull operators emit
+// DefaultBatchRows is the row bound of the batches operators emit
 // when Context.BatchRows is unset. It matches the wire layer's default
 // stream frame size, so a streamed response maps roughly one operator
 // batch onto one NDJSON frame.
 const DefaultBatchRows = 1024
 
-// envMaterialize selects the legacy full-materialization executor
-// process-wide; see DefaultMaterialize.
-var envMaterialize = os.Getenv("GSQL_EXEC") == "materialize"
-
-// DefaultMaterialize reports whether the process default executor is
-// the legacy full-materialization interpreter (GSQL_EXEC=materialize).
-// Any other value — including unset — selects the batch-pull executor.
-func DefaultMaterialize() bool { return envMaterialize }
-
-// Operator is the pull-based executor's physical operator: a bound plan
-// node compiled into a batch iterator. The life cycle is
+// Operator is the executor's physical operator: a bound plan node
+// compiled into a batch iterator. The life cycle is
 // Build → Open → Next* → Close:
 //
 //   - Open acquires the operator's inputs under whatever lock the
@@ -49,9 +38,8 @@ func DefaultMaterialize() bool { return envMaterialize }
 // rename) transform one batch at a time; pipeline breakers (join,
 // GraphMatch, aggregate, sort, distinct, the deduplicating set
 // operations, CTE bodies) drain their inputs batch-at-a-time into one
-// chunk on the first Next, run the same parallel materializing cores
-// the legacy executor uses, and window the result back out — so both
-// executors produce value-identical output by construction.
+// chunk on the first Next, run their parallel core over it once, and
+// window the result back out.
 type Operator interface {
 	// Schema is the operator's output schema, available before Open so
 	// consumers can emit result headers ahead of the first batch.
@@ -67,25 +55,15 @@ type Operator interface {
 // Build compiles a bound plan into an operator tree without opening
 // it. The same Context must be passed to the root's Open.
 func Build(n plan.Node, ctx *Context) (Operator, error) {
-	if ctx == nil {
-		ctx = &Context{}
-	}
-	if ctx.Ctx == nil {
-		//gsqlvet:allow ctxprop library entry point; engine callers always set Ctx
-		ctx.Ctx = context.Background()
-	}
-	if ctx.Expr == nil {
-		ctx.Expr = &expr.Context{}
-	}
-	return buildOp(n, ctx)
+	return buildOp(n, ctx.orDefault())
 }
 
 func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanOp{opBase: newBase(n), scan: t}, nil
+		return &scanOp{windowOp: newWindow(n), scan: t}, nil
 	case *plan.ChunkScan:
-		return &chunkOp{opBase: newBase(n), src: t.Chunk}, nil
+		return &chunkOp{windowOp: newWindow(n), src: t.Chunk}, nil
 	case *plan.Rename:
 		child, err := buildOp(t.Input, ctx)
 		if err != nil {
@@ -93,7 +71,7 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		}
 		return &renameOp{opBase: newBase(n), child: child}, nil
 	case *plan.Shared:
-		st := ctx.sharedPullState(t)
+		st := ctx.sharedState(t)
 		if st.op == nil {
 			op, err := buildOp(t.Input, ctx)
 			if err != nil {
@@ -101,7 +79,9 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 			}
 			st.op = op
 		}
-		return &sharedOp{opBase: newBase(n), state: st}, nil
+		op := &sharedOp{windowOp: newWindow(n), state: st}
+		op.compute = op.drainShared
+		return op, nil
 	case *plan.Filter:
 		child, err := buildOp(t.Input, ctx)
 		if err != nil {
@@ -135,7 +115,9 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &graphMatchOp{opBase: newBase(n), g: t, input: input, edge: edge}, nil
+		op := &graphMatchOp{windowOp: newWindow(n), g: t, input: input, edge: edge}
+		op.compute = op.solve
+		return op, nil
 	case *plan.SetOp:
 		left, err := buildOp(t.Left, ctx)
 		if err != nil {
@@ -218,7 +200,7 @@ func (b *opBase) Schema() storage.Schema { return b.sch }
 // openBase records the execution context and opens this operator's
 // trace span under the current parent, redirecting ctx.TraceSpan at it
 // so children opened before the returned restore func runs nest under
-// it — the same tree shape the materializing executor records.
+// it, mirroring the plan tree.
 func (b *opBase) openBase(ctx *Context) func() {
 	b.ctx = ctx
 	b.tr = ctx.Trace
@@ -232,8 +214,8 @@ func (b *opBase) openBase(ctx *Context) func() {
 }
 
 // openCheck is the per-operator admission check, fired once per
-// operator exactly like the materializing executor's pre-operator
-// check: cancellation first, then the exec.operator fault point.
+// operator at Open: cancellation first, then the exec.operator fault
+// point.
 func (b *opBase) openCheck() error {
 	if err := b.ctx.Canceled(); err != nil {
 		return err
@@ -253,10 +235,14 @@ func (b *opBase) step() error {
 
 // emit accounts one outgoing batch against the operator's span
 // (cumulative rows, batch count) and the test observer; a nil chunk
-// marks exhaustion and ends the span so recorded operator times cover
-// production, not consumer lifetime.
+// marks exhaustion: it records the final row count — so an operator
+// that produced nothing still reports rows=0 — and ends the span so
+// recorded operator times cover production, not consumer lifetime.
 func (b *opBase) emit(c *storage.Chunk) *storage.Chunk {
 	if c == nil {
+		if b.tr != nil && !b.spanDone {
+			b.tr.SetRows(b.sp, b.rows)
+		}
 		b.endSpan()
 		return nil
 	}
@@ -278,12 +264,12 @@ func (b *opBase) endSpan() {
 	}
 }
 
-// batchObserver, when non-nil, sees every batch a pull operator emits;
+// batchObserver, when non-nil, sees every batch an operator emits;
 // see SetBatchObserver.
 var batchObserver func(op string, rows int)
 
 // SetBatchObserver installs a hook observing every (operator describe
-// line, batch row count) pair the pull executor emits and returns the
+// line, batch row count) pair the executor emits and returns the
 // previous hook. Intended for tests asserting intermediate-result
 // bounds; not safe to call concurrently with query execution.
 func SetBatchObserver(f func(op string, rows int)) func(op string, rows int) {
@@ -296,8 +282,8 @@ func SetBatchObserver(f func(op string, rows int)) func(op string, rows int) {
 // entire remaining output as one chunk without per-batch copying:
 // sources that only window an existing chunk (scans, CTE results) and
 // breakers that hold their materialized output anyway. drainInput uses
-// it so a breaker consuming a scan sees the same zero-copy table view
-// the materializing executor passes around.
+// it so a breaker consuming a scan — or a buffered query's final drain —
+// sees a zero-copy view instead of re-concatenated batches.
 type materializer interface {
 	materialize() (*storage.Chunk, error)
 }
@@ -349,21 +335,6 @@ func emptyLike(c *storage.Chunk) *storage.Chunk {
 	return out
 }
 
-// runPull executes a plan through the pull executor and materializes
-// the result — the drop-in replacement for the recursive interpreter
-// behind Execute.
-func runPull(n plan.Node, ctx *Context) (*storage.Chunk, error) {
-	op, err := buildOp(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	return drainInput(op)
-}
-
 // outWindow hands out bounded zero-copy windows of a materialized
 // chunk; breakers use it to re-batch their output.
 type outWindow struct {
@@ -400,6 +371,52 @@ func (w *outWindow) rest() *storage.Chunk {
 	return c
 }
 
+// windowOp is the shared body of every operator that holds its whole
+// output as one chunk and hands it out in bounded windows: the scans
+// (chunk set at Open) and the breakers (chunk produced by compute on
+// the first pull). It implements Next and the materializer drain once
+// for all of them.
+type windowOp struct {
+	opBase
+	win outWindow
+	// compute fills win.chunk on the first Next or materialize; scans
+	// leave it nil because Open already did.
+	compute func() error
+}
+
+func newWindow(n plan.Node) windowOp { return windowOp{opBase: newBase(n)} }
+
+// pull is the per-call prologue of Next and materialize: the batch
+// boundary check, then the one-time compute.
+func (o *windowOp) pull() error {
+	if err := o.step(); err != nil {
+		return err
+	}
+	if o.win.chunk == nil {
+		return o.compute()
+	}
+	return nil
+}
+
+func (o *windowOp) Next() (*storage.Chunk, error) {
+	if err := o.pull(); err != nil {
+		return nil, err
+	}
+	return o.emit(o.win.next(o.ctx.batchRows())), nil
+}
+
+func (o *windowOp) materialize() (*storage.Chunk, error) {
+	if err := o.pull(); err != nil {
+		return nil, err
+	}
+	c := o.win.rest()
+	if c == nil {
+		c = storage.NewChunk(o.sch)
+	}
+	o.emit(c)
+	return c, nil
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline sources
 
@@ -407,9 +424,8 @@ func (w *outWindow) rest() *storage.Chunk {
 // under the caller's lock, so the batches stay valid — and isolated
 // from concurrent INSERT/DELETE — after the lock is released.
 type scanOp struct {
-	opBase
+	windowOp
 	scan *plan.Scan
-	win  outWindow
 }
 
 func (o *scanOp) Open(ctx *Context) error {
@@ -421,25 +437,6 @@ func (o *scanOp) Open(ctx *Context) error {
 	return nil
 }
 
-func (o *scanOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *scanOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
-}
-
 func (o *scanOp) Close() error {
 	o.endSpan()
 	return nil
@@ -447,9 +444,8 @@ func (o *scanOp) Close() error {
 
 // chunkOp windows an already-materialized chunk (ChunkScan).
 type chunkOp struct {
-	opBase
+	windowOp
 	src *storage.Chunk
-	win outWindow
 }
 
 func (o *chunkOp) Open(ctx *Context) error {
@@ -459,25 +455,6 @@ func (o *chunkOp) Open(ctx *Context) error {
 	}
 	o.win.chunk = o.src
 	return nil
-}
-
-func (o *chunkOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *chunkOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
 }
 
 func (o *chunkOp) Close() error {
@@ -719,8 +696,7 @@ func (o *unnestOp) Close() error {
 }
 
 // limitOp skips and truncates without materializing: once the count is
-// exhausted it stops pulling its child entirely — the early
-// termination the materializing executor cannot express.
+// exhausted it stops pulling its child entirely.
 type limitOp struct {
 	opBase
 	l         *plan.Limit
@@ -855,19 +831,19 @@ func (o *unionAllOp) Close() error {
 // Pipeline breakers
 
 // breakerOp is the generic pipeline breaker: it drains its children
-// batch-at-a-time into materialized chunks on the first Next, runs the
-// legacy executor's parallel core, and windows the output back into
+// into materialized chunks on the first pull, runs the operator's
+// parallel core over them once, and windows the output back into
 // batches.
 type breakerOp struct {
-	opBase
+	windowOp
 	children []Operator
 	eval     func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)
-	win      outWindow
-	done     bool
 }
 
 func newBreaker(n plan.Node, children []Operator, eval func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)) *breakerOp {
-	return &breakerOp{opBase: newBase(n), children: children, eval: eval}
+	op := &breakerOp{windowOp: newWindow(n), children: children, eval: eval}
+	op.compute = op.run
+	return op
 }
 
 func (o *breakerOp) Open(ctx *Context) error {
@@ -883,13 +859,10 @@ func (o *breakerOp) Open(ctx *Context) error {
 	return nil
 }
 
-// compute drains the inputs and runs the core exactly once. Children
-// are closed as soon as they are drained, so their trace spans report
-// production time, not the breaker's lifetime.
-func (o *breakerOp) compute() error {
-	if o.done {
-		return nil
-	}
+// run drains the inputs and runs the core. Children are closed as soon
+// as they are drained, so their trace spans report production time, not
+// the breaker's lifetime.
+func (o *breakerOp) run() error {
 	ins := make([]*storage.Chunk, len(o.children))
 	for i, c := range o.children {
 		in, err := drainInput(c)
@@ -904,33 +877,7 @@ func (o *breakerOp) compute() error {
 		return err
 	}
 	o.win.chunk = out
-	o.done = true
 	return nil
-}
-
-func (o *breakerOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *breakerOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
 }
 
 func (o *breakerOp) Close() error {
@@ -948,23 +895,19 @@ func (o *breakerOp) Close() error {
 // resolves — and refreshes — the cached dynamic graph index under the
 // caller's lock; the solve itself runs at the first Next, lock-free
 // under the index's own read lock. Without an index the edge subplan
-// is drained and a throwaway graph is built, exactly like the
-// materializing path.
+// is drained and a throwaway graph is built.
 //
 // Relaxation: with a cached index, a solve that runs after the
 // caller's lock was released may observe edges appended by writes that
 // committed after this statement's snapshot (the index delta absorbs
 // them). Reads and writes racing a streamed drain already have no
-// serialization point; the differential harness runs without
-// concurrent writes, where both executors are byte-identical.
+// serialization point.
 type graphMatchOp struct {
-	opBase
+	windowOp
 	g     *plan.GraphMatch
 	input Operator
 	edge  Operator
 	dg    *core.DynamicGraph
-	win   outWindow
-	done  bool
 }
 
 func (o *graphMatchOp) Open(ctx *Context) error {
@@ -1015,10 +958,7 @@ func (o *graphMatchOp) solverCtx() context.Context {
 	return stdctx
 }
 
-func (o *graphMatchOp) compute() error {
-	if o.done {
-		return nil
-	}
+func (o *graphMatchOp) solve() error {
 	in, err := drainInput(o.input)
 	if err != nil {
 		return err
@@ -1059,33 +999,7 @@ func (o *graphMatchOp) compute() error {
 		return err
 	}
 	o.win.chunk = out
-	o.done = true
 	return nil
-}
-
-func (o *graphMatchOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *graphMatchOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
 }
 
 func (o *graphMatchOp) Close() error {
@@ -1113,9 +1027,8 @@ type sharedState struct {
 // shared subtree; every reference then windows the one materialized
 // chunk independently.
 type sharedOp struct {
-	opBase
+	windowOp
 	state *sharedState
-	win   outWindow
 }
 
 func (o *sharedOp) Open(ctx *Context) error {
@@ -1130,47 +1043,22 @@ func (o *sharedOp) Open(ctx *Context) error {
 	return nil
 }
 
-func (o *sharedOp) compute() error {
+// drainShared materializes the shared subtree unless another reference
+// already did, then points this reference's window at the result.
+func (o *sharedOp) drainShared() error {
 	st := o.state
-	if st.done {
-		return nil
+	if !st.done {
+		chunk, err := drainInput(st.op)
+		if err != nil {
+			return err
+		}
+		st.op.Close()
+		st.closed = true
+		st.chunk = chunk
+		st.done = true
 	}
-	chunk, err := drainInput(st.op)
-	if err != nil {
-		return err
-	}
-	st.op.Close()
-	st.closed = true
-	st.chunk = chunk
-	st.done = true
+	o.win.chunk = st.chunk
 	return nil
-}
-
-func (o *sharedOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	o.win.chunk = o.state.chunk
-	return o.emit(o.win.next(o.ctx.batchRows())), nil
-}
-
-func (o *sharedOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if err := o.compute(); err != nil {
-		return nil, err
-	}
-	o.win.chunk = o.state.chunk
-	c := o.win.rest()
-	if c == nil {
-		c = storage.NewChunk(o.sch)
-	}
-	o.emit(c)
-	return c, nil
 }
 
 func (o *sharedOp) Close() error {

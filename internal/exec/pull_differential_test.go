@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"graphsql/internal/expr"
@@ -9,44 +12,82 @@ import (
 	"graphsql/internal/types"
 )
 
-// Per-operator pull-vs-materialize differential: each operator's pull
-// form, driven at several batch sizes (including batch=1, where every
-// batch boundary is a window boundary), must materialize to exactly
-// what the legacy interpreter produces. Breakers share the
-// materializing cores so they are identical by construction; the point
-// of this test is the pipeline operators' re-batching logic.
+// Per-operator re-batching differential: each operator, driven at
+// several batch sizes (including batch=1, where every batch boundary is
+// a window boundary), must produce exactly what the single-batch run
+// produces — every core applied once to its whole input. The point of
+// this test is the pipeline operators' re-batching logic and the
+// breakers' output windows. LIMIT/OFFSET and UNNEST, whose per-batch
+// state machines have no whole-input core to fall back on, are
+// additionally pinned to hand-written expected rows below.
 
-// diffBatchSizes are the pull batch bounds under differential test:
+// diffBatchSizes are the batch bounds under differential test:
 // degenerate, smaller than / coprime to the inputs, and the default.
 var diffBatchSizes = []int{1, 2, 3, DefaultBatchRows}
 
-// diffExec runs n under the materializing interpreter and under the
-// pull executor at every diffBatchSizes entry, requiring render-
-// identical results.
-func diffExec(t *testing.T, name string, n plan.Node) {
+// singleBatch is a batch bound above every test input, so each
+// operator sees its whole input in one batch.
+const singleBatch = 1_000_000
+
+// diffExec runs n as one batch and at every diffBatchSizes entry,
+// requiring render-identical results. It returns the reference.
+func diffExec(t *testing.T, name string, n plan.Node) *storage.Chunk {
 	t.Helper()
-	ref, err := Execute(n, &Context{Materialize: true})
+	ref, err := Execute(n, &Context{BatchRows: singleBatch})
 	if err != nil {
-		t.Fatalf("%s: materialize: %v", name, err)
+		t.Fatalf("%s: single batch: %v", name, err)
 	}
 	if err := ref.Validate(); err != nil {
-		t.Fatalf("%s: materialize output invalid: %v", name, err)
+		t.Fatalf("%s: single-batch output invalid: %v", name, err)
 	}
 	want := ref.String()
 	for _, br := range diffBatchSizes {
 		got, err := Execute(n, &Context{BatchRows: br})
 		if err != nil {
-			t.Fatalf("%s: pull batch=%d: %v", name, br, err)
+			t.Fatalf("%s: batch=%d: %v", name, br, err)
 		}
 		if err := got.Validate(); err != nil {
-			t.Fatalf("%s: pull batch=%d output invalid: %v", name, br, err)
+			t.Fatalf("%s: batch=%d output invalid: %v", name, br, err)
 		}
 		if got.String() != want {
-			t.Errorf("%s: pull batch=%d differs from materialize\n--- materialize (%d rows)\n%s\n--- pull (%d rows)\n%s",
-				name, br, ref.NumRows(), want, got.NumRows(), got.String())
+			t.Errorf("%s: batch=%d differs from the single-batch run\n--- single batch (%d rows)\n%s\n--- batch=%d (%d rows)\n%s",
+				name, br, ref.NumRows(), want, br, got.NumRows(), got.String())
 		}
 	}
+	return ref
 }
+
+// rowsOf renders the given columns of c as one "a|b|c" string per row
+// (NULL for nulls), the form the hand-written expectations use.
+func rowsOf(c *storage.Chunk, cols ...int) []string {
+	out := make([]string, c.NumRows())
+	for r := range out {
+		cells := make([]string, len(cols))
+		for i, ci := range cols {
+			if c.Cols[ci].IsNull(r) {
+				cells[i] = "NULL"
+			} else {
+				cells[i] = fmt.Sprint(c.Cols[ci].Ints[r])
+			}
+		}
+		out[r] = strings.Join(cells, "|")
+	}
+	return out
+}
+
+// expectRows checks the differential reference itself against
+// hand-written rows; diffExec has already tied every batch size to it.
+func expectRows(t *testing.T, name string, got *storage.Chunk, cols []int, want []string) {
+	t.Helper()
+	if want == nil {
+		want = []string{}
+	}
+	if rows := rowsOf(got, cols...); !reflect.DeepEqual(rows, want) {
+		t.Errorf("%s: rows\n  got  %v\n  want %v", name, rows, want)
+	}
+}
+
+func intConst(v int64) expr.Expr { return &expr.Const{Val: types.NewInt(v)} }
 
 func TestPullOperatorDifferential(t *testing.T) {
 	base := mkChunk("t", 7, 1, 5, 3, 9, 2, 8, 4, 6, 0, 5, 3)
@@ -55,7 +96,7 @@ func TestPullOperatorDifferential(t *testing.T) {
 	gt := func(idx int, v int64) expr.Expr {
 		return &expr.Cmp{Op: expr.CmpGt,
 			L: &expr.ColRef{Idx: idx, K: types.KindInt},
-			R: &expr.Const{Val: types.NewInt(v)}}
+			R: intConst(v)}
 	}
 	cases := []struct {
 		name string
@@ -67,13 +108,8 @@ func TestPullOperatorDifferential(t *testing.T) {
 		{"project", &plan.Project{Input: scan(base),
 			Exprs: []expr.Expr{&expr.Arith{Op: expr.OpAdd, K: types.KindInt,
 				L: &expr.ColRef{Idx: 0, K: types.KindInt},
-				R: &expr.Const{Val: types.NewInt(100)}}},
+				R: intConst(100)}},
 			Sch: storage.Schema{{Name: "v100", Kind: types.KindInt}}}},
-		{"limit", &plan.Limit{Input: scan(base), Count: &expr.Const{Val: types.NewInt(5)}}},
-		{"limit-offset", &plan.Limit{Input: scan(base),
-			Count: &expr.Const{Val: types.NewInt(4)},
-			Skip:  &expr.Const{Val: types.NewInt(3)}}},
-		{"limit-past-end", &plan.Limit{Input: scan(base), Skip: &expr.Const{Val: types.NewInt(99)}}},
 		{"union-all", &plan.SetOp{Op: "UNION", All: true, Left: scan(base), Right: scan(mkChunk("t", 40, 41))}},
 		{"union", &plan.SetOp{Op: "UNION", Left: scan(base), Right: scan(mkChunk("t", 5, 40, 3))}},
 		{"except", &plan.SetOp{Op: "EXCEPT", Left: scan(base), Right: scan(mkChunk("t", 5, 3))}},
@@ -103,7 +139,7 @@ func TestPullOperatorDifferential(t *testing.T) {
 	// A deep pipeline: filter → project → limit over a sorted CTE,
 	// exercising re-batching across several pipeline stages at once.
 	deep := &plan.Limit{
-		Count: &expr.Const{Val: types.NewInt(4)},
+		Count: intConst(4),
 		Input: &plan.Project{
 			Exprs: []expr.Expr{&expr.ColRef{Idx: 0, K: types.KindInt}},
 			Sch:   storage.Schema{{Name: "v", Kind: types.KindInt}},
@@ -113,14 +149,122 @@ func TestPullOperatorDifferential(t *testing.T) {
 			},
 		},
 	}
-	diffExec(t, "deep-pipeline", deep)
+	expectRows(t, "deep-pipeline", diffExec(t, "deep-pipeline", deep), []int{0}, []string{"3", "3", "4", "5"})
 }
 
-// TestPullBoundedIntermediates proves the memory claim of the pull
-// executor: with a batch bound in force, no pipeline operator ever
-// emits a batch above the bound — intermediate state stays O(BatchRows
-// × pipeline depth), independent of input size — while the
-// materializing executor flows the full input through every operator.
+// TestPullLimitExpectedRows pins LIMIT/OFFSET to hand-written rows at
+// every batch size: skips and quotas that start, end and span batch
+// boundaries, zero quotas, and offsets past the input.
+func TestPullLimitExpectedRows(t *testing.T) {
+	base := mkChunk("t", 7, 1, 5, 3, 9, 2, 8, 4, 6, 0, 5, 3)
+	cases := []struct {
+		name        string
+		count, skip expr.Expr
+		want        []string
+	}{
+		{"limit", intConst(5), nil, []string{"7", "1", "5", "3", "9"}},
+		{"limit-offset", intConst(4), intConst(3), []string{"3", "9", "2", "8"}},
+		{"limit-one-offset-one", intConst(1), intConst(1), []string{"1"}},
+		{"limit-zero", intConst(0), nil, nil},
+		{"limit-zero-offset", intConst(0), intConst(2), nil},
+		{"limit-exact", intConst(12), nil, []string{"7", "1", "5", "3", "9", "2", "8", "4", "6", "0", "5", "3"}},
+		{"limit-over", intConst(99), intConst(10), []string{"5", "3"}},
+		{"offset-only", nil, intConst(9), []string{"0", "5", "3"}},
+		{"offset-all", nil, intConst(12), nil},
+		{"offset-past-end", nil, intConst(99), nil},
+		{"limit-offset-past-end", intConst(3), intConst(99), nil},
+	}
+	for _, tc := range cases {
+		n := &plan.Limit{Input: scan(base), Count: tc.count, Skip: tc.skip}
+		expectRows(t, tc.name, diffExec(t, tc.name, n), []int{0}, tc.want)
+	}
+}
+
+// pathOf builds a (s, d) edge path from consecutive vertex ids.
+func pathOf(vs ...int64) *types.Path {
+	p := &types.Path{Cols: []string{"s", "d"}, Kinds: []types.Kind{types.KindInt, types.KindInt}}
+	for i := 0; i+1 < len(vs); i++ {
+		p.Rows = append(p.Rows, []types.Value{types.NewInt(vs[i]), types.NewInt(vs[i+1])})
+	}
+	return p
+}
+
+// TestPullUnnestExpectedRows pins UNNEST to hand-written rows at every
+// batch size: inner and OUTER forms, WITH ORDINALITY, NULL and empty
+// paths, and a path longer than the small batch bounds, so one input
+// row's expansion spans several output batches.
+func TestPullUnnestExpectedRows(t *testing.T) {
+	in := storage.NewChunk(storage.Schema{
+		{Table: "t", Name: "id", Kind: types.KindInt},
+		{Table: "t", Name: "p", Kind: types.KindPath},
+	})
+	for _, r := range []struct {
+		id int64
+		p  *types.Path
+	}{
+		{1, pathOf(10, 11, 12)},             // 2 edges
+		{2, nil},                            // NULL path
+		{3, pathOf(30)},                     // empty path
+		{4, pathOf(40, 41, 42, 43, 44, 45)}, // 5 edges: longer than batch 1, 2, 3
+		{5, nil},                            // trailing NULL: OUTER emits after the long path
+	} {
+		in.Cols[0].AppendInt(r.id)
+		if r.p == nil {
+			in.Cols[1].AppendNull()
+		} else {
+			in.Cols[1].AppendPath(r.p)
+		}
+	}
+	pathSch := storage.Schema{{Table: "u", Name: "s", Kind: types.KindInt}, {Table: "u", Name: "d", Kind: types.KindInt}}
+	unnest := func(outer, ord bool) *plan.Unnest {
+		sch := append(append(storage.Schema{}, in.Schema...), pathSch...)
+		if ord {
+			sch = append(sch, storage.ColMeta{Table: "u", Name: "ord", Kind: types.KindInt})
+		}
+		return &plan.Unnest{
+			Input:      scan(in),
+			PathExpr:   &expr.ColRef{Idx: 1, K: types.KindPath},
+			PathSchema: pathSch,
+			Ordinality: ord,
+			Outer:      outer,
+			Sch:        sch,
+		}
+	}
+	// Columns rendered: id, s, d[, ord] (the path column itself is
+	// carried through unchanged and covered by diffExec's full render).
+	inner := []string{
+		"1|10|11|1", "1|11|12|2",
+		"4|40|41|1", "4|41|42|2", "4|42|43|3", "4|43|44|4", "4|44|45|5",
+	}
+	outer := []string{
+		"1|10|11|1", "1|11|12|2",
+		"2|NULL|NULL|NULL",
+		"3|NULL|NULL|NULL",
+		"4|40|41|1", "4|41|42|2", "4|42|43|3", "4|43|44|4", "4|44|45|5",
+		"5|NULL|NULL|NULL",
+	}
+	dropOrd := func(rows []string) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = r[:strings.LastIndex(r, "|")]
+		}
+		return out
+	}
+	expectRows(t, "unnest-inner-ord", diffExec(t, "unnest-inner-ord", unnest(false, true)), []int{0, 2, 3, 4}, inner)
+	expectRows(t, "unnest-outer-ord", diffExec(t, "unnest-outer-ord", unnest(true, true)), []int{0, 2, 3, 4}, outer)
+	expectRows(t, "unnest-inner", diffExec(t, "unnest-inner", unnest(false, false)), []int{0, 2, 3}, dropOrd(inner))
+	expectRows(t, "unnest-outer", diffExec(t, "unnest-outer", unnest(true, false)), []int{0, 2, 3}, dropOrd(outer))
+
+	// UNNEST under a LIMIT that cuts the long path mid-expansion.
+	cut := &plan.Limit{Input: unnest(false, true), Count: intConst(3), Skip: intConst(3)}
+	expectRows(t, "unnest-limit", diffExec(t, "unnest-limit", cut), []int{0, 2, 3, 4},
+		[]string{"4|41|42|2", "4|42|43|3", "4|43|44|4"})
+}
+
+// TestPullBoundedIntermediates proves the executor's memory claim:
+// with a batch bound in force, no pipeline operator ever emits a batch
+// above the bound — intermediate state stays O(BatchRows × pipeline
+// depth), independent of input size.
 func TestPullBoundedIntermediates(t *testing.T) {
 	const total, bound = 4096, 32
 	vals := make([]int64, total)
@@ -152,17 +296,16 @@ func TestPullBoundedIntermediates(t *testing.T) {
 		t.Fatalf("lost rows: %d of %d", out.NumRows(), total)
 	}
 	if maxBatch == 0 {
-		t.Fatal("batch observer saw nothing; pull operators did not run")
+		t.Fatal("batch observer saw nothing; operators did not run")
 	}
 	if maxBatch > bound {
-		t.Fatalf("pull operator emitted a %d-row batch, above the %d bound", maxBatch, bound)
+		t.Fatalf("operator emitted a %d-row batch, above the %d bound", maxBatch, bound)
 	}
 }
 
 // TestPullLimitStopsPulling proves early termination: once a Limit's
 // quota fills, it stops pulling its child, so the operators upstream
-// only ever produce the prefix the query needs. Under materialization
-// the same plan runs the child to completion.
+// only ever produce the prefix the query needs.
 func TestPullLimitStopsPulling(t *testing.T) {
 	const total, bound, want = 1000, 10, 25
 	vals := make([]int64, total)

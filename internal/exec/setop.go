@@ -8,21 +8,8 @@ import (
 	"graphsql/internal/storage"
 )
 
-func execSetOp(s *plan.SetOp, ctx *Context) (*storage.Chunk, error) {
-	left, err := Execute(s.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Execute(s.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return setOpCore(s, left, right, ctx)
-}
-
 // setOpCore runs UNION/EXCEPT/INTERSECT over two materialized
-// operands; the pipeline-breaking core shared by both executors
-// (UNION ALL additionally has a pipelining pull operator).
+// operands (UNION ALL pipelines through unionAllOp instead).
 func setOpCore(s *plan.SetOp, left, right *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	if len(left.Cols) != len(right.Cols) {
 		return nil, fmt.Errorf("%s: operands have %d and %d columns", s.Op, len(left.Cols), len(right.Cols))

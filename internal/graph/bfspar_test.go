@@ -149,7 +149,7 @@ func TestSolverIntraSourceMatchesSequential(t *testing.T) {
 func TestBFSPathToUnreached(t *testing.T) {
 	// 0 -> 1 -> 2, and isolated 3; 2 unreachable from 1's component
 	// when starting at 2.
-	g, err := BuildCSR(4, []VertexID{0, 1}, []VertexID{1, 2})
+	g, err := buildCSRSeq(context.Background(), 4, []VertexID{0, 1}, []VertexID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func layeredGraph(t *testing.T, width, depth int) *CSR {
 			}
 		}
 	}
-	g, err := BuildCSR(1+width*depth, src, dst)
+	g, err := buildCSRSeq(context.Background(), 1+width*depth, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 	for i := range src {
 		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
 	}
-	g, err := BuildCSR(n, src, dst)
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestSolverCancelSingleTraversal(t *testing.T) {
 	for i := range src {
 		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
 	}
-	g, err := BuildCSR(n, src, dst)
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

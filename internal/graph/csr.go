@@ -50,16 +50,11 @@ func (g *CSR) edgeRange(v VertexID) (int64, int64) {
 	return g.Offsets[v], g.Offsets[v+1]
 }
 
-// BuildCSR constructs the CSR from parallel source/destination arrays
-// of dense vertex ids. n is the vertex count. Entries with src or dst
-// outside [0, n) are rejected.
-func BuildCSR(n int, src, dst []VertexID) (*CSR, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildGraphCtx
-	return buildCSRSeq(context.Background(), n, src, dst)
-}
-
-// buildCSRSeq is the sequential builder with an optional cancellation
-// context, polled every cancelCheckInterval rows in each pass.
+// buildCSRSeq constructs the CSR sequentially from parallel
+// source/destination arrays of dense vertex ids. n is the vertex count.
+// Entries with src or dst outside [0, n) are rejected. The optional
+// cancellation context is polled every cancelCheckInterval rows in each
+// pass.
 func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch: %d vs %d", len(src), len(dst))
@@ -113,20 +108,15 @@ func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) 
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
 }
 
-// BuildCSRParallel is BuildCSR with chunked parallel degree counting
-// and scattering. The layout is identical to BuildCSR's: each chunk
-// scatters into slots reserved in row order, so CSR positions (and
-// Perm) come out bit-identical regardless of scheduling. Inputs below
-// the size threshold fall back to the sequential builder.
-func BuildCSRParallel(n int, src, dst []VertexID, parallelism int) (*CSR, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use BuildCSRParallelCtx
-	return BuildCSRParallelCtx(context.Background(), n, src, dst, parallelism)
-}
-
-// BuildCSRParallelCtx is BuildCSRParallel with a cancellation context,
-// polled every cancelCheckInterval rows inside the chunked degree-count
-// and scatter loops (and the sequential fallback), so a cancel landing
-// during graph construction aborts within a few thousand rows.
+// BuildCSRParallelCtx builds the CSR with chunked parallel degree
+// counting and scattering. The layout is identical to the sequential
+// builder's: each chunk scatters into slots reserved in row order, so
+// CSR positions (and Perm) come out bit-identical regardless of
+// scheduling. Inputs below the size threshold fall back to the
+// sequential builder. The context is polled every cancelCheckInterval
+// rows inside the degree-count and scatter loops (and the sequential
+// fallback), so a cancel landing during graph construction aborts
+// within a few thousand rows.
 func BuildCSRParallelCtx(ctx context.Context, n int, src, dst []VertexID, parallelism int) (*CSR, error) {
 	workers := resolveWorkers(parallelism)
 	// Keep every chunk large enough that the per-chunk count arrays
@@ -269,7 +259,7 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 
 // Reverse returns the CSR of the transposed graph. Perm entries still
 // refer to the original edge rows.
-func (g *CSR) Reverse() *CSR {
+func (g *CSR) Reverse(ctx context.Context) (*CSR, error) {
 	m := len(g.Targets)
 	src := make([]VertexID, m)
 	dst := make([]VertexID, m)
@@ -280,14 +270,13 @@ func (g *CSR) Reverse() *CSR {
 			dst[p] = v
 		}
 	}
-	rev, err := BuildCSR(g.N, src, dst)
+	rev, err := buildCSRSeq(ctx, g.N, src, dst)
 	if err != nil {
-		// Cannot happen: ids come from a valid CSR.
-		panic(err)
+		return nil, err
 	}
 	// Fix Perm to reference original rows rather than positions.
 	for p := range rev.Perm {
 		rev.Perm[p] = g.Perm[rev.Perm[p]]
 	}
-	return rev
+	return rev, nil
 }

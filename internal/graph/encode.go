@@ -21,28 +21,15 @@ import (
 	"graphsql/internal/fault"
 )
 
-// EncodeColumnsInt encodes the concatenation of the given int64 key
+// EncodeColumnsIntCtx encodes the concatenation of the given int64 key
 // columns, writing dense IDs into the parallel outs slices (outs[c]
 // must have len(cols[c])). IDs are identical to sequential EncodeInt
-// calls in stream order, for any parallelism.
-func (d *Dict) EncodeColumnsInt(cols [][]int64, outs [][]VertexID, parallelism int) {
-	// Without a context the encode cannot fail.
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use EncodeColumnsIntCtx
-	_ = d.EncodeColumnsIntCtx(context.Background(), cols, outs, parallelism)
-}
-
-// EncodeColumnsIntCtx is EncodeColumnsInt with a cancellation context,
-// polled at chunk boundaries and every few thousand keys inside each
-// loop. On cancellation the dictionary is left partially populated and
-// must be discarded; the outs contents are unspecified.
+// calls in stream order, for any parallelism. The context is polled at
+// chunk boundaries and every few thousand keys inside each loop. On
+// cancellation the dictionary is left partially populated and must be
+// discarded; the outs contents are unspecified.
 func (d *Dict) EncodeColumnsIntCtx(ctx context.Context, cols [][]int64, outs [][]VertexID, parallelism int) error {
 	return bulkEncode(ctx, d.ints, &d.n, cols, outs, resolveWorkers(parallelism))
-}
-
-// EncodeColumnsString is EncodeColumnsInt over the string key space.
-func (d *Dict) EncodeColumnsString(cols [][]string, outs [][]VertexID, parallelism int) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; request paths use EncodeColumnsStringCtx
-	_ = d.EncodeColumnsStringCtx(context.Background(), cols, outs, parallelism)
 }
 
 // EncodeColumnsStringCtx is EncodeColumnsIntCtx over the string key

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -20,7 +21,7 @@ func buildLine(t *testing.T, n int) (*CSR, []VertexID, []VertexID) {
 		src[i] = VertexID(i)
 		dst[i] = VertexID(i + 1)
 	}
-	g, err := BuildCSR(n, src, dst)
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +140,14 @@ func TestBuildCSRFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inj *fault.InjectedError
-	if _, err := BuildCSR(n, src, dst); !errors.As(err, &inj) {
+	if _, err := buildCSRSeq(context.Background(), n, src, dst); !errors.As(err, &inj) {
 		t.Fatalf("sequential build error = %v, want injected", err)
 	}
 	if _, err := buildCSRParallel(nil, n, src, dst, 4); !errors.As(err, &inj) {
 		t.Fatalf("parallel build error = %v, want injected", err)
 	}
 	fault.Reset()
-	want, err := BuildCSR(n, src, dst)
+	want, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func buildTestCSR(t testing.TB, n int, edges [][2]int) *CSR {
 		src[i] = VertexID(e[0])
 		dst[i] = VertexID(e[1])
 	}
-	g, err := BuildCSR(n, src, dst)
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,13 @@ func TestBuildCSRBasic(t *testing.T) {
 }
 
 func TestBuildCSRRejectsOutOfRange(t *testing.T) {
-	if _, err := BuildCSR(2, []VertexID{0, 5}, []VertexID{1, 0}); err == nil {
+	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0, 5}, []VertexID{1, 0}); err == nil {
 		t.Fatal("expected error for out-of-range source")
 	}
-	if _, err := BuildCSR(2, []VertexID{0}, []VertexID{-1}); err == nil {
+	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0}, []VertexID{-1}); err == nil {
 		t.Fatal("expected error for negative destination")
 	}
-	if _, err := BuildCSR(2, []VertexID{0, 1}, []VertexID{1}); err == nil {
+	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0, 1}, []VertexID{1}); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
 }
@@ -76,7 +77,10 @@ func TestCSRPermReferencesOriginalRows(t *testing.T) {
 
 func TestReverse(t *testing.T) {
 	g := buildTestCSR(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	r := g.Reverse()
+	r, err := g.Reverse(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.OutDegree(2) != 2 || r.OutDegree(0) != 0 {
 		t.Fatalf("reverse degrees wrong: deg(2)=%d deg(0)=%d", r.OutDegree(2), r.OutDegree(0))
 	}

@@ -41,7 +41,7 @@ func makeWorkload(rng *rand.Rand, withDelta bool) *randomWorkload {
 		wI[i] = 1 + int64(rng.Intn(20))
 		wF[i] = 0.25 + rng.Float64()*5
 	}
-	g, err := BuildCSR(n, src[:snapM], dst[:snapM])
+	g, err := buildCSRSeq(context.Background(), n, src[:snapM], dst[:snapM])
 	if err != nil {
 		panic(err)
 	}
@@ -148,7 +148,7 @@ func TestBuildCSRParallelMatchesSequential(t *testing.T) {
 			src[i] = VertexID(rng.Intn(n))
 			dst[i] = VertexID(rng.Intn(n))
 		}
-		want, err := BuildCSR(n, src, dst)
+		want, err := buildCSRSeq(context.Background(), n, src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,14 +172,14 @@ func TestBuildCSRParallelErrors(t *testing.T) {
 	src[40] = 99 // out of range for n=10
 	src[60] = 77
 	dst[30] = -1
-	_, wantErr := BuildCSR(10, src, dst)
+	_, wantErr := buildCSRSeq(context.Background(), 10, src, dst)
 	_, gotErr := buildCSRParallel(context.Background(), 10, src, dst, 4)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 		t.Fatalf("error mismatch: sequential %v, parallel %v", wantErr, gotErr)
 	}
 	// Destination errors surface once sources are valid.
 	src[40], src[60] = 0, 0
-	_, wantErr = BuildCSR(10, src, dst)
+	_, wantErr = buildCSRSeq(context.Background(), 10, src, dst)
 	_, gotErr = buildCSRParallel(context.Background(), 10, src, dst, 4)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 		t.Fatalf("dst error mismatch: sequential %v, parallel %v", wantErr, gotErr)
@@ -238,7 +238,9 @@ func TestBulkEncodeMatchesSequential(t *testing.T) {
 	parDict := NewStringDict(0)
 	parDict.EncodeString("pre")
 	got := make([]VertexID, m)
-	parDict.EncodeColumnsString([][]string{keys}, [][]VertexID{got}, 4)
+	if err := parDict.EncodeColumnsStringCtx(context.Background(), [][]string{keys}, [][]VertexID{got}, 4); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("string bulk encoding differs from sequential")
 	}
@@ -256,11 +258,11 @@ func TestBuildCSRParallelPublicThreshold(t *testing.T) {
 		src[i] = VertexID(rng.Intn(n))
 		dst[i] = VertexID(rng.Intn(n))
 	}
-	want, err := BuildCSR(n, src, dst)
+	want, err := buildCSRSeq(context.Background(), n, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildCSRParallel(n, src, dst, 4)
+	got, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

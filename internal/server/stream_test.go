@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"graphsql/internal/exec"
 	"graphsql/internal/fault"
 	"graphsql/internal/testutil"
 	"graphsql/internal/wire"
@@ -127,17 +126,14 @@ INSERT INTO big SELECT n1.x, n2.x FROM nums n1, nums n2;`, numsList(side))
 }
 
 // TestServerStreamFirstFrameBeforeCompletion is the time-to-first-row
-// acceptance test: with a latency fault slowing every pull-executor
-// batch, the stream's header and first batch frame must reach the
-// client while the query is still executing — under the pull executor
-// the stream starts with the first batch, not after the last one. The
-// admission grant is held for that whole window (the engine is
-// genuinely working during the drain), so the in-flight slot must read
-// 1 when the first frame lands and 0 only after the trailer.
+// acceptance test: with a latency fault slowing every operator batch,
+// the stream's header and first batch frame must reach the client
+// while the query is still executing — the stream starts with the
+// first batch, not after the last one. The admission grant is held
+// for that whole window (the engine is genuinely working during the
+// drain), so the in-flight slot must read 1 when the first frame lands
+// and 0 only after the trailer.
 func TestServerStreamFirstFrameBeforeCompletion(t *testing.T) {
-	if exec.DefaultMaterialize() {
-		t.Skip("time-to-first-row is a pull-executor property; under GSQL_EXEC=materialize the escape hatch executes fully before streaming")
-	}
 	t.Cleanup(fault.Reset)
 	s, hs := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1, TotalWorkers: 1})
 	script := fmt.Sprintf(`CREATE TABLE nums (x BIGINT);

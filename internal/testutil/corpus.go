@@ -4,9 +4,12 @@
 // extension. The differential harness (differential_test.go at the
 // repository root) executes the corpus at several parallelism settings
 // and requires byte-identical result renderings; the SQL front-end
-// fuzz target seeds from the same statements. The package is plain
-// strings on purpose — it must be importable from both the root
-// package's tests and internal/sql without cycles.
+// fuzz target seeds from the same statements. The package also holds
+// the independent shortest-path oracle (oracle.go) and the goroutine
+// leak check. It imports nothing from the engine on purpose — it must
+// be importable from both the root package's tests and internal/sql
+// without cycles, and the oracle must share no code with what it
+// checks.
 package testutil
 
 import (

@@ -19,14 +19,13 @@ func TestQueryRowsBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.QueryRowsCtx(context.Background(), `SELECT x, s FROM t ORDER BY x`)
+	rows, err := db.QueryRows(context.Background(), QueryOptions{}, `SELECT x, s FROM t ORDER BY x`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under the pull executor the total is unknown (-1) until the
-	// cursor is exhausted; the materializing executor (GSQL_EXEC
-	// override) knows it up front.
-	if n := rows.Len(); (n != -1 && n != 10) || !reflect.DeepEqual(rows.Columns, want.Columns) {
+	// A SELECT executes as its cursor drains, so the total is unknown
+	// (-1) until exhaustion.
+	if n := rows.Len(); n != -1 || !reflect.DeepEqual(rows.Columns, want.Columns) {
 		t.Fatalf("cursor shape: %d rows, columns %v", n, rows.Columns)
 	}
 	var got [][]any
@@ -61,7 +60,7 @@ func TestQueryRowsSnapshotIsolation(t *testing.T) {
 	db := Open()
 	db.MustExec(`CREATE TABLE t (x BIGINT)`)
 	db.MustExec(`INSERT INTO t VALUES (1), (2), (3)`)
-	rows, err := db.QueryRowsCtx(context.Background(), `SELECT x FROM t`)
+	rows, err := db.QueryRows(context.Background(), QueryOptions{}, `SELECT x FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestQueryRowsCancelBetweenBatches(t *testing.T) {
 	db.MustExec(`CREATE TABLE t (x BIGINT)`)
 	db.MustExec(`INSERT INTO t VALUES (1), (2), (3), (4)`)
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := db.QueryRowsCtx(ctx, `SELECT x FROM t`)
+	rows, err := db.QueryRows(ctx, QueryOptions{}, `SELECT x FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestQueryRowsCancelBetweenBatches(t *testing.T) {
 // result, not an error.
 func TestQueryRowsNonSelect(t *testing.T) {
 	db := Open()
-	rows, err := db.QueryRowsCtx(context.Background(), `CREATE TABLE t (x BIGINT)`)
+	rows, err := db.QueryRows(context.Background(), QueryOptions{}, `CREATE TABLE t (x BIGINT)`)
 	if err != nil {
 		t.Fatal(err)
 	}

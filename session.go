@@ -59,27 +59,13 @@ type QueryOptions struct {
 	// per-operator execution tree. Create one with NewTrace. Nil — the
 	// default — disables tracing at zero cost.
 	Trace *trace.Trace
-	// Executor selects the SELECT executor for this statement:
-	// "pull" (batch-at-a-time execution during the cursor drain) or
-	// "materialize" (the legacy execute-everything-then-window
-	// executor). Empty inherits the process default — pull, unless the
-	// GSQL_EXEC=materialize environment override is set. Both executors
-	// produce byte-identical results; the knob exists for differential
-	// testing and as an operational escape hatch.
-	Executor string
-	// BatchRows bounds the row count of the batches the pull executor's
+	// BatchRows bounds the row count of the batches the executor's
 	// pipeline operators hand between each other; 0 (or negative) uses
 	// the default (1024). Smaller batches lower time-to-first-row and
-	// peak intermediate memory at some per-batch overhead.
+	// peak intermediate memory at some per-batch overhead. Results are
+	// identical at any value.
 	BatchRows int
 }
-
-// ExecutorPull and ExecutorMaterialize are the QueryOptions.Executor
-// values.
-const (
-	ExecutorPull        = engine.ExecutorPull
-	ExecutorMaterialize = engine.ExecutorMaterialize
-)
 
 // Query runs one statement in the session. SET statements update the
 // session's settings; everything else behaves like DB.QueryCtx with the
@@ -121,7 +107,6 @@ func (s *Session) QueryRows(ctx context.Context, qo QueryOptions, sql string, ar
 		Parallelism: override,
 		OnSet:       s.applySet,
 		Trace:       qo.Trace,
-		Executor:    qo.Executor,
 		BatchRows:   qo.BatchRows,
 	}
 
