@@ -84,7 +84,7 @@ func main() {
 			}
 			return
 		}
-		res, err := db.ExecScript(script)
+		res, err := db.ExecScript(context.Background(), script)
 		if *jsonOut {
 			if !printWire(res, err) {
 				os.Exit(1)
@@ -146,7 +146,7 @@ func main() {
 				prompt()
 				continue
 			}
-			res, err := db.ExecScript(sql)
+			res, err := db.ExecScript(context.Background(), sql)
 			switch {
 			case *jsonOut:
 				printWire(res, err)

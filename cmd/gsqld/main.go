@@ -90,7 +90,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen, tables, err := srv.Registry().Load(*graphName, string(script), nil)
+		gen, tables, err := srv.Registry().Load(context.Background(), *graphName, string(script), nil)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *load, err)
 		}

@@ -1,6 +1,7 @@
 package graphsql
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -46,7 +47,7 @@ func forceParallelOperators(t testing.TB) {
 func openCorpusDB(t testing.TB, parallelism int) *DB {
 	t.Helper()
 	db := Open(WithParallelism(parallelism))
-	if _, err := db.ExecScript(testutil.SetupScript()); err != nil {
+	if _, err := db.ExecScript(context.Background(), testutil.SetupScript()); err != nil {
 		t.Fatalf("parallelism %d: corpus setup: %v", parallelism, err)
 	}
 	return db

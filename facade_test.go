@@ -1,6 +1,7 @@
 package graphsql
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -142,7 +143,7 @@ func TestPathClientValue(t *testing.T) {
 
 func TestExecScriptReturnsLastResult(t *testing.T) {
 	db := Open()
-	res, err := db.ExecScript(`
+	res, err := db.ExecScript(context.Background(), `
 		CREATE TABLE t (a BIGINT);
 		INSERT INTO t VALUES (1), (2);
 		SELECT SUM(a) FROM t;

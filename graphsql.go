@@ -58,13 +58,15 @@
 //	s.Query(ctx, `SET parallelism = 2`)          // this session only
 //	res, err := s.Query(ctx, `SELECT ...`, args) // cached plan on repeat
 //
-// Every query path funnels into one core, DB.QueryRows (ctx first, a
-// QueryOptions struct, returning a *Rows cursor); Query, QueryCtx,
-// QueryScalar and the Session variants are thin wrappers that drain
-// it. A SELECT opens its operator tree under the read lock (base tables
-// snapshot, cached graph indexes refresh) and then executes
-// batch-by-batch as the cursor is drained — lock-free, so the first
-// rows of a large result are available while the query is still
+// There is one way to run a statement: QueryRows (ctx first, a
+// QueryOptions struct, returning a *Rows cursor) on a DB or a Session —
+// the two share one body and differ only in how the plan is resolved —
+// and "buffered" means draining that cursor: Query, QueryCtx,
+// QueryScalar, ExecScript and the Session variants are thin wrappers
+// around Rows.Result. A SELECT opens its operator tree under the read
+// lock (base tables snapshot, cached graph indexes refresh) and then
+// executes batch-by-batch as the cursor is drained — lock-free, so the
+// first rows of a large result are available while the query is still
 // running and a slow consumer never blocks writers. There is one
 // executor and no switch that selects another; see the README's
 // "Executor" section. DataVersion exposes a write counter that result
@@ -88,7 +90,6 @@ import (
 
 	"graphsql/internal/engine"
 	"graphsql/internal/exec"
-	"graphsql/internal/storage"
 	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
@@ -293,16 +294,16 @@ func (db *DB) QueryCtx(ctx context.Context, sql string, args ...any) (*Result, e
 
 // Rows is an incrementally consumable query result: the client side of
 // the engine's row-batch cursor seam (internal/exec.Cursor) and what
-// the gsqld streaming response rides on. A SELECT executes batch by
-// batch *as Rows is drained* — the first batch of a 100k-row result is
-// available before the query finishes, and the full row-major copy
-// never exists in memory at once. NextBatch polls
-// the query's context, keeping the cursor under the same cancellation
-// contract as execution, and converts any panic raised by in-drain
-// operator code into a *QueryPanicError, the same containment the
-// engine boundary applies. Callers that may abandon a result early
-// must Close it to release the operator tree; a fully drained or
-// failed Rows closes itself. Not safe for concurrent use.
+// every gsqld response — one JSON body or NDJSON frames — is drained
+// from. A SELECT executes batch by batch *as Rows is drained* — the
+// first batch of a 100k-row result is available before the query
+// finishes, and the full row-major copy never exists in memory at
+// once. NextBatch polls the query's context, keeping the cursor under
+// the same cancellation contract as execution, and converts any panic
+// raised by in-drain operator code into a *QueryPanicError, the same
+// containment the engine boundary applies. Callers that may abandon a
+// result early must Close it to release the operator tree; a fully
+// drained or failed Rows closes itself. Not safe for concurrent use.
 type Rows struct {
 	// Columns holds the output column names.
 	Columns []string
@@ -318,18 +319,17 @@ func newRows(cur *exec.Cursor) *Rows {
 }
 
 // Len returns the total row count of the result, or -1 while it is
-// still unknown: a SELECT is executed as its Rows is drained, so the
-// total only becomes known at exhaustion. Non-SELECT results are
-// materialized and know their count up front.
+// still unknown: a statement is executed as its Rows is drained, so the
+// total only becomes known at exhaustion.
 func (r *Rows) Len() int { return r.cur.NumRows() }
 
 // NextBatch returns the next batch of up to maxRows rows (maxRows <= 0
 // means all remaining rows), or (nil, nil) once the result is
 // exhausted. Cells use the same representations as Result.Rows.
 func (r *Rows) NextBatch(maxRows int) (rows [][]any, err error) {
-	// Pull execution runs operator code during the drain — after the
-	// engine's own panic guard returned — so the containment contract
-	// is re-applied here. The guard closes the cursor on the way out;
+	// Operator code runs during the drain — after the engine's own
+	// panic guard returned — so the containment contract is re-applied
+	// here. The guard closes the cursor on the way out;
 	// ordinary errors already closed it (they are sticky in the cursor).
 	defer func() {
 		if err != nil {
@@ -385,42 +385,56 @@ func (r *Rows) Result() (*Result, error) {
 // then proceeds batch by batch as the cursor is drained, so a slow
 // consumer never blocks writers and the first rows arrive before the
 // query completes. Non-SELECT statements execute to completion under
-// the write lock and return a fully materialized cursor. The caller
-// should Close the Rows unless it drains it to exhaustion.
+// the write lock and return a cursor over what they produced. The
+// caller should Close the Rows unless it drains it to exhaustion.
 func (db *DB) QueryRows(ctx context.Context, qo QueryOptions, sql string, args ...any) (*Rows, error) {
 	params, err := bindArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	override := -1
-	if qo.Workers > 0 {
-		override = qo.Workers
-	}
+	return db.queryRows(ctx, qo, -1, nil, func(trace.SpanID) (*engine.Prepared, []types.Value, error) {
+		p, err := db.eng.Prepare(sql, params...)
+		return p, params, err
+	})
+}
+
+// queryRows is the one body behind DB.QueryRows and Session.QueryRows;
+// the two differ only in the inherited worker budget, the SET
+// interceptor and how resolve obtains the plan (and the parameters to
+// run it with). resolve runs under the read lock, inside the "plan"
+// stage span it receives as the parent of its own spans. A statement
+// that only reads — SELECT, EXPLAIN, and a SET the interceptor scopes
+// to its session — then executes under that read lock; anything else
+// trades it for the write lock first. Writes carry no bound plan, so
+// the engine binds them there against the current catalog — no second
+// parse.
+func (db *DB) queryRows(ctx context.Context, qo QueryOptions, inherit int,
+	onSet func(name string, v types.Value) (bool, error),
+	resolve func(planSpan trace.SpanID) (*engine.Prepared, []types.Value, error)) (*Rows, error) {
 	opts := &engine.ExecOptions{
-		Parallelism: override,
+		Parallelism: inherit,
+		OnSet:       onSet,
 		Trace:       qo.Trace,
 		BatchRows:   qo.BatchRows,
 	}
+	if qo.Workers > 0 {
+		opts.Parallelism = qo.Workers
+	}
 	db.mu.RLock()
-	p, err := db.eng.Prepare(sql, params...)
+	spPlan := qo.Trace.Begin(trace.NoSpan, "plan")
+	p, params, err := resolve(spPlan)
+	qo.Trace.End(spPlan)
 	if err != nil {
 		db.mu.RUnlock()
 		return nil, err
 	}
-	if p.IsSelect() {
-		cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, params...)
+	if p.IsSelect() || (p.IsSet() && onSet != nil) {
+		defer db.mu.RUnlock()
+	} else {
 		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return newRows(cur), nil
+		db.mu.Lock()
+		defer db.mu.Unlock()
 	}
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Writes re-execute the parsed statement under the write lock;
-	// non-SELECT statements carry no bound plan, so binding happens
-	// here against the current catalog.
 	cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, params...)
 	if err != nil {
 		return nil, err
@@ -449,19 +463,18 @@ func (db *DB) QueryScalar(sql string, args ...any) (any, error) {
 	return res.Rows[0][0], nil
 }
 
-// ExecScript runs a semicolon-separated script and returns the result
-// of the last statement.
-func (db *DB) ExecScript(sql string) (*Result, error) {
+// ExecScript runs a semicolon-separated script under the write lock
+// and returns the result of the last statement. ctx is checked between
+// statements: a canceled script stops there with the context's error
+// (statements already executed stay applied).
+func (db *DB) ExecScript(ctx context.Context, sql string) (*Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	chunk, err := db.eng.ExecScript(sql)
+	cur, err := db.eng.ExecScript(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	if chunk == nil {
-		return &Result{}, nil
-	}
-	return chunkToResult(chunk), nil
+	return newRows(cur).Result()
 }
 
 // Trace is a per-query span recorder: attach one to
@@ -565,23 +578,6 @@ func toValue(a any) (types.Value, error) {
 		return types.NewDate(t.Unix() / 86400), nil
 	}
 	return types.Value{}, fmt.Errorf("unsupported argument type %T", a)
-}
-
-func chunkToResult(c *storage.Chunk) *Result {
-	res := &Result{Columns: make([]string, len(c.Schema))}
-	for j, m := range c.Schema {
-		res.Columns[j] = m.Name
-	}
-	n := c.NumRows()
-	res.Rows = make([][]any, n)
-	for i := 0; i < n; i++ {
-		row := make([]any, len(c.Cols))
-		for j, col := range c.Cols {
-			row[j] = fromValue(col.Get(i))
-		}
-		res.Rows[i] = row
-	}
-	return res
 }
 
 func fromValue(v types.Value) any {

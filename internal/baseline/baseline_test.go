@@ -11,7 +11,7 @@ import (
 func lineEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	e := engine.New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE edges (src BIGINT, dst BIGINT);
 		INSERT INTO edges VALUES
 			(1, 2), (2, 3), (3, 4), (4, 5),

@@ -30,7 +30,7 @@ func TestDateLiteralSyntaxAndComparisons(t *testing.T) {
 
 func TestNestedCTEsAndShadowing(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`CREATE TABLE base (x BIGINT); INSERT INTO base VALUES (1), (2), (3);`); err != nil {
+	if _, err := e.ExecScript(context.Background(), `CREATE TABLE base (x BIGINT); INSERT INTO base VALUES (1), (2), (3);`); err != nil {
 		t.Fatal(err)
 	}
 	// A CTE chain where each references the previous.
@@ -63,7 +63,7 @@ func TestDeepDerivedTables(t *testing.T) {
 func TestGraphJoinWithVertexProperties(t *testing.T) {
 	// The full VP1 × VP2 graph join of §2 with properties and grouping.
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE persons (id BIGINT, city VARCHAR);
 		CREATE TABLE knows (a BIGINT, b BIGINT);
 		INSERT INTO persons VALUES (1,'ams'), (2,'ams'), (3,'nyc'), (4,'nyc');
@@ -85,7 +85,7 @@ func TestGraphJoinWithVertexProperties(t *testing.T) {
 
 func TestTwoCheapestSumsOnOnePredicate(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO g VALUES (1,2,5), (2,3,5), (1,3,100);
 	`); err != nil {
@@ -101,7 +101,7 @@ func TestTwoCheapestSumsOnOnePredicate(t *testing.T) {
 
 func TestCheapestSumInArithmeticAndOrderBy(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE vp (id BIGINT);
 		INSERT INTO g VALUES (1,2), (2,3), (3,4);
@@ -119,7 +119,7 @@ func TestCheapestSumInArithmeticAndOrderBy(t *testing.T) {
 
 func TestReachesOverDerivedEdgeTable(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, kind VARCHAR);
 		INSERT INTO g VALUES (1,2,'road'), (2,3,'rail'), (1,3,'road');
 	`); err != nil {
@@ -139,7 +139,7 @@ func TestReachesOverDerivedEdgeTable(t *testing.T) {
 
 func TestUnnestComposesWithJoinsAndAggregates(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, len BIGINT);
 		INSERT INTO g VALUES (1,2,4), (2,3,6), (1,3,100);
 	`); err != nil {
@@ -157,7 +157,7 @@ func TestUnnestComposesWithJoinsAndAggregates(t *testing.T) {
 
 func TestPathLengthFunction(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,2), (2,3);
 	`); err != nil {
@@ -174,7 +174,7 @@ func TestPathLengthFunction(t *testing.T) {
 
 func TestStringEdgeKeysWithConcat(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE flights (o VARCHAR, dd VARCHAR);
 		INSERT INTO flights VALUES ('AMS','LHR'), ('LHR','JFK');
 	`); err != nil {
@@ -208,7 +208,7 @@ func TestLongChainGraph(t *testing.T) {
 
 func TestDuplicateEdgesAreHarmless(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO g VALUES (1,2,9), (1,2,3), (2,3,1), (1,2,3);
 	`); err != nil {
@@ -221,7 +221,7 @@ func TestDuplicateEdgesAreHarmless(t *testing.T) {
 
 func TestSelfLoopsDoNotBreakShortestPaths(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,1), (1,2), (2,2), (2,3);
 	`); err != nil {
@@ -261,7 +261,7 @@ func TestBigBatchReachabilityJoin(t *testing.T) {
 
 func TestGroupByCheapestSum(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		INSERT INTO g VALUES (1,2),(2,3),(3,4),(1,5),(5,4);
@@ -281,7 +281,7 @@ func TestGroupByCheapestSum(t *testing.T) {
 
 func TestInsertSelectWithGraphQuery(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		CREATE TABLE dists (id BIGINT, hops BIGINT);
@@ -304,7 +304,7 @@ func TestInsertSelectWithGraphQuery(t *testing.T) {
 func TestInsertSelectHonorsExecOptions(t *testing.T) {
 	e := New()
 	e.SetParallelism(4)
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		CREATE TABLE dists (id BIGINT, hops BIGINT);
@@ -314,24 +314,21 @@ func TestInsertSelectHonorsExecOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	opts := &ExecOptions{Parallelism: 1, Trace: tr}
-	if _, err := e.QueryOpts(context.Background(), opts, `INSERT INTO dists SELECT id, CHEAPEST SUM(1)
-		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`); err != nil {
+	p, err := e.Prepare(`INSERT INTO dists SELECT id, CHEAPEST SUM(1)
+		FROM v WHERE 1 REACHES id OVER g EDGE (s, d)`)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cur, err := e.ExecPreparedCursor(context.Background(), p, &ExecOptions{Parallelism: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := drain(cur); err != nil || res != nil {
+		t.Fatalf("INSERT result = %v, %v; want no result", res, err)
 	}
 	checkCells(t, run(t, e, `SELECT id, hops FROM dists ORDER BY id`), [][]string{{"2", "1"}, {"3", "2"}})
 
-	var gm *trace.Node
-	var walk func(n *trace.Node)
-	walk = func(n *trace.Node) {
-		if strings.HasPrefix(n.Name, "GraphMatch") {
-			gm = n
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(tr.Tree())
+	gm := findSpan(tr.Tree(), "GraphMatch")
 	if gm == nil {
 		t.Fatalf("INSERT … SELECT recorded no GraphMatch operator span:\n%s", trace.Render(tr.Tree()))
 	}
@@ -341,11 +338,15 @@ func TestInsertSelectHonorsExecOptions(t *testing.T) {
 	if gm.Rows == nil || *gm.Rows != 2 {
 		t.Fatalf("GraphMatch span rows = %v, want 2", gm.Rows)
 	}
+	if gm.Index != "" || gm.GraphVertices != 3 || gm.GraphEdges != 2 {
+		t.Fatalf("GraphMatch span graph attributes = index %q, %d vertices, %d edges; want an ad hoc 3-vertex 2-edge build",
+			gm.Index, gm.GraphVertices, gm.GraphEdges)
+	}
 }
 
 func TestManyParamsAndRepeatedExecution(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		INSERT INTO g VALUES (1,2),(2,3),(3,4),(4,5);
 	`); err != nil {

@@ -3,9 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
-	"graphsql/internal/exec"
+	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
 
@@ -14,7 +15,7 @@ const pairQ = `SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d)`
 func dynEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT);
 		INSERT INTO e VALUES (1,2), (2,3);
 	`); err != nil {
@@ -25,50 +26,92 @@ func dynEngine(t *testing.T) *Engine {
 
 func dist(t *testing.T, e *Engine, s, d int64) int64 {
 	t.Helper()
-	res, err := e.QueryCtx(context.Background(), pairQ, types.NewInt(s), types.NewInt(d))
+	got, _ := tracedDist(t, e, s, d)
+	return got
+}
+
+// tracedDist runs pairQ under a trace and returns the distance (-1 when
+// unreachable) with the GraphMatch span, whose attributes say how the
+// operator got its graph.
+func tracedDist(t *testing.T, e *Engine, s, d int64) (int64, *trace.Node) {
+	t.Helper()
+	params := []types.Value{types.NewInt(s), types.NewInt(d)}
+	p, err := e.Prepare(pairQ, params...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumRows() == 0 {
-		return -1
+	tr := trace.New()
+	cur, err := e.ExecPreparedCursor(context.Background(), p, &ExecOptions{Parallelism: -1, Trace: tr}, params...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return res.Cols[0].Ints[0]
+	res, err := drain(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := findSpan(tr.Tree(), "GraphMatch")
+	if gm == nil {
+		t.Fatalf("no GraphMatch span:\n%s", trace.Render(tr.Tree()))
+	}
+	if res.NumRows() == 0 {
+		return -1, gm
+	}
+	return res.Cols[0].Ints[0], gm
+}
+
+// findSpan returns the last span (pre-order) whose name starts with
+// prefix, or nil.
+func findSpan(n *trace.Node, prefix string) *trace.Node {
+	var found *trace.Node
+	if strings.HasPrefix(n.Name, prefix) {
+		found = n
+	}
+	for _, c := range n.Children {
+		if f := findSpan(c, prefix); f != nil {
+			found = f
+		}
+	}
+	return found
 }
 
 func TestDynamicIndexAbsorbsInsertsThroughSQL(t *testing.T) {
 	e := dynEngine(t)
-	e.Stats = &exec.Stats{}
 	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	if got := dist(t, e, 1, 3); got != 2 {
+	got, gm := tracedDist(t, e, 1, 3)
+	if got != 2 {
 		t.Fatalf("dist(1,3) = %d, want 2", got)
+	}
+	if gm.Index != trace.IndexHit {
+		t.Fatalf("current index: span index = %q, want %q", gm.Index, trace.IndexHit)
 	}
 	// Insert a shortcut and a new vertex; the index must absorb both
 	// without a rebuild (delta below the 64-edge floor).
 	if _, err := e.QueryCtx(context.Background(), `INSERT INTO e VALUES (1, 3), (3, 9)`); err != nil {
 		t.Fatal(err)
 	}
-	if got := dist(t, e, 1, 3); got != 1 {
+	got, gm = tracedDist(t, e, 1, 3)
+	if got != 1 {
 		t.Fatalf("dist(1,3) after shortcut = %d, want 1", got)
 	}
-	if got := dist(t, e, 1, 9); got != 2 {
+	if gm.Index != trace.IndexRefresh {
+		t.Fatalf("small delta: span index = %q, want %q (a delta refresh, not a rebuild)", gm.Index, trace.IndexRefresh)
+	}
+	if gm.GraphVertices != 0 || gm.GraphEdges != 0 {
+		t.Fatalf("indexed query built an ad hoc graph (%d vertices, %d edges)", gm.GraphVertices, gm.GraphEdges)
+	}
+	got, gm = tracedDist(t, e, 1, 9)
+	if got != 2 {
 		t.Fatalf("dist(1,9) to the new vertex = %d, want 2", got)
 	}
-	if e.Stats.IndexRefreshes == 0 {
-		t.Fatal("expected a delta refresh to be recorded")
-	}
-	if e.Stats.IndexRebuilds != 0 {
-		t.Fatal("small delta must not trigger a rebuild")
-	}
-	if e.Stats.GraphBuilds != 0 {
-		t.Fatal("indexed queries must not rebuild ad hoc graphs")
+	if gm.Index != trace.IndexHit {
+		t.Fatalf("absorbed delta: span index = %q, want %q", gm.Index, trace.IndexHit)
 	}
 }
 
 func TestDynamicIndexRebuildThroughSQL(t *testing.T) {
 	e := dynEngine(t)
-	e.Stats = &exec.Stats{}
 	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +121,20 @@ func TestDynamicIndexRebuildThroughSQL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := dist(t, e, 1, 90); got != 89 {
+	got, gm := tracedDist(t, e, 1, 90)
+	if got != 89 {
 		t.Fatalf("dist(1,90) = %d, want 89", got)
 	}
-	if e.Stats.IndexRebuilds != 1 {
-		t.Fatalf("rebuilds = %d, want 1", e.Stats.IndexRebuilds)
+	if gm.Index != trace.IndexRebuild {
+		t.Fatalf("outgrown delta: span index = %q, want %q", gm.Index, trace.IndexRebuild)
+	}
+	if _, gm = tracedDist(t, e, 1, 90); gm.Index != trace.IndexHit {
+		t.Fatalf("after the rebuild: span index = %q, want %q (exactly one rebuild)", gm.Index, trace.IndexHit)
 	}
 }
 
 func TestDeleteInvalidatesDynamicIndex(t *testing.T) {
 	e := dynEngine(t)
-	e.Stats = &exec.Stats{}
 	if err := e.BuildGraphIndex("e", "s", "d"); err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +142,21 @@ func TestDeleteInvalidatesDynamicIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 can no longer reach 3; the query must not use the stale index.
-	if got := dist(t, e, 1, 3); got != -1 {
+	got, gm := tracedDist(t, e, 1, 3)
+	if got != -1 {
 		t.Fatalf("dist(1,3) after delete = %d, want unreachable", got)
 	}
-	if e.Stats.IndexHits != 0 {
-		t.Fatal("deleted-from table must not serve index hits")
+	if gm.Index != "" {
+		t.Fatalf("deleted-from table served by an index (span index = %q)", gm.Index)
+	}
+	if gm.GraphVertices != 2 || gm.GraphEdges != 1 {
+		t.Fatalf("ad hoc graph = %d vertices, %d edges, want 2 and 1", gm.GraphVertices, gm.GraphEdges)
 	}
 }
 
 func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT, w BIGINT);
 		INSERT INTO e VALUES (1,2,10), (2,3,10);
 	`); err != nil {
@@ -138,7 +188,7 @@ func TestWeightedQueriesThroughDynamicIndex(t *testing.T) {
 
 func TestPathThroughDynamicIndexDeltaEdge(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE e (s BIGINT, d BIGINT);
 		INSERT INTO e VALUES (1,2);
 	`); err != nil {

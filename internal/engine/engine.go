@@ -3,10 +3,14 @@
 // optimizer → physical layer pipeline of §3. It also implements the
 // DDL/DML statements and maintains the graph-index cache of §6.
 //
-// Every plan — a SELECT, the source of an INSERT … SELECT, the
-// statement under EXPLAIN ANALYZE — runs through exec's one operator
-// pipeline with the context newExecContext builds, so the worker
-// budget, trace and stats of ExecOptions apply to all of them alike.
+// There is one way to run a statement: Prepare, then
+// ExecPreparedCursor, which returns the exec.Cursor every caller
+// drains. Every plan — a SELECT, the source of an INSERT … SELECT, the
+// statement under EXPLAIN ANALYZE — is opened by openPlan as an
+// operator cursor with the context newExecContext builds, so the
+// worker budget and trace of ExecOptions apply to all of them alike;
+// statements that execute to completion (DDL, DML, EXPLAIN) return a
+// one-chunk cursor over what they produced.
 package engine
 
 import (
@@ -50,8 +54,6 @@ type Engine struct {
 	// have partially applied. It is atomic so result caches can key on
 	// it without taking the engine's locks; see DataVersion.
 	dataVersion atomic.Uint64
-	// Stats accumulates executor instrumentation when non-nil.
-	Stats *exec.Stats
 }
 
 // New returns an engine over a fresh catalog.
@@ -131,7 +133,7 @@ func (e *Engine) effectiveParallelism(opts *ExecOptions) int {
 // Prepared is a parsed — and, for SELECT, bound and rewritten —
 // statement, reusable across executions with the same parameter kinds.
 // It is the unit of the session plan cache: preparing pays the parse,
-// bind and rewrite cost once; ExecPrepared then only interprets the
+// bind and rewrite cost once; ExecPreparedCursor then only runs the
 // plan. A Prepared must not be executed concurrently with itself; the
 // session layer serializes its own statements.
 type Prepared struct {
@@ -205,7 +207,7 @@ func (e *Engine) Describe(sql string) (numParams int, isSelect bool, err error) 
 
 // Prepare parses and, for SELECT statements, binds and rewrites sql.
 // params supply the argument kinds referenced during binding; their
-// values are not captured (they are re-supplied at ExecPrepared time).
+// values are not captured (they are re-supplied at execution time).
 // A panic during binding or rewrite surfaces as a *QueryPanicError.
 func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err error) {
 	defer recoverExecPanic(&err)
@@ -225,97 +227,72 @@ func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err
 	}
 	switch t := stmt.(type) {
 	case *ast.SelectStmt:
-		pl, err := analyze.BindSelect(e.cat, t, params)
-		if err != nil {
-			return nil, err
-		}
-		p.plan = plan.Rewrite(pl)
+		p.plan, err = e.boundPlan(nil, t, params)
 	case *ast.ExplainStmt:
 		// Bind the inner SELECT now, so EXPLAIN surfaces bind errors at
 		// prepare time exactly like the statement it wraps.
-		pl, err := analyze.BindSelect(e.cat, t.Stmt, params)
-		if err != nil {
-			return nil, err
-		}
-		p.plan = plan.Rewrite(pl)
+		p.plan, err = e.boundPlan(nil, t.Stmt, params)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// request bundles one prepared-statement execution for run, the single
-// internal entry point every public query path funnels into: panic
-// containment, parameter validation, tracing and parallelism
-// resolution are applied in exactly one place.
-type request struct {
-	prep   *Prepared
-	params []types.Value
-	opts   *ExecOptions
-	// wantCursor asks for an incremental cursor instead of a
-	// materialized chunk; see ExecPreparedCursor.
-	wantCursor bool
-}
-
-// run executes one request. Exactly one of chunk/cur is populated:
-// with wantCursor a cursor is returned (operator-backed for a SELECT,
-// a windowed snapshot of the result otherwise), without it the
-// materialized result chunk.
-func (e *Engine) run(ctx context.Context, req request) (chunk *storage.Chunk, cur *exec.Cursor, err error) {
-	defer recoverExecPanic(&err)
-	p := req.prep
-	if p.NumParams > len(req.params) {
-		return nil, nil, fmt.Errorf("statement uses %d parameters but %d argument(s) were supplied", p.NumParams, len(req.params))
-	}
-	switch t := p.stmt.(type) {
-	case *ast.SelectStmt:
-		pl := p.plan
-		if pl == nil {
-			bound, err := analyze.BindSelect(e.cat, t, req.params)
-			if err != nil {
-				return nil, nil, err
-			}
-			pl = plan.Rewrite(bound)
-		}
-		return e.runSelect(ctx, pl, req)
-	case *ast.ExplainStmt:
-		chunk, err = e.execExplain(ctx, t, p.plan, req.params, req.opts)
-	default:
-		chunk, err = e.execStmt(ctx, p.stmt, req.params, req.opts)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if req.wantCursor {
-		if chunk != nil {
-			chunk = chunk.Snapshot()
-		}
-		return nil, exec.NewCursor(ctx, chunk), nil
-	}
-	return chunk, nil, nil
-}
-
-// ExecPrepared executes a prepared statement. The caller is responsible
-// for staleness (see Prepared.Stale); executing a stale plan against a
-// reshaped catalog is undefined. A panic during execution — on this
-// goroutine or inside a parallel pool worker — surfaces as a
-// *QueryPanicError, never as a process-killing unwind.
-func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOptions, params ...types.Value) (*storage.Chunk, error) {
-	chunk, _, err := e.run(ctx, request{prep: p, params: params, opts: opts})
-	return chunk, err
-}
-
-// ExecPreparedCursor executes a prepared statement and returns an
-// incremental cursor over its result. For a SELECT the cursor is
-// operator-backed: Open runs here, under whatever lock discipline the
+// ExecPreparedCursor is the one way a statement executes: it runs a
+// prepared statement and returns the cursor over its result. A SELECT
+// opens its operator tree here, under whatever lock discipline the
 // caller holds — base-table scans snapshot and cached graph indexes
 // refresh now — and execution then proceeds batch-by-batch as the
 // cursor is drained, without the lock. Any other statement executes
-// fully here and the cursor windows a snapshot of the result. The caller
-// must Close the cursor; exhaustion and errors close it implicitly. A
-// panic while opening surfaces as a *QueryPanicError; the facade
-// applies the same conversion to panics raised during the drain.
-func (e *Engine) ExecPreparedCursor(ctx context.Context, p *Prepared, opts *ExecOptions, params ...types.Value) (*exec.Cursor, error) {
-	_, cur, err := e.run(ctx, request{prep: p, params: params, opts: opts, wantCursor: true})
-	return cur, err
+// fully here and the cursor serves what it produced (the EXPLAIN text,
+// or nothing). The caller is responsible for staleness (see
+// Prepared.Stale) — executing a stale plan against a reshaped catalog
+// is undefined — and must Close the cursor; exhaustion and errors
+// close it implicitly. A panic here — on this goroutine or inside a
+// parallel pool worker — surfaces as a *QueryPanicError, never as a
+// process-killing unwind; consumers apply the same conversion
+// (CapturePanic) to panics raised during the drain.
+func (e *Engine) ExecPreparedCursor(ctx context.Context, p *Prepared, opts *ExecOptions, params ...types.Value) (cur *exec.Cursor, err error) {
+	defer recoverExecPanic(&err)
+	if p.NumParams > len(params) {
+		return nil, fmt.Errorf("statement uses %d parameters but %d argument(s) were supplied", p.NumParams, len(params))
+	}
+	switch t := p.stmt.(type) {
+	case *ast.SelectStmt:
+		pl, err := e.boundPlan(p.plan, t, params)
+		if err != nil {
+			return nil, err
+		}
+		return e.openPlan(ctx, pl, params, opts)
+	case *ast.ExplainStmt:
+		pl, err := e.boundPlan(p.plan, t.Stmt, params)
+		if err != nil {
+			return nil, err
+		}
+		text, err := e.explain(ctx, t, pl, params, opts)
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewCursor(ctx, text), nil
+	}
+	if err := e.execStmt(ctx, p.stmt, params, opts); err != nil {
+		return nil, err
+	}
+	return exec.NewCursor(ctx, nil), nil
+}
+
+// boundPlan returns the plan bound at Prepare time, or binds and
+// rewrites the statement now (script statements carry no plan).
+func (e *Engine) boundPlan(pl plan.Node, sel *ast.SelectStmt, params []types.Value) (plan.Node, error) {
+	if pl != nil {
+		return pl, nil
+	}
+	bound, err := analyze.BindSelect(e.cat, sel, params)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Rewrite(bound), nil
 }
 
 // newExecContext builds the exec context for one execution.
@@ -325,7 +302,6 @@ func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts 
 		Expr:         &expr.Context{Params: params},
 		GraphIndexes: e.graphIndexes,
 		Parallelism:  e.effectiveParallelism(opts),
-		Stats:        e.Stats,
 	}
 	if opts != nil {
 		ectx.BatchRows = opts.BatchRows
@@ -333,19 +309,14 @@ func (e *Engine) newExecContext(ctx context.Context, params []types.Value, opts 
 	return ectx
 }
 
-// runSelect executes a bound plan for run: buffered, or through an
-// incremental cursor when the request asks for one.
-func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*storage.Chunk, *exec.Cursor, error) {
-	opts := req.opts
-	ectx := e.newExecContext(ctx, req.params, opts)
-	if !req.wantCursor {
-		chunk, err := e.execSelect(pl, ectx, opts)
-		return chunk, nil, err
-	}
-	// Cursor: execution happens as the cursor drains. The
-	// "execute" stage span opens now and ends via the cursor's close
-	// hook, so its duration covers the actual execution window and the
-	// in-flight stage shows "execute" for as long as batches flow.
+// openPlan compiles a bound plan into an operator tree, opens it and
+// hands it to a cursor; execution happens as the cursor drains. With a
+// trace attached the "execute" stage span opens now and ends via the
+// cursor's close hook, so its duration covers the actual execution
+// window and the in-flight stage shows "execute" for as long as batches
+// flow; every operator records its span under it.
+func (e *Engine) openPlan(ctx context.Context, pl plan.Node, params []types.Value, opts *ExecOptions) (*exec.Cursor, error) {
+	ectx := e.newExecContext(ctx, params, opts)
 	var onClose func()
 	if opts != nil && opts.Trace != nil {
 		tr := opts.Trace
@@ -354,66 +325,67 @@ func (e *Engine) runSelect(ctx context.Context, pl plan.Node, req request) (*sto
 		ectx.TraceSpan = sp
 		onClose = func() { tr.End(sp) }
 	}
-	fail := func(err error) (*storage.Chunk, *exec.Cursor, error) {
+	op, err := exec.Build(pl, ectx)
+	if err == nil {
+		if err = op.Open(ectx); err != nil {
+			op.Close()
+		}
+	}
+	if err != nil {
 		if onClose != nil {
 			onClose()
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	op, err := exec.Build(pl, ectx)
+	return exec.NewOperatorCursor(ctx, op, onClose), nil
+}
+
+// drain runs a cursor to exhaustion and returns the whole result as
+// one chunk: empty with the result schema for a query without rows,
+// nil for a statement without a result.
+func drain(cur *exec.Cursor) (*storage.Chunk, error) {
+	defer cur.Close()
+	chunk, err := cur.Next(0)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	if err := op.Open(ectx); err != nil {
-		op.Close()
-		return fail(err)
+	if chunk == nil && cur.Schema() != nil {
+		chunk = storage.NewChunk(cur.Schema())
 	}
-	return nil, exec.NewOperatorCursor(ctx, op, onClose), nil
+	return chunk, nil
 }
 
-// execSelect runs a bound plan to a materialized chunk, attaching the
-// options' trace (if any) so every operator records a span under one
-// "execute" stage.
-func (e *Engine) execSelect(pl plan.Node, ectx *exec.Context, opts *ExecOptions) (*storage.Chunk, error) {
-	if opts != nil && opts.Trace != nil {
-		sp := opts.Trace.Begin(trace.NoSpan, "execute")
-		ectx.Trace = opts.Trace
-		ectx.TraceSpan = sp
-		defer opts.Trace.End(sp)
-	}
-	return exec.Execute(pl, ectx)
-}
-
-// execExplain serves EXPLAIN [ANALYZE]: plain EXPLAIN renders the bound
+// explain serves EXPLAIN [ANALYZE]: plain EXPLAIN renders the bound
 // plan tree; ANALYZE executes the inner SELECT under a private trace
 // and renders the operator span tree — actual rows, wall times, worker
 // budgets and per-level solver frontier sizes — next to each node's
 // Describe line. The result is one "QUERY PLAN" string column, one row
 // per output line.
-func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.Node, params []types.Value, opts *ExecOptions) (*storage.Chunk, error) {
-	if pl == nil {
-		bound, err := analyze.BindSelect(e.cat, ex.Stmt, params)
-		if err != nil {
-			return nil, err
-		}
-		pl = plan.Rewrite(bound)
-	}
+func (e *Engine) explain(ctx context.Context, ex *ast.ExplainStmt, pl plan.Node, params []types.Value, opts *ExecOptions) (*storage.Chunk, error) {
 	var text string
 	if !ex.Analyze {
 		text = plan.Explain(pl)
 	} else {
 		// A private trace keeps the rendering to this statement's spans
 		// even when the caller traces the enclosing request.
-		tr := trace.New()
-		ectx := e.newExecContext(ctx, params, opts)
-		ectx.Trace = tr
-		ectx.TraceSpan = trace.NoSpan
-		if _, err := exec.Execute(pl, ectx); err != nil {
+		analyzed := DefaultExecOptions()
+		if opts != nil {
+			analyzed = *opts
+		}
+		analyzed.Trace = trace.New()
+		cur, err := e.openPlan(ctx, pl, params, &analyzed)
+		if err != nil {
 			return nil, err
 		}
+		if _, err := drain(cur); err != nil {
+			return nil, err
+		}
+		// The operators sit under the private trace's "execute" stage.
 		var b strings.Builder
-		for _, c := range tr.Tree().Children {
-			b.WriteString(trace.Render(c))
+		for _, stage := range analyzed.Trace.Tree().Children {
+			for _, op := range stage.Children {
+				b.WriteString(trace.Render(op))
+			}
 		}
 		text = b.String()
 	}
@@ -427,46 +399,43 @@ func (e *Engine) execExplain(ctx context.Context, ex *ast.ExplainStmt, pl plan.N
 	}, nil
 }
 
-// QueryCtx parses, binds, optimizes and executes one statement,
-// returning its result chunk (nil for statements without results). The
-// context is checked at operator, batch and solver chunk boundaries.
+// QueryCtx parses, binds, optimizes and executes one statement and
+// drains its cursor into one chunk (nil for statements without
+// results). The context is checked at operator, batch and solver chunk
+// boundaries.
 func (e *Engine) QueryCtx(ctx context.Context, sql string, params ...types.Value) (*storage.Chunk, error) {
-	return e.QueryOpts(ctx, nil, sql, params...)
-}
-
-// QueryOpts is QueryCtx with per-execution overrides (nil opts inherit
-// every engine default).
-func (e *Engine) QueryOpts(ctx context.Context, opts *ExecOptions, sql string, params ...types.Value) (*storage.Chunk, error) {
 	p, err := e.Prepare(sql, params...)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecPrepared(ctx, p, opts, params...)
+	cur, err := e.ExecPreparedCursor(ctx, p, nil, params...)
+	if err != nil {
+		return nil, err
+	}
+	return drain(cur)
 }
 
-// ExecScript runs a semicolon-separated script, returning the result
-// of the last statement.
-func (e *Engine) ExecScript(sql string, params ...types.Value) (*storage.Chunk, error) {
-	//gsqlvet:allow ctxprop non-ctx compat wrapper; cancellable callers use ExecScriptCtx
-	return e.ExecScriptCtx(context.Background(), sql, params...)
-}
-
-// ExecScriptCtx is ExecScript with a cancellation context. A panic in
-// any statement surfaces as a *QueryPanicError (the script stops at
-// that statement, like any other statement error).
-func (e *Engine) ExecScriptCtx(ctx context.Context, sql string, params ...types.Value) (last *storage.Chunk, err error) {
+// ExecScript runs a semicolon-separated script and returns the cursor
+// of the last statement; the statements before it are drained. The
+// context is checked between statements, so a canceled script stops at
+// the next statement boundary with the context's error. A panic in any
+// statement surfaces as a *QueryPanicError (the script stops at that
+// statement, like any other statement error).
+func (e *Engine) ExecScript(ctx context.Context, sql string, params ...types.Value) (last *exec.Cursor, err error) {
 	defer recoverExecPanic(&err)
 	stmts, err := parser.ParseAll(sql)
 	if err != nil {
 		return nil, err
 	}
+	last = exec.NewCursor(ctx, nil)
 	for _, s := range stmts {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if _, err := drain(last); err != nil {
+			return nil, err
 		}
-		last, _, err = e.run(ctx, request{prep: &Prepared{stmt: s}, params: params})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		last, err = e.ExecPreparedCursor(ctx, &Prepared{stmt: s}, nil, params...)
 		if err != nil {
 			return nil, err
 		}
@@ -484,44 +453,38 @@ func (e *Engine) Explain(sql string, params ...types.Value) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("EXPLAIN supports only SELECT statements")
 	}
-	p, err := analyze.BindSelect(e.cat, sel, params)
+	pl, err := e.boundPlan(nil, sel, params)
 	if err != nil {
 		return "", err
 	}
-	return plan.Explain(plan.Rewrite(p)), nil
+	return plan.Explain(pl), nil
 }
 
-func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []types.Value, opts *ExecOptions) (*storage.Chunk, error) {
+// execStmt runs a statement that executes to completion and leaves no
+// result: DDL, DML and SET.
+func (e *Engine) execStmt(ctx context.Context, stmt ast.Statement, params []types.Value, opts *ExecOptions) error {
 	switch t := stmt.(type) {
-	case *ast.SelectStmt:
-		p, err := analyze.BindSelect(e.cat, t, params)
-		if err != nil {
-			return nil, err
-		}
-		return e.execSelect(plan.Rewrite(p), e.newExecContext(ctx, params, opts), opts)
-	case *ast.ExplainStmt:
-		return e.execExplain(ctx, t, nil, params, opts)
 	case *ast.CreateTableStmt:
 		e.dataVersion.Add(1)
-		return nil, e.execCreateTable(t)
+		return e.execCreateTable(t)
 	case *ast.InsertStmt:
 		e.dataVersion.Add(1)
-		return nil, e.execInsert(ctx, t, params, opts)
+		return e.execInsert(ctx, t, params, opts)
 	case *ast.DropTableStmt:
 		e.dataVersion.Add(1)
 		if err := e.cat.DropTable(t.Name); err != nil {
-			return nil, err
+			return err
 		}
 		e.invalidateIndexes(t.Name)
 		e.schemaVersion++
-		return nil, nil
+		return nil
 	case *ast.DeleteStmt:
 		e.dataVersion.Add(1)
-		return nil, e.execDelete(t, params)
+		return e.execDelete(t, params)
 	case *ast.SetStmt:
-		return nil, e.execSet(t, params, opts)
+		return e.execSet(t, params, opts)
 	}
-	return nil, fmt.Errorf("internal: unknown statement %T", stmt)
+	return fmt.Errorf("internal: unknown statement %T", stmt)
 }
 
 // execSet validates and applies a SET statement. Known settings:
@@ -632,8 +595,13 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 		if err != nil {
 			return err
 		}
-		p = plan.Rewrite(p)
-		res, err := e.execSelect(p, e.newExecContext(ctx, params, opts), opts)
+		cur, err := e.openPlan(ctx, plan.Rewrite(p), params, opts)
+		if err != nil {
+			return err
+		}
+		// Drained whole before the first append: the source may read the
+		// target table.
+		res, err := drain(cur)
 		if err != nil {
 			return err
 		}

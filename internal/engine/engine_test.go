@@ -74,7 +74,7 @@ func testEngine(t *testing.T) *Engine {
 		INSERT INTO dept VALUES (1, 'eng'), (2, 'ops'), (3, 'empty');
 		INSERT INTO emp VALUES (10, 1, 100), (11, 1, 200), (12, 2, 150), (13, NULL, 50);
 	`
-	if _, err := e.ExecScript(script); err != nil {
+	if _, err := e.ExecScript(context.Background(), script); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -396,7 +396,7 @@ func TestBinderErrors(t *testing.T) {
 
 func TestGraphStatementsThroughEngine(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE edges (s VARCHAR, d VARCHAR, w BIGINT);
 		INSERT INTO edges VALUES ('a','b',1), ('b','c',2), ('a','c',9);
 	`); err != nil {
@@ -429,7 +429,7 @@ func TestGraphStatementsThroughEngine(t *testing.T) {
 
 func TestNullEdgeEndpointsAreIgnored(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE edges (s BIGINT, d BIGINT);
 		INSERT INTO edges VALUES (1, 2), (NULL, 3), (2, NULL), (2, 3);
 	`); err != nil {
@@ -447,7 +447,7 @@ func TestNullEdgeEndpointsAreIgnored(t *testing.T) {
 
 func TestConstantWeightUsesBFS(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE edges (s BIGINT, d BIGINT);
 		INSERT INTO edges VALUES (1,2),(2,3),(3,4);
 	`); err != nil {

@@ -10,8 +10,8 @@ import (
 // QueryPanicError is the typed error the engine boundary converts a
 // panic into: any panic escaping statement execution — from a parallel
 // pool worker (surfaced as *par.WorkerPanic) or from the calling
-// goroutine itself — is recovered at Prepare / ExecPrepared /
-// ExecScriptCtx / BuildGraphIndex and returned as one of these instead
+// goroutine itself — is recovered at Prepare / ExecPreparedCursor /
+// ExecScript / BuildGraphIndex and returned as one of these instead
 // of unwinding into the caller. That makes a panicking query fail
 // exactly like a query with a SQL error: the error travels the normal
 // return path, locks held by callers are released by their own defers,
@@ -62,9 +62,9 @@ func recoverExecPanic(errp *error) {
 }
 
 // CapturePanic is recoverExecPanic for consumers outside this package:
-// with the pull executor, operator code runs while a cursor drains —
-// after ExecPreparedCursor returned — so the facade defers this in its
-// batch reader to keep the containment contract. It is a function
+// operator code runs while a cursor drains — after ExecPreparedCursor
+// returned — so the facade defers this in its batch reader to keep the
+// containment contract. It is a function
 // variable (not a wrapper) because recover only works when called
 // directly by the deferred function.
 var CapturePanic = recoverExecPanic

@@ -14,7 +14,7 @@ import (
 func setupTiny(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE nums (n INT);
 		INSERT INTO nums VALUES (1), (2), (3);
 	`); err != nil {
@@ -61,7 +61,9 @@ func TestQueryPanicBecomesError(t *testing.T) {
 }
 
 // TestExecPreparedPanicBecomesError covers the prepared-statement entry
-// point, which the server's hot path uses.
+// point, which the server's hot path uses: a panic while the cursor
+// opens is contained there, one raised mid-drain is the consumer's to
+// capture (CapturePanic), and the statement stays usable after both.
 func TestExecPreparedPanicBecomesError(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	e := setupTiny(t)
@@ -72,13 +74,37 @@ func TestExecPreparedPanicBecomesError(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.ExecPrepared(context.Background(), p, nil)
+	_, err = e.ExecPreparedCursor(context.Background(), p, nil)
 	var qp *QueryPanicError
 	if !errors.As(err, &qp) {
-		t.Fatalf("ExecPrepared error = %v (%T), want *QueryPanicError", err, err)
+		t.Fatalf("ExecPreparedCursor error = %v (%T), want *QueryPanicError", err, err)
 	}
+
+	// exec.batch alone (Set replaces the schedule) fires at the first
+	// Next — after the cursor was handed out.
+	if err := fault.Set(fault.Rule{Point: fault.PointExecBatch, Kind: fault.KindPanic}); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := e.ExecPreparedCursor(context.Background(), p, nil)
+	if err != nil {
+		t.Fatalf("open with only the batch point armed: %v", err)
+	}
+	err = func() (err error) {
+		defer cur.Close()
+		defer CapturePanic(&err)
+		_, err = cur.Next(0)
+		return err
+	}()
+	if qp = nil; !errors.As(err, &qp) {
+		t.Fatalf("drain error = %v (%T), want *QueryPanicError", err, err)
+	}
+
 	fault.Reset()
-	if _, err := e.ExecPrepared(context.Background(), p, nil); err != nil {
+	cur, err = e.ExecPreparedCursor(context.Background(), p, nil)
+	if err != nil {
+		t.Fatalf("prepared statement dead after contained panic: %v", err)
+	}
+	if _, err := drain(cur); err != nil {
 		t.Fatalf("prepared statement dead after contained panic: %v", err)
 	}
 }
@@ -91,7 +117,7 @@ func TestExecScriptPanicBecomesError(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.ExecScript(`SELECT n FROM nums; SELECT n+1 FROM nums`)
+	_, err := e.ExecScript(context.Background(), `SELECT n FROM nums; SELECT n+1 FROM nums`)
 	var qp *QueryPanicError
 	if !errors.As(err, &qp) {
 		t.Fatalf("ExecScript error = %v (%T), want *QueryPanicError", err, err)

@@ -12,7 +12,7 @@ import (
 // catalog; every input must either produce a result or an error.
 func TestEngineNeverPanics(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE t (a BIGINT, b VARCHAR, c DOUBLE, d DATE);
 		INSERT INTO t VALUES (1, 'x', 1.5, '2020-01-01'), (2, NULL, NULL, NULL);
 		CREATE TABLE g (s BIGINT, dd BIGINT, w BIGINT);

@@ -1,11 +1,14 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func subqueryEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE emp (id BIGINT, dept BIGINT, salary BIGINT);
 		CREATE TABLE dept (id BIGINT, name VARCHAR);
 		INSERT INTO emp VALUES (1, 10, 100), (2, 10, 200), (3, 20, 150), (4, NULL, 50);
@@ -74,7 +77,7 @@ func TestInSubqueryCombinesWithOtherConjuncts(t *testing.T) {
 
 func TestInSubqueryWithReaches(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE g (s BIGINT, d BIGINT);
 		CREATE TABLE v (id BIGINT);
 		CREATE TABLE allow (id BIGINT);
@@ -107,7 +110,7 @@ func TestSubqueryErrors(t *testing.T) {
 
 func TestInSubqueryNumericPromotion(t *testing.T) {
 	e := New()
-	if _, err := e.ExecScript(`
+	if _, err := e.ExecScript(context.Background(), `
 		CREATE TABLE a (x BIGINT);
 		CREATE TABLE b (y DOUBLE);
 		INSERT INTO a VALUES (1), (2);

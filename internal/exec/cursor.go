@@ -6,27 +6,22 @@ import (
 	"graphsql/internal/storage"
 )
 
-// Cursor is the row-batch iterator seam between execution and
-// row-oriented consumers (the HTTP streaming path, the facade's Rows,
-// the CLI). It comes in two flavors behind one API:
-//
-//   - operator-backed (NewOperatorCursor): every SELECT. It pulls
-//     batches from an open Operator tree, re-windowing them to the
-//     consumer's requested size. Execution happens *during* iteration —
-//     the first window is available before the query finishes — and the
-//     total row count is unknown until exhaustion.
-//   - chunk-backed (NewCursor): non-SELECT results only (EXPLAIN text,
-//     statement summaries, empty DDL results). It windows an
-//     already-materialized chunk, so the total row count is known up
-//     front.
+// Cursor is the one form a statement's result takes above the
+// executor: the row-batch iterator seam between execution and
+// row-oriented consumers (the HTTP response sinks, the facade's Rows,
+// the CLI). It pulls batches from an open Operator tree and re-windows
+// them to the consumer's requested size. Execution happens *during*
+// iteration — the first window is available before the query finishes —
+// and the total row count is unknown until exhaustion. A statement
+// without an operator tree of its own (EXPLAIN text, DDL/DML) is a
+// one-chunk operator (NewCursor), so every consumer drains every result
+// the same way.
 //
 // Each Next call polls the cancellation context, keeping a
 // disconnecting client's cursor under the same cancellation contract
 // as execution itself. Windows are zero-copy views
 // (storage.Chunk.Slice) of the current batch; a window stays valid
-// until the next Next call on an operator-backed cursor, and as long
-// as the chunk does on a chunk-backed one. A Cursor is not safe for
-// concurrent use.
+// until the next Next call. A Cursor is not safe for concurrent use.
 //
 // Close releases the underlying operator tree and is idempotent; an
 // exhausted or failed cursor closes itself, but consumers that may
@@ -36,23 +31,32 @@ type Cursor struct {
 	ctx     context.Context
 	op      Operator
 	onClose func()
-	pend    *storage.Chunk // chunk-backed result, or current batch
+	pend    *storage.Chunk // current batch
 	pos     int
 	served  int
-	known   int // total rows; -1 until exhaustion on operator cursors
+	known   int // total rows; -1 until exhaustion
 	done    bool
 	closed  bool
 	sticky  error
 }
 
-// NewCursor wraps a materialized chunk. ctx may be nil (never
-// cancels); chunk may be nil (an empty result, e.g. a DDL statement).
+// NewCursor returns a cursor over an already-materialized chunk: a
+// chunkOp opened on the spot, so the result of a statement that
+// executed to completion drains like any operator tree. ctx may be nil
+// (never cancels); chunk may be nil (an empty result, e.g. a DDL
+// statement). A failure to open — cancellation, an injected fault — is
+// the cursor's sticky error.
 func NewCursor(ctx context.Context, chunk *storage.Chunk) *Cursor {
-	known := 0
-	if chunk != nil {
-		known = chunk.NumRows()
+	if chunk == nil {
+		chunk = &storage.Chunk{}
 	}
-	return &Cursor{ctx: ctx, pend: chunk, known: known}
+	op := &chunkOp{src: chunk}
+	op.describe, op.sch = "Result", chunk.Schema
+	c := NewOperatorCursor(ctx, op, nil)
+	if err := op.Open((&Context{Ctx: ctx}).orDefault()); err != nil {
+		c.fail(err)
+	}
+	return c
 }
 
 // NewOperatorCursor wraps an already-open operator tree. The cursor
@@ -65,19 +69,10 @@ func NewOperatorCursor(ctx context.Context, op Operator, onClose func()) *Cursor
 }
 
 // Schema returns the result schema (nil for an empty result).
-func (c *Cursor) Schema() storage.Schema {
-	if c.op != nil {
-		return c.op.Schema()
-	}
-	if c.pend == nil {
-		return nil
-	}
-	return c.pend.Schema
-}
+func (c *Cursor) Schema() storage.Schema { return c.op.Schema() }
 
 // NumRows returns the total row count, or -1 while it is still
-// unknown: an operator-backed cursor only learns its total at
-// exhaustion.
+// unknown: a cursor only learns its total at exhaustion.
 func (c *Cursor) NumRows() int { return c.known }
 
 // Next returns the next window of exactly maxRows rows — fewer only at
@@ -136,9 +131,6 @@ func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
 			}
 			continue
 		}
-		if c.op == nil {
-			break
-		}
 		b, err := c.op.Next()
 		if err != nil {
 			return nil, c.fail(err)
@@ -163,26 +155,22 @@ func (c *Cursor) drain() (*storage.Chunk, error) {
 		rest = c.pend.Slice(c.pos, c.pend.NumRows())
 		c.pos = c.pend.NumRows()
 	}
-	if c.op != nil {
-		more, err := drainInput(c.op)
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		switch {
-		case rest == nil:
-			rest = more
-		case more.NumRows() > 0:
-			out := emptyLike(rest)
-			out.Extend(rest)
-			out.Extend(more)
-			rest = out
-		}
+	more, err := drainInput(c.op)
+	if err != nil {
+		return nil, c.fail(err)
 	}
-	if rest != nil {
-		c.served += rest.NumRows()
+	switch {
+	case rest == nil:
+		rest = more
+	case more.NumRows() > 0:
+		out := emptyLike(rest)
+		out.Extend(rest)
+		out.Extend(more)
+		rest = out
 	}
+	c.served += rest.NumRows()
 	c.finish()
-	if rest == nil || rest.NumRows() == 0 {
+	if rest.NumRows() == 0 {
 		return nil, nil
 	}
 	return rest, nil
@@ -192,9 +180,7 @@ func (c *Cursor) drain() (*storage.Chunk, error) {
 // tree is released.
 func (c *Cursor) finish() {
 	c.done = true
-	if c.known < 0 {
-		c.known = c.served
-	}
+	c.known = c.served
 	c.Close()
 }
 
@@ -205,17 +191,14 @@ func (c *Cursor) fail(err error) error {
 	return err
 }
 
-// Close releases the underlying operator tree (if any) and fires the
-// close hook. Idempotent; safe on a nil-op cursor.
+// Close releases the underlying operator tree and fires the close
+// hook. Idempotent.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	var err error
-	if c.op != nil {
-		err = c.op.Close()
-	}
+	err := c.op.Close()
 	if c.onClose != nil {
 		c.onClose()
 	}

@@ -50,8 +50,6 @@ type Context struct {
 	// budget parallelizes the BFS frontier within each traversal (see
 	// graph.Solver).
 	Parallelism int
-	// Stats collects optional instrumentation; may be nil.
-	Stats *Stats
 	// Trace, when non-nil, records one span per operator (output rows,
 	// wall time, solver frontier levels). TraceSpan is the open span new
 	// operator spans attach under; creators that set Trace must set
@@ -87,22 +85,6 @@ func (ctx *Context) sharedState(t *plan.Shared) *sharedState {
 		ctx.shared[t] = st
 	}
 	return st
-}
-
-// Stats instruments the phases of graph-select execution for the E6
-// phase-breakdown experiment.
-type Stats struct {
-	// GraphBuilds counts CSR constructions performed.
-	GraphBuilds int
-	// GraphBuildVertices and GraphBuildEdges total the sizes built.
-	GraphBuildVertices int
-	GraphBuildEdges    int
-	// IndexHits counts graph-index cache hits.
-	IndexHits int
-	// IndexRefreshes counts delta absorptions; IndexRebuilds counts
-	// full snapshot rebuilds triggered by delta growth.
-	IndexRefreshes int
-	IndexRebuilds  int
 }
 
 // GraphIndexKey builds the cache key for a prepared graph on a base

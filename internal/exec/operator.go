@@ -932,13 +932,13 @@ func (o *graphMatchOp) Open(ctx *Context) error {
 			if err != nil {
 				return err
 			}
-			if ctx.Stats != nil {
-				ctx.Stats.IndexHits++
-				if rebuilt {
-					ctx.Stats.IndexRebuilds++
-				} else if dg.AppliedRows() != before {
-					ctx.Stats.IndexRefreshes++
-				}
+			switch {
+			case rebuilt:
+				o.tr.SetIndex(o.sp, trace.IndexRebuild)
+			case dg.AppliedRows() != before:
+				o.tr.SetIndex(o.sp, trace.IndexRefresh)
+			default:
+				o.tr.SetIndex(o.sp, trace.IndexHit)
 			}
 			o.dg = dg
 			return nil
@@ -988,11 +988,7 @@ func (o *graphMatchOp) solve() error {
 		if err != nil {
 			return err
 		}
-		if o.ctx.Stats != nil {
-			o.ctx.Stats.GraphBuilds++
-			o.ctx.Stats.GraphBuildVertices += pg.NumVertices()
-			o.ctx.Stats.GraphBuildEdges += pg.NumEdges()
-		}
+		o.tr.SetGraphBuilt(o.sp, pg.NumVertices(), pg.NumEdges())
 		out, err = pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 	}
 	if err != nil {

@@ -335,6 +335,13 @@ func TestParallelMergeSortMatchesStable(t *testing.T) {
 			vals[i] = r.Intn(5) // heavy ties: stability matters
 		}
 		less := func(a, b int) bool { return vals[a] < vals[b] }
+		iota := func(n int) []int {
+			out := make([]int, n)
+			for i := range out {
+				out[i] = i
+			}
+			return out
+		}
 		want := iota(n)
 		stableSortIdx(want, less)
 		for _, workers := range []int{2, 3, 7, 16} {

@@ -34,12 +34,10 @@ func setOpCore(s *plan.SetOp, left, right *storage.Chunk, ctx *Context) (*storag
 		appendFrom := func(c *storage.Chunk) {
 			for i := 0; i < c.NumRows(); i++ {
 				buf = rowKey(c, i, buf)
-				if !s.All {
-					if _, dup := seen[string(buf)]; dup {
-						continue
-					}
-					seen[string(buf)] = struct{}{}
+				if _, dup := seen[string(buf)]; dup {
+					continue
 				}
+				seen[string(buf)] = struct{}{}
 				out.AppendRow(c.Row(i))
 			}
 		}
@@ -115,12 +113,6 @@ func setOpCore(s *plan.SetOp, left, right *storage.Chunk, ctx *Context) (*storag
 // back in ascending order — the exact sequential output.
 func setOpSharded(s *plan.SetOp, left, right *storage.Chunk, workers int) (*storage.Chunk, error) {
 	nl, nr := left.NumRows(), right.NumRows()
-	if s.Op == "UNION" && s.All {
-		// No dedup: the output is simply left's rows then right's.
-		out := left.GatherP(iota(nl), workers)
-		out.Extend(right.GatherP(iota(nr), workers))
-		return out, nil
-	}
 	lk := encodeRowKeys(left.Cols, nl, false, workers)
 	rk := encodeRowKeys(right.Cols, nr, false, workers)
 	shards := workers
@@ -213,13 +205,4 @@ func setOpSharded(s *plan.SetOp, left, right *storage.Chunk, workers int) (*stor
 		return out, nil
 	}
 	return nil, fmt.Errorf("internal: unknown set operation %s", s.Op)
-}
-
-// iota returns [0, 1, …, n-1].
-func iota(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

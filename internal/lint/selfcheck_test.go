@@ -16,7 +16,7 @@ import (
 // carry a justified //gsqlvet:allow.
 // maxCtxpropAllows pins the number of justified context.Background()
 // sites in request-path packages; it may only go down.
-const maxCtxpropAllows = 4
+const maxCtxpropAllows = 3
 
 func TestRepoIsClean(t *testing.T) {
 	env := analysistest.SharedEnv(t)

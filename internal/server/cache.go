@@ -226,9 +226,9 @@ func (rc *ResultCache) Get(key string) (*graphsql.Result, bool) {
 // budgets hold. Results bigger than a quarter of the byte budget are
 // dropped instead of cached.
 func (rc *ResultCache) Put(key, graph string, res *graphsql.Result) {
-	// A cache-insert fault skips the insert: the caller has already sent
-	// the result, so losing only the cache admission is the correct
-	// degraded behavior (and what the chaos harness asserts).
+	// A cache-insert fault skips the insert: the result itself is
+	// complete and still goes out, so losing only the cache admission is
+	// the correct degraded behavior (and what the chaos harness asserts).
 	if fault.Inject(fault.PointCacheInsert) != nil {
 		return
 	}

@@ -213,41 +213,50 @@ func TestServerCacheHitKeepsSessionAlive(t *testing.T) {
 
 // TestServerCacheInvalidationOnWrite: INSERT and DELETE between
 // repeated SELECTs must never let a stale count through — queries run
-// twice per step so the second response of each pair is a cache hit.
+// twice per step so the second response of each pair is a cache hit —
+// and every write purges the graph's entries, whichever encoding the
+// write (and the reads that filled the cache) asked for.
 func TestServerCacheInvalidationOnWrite(t *testing.T) {
-	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
-	count := func(want int64) {
-		t.Helper()
-		for i := 0; i < 2; i++ {
-			status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: `SELECT COUNT(*) FROM churn`})
-			if status != http.StatusOK {
-				t.Fatalf("count: status %d: %s", status, body)
-			}
-			wantBody := fmt.Sprintf(`"rows":[[%d]]`, want)
-			if !bytes.Contains(body, []byte(wantBody)) {
-				t.Fatalf("pass %d: got %s, want %s (stale cache entry served?)", i, body, wantBody)
+	for _, stream := range []bool{false, true} {
+		s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
+		count := func(want int64) {
+			t.Helper()
+			for i := 0; i < 2; i++ {
+				status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: `SELECT COUNT(*) FROM churn`}, stream)
+				if status != http.StatusOK || resp.Error != nil {
+					t.Fatalf("stream=%v count: status %d: %+v", stream, status, resp)
+				}
+				if got := fmt.Sprint(resp.Rows); got != fmt.Sprintf("[[%d]]", want) {
+					t.Fatalf("stream=%v pass %d: got %s, want [[%d]] (stale cache entry served?)", stream, i, got, want)
+				}
 			}
 		}
-	}
-	mustExec := func(sql string) {
-		t.Helper()
-		status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: sql})
-		if status != http.StatusOK {
-			t.Fatalf("exec %s: status %d: %s", sql, status, body)
+		mustExec := func(sql string) {
+			t.Helper()
+			filled := s.Cache().Snapshot()
+			status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: sql}, stream)
+			if status != http.StatusOK || resp.Error != nil {
+				t.Fatalf("stream=%v exec %s: status %d: %+v", stream, sql, status, resp)
+			}
+			purged := s.Cache().Snapshot()
+			if purged.Entries != 0 || purged.Invalidated-filled.Invalidated != uint64(filled.Entries) {
+				t.Fatalf("stream=%v exec %s: %d entries left, %d purged; want all %d purged",
+					stream, sql, purged.Entries, purged.Invalidated-filled.Invalidated, filled.Entries)
+			}
 		}
-	}
-	mustExec(`CREATE TABLE churn (x BIGINT)`)
-	count(0)
-	mustExec(`INSERT INTO churn VALUES (1)`)
-	count(1)
-	mustExec(`INSERT INTO churn VALUES (2), (3)`)
-	count(3)
-	mustExec(`DELETE FROM churn WHERE x = 2`)
-	count(2)
-	mustExec(`DELETE FROM churn`)
-	count(0)
-	if hits := s.Cache().Snapshot().Hits; hits < 5 {
-		t.Fatalf("expected a cache hit per repeated count, got %d", hits)
+		mustExec(`CREATE TABLE churn (x BIGINT)`)
+		count(0)
+		mustExec(`INSERT INTO churn VALUES (1)`)
+		count(1)
+		mustExec(`INSERT INTO churn VALUES (2), (3)`)
+		count(3)
+		mustExec(`DELETE FROM churn WHERE x = 2`)
+		count(2)
+		mustExec(`DELETE FROM churn`)
+		count(0)
+		if hits := s.Cache().Snapshot().Hits; hits < 5 {
+			t.Fatalf("stream=%v: expected a cache hit per repeated count, got %d", stream, hits)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -58,9 +59,11 @@ func checkAdmissionClean(t *testing.T, s *Server) {
 
 // TestServerPanicContainment is the layer-by-layer acceptance check: a
 // panic injected inside an exec operator comes back as a structured 500
-// with code "panic", the same keep-alive client then gets a
-// byte-identical 200 for the same query, the panic counter moved, and
-// no admission slot or goroutine leaked.
+// with code "panic" — whichever encoding was asked for: the operator
+// tree panics while it opens, before a stream's header frame — the same
+// keep-alive client then gets a byte-identical 200 for the same query,
+// the failure counters moved identically, and no admission slot or
+// goroutine leaked.
 func TestServerPanicContainment(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	t.Cleanup(fault.Reset)
@@ -68,30 +71,39 @@ func TestServerPanicContainment(t *testing.T) {
 	loadCorpus(t, hs.URL, "default")
 	want := expectedBodies(t) // before arming: the reference runs the same engine
 
-	q := testutil.Queries()[0]
-	if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
-		t.Fatal(err)
-	}
-	status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q})
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500: %s", status, body)
-	}
-	if e := decodeError(t, body); e.Code != wire.CodePanic {
-		t.Fatalf("error code %q, want %q", e.Code, wire.CodePanic)
-	}
+	for i, stream := range []bool{false, true} {
+		// A query per encoding: the 200 that ends each round fills the
+		// result cache, and a hit executes nothing.
+		q := testutil.Queries()[i]
+		before := s.failureCounters()
+		if err := fault.Set(fault.Rule{Point: fault.PointExecOperator, Kind: fault.KindPanic}); err != nil {
+			t.Fatal(err)
+		}
+		status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: q}, stream)
+		if status != http.StatusInternalServerError {
+			t.Fatalf("stream=%v: status %d, want 500: %+v", stream, status, resp)
+		}
+		if resp.Error == nil || resp.Error.Code != wire.CodePanic {
+			t.Fatalf("stream=%v: error %+v, want code %q", stream, resp.Error, wire.CodePanic)
+		}
+		if got, want := s.failureCounters().since(before), (failureCounters{errors: 1, panics: 1}); got != want {
+			t.Fatalf("stream=%v: counter deltas %+v, want %+v", stream, got, want)
+		}
 
-	fault.Reset()
-	status, body = postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q})
-	if status != http.StatusOK {
-		t.Fatalf("server did not keep serving after contained panic: %d: %s", status, body)
+		fault.Reset()
+		status, resp = queryIn(t, hs.URL, wire.QueryRequest{SQL: q}, stream)
+		if status != http.StatusOK {
+			t.Fatalf("stream=%v: server did not keep serving after contained panic: %d: %+v", stream, status, resp)
+		}
+		body, err := resp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want[q]) {
+			t.Fatalf("stream=%v: post-panic response differs from reference\ngot:  %s\nwant: %s", stream, body, want[q])
+		}
+		checkAdmissionClean(t, s)
 	}
-	if !bytes.Equal(body, want[q]) {
-		t.Fatalf("post-panic response differs from reference\ngot:  %s\nwant: %s", body, want[q])
-	}
-	if s.panics.Load() == 0 {
-		t.Fatal("contained panic did not increment the panic counter")
-	}
-	checkAdmissionClean(t, s)
 
 	// The counter reaches the exposition endpoint.
 	resp, err := http.Get(hs.URL + "/metrics")
@@ -115,42 +127,56 @@ func TestServerPanicContainment(t *testing.T) {
 	}
 }
 
-// TestServerMiddlewarePanicRecovery exercises the last-resort recover in
-// the instrumentation middleware: the result-cache insert panics after
-// execution succeeded, past the engine boundary, on the handler
-// goroutine — the middleware must still answer a structured 500 and the
-// process must keep serving.
+// TestServerMiddlewarePanicRecovery panics on the handler goroutine,
+// past the engine boundary: the result-cache insert panics after
+// execution succeeded. The drain's own recover (the instrumentation
+// middleware's is the last resort behind it) must answer a structured
+// panic error in the shape the encoding still allows — a 500 body, or
+// the trailer of a stream whose header is out — count it the same in
+// both, and the process must keep serving.
 func TestServerMiddlewarePanicRecovery(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	t.Cleanup(fault.Reset)
 	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
 	loadCorpus(t, hs.URL, "default")
 
-	if err := fault.Set(fault.Rule{Point: fault.PointCacheInsert, Kind: fault.KindPanic}); err != nil {
-		t.Fatal(err)
-	}
-	q := testutil.Queries()[1]
-	status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q})
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500: %s", status, body)
-	}
-	if e := decodeError(t, body); e.Code != wire.CodePanic {
-		t.Fatalf("error code %q, want %q", e.Code, wire.CodePanic)
-	}
-	if s.panics.Load() == 0 {
-		t.Fatal("middleware recover did not record the panic")
-	}
-	checkAdmissionClean(t, s)
+	for i, stream := range []bool{false, true} {
+		// A query per encoding: only a miss reaches the cache insert.
+		q := testutil.Queries()[1+i]
+		before := s.failureCounters()
+		if err := fault.Set(fault.Rule{Point: fault.PointCacheInsert, Kind: fault.KindPanic}); err != nil {
+			t.Fatal(err)
+		}
+		status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: q}, stream)
+		wantStatus := http.StatusInternalServerError
+		if stream {
+			wantStatus = http.StatusOK
+		}
+		if status != wantStatus {
+			t.Fatalf("stream=%v: status %d, want %d: %+v", stream, status, wantStatus, resp)
+		}
+		if resp.Error == nil || resp.Error.Code != wire.CodePanic {
+			t.Fatalf("stream=%v: error %+v, want code %q", stream, resp.Error, wire.CodePanic)
+		}
+		if got, want := s.failureCounters().since(before), (failureCounters{errors: 1, panics: 1}); got != want {
+			t.Fatalf("stream=%v: counter deltas %+v, want %+v", stream, got, want)
+		}
+		checkAdmissionClean(t, s)
 
-	fault.Reset()
-	if status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: q}); status != http.StatusOK {
-		t.Fatalf("server dead after middleware-contained panic: %d: %s", status, body)
+		fault.Reset()
+		if status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: q}, stream); status != http.StatusOK || resp.Error != nil {
+			t.Fatalf("stream=%v: server dead after contained panic: %d: %+v", stream, status, resp)
+		}
 	}
 }
 
 // TestServerStreamFaultTrailer verifies a stream is only ever torn by a
-// structured error trailer: a panic mid-encode folds to code "panic", a
-// plain injected error to code "internal" — never a silent truncation.
+// structured error trailer: a panic mid-drain folds to code "panic", a
+// plain injected error to code "internal" — never a silent truncation —
+// and that the buffered encoding classifies and counts the same fault
+// identically. exec.batch fires inside the drain both encodings share;
+// wire.stream.encode sits in the NDJSON encoder, which only a stream
+// crosses.
 func TestServerStreamFaultTrailer(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	t.Cleanup(fault.Reset)
@@ -159,33 +185,45 @@ func TestServerStreamFaultTrailer(t *testing.T) {
 	q := testutil.Queries()[0]
 
 	for _, tc := range []struct {
-		kind fault.Kind
-		code string
+		point   string
+		kind    fault.Kind
+		code    string
+		streams []bool
 	}{
-		{fault.KindPanic, wire.CodePanic},
-		{fault.KindError, wire.CodeInternal},
+		{fault.PointStreamEncode, fault.KindPanic, wire.CodePanic, []bool{true}},
+		{fault.PointStreamEncode, fault.KindError, wire.CodeInternal, []bool{true}},
+		{fault.PointExecBatch, fault.KindPanic, wire.CodePanic, []bool{false, true}},
+		{fault.PointExecBatch, fault.KindError, wire.CodeInternal, []bool{false, true}},
 	} {
-		if err := fault.Set(fault.Rule{Point: fault.PointStreamEncode, Kind: tc.kind}); err != nil {
-			t.Fatal(err)
+		for _, stream := range tc.streams {
+			label := fmt.Sprintf("%s kind %v stream=%v", tc.point, tc.kind, stream)
+			before := s.failureCounters()
+			if err := fault.Set(fault.Rule{Point: tc.point, Kind: tc.kind}); err != nil {
+				t.Fatal(err)
+			}
+			status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: q, BatchRows: 2}, stream)
+			fault.Reset()
+			// A stream's header frame is on the wire before the fault
+			// fires, so its HTTP status is already 200 and the error rides
+			// the trailer; the buffered body still owns the status.
+			wantStatus := http.StatusOK
+			if !stream {
+				wantStatus = http.StatusInternalServerError
+			}
+			if status != wantStatus {
+				t.Fatalf("%s: status %d, want %d", label, status, wantStatus)
+			}
+			if resp.Error == nil || resp.Error.Code != tc.code {
+				t.Fatalf("%s: error %+v, want code %q", label, resp.Error, tc.code)
+			}
+			wantDelta := failureCounters{errors: 1}
+			if tc.code == wire.CodePanic {
+				wantDelta.panics = 1
+			}
+			if got := s.failureCounters().since(before); got != wantDelta {
+				t.Fatalf("%s: counter deltas %+v, want %+v", label, got, wantDelta)
+			}
 		}
-		status, stream, ctype := postRaw(t, hs.URL+"/query",
-			&wire.QueryRequest{SQL: q, Stream: true, BatchRows: 2})
-		// The header frame is on the wire before the fault fires, so the
-		// HTTP status is already 200; the error must ride the trailer.
-		if status != http.StatusOK || ctype != wire.StreamContentType {
-			t.Fatalf("kind %v: status %d ctype %q", tc.kind, status, ctype)
-		}
-		folded, _, err := wire.FoldStream(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatalf("kind %v: stream torn without a trailer: %v\n%s", tc.kind, err, stream)
-		}
-		if folded.Error == nil || folded.Error.Code != tc.code {
-			t.Fatalf("kind %v: folded error %+v, want code %q", tc.kind, folded.Error, tc.code)
-		}
-		fault.Reset()
-	}
-	if s.panics.Load() == 0 {
-		t.Fatal("streamed panic was not recorded")
 	}
 	checkAdmissionClean(t, s)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -64,34 +65,43 @@ func (r *Registry) Resolve(name string) (*graphsql.DB, int64, bool) {
 
 // Load builds a fresh database from the script (and optional graph
 // indexes) and swaps it in under the given name, creating the entry if
-// needed. On any error the previous generation stays untouched.
-func (r *Registry) Load(name, script string, indexes []wire.IndexSpec) (generation int64, tables int, err error) {
+// needed. On any error — including ctx being canceled, which is checked
+// between the script's statements and before each index build — the
+// previous generation stays untouched.
+func (r *Registry) Load(ctx context.Context, name, script string, indexes []wire.IndexSpec) (generation int64, tables int, err error) {
 	db := graphsql.Open(graphsql.WithParallelism(r.parallelism))
 	if script != "" {
-		if _, serr := db.ExecScript(script); serr != nil {
+		if _, serr := db.ExecScript(ctx, script); serr != nil {
 			return 0, 0, fmt.Errorf("load script: %w", serr)
 		}
 	}
 	for _, ix := range indexes {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
 		if err := db.BuildGraphIndex(ix.Table, ix.Src, ix.Dst); err != nil {
 			return 0, 0, fmt.Errorf("index %s(%s,%s): %w", ix.Table, ix.Src, ix.Dst, err)
 		}
 	}
 	tables, _ = db.TableStats()
-	// Swap and generation bump stay under the registry lock so the
-	// reported generation always names the database that is serving
-	// (concurrent loads of one graph serialize here; readers only
-	// touch the atomics).
+	return r.swap(name, db), tables, nil
+}
+
+// swap installs db as the named graph's current database and returns
+// its generation. Swap and generation bump stay under the registry lock
+// so the reported generation always names the database that is serving
+// (concurrent loads of one graph serialize here; readers only touch the
+// atomics).
+func (r *Registry) swap(name string, db *graphsql.DB) int64 {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e, ok := r.graphs[name]
 	if !ok {
 		e = &graphEntry{name: name}
 		r.graphs[name] = e
 	}
 	e.db.Store(db)
-	gen := e.generation.Add(1)
-	r.mu.Unlock()
-	return gen, tables, nil
+	return e.generation.Add(1)
 }
 
 // GraphInfo is one registry entry's /stats view. The plan-cache

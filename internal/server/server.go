@@ -46,6 +46,16 @@
 // admission slot. Reloads and write statements can never leak a stale
 // entry to a later reader: both bump a component of the key.
 //
+// One path: every statement runs the same way whichever response
+// encoding was asked for — Prepare → ExecPreparedCursor → Rows → sink.
+// runQuery calls Session.QueryRows at one site and respond drains the
+// cursor through one loop into a sink; the two sinks (one JSON body,
+// NDJSON frames) are two wire formats, not two executions, and a cache
+// hit replays the stored result through the same loop. Failures have
+// one classifier (failExec), writes one cache purge and misses one
+// cache fill, so the encodings cannot disagree on an error code, a
+// counter or a purge.
+//
 // Cancellation: a client disconnect (or timeout) cancels the request
 // context, which aborts the query at the nearest operator boundary,
 // source-group boundary, in-traversal poll, or graph-construction chunk
@@ -54,7 +64,8 @@
 // request canceled while waiting in the admission queue leaves the
 // queue without ever consuming an in-flight slot or a worker grant; a
 // streaming response canceled mid-flight ends with an error trailer
-// frame.
+// frame; a graph load whose client is gone stops at the next statement
+// of its script and the previous generation keeps serving.
 package server
 
 import (
@@ -266,9 +277,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheEntries > 0 {
 		s.cache = NewResultCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
-	if _, _, err := s.reg.Load(cfg.DefaultGraph, "", nil); err != nil {
-		return nil, err
-	}
+	s.reg.swap(cfg.DefaultGraph, graphsql.Open(graphsql.WithParallelism(cfg.Parallelism)))
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /stats", s.instrument("/stats", s.handleStats))
@@ -422,37 +431,51 @@ func errorStatus(code string) int {
 	}
 }
 
+// failQuery answers a request that failed before it had a response
+// sink — malformed input, an unknown graph, admission — with the
+// buffered error body.
 func (s *Server) failQuery(w http.ResponseWriter, code string, err error) {
+	s.fail(&jsonSink{w: w}, code, err)
+}
+
+// fail counts one failed query and reports it through the sink. A
+// canceled or timed-out query also counts as abandoned, in whichever
+// encoding the client was (no longer) reading.
+func (s *Server) fail(out sink, code string, err error) {
 	s.errors.Add(1)
 	if code == wire.CodeCanceled || code == wire.CodeTimeout {
 		s.canceled.Add(1)
 	}
-	writeJSON(w, errorStatus(code), wire.FromError(code, err))
+	out.fail(code, err)
 }
 
-// failExec classifies an execution error: contained panic beats
-// timeout beats cancellation beats plain SQL error. (A panic racing a
-// timeout reports the panic — the more actionable signal.) An injected
-// fault reports internal, not sql_error: the statement was fine, the
-// server hiccuped.
-// It returns the wire code it chose, which the query log records as
-// the outcome.
-func (s *Server) failExec(w http.ResponseWriter, ctx context.Context, timedOut func() bool, err error, qid uint64, fp string) string {
+// failExec is the one classifier of a failure between admission and
+// the last byte — opening the statement, draining it, or writing the
+// response: contained panic beats injected fault beats timeout beats
+// cancellation beats fallback. (A panic racing a timeout reports the
+// panic — the more actionable signal; an injected fault reports
+// internal, not sql_error: the statement was fine, the server
+// hiccuped.) fallback is what an error carrying none of those signals
+// means where it arose: sql_error from execution, canceled from a
+// write to the client (the connection is gone), internal from the
+// encoder. It returns the wire code it chose, which the query log
+// records as the outcome.
+func (s *Server) failExec(rq *running, err error, fallback string) string {
 	var qp *graphsql.QueryPanicError
 	var inj *fault.InjectedError
-	code := wire.CodeSQL
+	code := fallback
 	switch {
 	case errors.As(err, &qp):
-		s.recordPanic(ctx, qp.Value, qp.Stack, qid, fp)
+		s.recordPanic(rq.ctx, qp.Value, qp.Stack, rq.qid, rq.fp)
 		code = wire.CodePanic
 	case errors.As(err, &inj):
 		code = wire.CodeInternal
-	case timedOut():
+	case rq.timedOut():
 		code = wire.CodeTimeout
-	case ctx.Err() != nil:
+	case rq.ctx.Err() != nil:
 		code = wire.CodeCanceled
 	}
-	s.failQuery(w, code, err)
+	s.fail(rq.out, code, err)
 	return code
 }
 
@@ -500,9 +523,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runQuery executes one statement: result-cache lookup, admission,
-// execution through the session facade, and the buffered or streamed
-// response encoding.
+// runQuery executes one statement: result-cache lookup, admission, one
+// QueryRows call on the session facade, and one drain of its cursor
+// into the response sink of the requested encoding. A cache hit drains
+// the stored result through the same loop.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	graphName := q.graph
 	if graphName == "" {
@@ -512,14 +536,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	if !ok {
 		s.failQuery(w, wire.CodeUnknownGraph, fmt.Errorf("graph %q is not loaded", graphName))
 		return
-	}
-
-	batch := q.batchRows
-	if batch <= 0 {
-		batch = wire.DefaultBatchRows
-	}
-	if batch > wire.MaxBatchRows {
-		batch = wire.MaxBatchRows
 	}
 
 	// Resolve the server session up front (not lazily at execution):
@@ -552,6 +568,30 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 		s.finishQuery(r.Context(), qid, graphName, fp, tr, start, outcome, rowsOut)
 	}()
 
+	// The two response encodings are two sinks over one drain. frame is
+	// the window the result is drained in — and the executor's batch
+	// bound: the whole result at once for the single JSON body; the
+	// requested frame size for NDJSON, so a small-batch stream starts
+	// flowing after the first few rows are computed instead of after the
+	// first 1024.
+	rq := &running{ctx: r.Context(), timedOut: func() bool { return false }, qid: qid, fp: fp}
+	if q.trace {
+		rq.traced = tr
+	}
+	frame := 0
+	if q.stream {
+		rq.out = &ndjsonSink{w: w}
+		frame = q.batchRows
+		if frame <= 0 {
+			frame = wire.DefaultBatchRows
+		}
+		if frame > wire.MaxBatchRows {
+			frame = wire.MaxBatchRows
+		}
+	} else {
+		rq.out = &jsonSink{w: w, tr: tr}
+	}
+
 	// Result-cache lookup. The generation and data version are read
 	// BEFORE execution: a write racing this request can at worst make
 	// us store a fresher result under the older key — a key no future
@@ -581,33 +621,13 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 			tr.End(spCache)
 			tr.SetResultCacheHit(hit)
 			if hit {
-				s.queries.Add(1)
-				rowsOut = len(res.Rows)
-				if q.stream {
-					var ttr *trace.Trace
-					if q.trace {
-						ttr = tr
-					}
-					s.streamResult(w, res, batch, ttr)
-					return
-				}
 				// The wire encoding is deterministic, so re-encoding the
 				// stored result reproduces the first response byte for
 				// byte — the cache holds one representation, not two.
 				// (A trace, when requested, is per-request by nature and
 				// rides outside that equivalence.)
-				resp := wire.FromResult(res)
-				if q.trace {
-					resp.Trace = tr.Tree()
-				}
-				data, err := resp.Encode()
-				if err != nil {
-					outcome = wire.CodeInternal
-					s.failQuery(w, wire.CodeInternal, err)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(data)
+				s.queries.Add(1)
+				outcome, rowsOut = s.respond(rq, res.Columns, replay(res), frame, nil)
 				return
 			}
 		}
@@ -615,18 +635,17 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 
 	// The request context is canceled when the client disconnects; the
 	// timeout (request-level, else server default) stacks on top.
-	ctx := r.Context()
 	timeout := s.cfg.QueryTimeout
 	if q.timeoutMillis > 0 {
 		timeout = time.Duration(q.timeoutMillis) * time.Millisecond
 	}
-	var timedOut func() bool = func() bool { return false }
 	if timeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, timeout)
+		tctx, cancel := context.WithTimeout(rq.ctx, timeout)
 		defer cancel()
-		timedOut = func() bool { return tctx.Err() == context.DeadlineExceeded }
-		ctx = tctx
+		rq.timedOut = func() bool { return tctx.Err() == context.DeadlineExceeded }
+		rq.ctx = tctx
 	}
+	ctx := rq.ctx
 
 	// Resolve the facade session (one-shot sessions are throwaway) and
 	// its worker request for admission.
@@ -667,7 +686,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 			outcome = wire.CodeQueueFull
 			s.retryAfterHeader(w)
 			s.failQuery(w, wire.CodeQueueFull, err)
-		case timedOut():
+		case rq.timedOut():
 			outcome = wire.CodeTimeout
 			s.failQuery(w, wire.CodeTimeout, err)
 		case ctx.Err() == nil:
@@ -687,88 +706,38 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	inq.workers.Store(int32(grant.Workers))
 	// The grant goes back exactly once no matter how this request ends —
 	// including a panic unwinding to the middleware recover, which this
-	// deferred release runs before. The streaming path holds it through
-	// the drain: under the pull executor the engine does its work while
-	// the stream is being written, so the slot stays occupied until the
-	// trailer (or the failure) — a streaming query is in flight for
-	// exactly as long as it is executing.
+	// deferred release runs before. It is held through the drain: the
+	// engine does its work while the response is being written, so the
+	// slot stays occupied until the last byte (or the failure) — a query
+	// is in flight for exactly as long as it is executing.
 	defer grant.Release()
 
 	s.queries.Add(1)
-	opts := graphsql.QueryOptions{Workers: grant.Workers, Trace: tr}
-	if q.stream {
-		// The requested frame size also drives the pull executor's
-		// operator batches, so a small-batch stream starts flowing after
-		// the first few rows are computed instead of after the first
-		// 1024.
-		opts.BatchRows = batch
-		rows, qerr := fsess.QueryRows(ctx, opts, q.sql, q.args...)
-		// A write issued with stream:true executed to completion inside
-		// QueryRows (writes still materialize under the write lock), so
-		// its cache purge happens before anything streams out.
-		if s.cache != nil && invalidatingSQL(q.sql) {
-			s.cache.InvalidateGraph(graphName)
-		}
-		if qerr != nil {
-			outcome = s.failExec(w, ctx, timedOut, qerr, qid, fp)
-			return
-		}
-		// The cursor owns a live operator tree; release it even when the
-		// stream is torn before exhaustion (client gone mid-stream).
-		defer rows.Close()
-		// A streaming miss feeds the cache too: the batches are
-		// accumulated as they go out (bounded by the admission budget, so
-		// a result too big to cache stops buffering instead of doubling
-		// its memory) and admitted only when the stream completes with a
-		// trailer — a torn stream caches nothing.
-		var collect *streamCollector
-		if key != "" {
-			collect = &streamCollector{budget: s.cache.AdmissionBudget()}
-		}
-		var ttr *trace.Trace
-		if q.trace {
-			ttr = tr
-		}
-		failCode, sent := s.streamRows(w, ctx, timedOut, rows, batch, collect, ttr, qid, fp)
-		rowsOut = sent
-		if failCode != "" {
-			outcome = failCode
-		} else if collect != nil && !collect.overflow {
-			s.cache.Put(key, graphName, &graphsql.Result{Columns: rows.Columns, Rows: collect.rows})
-		}
-		return
-	}
-	// Writes purge the graph's cached results once they finish — the
-	// data-version key already guarantees no stale hit, the purge just
+	opts := graphsql.QueryOptions{Workers: grant.Workers, Trace: tr, BatchRows: frame}
+	rows, err := fsess.QueryRows(ctx, opts, q.sql, q.args...)
+	// Writes purge the graph's cached results once they finish — a write
+	// executes to completion inside QueryRows, under the write lock. The
+	// data-version key already guarantees no stale hit; the purge just
 	// releases the memory eagerly.
 	if s.cache != nil && invalidatingSQL(q.sql) {
-		defer s.cache.InvalidateGraph(graphName)
+		s.cache.InvalidateGraph(graphName)
 	}
-	res, err := fsess.QueryOpts(ctx, opts, q.sql, q.args...)
 	if err != nil {
-		outcome = s.failExec(w, ctx, timedOut, err, qid, fp)
+		outcome = s.failExec(rq, err, wire.CodeSQL)
 		return
 	}
-	rowsOut = len(res.Rows)
-	resp := wire.FromResult(res)
-	if q.trace {
-		// Snapshotted before the encode span opens: the tree cannot
-		// describe the encoding it is itself part of.
-		resp.Trace = tr.Tree()
-	}
-	spEnc := tr.Begin(trace.NoSpan, "encode")
-	data, err := resp.Encode()
-	tr.End(spEnc)
-	if err != nil {
-		outcome = wire.CodeInternal
-		s.failQuery(w, wire.CodeInternal, err)
-		return
-	}
+	// The cursor owns a live operator tree; release it even when the
+	// response is torn before exhaustion (client gone mid-stream).
+	defer rows.Close()
+	// A miss feeds the cache: the batches are accumulated as they go out
+	// (bounded by the admission budget, so a result too big to cache
+	// stops buffering instead of doubling its memory) and admitted only
+	// once the result is complete — a torn drain caches nothing.
+	var fill *cacheFill
 	if key != "" {
-		s.cache.Put(key, graphName, res)
+		fill = &cacheFill{cache: s.cache, key: key, graph: graphName, budget: s.cache.AdmissionBudget()}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	outcome, rowsOut = s.respond(rq, rows.Columns, rows.NextBatch, frame, fill)
 }
 
 // finishQuery closes out one query's observability: stage histograms
@@ -809,22 +778,124 @@ func (s *Server) finishQuery(ctx context.Context, qid uint64, graph, fp string, 
 	s.logger.LogAttrs(ctx, lvl, msg, attrs...)
 }
 
-// streamCollector accumulates the batches of a streaming cache miss so
-// the full result can be admitted once the stream completes. The byte
-// estimate uses the same accounting as resultFootprint; crossing the
-// budget sets overflow and drops what was gathered — the stream itself
-// is unaffected.
-type streamCollector struct {
-	budget   int64
-	bytes    int64
-	rows     [][]any
-	overflow bool
+// running is the per-request state the failure classifier and the
+// drain share: the (possibly deadline-wrapped) context, the query's
+// identity for panic reports, and the sink the response — or the
+// failure — goes to.
+type running struct {
+	ctx      context.Context
+	timedOut func() bool
+	qid      uint64
+	fp       string
+	// traced is the query's trace when the request asked for the span
+	// tree in the response, nil otherwise.
+	traced *trace.Trace
+	out    sink
+}
+
+// sink is a response encoding: the two implementations are the two wire
+// *formats* of one result, not two executions. respond calls header
+// once, batch per drained window, then finish; fail may come at any
+// point before finish and answers in whatever shape the bytes already
+// sent allow.
+type sink interface {
+	header(columns []string) error
+	batch(rows [][]any) error
+	// finish completes a successful response; tree is the query's span
+	// tree when the request asked for it. It reports only a failure to
+	// encode — after the last byte nothing is left to tell the client.
+	finish(tree *trace.Node) error
+	fail(code string, err error)
+}
+
+// jsonSink is the buffered encoding: one wire.QueryResponse body
+// written when the result is complete, so a failure at any earlier
+// point still owns the HTTP status.
+type jsonSink struct {
+	w   http.ResponseWriter
+	tr  *trace.Trace // records the "encode" stage
+	res graphsql.Result
+}
+
+func (j *jsonSink) header(columns []string) error {
+	j.res.Columns = columns
+	return nil
+}
+
+func (j *jsonSink) batch(rows [][]any) error {
+	j.res.Rows = append(j.res.Rows, rows...)
+	return nil
+}
+
+func (j *jsonSink) finish(tree *trace.Node) error {
+	resp := wire.FromResult(&j.res)
+	// tree was snapshotted before the encode span opens: it cannot
+	// describe the encoding it is itself part of.
+	resp.Trace = tree
+	spEnc := j.tr.Begin(trace.NoSpan, "encode")
+	data, err := resp.Encode()
+	j.tr.End(spEnc)
+	if err != nil {
+		return err
+	}
+	j.w.Header().Set("Content-Type", "application/json")
+	j.w.Write(data)
+	return nil
+}
+
+func (j *jsonSink) fail(code string, err error) {
+	writeJSON(j.w, errorStatus(code), wire.FromError(code, err))
+}
+
+// ndjsonSink is the chunked encoding of wire/stream.go: each window
+// leaves as its own frame, so the first rows reach the client while the
+// query is still running and the full response never exists
+// server-side. Once the header frame is out the HTTP status is spent: a
+// later failure ends the stream with an error trailer — a stream is
+// only ever torn by its trailer, never silently.
+type ndjsonSink struct {
+	w  http.ResponseWriter
+	sw *wire.StreamWriter // nil until the header frame
+}
+
+func (n *ndjsonSink) header(columns []string) error {
+	n.w.Header().Set("Content-Type", wire.StreamContentType)
+	n.sw = wire.NewStreamWriter(n.w)
+	return n.sw.Header(columns)
+}
+
+func (n *ndjsonSink) batch(rows [][]any) error { return n.sw.Batch(rows) }
+
+func (n *ndjsonSink) finish(tree *trace.Node) error {
+	n.sw.Trailer(tree)
+	return nil
+}
+
+func (n *ndjsonSink) fail(code string, err error) {
+	if n.sw == nil {
+		writeJSON(n.w, errorStatus(code), wire.FromError(code, err))
+		return
+	}
+	n.sw.Fail(code, err)
+}
+
+// cacheFill accumulates the batches of a cache miss so the full result
+// can be admitted once the drain completes. The byte estimate uses the
+// same accounting as resultFootprint; crossing the budget sets overflow
+// and drops what was gathered — the response itself is unaffected.
+type cacheFill struct {
+	cache      *ResultCache
+	key, graph string
+	budget     int64
+	bytes      int64
+	rows       [][]any
+	overflow   bool
 }
 
 // add retains one outgoing batch. NextBatch allocates fresh row slices
 // per call, so retaining them aliases nothing the cursor will reuse.
-func (c *streamCollector) add(b [][]any) {
-	if c.overflow {
+func (c *cacheFill) add(b [][]any) {
+	if c == nil || c.overflow {
 		return
 	}
 	for _, row := range b {
@@ -841,141 +912,75 @@ func (c *streamCollector) add(b [][]any) {
 	c.rows = append(c.rows, b...)
 }
 
-// streamRows writes a chunked response from a live row-batch cursor.
-// Under the pull executor the cursor *is* the execution: each NextBatch
-// runs the operator tree far enough to fill one batch, so the first
-// frame reaches the client while the query is still running and the
-// full response never exists server-side (except in collect, when the
-// cache wants the result and it fits the admission budget). Any
-// failure between batches — cancellation, a contained panic, an
-// injected fault, a runtime execution error — ends the stream with an
-// error trailer; so does a server-side encoding failure or a panic
-// (recovered locally — the header is already on the wire, so the
-// middleware could not answer 500; a stream is only ever torn by its
-// error trailer, never silently). It reports the wire code the stream failed with ("" for a
-// clean trailer — only then may the collected result be cached; a
-// recovered panic reports CodePanic like every other failure) and the
-// rows delivered. ttr, when non-nil, is the query's trace, whose tree
-// the success trailer carries ("trace": true requests).
-func (s *Server) streamRows(w http.ResponseWriter, ctx context.Context, timedOut func() bool, rows *graphsql.Rows, batch int, collect *streamCollector, ttr *trace.Trace, qid uint64, fp string) (failCode string, sent int) {
-	w.Header().Set("Content-Type", wire.StreamContentType)
-	sw := wire.NewStreamWriter(w)
-	// abandon counts a stream the client will never finish reading —
-	// whether the disconnect surfaced as a context cancellation between
-	// batches or as a write error on the dead connection — so streamed
-	// disconnects move the same abandoned/error counters buffered ones
-	// do.
-	abandon := func(code string) {
-		s.errors.Add(1)
-		s.canceled.Add(1)
-		failCode = code
+// put admits the completed result.
+func (c *cacheFill) put(columns []string) {
+	if c == nil || c.overflow {
+		return
 	}
+	c.cache.Put(c.key, c.graph, &graphsql.Result{Columns: columns, Rows: c.rows})
+}
+
+// replay serves a cached result through the drain's pull signature:
+// successive windows of max rows (everything at once when max <= 0).
+func replay(res *graphsql.Result) func(max int) ([][]any, error) {
+	rest := res.Rows
+	return func(max int) ([][]any, error) {
+		if len(rest) == 0 {
+			return nil, nil
+		}
+		n := len(rest)
+		if max > 0 && max < n {
+			n = max
+		}
+		b := rest[:n]
+		rest = rest[n:]
+		return b, nil
+	}
+}
+
+// respond is the one drain behind every successful response: it pulls
+// windows of frame rows from next — a live cursor's NextBatch, or the
+// replay of a cached result — into the request's sink, feeding fill on
+// the way. The cursor *is* the execution: each pull runs the operator
+// tree far enough to fill one window, so any execution failure — a
+// contained panic, an injected fault, a runtime error, cancellation —
+// can surface between windows; it, a failed write and a panic on this
+// goroutine (recovered here, where the sink can still answer in the
+// right shape) all go through failExec. It reports the outcome ("ok",
+// else the wire code the response failed with — only a complete result
+// is cached) and the rows delivered.
+func (s *Server) respond(rq *running, columns []string, next func(max int) ([][]any, error), frame int, fill *cacheFill) (outcome string, sent int) {
 	defer func() {
 		if rv := recover(); rv != nil {
-			s.recordPanic(ctx, rv, debug.Stack(), qid, fp)
-			s.errors.Add(1)
-			failCode = wire.CodePanic
-			sent = sw.RowsSent()
-			sw.Fail(wire.CodePanic, fmt.Errorf("query panicked: %v", rv))
+			outcome = s.failExec(rq, &graphsql.QueryPanicError{Value: rv, Stack: debug.Stack()}, wire.CodePanic)
 		}
 	}()
-	if err := sw.Header(rows.Columns); err != nil {
-		abandon(wire.CodeCanceled) // client gone before the first frame
-		return failCode, 0
+	if err := rq.out.header(columns); err != nil {
+		return s.failExec(rq, err, wire.CodeCanceled), 0 // client gone before the first frame
 	}
 	for {
-		b, err := rows.NextBatch(batch)
+		b, err := next(frame)
 		if err != nil {
-			// Under the pull executor the query is still executing while
-			// it streams, so any execution failure — a contained panic,
-			// an injected fault, a runtime error — can surface between
-			// batches, not just cancellation. Classify like failExec; the
-			// header is already on the wire, so the error travels as a
-			// structured trailer.
-			var qp *graphsql.QueryPanicError
-			var inj *fault.InjectedError
-			code := wire.CodeSQL
-			switch {
-			case errors.As(err, &qp):
-				s.recordPanic(ctx, qp.Value, qp.Stack, qid, fp)
-				code = wire.CodePanic
-			case errors.As(err, &inj):
-				code = wire.CodeInternal
-			case timedOut():
-				code = wire.CodeTimeout
-			case ctx.Err() != nil:
-				code = wire.CodeCanceled
-			}
-			if code == wire.CodeTimeout || code == wire.CodeCanceled {
-				abandon(code)
-			} else {
-				s.errors.Add(1)
-				failCode = code
-			}
-			sw.Fail(code, err)
-			return failCode, sw.RowsSent()
+			return s.failExec(rq, err, wire.CodeSQL), sent
 		}
 		if b == nil {
 			break
 		}
-		if collect != nil {
-			collect.add(b)
+		fill.add(b)
+		// A server-side encoder failure (e.g. an injected stream fault) is
+		// not a disconnect: the connection still works, so the client gets
+		// a structured error. Only a write error on a dead connection
+		// falls back to canceled — nothing is left to tell it.
+		if err := rq.out.batch(b); err != nil {
+			return s.failExec(rq, err, wire.CodeCanceled), sent
 		}
-		if err := sw.Batch(b); err != nil {
-			// A server-side encoder failure (e.g. an injected stream
-			// fault) is not a disconnect: the connection still works, so
-			// the client gets a structured error trailer. Only a write
-			// error on a dead connection stays a silent abandon.
-			var inj *fault.InjectedError
-			if errors.As(err, &inj) {
-				s.errors.Add(1)
-				failCode = wire.CodeInternal
-				sw.Fail(wire.CodeInternal, err)
-				return failCode, sw.RowsSent()
-			}
-			abandon(wire.CodeCanceled) // client gone mid-stream; nothing left to tell it
-			return failCode, sw.RowsSent()
-		}
+		sent += len(b)
 	}
-	sw.Trailer(ttr.Tree())
-	return "", sw.RowsSent()
-}
-
-// streamResult streams an already-materialized (cached) result in the
-// same chunked encoding a live cursor produces. A disconnect counts
-// exactly like one on the live-cursor path, so abandoned-stream
-// metrics don't depend on whether the cache was warm.
-func (s *Server) streamResult(w http.ResponseWriter, res *graphsql.Result, batch int, ttr *trace.Trace) {
-	w.Header().Set("Content-Type", wire.StreamContentType)
-	sw := wire.NewStreamWriter(w)
-	abandon := func() {
-		s.errors.Add(1)
-		s.canceled.Add(1)
+	fill.put(columns)
+	if err := rq.out.finish(rq.traced.Tree()); err != nil {
+		return s.failExec(rq, err, wire.CodeInternal), sent
 	}
-	if err := sw.Header(res.Columns); err != nil {
-		abandon()
-		return
-	}
-	for lo := 0; lo < len(res.Rows); lo += batch {
-		hi := lo + batch
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
-		}
-		if err := sw.Batch(res.Rows[lo:hi]); err != nil {
-			// Same classification as the live-cursor path: encoder
-			// faults end with a structured trailer, dead connections
-			// abandon silently.
-			var inj *fault.InjectedError
-			if errors.As(err, &inj) {
-				s.errors.Add(1)
-				sw.Fail(wire.CodeInternal, err)
-				return
-			}
-			abandon()
-			return
-		}
-	}
-	sw.Trailer(ttr.Tree())
+	return "ok", sent
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -1060,7 +1065,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
 		return
 	}
-	gen, tables, err := s.reg.Load(name, req.Script, req.Indexes)
+	gen, tables, err := s.reg.Load(r.Context(), name, req.Script, req.Indexes)
 	if err != nil {
 		s.errors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeSQL, Message: err.Error()}})

@@ -47,6 +47,41 @@ func postJSON(t *testing.T, url string, payload any) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// queryIn posts a query in the buffered (stream false) or chunked
+// encoding and folds the answer into the buffered shape, so one
+// assertion serves both. A streamed request that failed before its
+// header frame answers with a plain JSON error body, like a buffered
+// one; after the header the error rides the trailer.
+func queryIn(t *testing.T, base string, req wire.QueryRequest, stream bool) (int, *wire.QueryResponse) {
+	t.Helper()
+	req.Stream = stream
+	status, body, ctype := postRaw(t, base+"/query", &req)
+	if ctype == wire.StreamContentType {
+		folded, _, err := wire.FoldStream(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("stream torn without a trailer: %v\n%s", err, body)
+		}
+		return status, folded
+	}
+	var resp wire.QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("response is not a wire.QueryResponse: %v\n%s", err, body)
+	}
+	return status, &resp
+}
+
+// failureCounters is the server's failure accounting, which must move
+// identically whichever encoding a failed query asked for.
+type failureCounters struct{ errors, canceled, panics uint64 }
+
+func (s *Server) failureCounters() failureCounters {
+	return failureCounters{s.errors.Load(), s.canceled.Load(), s.panics.Load()}
+}
+
+func (a failureCounters) since(b failureCounters) failureCounters {
+	return failureCounters{a.errors - b.errors, a.canceled - b.canceled, a.panics - b.panics}
+}
+
 func loadCorpus(t *testing.T, base, graph string) {
 	t.Helper()
 	status, body := postJSON(t, base+"/graphs/"+graph+"/load",
@@ -61,7 +96,7 @@ func loadCorpus(t *testing.T, base, graph string) {
 func expectedBodies(t *testing.T) map[string][]byte {
 	t.Helper()
 	db := graphsql.Open()
-	if _, err := db.ExecScript(testutil.SetupScript()); err != nil {
+	if _, err := db.ExecScript(context.Background(), testutil.SetupScript()); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]byte)
@@ -247,36 +282,33 @@ func TestServerAdmissionRejects(t *testing.T) {
 }
 
 // TestServerCancellation issues a heavy query with a tiny timeout and
-// requires a clean canceled/timeout error plus counter movement.
+// requires a clean canceled/timeout error plus counter movement — the
+// same error code class and the same counter deltas in both encodings.
 func TestServerCancellation(t *testing.T) {
 	// Registered before the server so it checks after server shutdown.
 	testutil.CheckGoroutineLeaks(t)
 	s, hs := newTestServer(t, Config{})
 	loadCorpus(t, hs.URL, "default")
-	// An all-pairs batched REACHES (400 source groups over a 160k-row
-	// cross product) is far beyond a 1ms budget on any machine.
-	status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{
-		SQL: `SELECT p1.id, p2.id, CHEAPEST SUM(1) FROM people p1, people p2
-		      WHERE p1.id REACHES p2.id OVER knows EDGE (src, dst)`,
-		TimeoutMillis: 1,
-	})
-	if status == http.StatusOK {
-		t.Fatalf("expected cancellation, got 200: %s", body)
-	}
-	var resp wire.QueryResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == nil || (resp.Error.Code != wire.CodeTimeout && resp.Error.Code != wire.CodeCanceled) {
-		t.Fatalf("expected timeout/canceled, got %s", body)
-	}
-	if got := s.canceled.Load(); got == 0 {
-		t.Fatal("canceled counter did not move")
-	}
-	// The server stays healthy afterwards.
-	status, body = postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: `SELECT COUNT(*) FROM knows`})
-	if status != http.StatusOK {
-		t.Fatalf("post-cancel query failed: %d: %s", status, body)
+	for _, stream := range []bool{false, true} {
+		before := s.failureCounters()
+		// An all-pairs batched REACHES (400 source groups over a 160k-row
+		// cross product) is far beyond a 1ms budget on any machine.
+		_, resp := queryIn(t, hs.URL, wire.QueryRequest{
+			SQL: `SELECT p1.id, p2.id, CHEAPEST SUM(1) FROM people p1, people p2
+			      WHERE p1.id REACHES p2.id OVER knows EDGE (src, dst)`,
+			TimeoutMillis: 1,
+		}, stream)
+		if resp.Error == nil || (resp.Error.Code != wire.CodeTimeout && resp.Error.Code != wire.CodeCanceled) {
+			t.Fatalf("stream=%v: expected timeout/canceled, got %+v", stream, resp)
+		}
+		if got, want := s.failureCounters().since(before), (failureCounters{errors: 1, canceled: 1}); got != want {
+			t.Fatalf("stream=%v: counter deltas %+v, want %+v", stream, got, want)
+		}
+		// The server stays healthy afterwards.
+		status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: `SELECT COUNT(*) FROM knows`}, stream)
+		if status != http.StatusOK || resp.Error != nil {
+			t.Fatalf("stream=%v: post-cancel query failed: %d: %+v", stream, status, resp)
+		}
 	}
 }
 
@@ -501,6 +533,39 @@ func TestServerUnknownGraph(t *testing.T) {
 	status, body := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: `SELECT 1`, Graph: "nope"})
 	if status != http.StatusNotFound {
 		t.Fatalf("expected 404, got %d: %s", status, body)
+	}
+}
+
+// TestServerLoadHonorsClientDisconnect: a graph load runs under its
+// request's context, so a load whose client is gone stops at the next
+// statement boundary with the context's error instead of building to
+// completion, and the previous generation keeps serving.
+func TestServerLoadHonorsClientDisconnect(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	loadCorpus(t, hs.URL, "default")
+	_, gen, _ := s.Registry().Resolve("default")
+
+	body, err := json.Marshal(&wire.LoadRequest{Script: `CREATE TABLE only (x BIGINT); INSERT INTO only VALUES (1)`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/graphs/default/load", bytes.NewReader(body)).WithContext(ctx))
+	var resp wire.LoadResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code == http.StatusOK || resp.Error == nil || !strings.Contains(resp.Error.Message, context.Canceled.Error()) {
+		t.Fatalf("canceled load answered %d: %s", rec.Code, rec.Body)
+	}
+	if _, after, _ := s.Registry().Resolve("default"); after != gen {
+		t.Fatalf("canceled load swapped the graph: generation %d -> %d", gen, after)
+	}
+	status, out := postJSON(t, hs.URL+"/query", &wire.QueryRequest{SQL: `SELECT COUNT(*) FROM knows`})
+	if status != http.StatusOK {
+		t.Fatalf("previous generation stopped serving: %d: %s", status, out)
 	}
 }
 

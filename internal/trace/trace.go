@@ -49,7 +49,12 @@ type span struct {
 	rows    int64         // -1 = not an operator span
 	batches int64         // pull-executor batches emitted; 0 = n/a
 	workers int
-	levels  []levelSample
+	// index is how a GraphMatch span obtained its graph index ("" = no
+	// index); graphVertices/graphEdges size the graph it built instead.
+	index         string
+	graphVertices int
+	graphEdges    int
+	levels        []levelSample
 }
 
 // Trace records the spans of one query. Safe for concurrent use: the
@@ -134,6 +139,41 @@ func (t *Trace) SetWorkers(id SpanID, n int) {
 	t.mu.Lock()
 	if int(id) < len(t.spans) {
 		t.spans[id].workers = n
+	}
+	t.mu.Unlock()
+}
+
+// Outcomes SetIndex records for a GraphMatch span served by a cached
+// graph index: the index was current, absorbed appended rows into its
+// delta, or rebuilt its snapshot because the delta outgrew it.
+const (
+	IndexHit     = "hit"
+	IndexRefresh = "refresh"
+	IndexRebuild = "rebuild"
+)
+
+// SetIndex records how a GraphMatch span's cached graph index served
+// it (IndexHit, IndexRefresh or IndexRebuild).
+func (t *Trace) SetIndex(id SpanID, outcome string) {
+	if t == nil || id < 0 {
+		return
+	}
+	t.mu.Lock()
+	if int(id) < len(t.spans) {
+		t.spans[id].index = outcome
+	}
+	t.mu.Unlock()
+}
+
+// SetGraphBuilt records the size of the throwaway graph a GraphMatch
+// span built because no index served it.
+func (t *Trace) SetGraphBuilt(id SpanID, vertices, edges int) {
+	if t == nil || id < 0 {
+		return
+	}
+	t.mu.Lock()
+	if int(id) < len(t.spans) {
+		t.spans[id].graphVertices, t.spans[id].graphEdges = vertices, edges
 	}
 	t.mu.Unlock()
 }
@@ -272,15 +312,21 @@ type Level struct {
 // order. Rows/RowsIn are pointers so non-operator spans omit them
 // rather than reporting a spurious zero.
 type Node struct {
-	Name     string  `json:"name"`
-	StartUS  int64   `json:"start_us"`
-	DurUS    int64   `json:"dur_us"`
-	Rows     *int64  `json:"rows,omitempty"`
-	RowsIn   *int64  `json:"rows_in,omitempty"`
-	Batches  int64   `json:"batches,omitempty"`
-	Workers  int     `json:"workers,omitempty"`
-	Levels   []Level `json:"levels,omitempty"`
-	Children []*Node `json:"children,omitempty"`
+	Name    string `json:"name"`
+	StartUS int64  `json:"start_us"`
+	DurUS   int64  `json:"dur_us"`
+	Rows    *int64 `json:"rows,omitempty"`
+	RowsIn  *int64 `json:"rows_in,omitempty"`
+	Batches int64  `json:"batches,omitempty"`
+	Workers int    `json:"workers,omitempty"`
+	// Index, GraphVertices and GraphEdges are GraphMatch attributes: how
+	// a cached graph index served the operator (IndexHit, IndexRefresh,
+	// IndexRebuild), or the size of the graph it built without one.
+	Index         string  `json:"index,omitempty"`
+	GraphVertices int     `json:"graph_vertices,omitempty"`
+	GraphEdges    int     `json:"graph_edges,omitempty"`
+	Levels        []Level `json:"levels,omitempty"`
+	Children      []*Node `json:"children,omitempty"`
 }
 
 // Tree snapshots the spans as a tree under a synthetic root named
@@ -308,11 +354,14 @@ func (t *Trace) Tree() *Node {
 			end = e
 		}
 		n := &Node{
-			Name:    s.name,
-			StartUS: s.start.Microseconds(),
-			DurUS:   (e - s.start).Microseconds(),
-			Batches: s.batches,
-			Workers: s.workers,
+			Name:          s.name,
+			StartUS:       s.start.Microseconds(),
+			DurUS:         (e - s.start).Microseconds(),
+			Batches:       s.batches,
+			Workers:       s.workers,
+			Index:         s.index,
+			GraphVertices: s.graphVertices,
+			GraphEdges:    s.graphEdges,
 		}
 		if s.rows >= 0 {
 			rows := s.rows
@@ -373,6 +422,12 @@ func Render(root *Node) string {
 			fmt.Fprintf(&b, "rows_in=%d, ", *n.RowsIn)
 		}
 		fmt.Fprintf(&b, "time=%s", durString(n.DurUS))
+		if n.Index != "" {
+			fmt.Fprintf(&b, ", index=%s", n.Index)
+		}
+		if n.GraphVertices > 0 || n.GraphEdges > 0 {
+			fmt.Fprintf(&b, ", graph_vertices=%d, graph_edges=%d", n.GraphVertices, n.GraphEdges)
+		}
 		if n.Workers > 0 {
 			fmt.Fprintf(&b, ", workers=%d", n.Workers)
 		}

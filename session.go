@@ -84,13 +84,10 @@ func (s *Session) QueryOpts(ctx context.Context, qo QueryOptions, sql string, ar
 	return rows.Result()
 }
 
-// QueryRows is the session's core query entry point, mirroring
-// DB.QueryRows with the session's settings and prepared-plan cache
-// applied. SELECTs open their operator tree under the read lock and
-// release it before returning; execution proceeds as the Rows is
-// drained (see DB.QueryRows for the locking and Close contract).
-// Session-scoped SETs never touch the engine thanks to applySet and
-// stay under the read lock too.
+// QueryRows is the session's core query entry point: DB.QueryRows with
+// the session's settings and prepared-plan cache applied (see there for
+// the locking and Close contract). Session-scoped SETs never touch the
+// engine thanks to applySet and stay under the read lock too.
 func (s *Session) QueryRows(ctx context.Context, qo QueryOptions, sql string, args ...any) (*Rows, error) {
 	params, err := bindArgs(args)
 	if err != nil {
@@ -98,45 +95,9 @@ func (s *Session) QueryRows(ctx context.Context, qo QueryOptions, sql string, ar
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	override := s.parallelism
-	if qo.Workers > 0 {
-		override = qo.Workers
-	}
-	opts := &engine.ExecOptions{
-		Parallelism: override,
-		OnSet:       s.applySet,
-		Trace:       qo.Trace,
-		BatchRows:   qo.BatchRows,
-	}
-
-	db := s.db
-	db.mu.RLock()
-	spPlan := qo.Trace.Begin(trace.NoSpan, "plan")
-	p, execParams, err := s.resolvePlanTraced(qo.Trace, spPlan, sql, params)
-	qo.Trace.End(spPlan)
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	if p.IsSelect() || p.IsSet() {
-		cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, execParams...)
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return newRows(cur), nil
-	}
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Writes carry no bound plan, so the engine binds them here against
-	// the current catalog — no second parse.
-	cur, err := db.eng.ExecPreparedCursor(ctx, p, opts, execParams...)
-	if err != nil {
-		return nil, err
-	}
-	return newRows(cur), nil
+	return s.db.queryRows(ctx, qo, s.parallelism, s.applySet, func(planSpan trace.SpanID) (*engine.Prepared, []types.Value, error) {
+		return s.resolvePlan(qo.Trace, planSpan, sql, params)
+	})
 }
 
 // StmtInfo describes a prepared statement; see Session.Prepare.
@@ -180,7 +141,7 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 	if len(params) < n {
 		return StmtInfo{NumParams: n, IsSelect: isSel}, nil
 	}
-	p, _, err := s.resolvePlanTraced(nil, trace.NoSpan, sql, params)
+	p, _, err := s.resolvePlan(nil, trace.NoSpan, sql, params)
 	if err != nil {
 		return StmtInfo{}, err
 	}
@@ -190,10 +151,11 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 	return StmtInfo{NumParams: n, IsSelect: p.IsSelect()}, nil
 }
 
-// resolvePlanLocked returns the cached plan of the statement together
-// with the parameter values to execute it with, preparing and caching
-// the plan if absent or stale. Both s.mu and the DB read lock must be
-// held.
+// resolvePlan returns the cached plan of the statement together with
+// the parameter values to execute it with, preparing and caching the
+// plan if absent or stale. Both s.mu and the DB read lock must be held.
+// It records fingerprint and prepare spans (and the plan-cache outcome)
+// into tr under parent; a nil tr records nothing.
 //
 // SELECT statements are fingerprinted first (literals in filter
 // positions rewrite to placeholders, their values merging with the
@@ -202,14 +164,7 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 // cannot be normalized — or the caller's argument count does not match
 // its placeholders — the raw text is used and every error reads
 // exactly as it would have without normalization.
-func (s *Session) resolvePlanLocked(sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
-	return s.resolvePlanTraced(nil, trace.NoSpan, sql, params)
-}
-
-// resolvePlanTraced is resolvePlanLocked recording fingerprint and
-// prepare spans (and the plan-cache outcome) into tr; a nil tr records
-// nothing.
-func (s *Session) resolvePlanTraced(tr *trace.Trace, parent trace.SpanID, sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
+func (s *Session) resolvePlan(tr *trace.Trace, parent trace.SpanID, sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
 	db := s.db
 	execSQL, execParams := sql, params
 	spFp := tr.Begin(parent, "fingerprint")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,40 @@ func TestSessionResultsMatchDB(t *testing.T) {
 			if got.String() != want.String() {
 				t.Fatalf("run %d: session result differs for %s\n%s\nvs\n%s", i, q, got, want)
 			}
+		}
+	}
+}
+
+// TestTracedStagesDBAndSession: a traced QueryRows records plan
+// resolution and execution as its root stages whether it came through
+// the DB or a Session — the two share one body, so their stage lists
+// (and the stage histograms fed from them) agree.
+func TestTracedStagesDBAndSession(t *testing.T) {
+	db := sessionTestDB(t)
+	s := db.Session()
+	ctx := context.Background()
+	const q = `SELECT CHEAPEST SUM(r: w) WHERE 1 REACHES 4 OVER e r EDGE (s, d)`
+	for _, tc := range []struct {
+		name string
+		run  func(QueryOptions) (*Rows, error)
+	}{
+		{"DB", func(qo QueryOptions) (*Rows, error) { return db.QueryRows(ctx, qo, q) }},
+		{"Session", func(qo QueryOptions) (*Rows, error) { return s.QueryRows(ctx, qo, q) }},
+	} {
+		tr := NewTrace()
+		rows, err := tc.run(QueryOptions{Trace: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := rows.Result(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var stages []string
+		for _, c := range tr.Tree().Children {
+			stages = append(stages, c.Name)
+		}
+		if !reflect.DeepEqual(stages, []string{"plan", "execute"}) {
+			t.Fatalf("%s.QueryRows root spans = %v, want [plan execute]\n%s", tc.name, stages, RenderTrace(tr.Tree()))
 		}
 	}
 }
