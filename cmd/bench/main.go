@@ -35,7 +35,7 @@ func parseInts(s string) ([]int, error) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1 | fig1a | fig1b | baselines | phases | queues | dynindex | parallel | execpar | bfspar | parse | trace | all")
+	exp := flag.String("exp", "all", "experiment: table1 | fig1a | fig1b | baselines | phases | queues | dynindex | parallel | execpar | parse | trace | all")
 	sfs := flag.String("sf", "1,3,10", "comma-separated scale factors")
 	shrink := flag.Int("shrink", 10, "divide dataset sizes by this factor (1 = paper size)")
 	pairs := flag.Int("pairs", 20, "random pairs per configuration")
@@ -75,8 +75,8 @@ func main() {
 	if *jsonPath != "" {
 		// Exactly one experiment may own the JSON file: two encoders
 		// appending to one file would produce an invalid document.
-		if *exp != "parallel" && *exp != "execpar" && *exp != "bfspar" && *exp != "parse" && *exp != "trace" {
-			fmt.Fprintf(os.Stderr, "-json is only produced by -exp parallel, execpar, bfspar, parse or trace, not %q\n", *exp)
+		if *exp != "parallel" && *exp != "execpar" && *exp != "parse" && *exp != "trace" {
+			fmt.Fprintf(os.Stderr, "-json is only produced by -exp parallel, execpar, parse or trace, not %q\n", *exp)
 			os.Exit(2)
 		}
 		f, err := os.Create(*jsonPath)
@@ -107,7 +107,6 @@ func main() {
 	run("dynindex", bench.DynamicIndex)
 	run("parallel", bench.Parallel)
 	run("execpar", bench.ExecPar)
-	run("bfspar", bench.BfsPar)
 	run("parse", bench.Parse)
 	run("trace", bench.Trace)
 }

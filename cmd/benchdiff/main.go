@@ -1,5 +1,5 @@
 // Command benchdiff compares -exp parallel / -exp execpar / -exp
-// bfspar / -exp parse / -exp trace JSON artifacts
+// parse / -exp trace JSON artifacts
 // against a committed baseline (bench_baseline.json) and fails when a
 // configuration regressed. Parallel-family points compare self-relative speedups —
 // not absolute seconds — so the check is meaningful across hosts of
@@ -15,13 +15,13 @@
 // machine seconds apart.
 //
 //	go run ./cmd/benchdiff -baseline bench_baseline.json \
-//	    -parallel parallel.json -execpar execpar.json -bfspar bfspar.json \
+//	    -parallel parallel.json -execpar execpar.json \
 //	    -parse parse.json -trace trace.json
 //
 // Record a fresh baseline with -record:
 //
 //	go run ./cmd/benchdiff -record -baseline bench_baseline.json \
-//	    -parallel parallel.json -execpar execpar.json -bfspar bfspar.json \
+//	    -parallel parallel.json -execpar execpar.json \
 //	    -parse parse.json -trace trace.json
 //
 // Exit codes: 0 ok, 1 regression, 2 nothing compared (every point was
@@ -46,7 +46,6 @@ type Baseline struct {
 	Host     string                `json:"host"`
 	Parallel []bench.ParallelPoint `json:"parallel"`
 	ExecPar  []bench.ExecParPoint  `json:"execpar"`
-	BfsPar   []bench.BfsParPoint   `json:"bfspar,omitempty"`
 	Parse    []bench.ParsePoint    `json:"parse,omitempty"`
 	Trace    []bench.TracePoint    `json:"trace,omitempty"`
 }
@@ -63,7 +62,6 @@ func main() {
 	baselinePath := flag.String("baseline", "bench_baseline.json", "baseline file")
 	parallelPath := flag.String("parallel", "", "-exp parallel artifact")
 	execparPath := flag.String("execpar", "", "-exp execpar artifact")
-	bfsparPath := flag.String("bfspar", "", "-exp bfspar artifact")
 	parsePath := flag.String("parse", "", "-exp parse artifact")
 	tracePath := flag.String("trace", "", "-exp trace artifact")
 	allocSlack := flag.Float64("max-alloc-growth", 0.5, "fail when a parse stage's allocs/op exceeds baseline by more than this absolute slack")
@@ -87,11 +85,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *bfsparPath != "" {
-		if err := readJSON(*bfsparPath, &cur.BfsPar); err != nil {
-			fatal(err)
-		}
-	}
 	if *parsePath != "" {
 		if err := readJSON(*parsePath, &cur.Parse); err != nil {
 			fatal(err)
@@ -112,8 +105,8 @@ func main() {
 		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("baseline recorded to %s (%d parallel, %d execpar, %d bfspar, %d parse, %d trace points)\n",
-			*baselinePath, len(cur.Parallel), len(cur.ExecPar), len(cur.BfsPar), len(cur.Parse), len(cur.Trace))
+		fmt.Printf("baseline recorded to %s (%d parallel, %d execpar, %d parse, %d trace points)\n",
+			*baselinePath, len(cur.Parallel), len(cur.ExecPar), len(cur.Parse), len(cur.Trace))
 		return
 	}
 
@@ -133,10 +126,6 @@ func main() {
 	baseExec := map[string]point{}
 	for _, p := range base.ExecPar {
 		baseExec[fmt.Sprintf("%s/sf%d/w%d", p.Workload, p.SF, p.Workers)] = point{p.Speedup, p.Seconds}
-	}
-	baseBfs := map[string]point{}
-	for _, p := range base.BfsPar {
-		baseBfs[fmt.Sprintf("bfspar/sf%d/w%d", p.SF, p.Workers)] = point{p.Speedup, p.TraversalSeconds}
 	}
 
 	compared, skipped, failures := 0, 0, 0
@@ -167,14 +156,6 @@ func main() {
 		key := fmt.Sprintf("%s/sf%d/w%d", p.Workload, p.SF, p.Workers)
 		if b, ok := baseExec[key]; ok {
 			check(key, b, p.Speedup, p.Seconds)
-		} else {
-			skipped++
-		}
-	}
-	for _, p := range cur.BfsPar {
-		key := fmt.Sprintf("bfspar/sf%d/w%d", p.SF, p.Workers)
-		if b, ok := baseBfs[key]; ok {
-			check(key, b, p.Speedup, p.TraversalSeconds)
 		} else {
 			skipped++
 		}
@@ -253,7 +234,7 @@ func main() {
 		fmt.Println("The committed baseline has no parallel signal (or does not match the run shapes).")
 		fmt.Println("Re-record it on the CI host class:")
 		fmt.Println("  go run ./cmd/benchdiff -record -baseline bench_baseline.json \\")
-		fmt.Println("      -parallel parallel.json -execpar execpar.json -bfspar bfspar.json -host \"$(nproc)-core ci\"")
+		fmt.Println("      -parallel parallel.json -execpar execpar.json -host \"$(nproc)-core ci\"")
 		fmt.Println("then commit the file; or pass -allow-empty to accept an unarmed gate explicitly.")
 		os.Exit(2)
 	}

@@ -16,11 +16,10 @@
 //
 // Disconnecting a client (or a -timeout / timeout_ms expiry) cancels
 // the query's context; cancellation reaches inside a single running
-// traversal (per-level in the frontier-parallel BFS, every few
-// thousand pops in BFS/Dijkstra), so an abandoned query frees its
-// worker grant within milliseconds — see the README's "Cancellation
-// granularity". A request canceled while queued for admission never
-// consumes a slot.
+// traversal (every 4096 queue pops in BFS/Dijkstra), so an abandoned
+// query frees its worker grant within milliseconds — see the README's
+// "Cancellation granularity". A request canceled while queued for
+// admission never consumes a slot.
 //
 // See the README's "Running as a server" section for the full API.
 package main

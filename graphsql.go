@@ -48,8 +48,7 @@
 // while writes serialize, QueryCtx threads a context.Context through
 // execution — checked at operator boundaries, between per-source
 // traversals of a batched solve, and inside a single traversal (BFS
-// and Dijkstra poll every few thousand queue pops; the
-// frontier-parallel BFS polls per level), so even a single-source
+// and Dijkstra poll every 4096 queue pops), so even a single-source
 // query over a huge graph aborts within milliseconds of cancellation —
 // and Session handles add session-scoped settings (SET parallelism)
 // plus a prepared parse+plan cache:
@@ -279,8 +278,7 @@ func (db *DB) Query(sql string, args ...any) (*Result, error) {
 // QueryCtx is Query with a cancellation context: when ctx is canceled
 // (client disconnect, timeout) execution stops at the next operator
 // boundary, batch boundary, source-group boundary, or in-traversal
-// poll (every few thousand queue pops; per level in the
-// frontier-parallel BFS) and returns the context's error. SELECT
+// poll (every 4096 queue pops) and returns the context's error. SELECT
 // statements run under the read lock — concurrent with each other —
 // while everything else takes the write lock. It is QueryRows drained
 // into a Result.

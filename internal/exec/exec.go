@@ -35,9 +35,8 @@ type Context struct {
 	// timeouts). It is polled when each operator opens, at every batch
 	// boundary, at the solver's source-group boundaries inside
 	// GraphMatch, and inside a single traversal: BFS/Dijkstra poll every
-	// few thousand queue pops and the frontier-parallel BFS polls per
-	// level, so one huge traversal aborts mid-flight. A nil Ctx never
-	// cancels.
+	// 4096 queue pops, so one huge traversal aborts mid-flight. A nil
+	// Ctx never cancels.
 	Ctx context.Context
 	// Expr holds the host parameter bindings.
 	Expr *expr.Context
@@ -46,9 +45,8 @@ type Context struct {
 	GraphIndexes map[string]*core.DynamicGraph
 	// Parallelism is the worker budget for graph construction and
 	// batched shortest-path solving; <= 0 means one worker per CPU.
-	// When a batch has fewer source groups than workers, the leftover
-	// budget parallelizes the BFS frontier within each traversal (see
-	// graph.Solver).
+	// The solver spends it across source groups only; each traversal
+	// runs on one worker (see graph.Solver).
 	Parallelism int
 	// Trace, when non-nil, records one span per operator (output rows,
 	// wall time, solver frontier levels). TraceSpan is the open span new

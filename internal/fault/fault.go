@@ -59,7 +59,7 @@ const (
 	// PointSolverGroup fires at the start of every source-group
 	// traversal, on the solver pool workers.
 	PointSolverGroup = "solver.group"
-	// PointSolverLevel fires at every level of a frontier-parallel BFS
+	// PointSolverLevel fires at every level boundary of a BFS
 	// traversal, on the traversing goroutine.
 	PointSolverLevel = "solver.level"
 	// PointExecOperator fires before every relational operator.

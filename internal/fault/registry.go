@@ -46,7 +46,7 @@ var Registry = []PointInfo{
 	{
 		Name:    PointSolverLevel,
 		Package: "graphsql/internal/graph",
-		Effect:  "fires at every level of a frontier-parallel BFS traversal, on the traversing goroutine",
+		Effect:  "fires at every level boundary of a BFS traversal (first dequeue of each level), on the traversing goroutine; an error aborts that traversal and fails the batch",
 	},
 	{
 		Name:    PointExecOperator,

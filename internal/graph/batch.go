@@ -65,19 +65,15 @@ type Solver struct {
 	delta *Delta
 	n     int // total vertices (CSR + delta growth)
 	// Parallelism caps the number of solve workers; <= 0 means
-	// runtime.GOMAXPROCS(0). Small batches take a sequential fast path
-	// regardless. When the batch has fewer source groups than the
-	// budget, the leftover workers parallelize *within* each BFS
-	// traversal (frontier-parallel levels, see bfspar.go), so a
-	// single-source query on a huge graph is no longer pinned to one
-	// core.
+	// runtime.GOMAXPROCS(0). Parallelism is across source groups only:
+	// every traversal runs on one worker, so a single-source query uses
+	// one core. Small batches take a sequential fast path regardless.
 	Parallelism int
 	// Ctx carries optional cancellation (client disconnects, server
-	// timeouts). It is checked at the source-group boundary, inside
-	// sequential traversals every cancelCheckInterval pops, and at
-	// every level of a frontier-parallel BFS — so a canceled query
-	// aborts a single in-flight traversal within milliseconds rather
-	// than running it to completion.
+	// timeouts). It is checked at the source-group boundary and inside
+	// every traversal every cancelCheckInterval pops, so a canceled
+	// query aborts a single in-flight traversal within milliseconds
+	// rather than running it to completion.
 	Ctx context.Context
 	// OnLevel, when non-nil, receives one (level, frontier size) sample
 	// per BFS level of every traversal (level 0 is the source itself).
@@ -85,9 +81,8 @@ type Solver struct {
 	// concurrent use and samples from distinct sources may interleave.
 	// Observation only — it cannot affect results. Nil is free.
 	OnLevel func(level int64, size int)
-	// forceParallel bypasses the sequential fast-path heuristics (both
-	// across and within source groups) so tests can exercise the worker
-	// pool on tiny inputs.
+	// forceParallel bypasses the sequential fast-path heuristic so
+	// tests can exercise the worker pool on tiny inputs.
 	forceParallel bool
 	// scratches pools per-worker traversal state across Solve calls;
 	// scratches[0] doubles as the sequential-path scratch.
@@ -205,7 +200,6 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 	}
 
 	workers := s.solveWorkers(len(groups))
-	intra := s.intraWorkers(len(groups), workers)
 	// Grow the scratch pool up front: workers index it concurrently.
 	for w := 0; w < workers; w++ {
 		s.scratch(w)
@@ -223,7 +217,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 			return
 		}
 		group := order[groups[i].lo:groups[i].hi]
-		if err := s.solveGroup(s.scratches[worker], srcs[group[0]], group, dsts, specs, sol, intra); err != nil {
+		if err := s.solveGroup(s.scratches[worker], srcs[group[0]], group, dsts, specs, sol); err != nil {
 			canceled.Store(true)
 			failOnce.Do(func() { failErr = err })
 		}
@@ -275,40 +269,13 @@ func (s *Solver) solveWorkers(groups int) int {
 	return workers
 }
 
-// intraWorkers picks the frontier parallelism of each BFS traversal:
-// the share of the budget that source-group parallelism leaves idle.
-// A batch with at least as many groups as workers keeps traversals
-// sequential (the across-source partition already saturates the
-// budget); a single-source query on a large graph gets the whole
-// budget inside its one traversal.
-func (s *Solver) intraWorkers(groups, outer int) int {
-	if groups == 0 {
-		return 1
-	}
-	budget := resolveWorkers(s.Parallelism)
-	if budget <= groups {
-		return 1
-	}
-	if !s.forceParallel && s.traversalWork() < minParallelSolveWork {
-		return 1
-	}
-	// outer is groups when the across-source pool runs, 1 otherwise;
-	// divide by the larger so outer×intra never exceeds the budget.
-	div := groups
-	if outer > div {
-		div = outer
-	}
-	return budget / div
-}
-
 // solveGroup answers all pairs sharing one source vertex. It runs
 // concurrently for distinct groups, so it must write only through its
-// private scratch and the pair indices of its own group. intra > 1
-// runs the BFS frontier-parallel over that many workers. A non-nil
+// private scratch and the pair indices of its own group. A non-nil
 // error means the traversal stopped mid-flight (cancellation or an
 // injected fault) and the group's outputs are partial garbage the
 // caller must discard.
-func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution, intra int) error {
+func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) error {
 	if err := fault.Inject(fault.PointSolverGroup); err != nil {
 		return err
 	}
@@ -343,13 +310,7 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 			sc.bfs = newBFSState(s.n)
 		}
 		sc.bfs.onLevel = s.OnLevel
-		var err error
-		if intra > 1 {
-			_, err = sc.bfs.runBFSParallel(s.g, s.delta, src, sc.wanted, distinct, intra, s.Ctx)
-		} else {
-			_, err = sc.bfs.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx)
-		}
-		if err != nil {
+		if _, err := sc.bfs.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
 			return err
 		}
 		for _, i := range group {

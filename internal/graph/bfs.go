@@ -1,6 +1,10 @@
 package graph
 
-import "context"
+import (
+	"context"
+
+	"graphsql/internal/fault"
+)
 
 // bfsState holds per-vertex scratch reused across BFS runs. Instead of
 // clearing O(V) state between sources, entries carry an epoch stamp and
@@ -15,12 +19,9 @@ type bfsState struct {
 	epoch        []uint32
 	cur          uint32
 	queue        []VertexID
-	// par holds the frontier-parallel scratch (claim array, per-worker
-	// candidate buffers); nil until the first parallel run.
-	par *bfsParState
 	// onLevel, when non-nil, receives one (level, frontier size) sample
 	// per BFS level (level 0 is the source itself). Set per traversal
-	// from Solver.OnLevel; nil costs one pointer check per dequeue.
+	// from Solver.OnLevel; nil costs one pointer check per level.
 	onLevel func(level int64, size int)
 }
 
@@ -60,7 +61,8 @@ func (s *bfsState) visit(v VertexID, dist int64, row int32, from VertexID) {
 // appended after the CSR snapshot. It returns the number of wanted
 // vertices actually reached. ctx (optional) is polled every
 // cancelCheckInterval dequeues so one huge traversal aborts mid-flight
-// rather than running to completion.
+// rather than running to completion. Each level boundary fires
+// fault.PointSolverLevel and reports the level to onLevel.
 func (s *bfsState) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantLeft int, ctx context.Context) (int, error) {
 	s.reset()
 	s.visit(src, 0, -1, NoVertex)
@@ -73,10 +75,7 @@ func (s *bfsState) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wan
 		}
 	}
 	s.queue = append(s.queue, src)
-	// The queue pops vertices in non-decreasing dist order, so a dist
-	// change at the head is a level boundary; counting pops per level
-	// reports the same frontier sizes the level-synchronous variant sees.
-	lvl, lvlCount := int64(-1), 0
+	lvl := int64(-1)
 	for head := 0; head < len(s.queue); head++ {
 		if ctx != nil && head&(cancelCheckInterval-1) == cancelCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
@@ -85,14 +84,17 @@ func (s *bfsState) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wan
 		}
 		u := s.queue[head]
 		du := s.dist[u]
-		if s.onLevel != nil {
-			if du != lvl {
-				if lvlCount > 0 {
-					s.onLevel(lvl, lvlCount)
-				}
-				lvl, lvlCount = du, 0
+		if du != lvl {
+			// The queue pops vertices in non-decreasing dist order, so
+			// the first pop of a new dist is a level boundary: every
+			// vertex of level du is queued and none of level du+1 yet.
+			lvl = du
+			if err := fault.Inject(fault.PointSolverLevel); err != nil {
+				return reached, err
 			}
-			lvlCount++
+			if s.onLevel != nil {
+				s.onLevel(du, len(s.queue)-head)
+			}
 		}
 		relax := func(v VertexID, row int32) bool {
 			if s.visited(v) {
@@ -124,9 +126,6 @@ func (s *bfsState) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wan
 				}
 			}
 		}
-	}
-	if s.onLevel != nil && lvlCount > 0 {
-		s.onLevel(lvl, lvlCount)
 	}
 	return reached, nil
 }

@@ -1,0 +1,200 @@
+package graph
+
+import (
+	"context"
+	"reflect"
+	"sync/atomic"
+	"testing"
+)
+
+// TestBFSPathToUnreached is the regression test for the stale-scratch
+// bug: pathTo on a vertex the current run never visited used to read
+// dist/parentRow from an earlier epoch and fabricate a garbage path.
+// It must report not-reached instead — in particular for a vertex a
+// *previous* run did visit.
+func TestBFSPathToUnreached(t *testing.T) {
+	// 0 -> 1 -> 2, and isolated 3; 2 unreachable from 1's component
+	// when starting at 2.
+	g, err := buildCSRSeq(context.Background(), 4, []VertexID{0, 1}, []VertexID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newBFSState(4)
+	wanted := make([]bool, 4)
+	wanted[2] = true
+	if reached, _ := s.runBFS(g, nil, 0, wanted, 1, nil); reached != 1 {
+		t.Fatalf("first run: reached = %d, want 1", reached)
+	}
+	if p, ok := s.pathTo(2); !ok || len(p) != 2 {
+		t.Fatalf("first run: pathTo(2) = %v, %v; want 2-hop path", p, ok)
+	}
+	// Second run from the isolated vertex: 2 keeps its stale dist=2,
+	// parentRow scratch from the first epoch, but must read as
+	// not-reached now.
+	wanted[2] = false
+	wanted[0] = true
+	if reached, _ := s.runBFS(g, nil, 3, wanted, 1, nil); reached != 0 {
+		t.Fatal("second run reached a vertex from the isolated source")
+	}
+	for _, v := range []VertexID{0, 1, 2} {
+		if p, ok := s.pathTo(v); ok || p != nil {
+			t.Fatalf("pathTo(%d) after isolated run = %v, %v; want nil, false", v, p, ok)
+		}
+	}
+	// Same guard on the Dijkstra scratch.
+	d := newDijkstraState(4)
+	weights := []int64{1, 1}
+	if reached, _ := d.runInt(g, nil, 0, weights, wanted[:], 1, nil); reached != 1 {
+		t.Fatal("dijkstra first run did not reach 0... (source is wanted)")
+	}
+	if _, err := d.runInt(g, nil, 3, weights, make([]bool, 4), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := d.pathTo(2); ok || p != nil {
+		t.Fatalf("dijkstra pathTo(2) after isolated run = %v, %v; want nil, false", p, ok)
+	}
+}
+
+// countdownCtx is a context whose Err flips to Canceled after a fixed
+// number of Err calls — a deterministic stand-in for "the client
+// disconnects while the traversal is in flight" that lets tests assert
+// exactly how much work runs after cancellation is observable.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(calls int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(calls)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBFSReportsEveryLevel pins the per-level samples the solver hands
+// to OnLevel (EXPLAIN ANALYZE frontier lines, the benchmark's
+// bfs_levels_per_query): one (level, frontier size) per level the
+// traversal started expanding, including the level it stops on after
+// an early exit, and none when the source is the only destination.
+func TestBFSReportsEveryLevel(t *testing.T) {
+	type level struct {
+		level int64
+		size  int
+	}
+	line := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	tree := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}}
+	for _, tc := range []struct {
+		name     string
+		n        int
+		edges    [][2]int
+		src, dst VertexID
+		want     []level
+	}{
+		{"early exit on a line", 4, line, 0, 3, []level{{0, 1}, {1, 1}, {2, 1}}},
+		{"early exit mid-level", 5, tree, 0, 3, []level{{0, 1}, {1, 2}}},
+		{"exhausted component", 6, tree, 0, 5, []level{{0, 1}, {1, 2}, {2, 1}, {3, 1}}},
+		{"src == dst", 4, line, 2, 2, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver(buildTestCSR(t, tc.n, tc.edges))
+			var got []level
+			s.OnLevel = func(l int64, size int) { got = append(got, level{l, size}) }
+			if _, err := s.Solve([]VertexID{tc.src}, []VertexID{tc.dst}, []Spec{{Unit: true, UnitI: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("levels = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSequentialTraversalCancelGranularity asserts every traversal
+// polls its context: queue BFS and the Dijkstra variants abort within
+// cancelCheckInterval pops of cancellation instead of running
+// the traversal to completion (the old source-group granularity).
+func TestSequentialTraversalCancelGranularity(t *testing.T) {
+	// A chain: every dequeue visits exactly one new vertex, so the
+	// visited count measures the post-cancel overrun directly.
+	n := 4 * cancelCheckInterval
+	src := make([]VertexID, n-1)
+	dst := make([]VertexID, n-1)
+	weights := make([]int64, n-1)
+	for i := range src {
+		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
+	}
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wanted := make([]bool, n)
+
+	s := newBFSState(n)
+	if _, err := s.runBFS(g, nil, 0, wanted, 0, newCountdownCtx(1)); err == nil {
+		t.Fatal("canceled BFS returned nil error")
+	}
+	if got, limit := len(s.queue), 2*cancelCheckInterval+2; got > limit {
+		t.Fatalf("BFS visited %d vertices after cancellation, want <= %d", got, limit)
+	}
+
+	d := newDijkstraState(n)
+	countSettled := func() int {
+		c := 0
+		for v := 0; v < n; v++ {
+			if d.seen(VertexID(v)) && d.settled[v] {
+				c++
+			}
+		}
+		return c
+	}
+	if _, err := d.runInt(g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
+		t.Fatal("canceled Dijkstra (radix) returned nil error")
+	}
+	if got, limit := countSettled(), 2*cancelCheckInterval+2; got > limit {
+		t.Fatalf("Dijkstra settled %d vertices after cancellation, want <= %d", got, limit)
+	}
+	if _, err := d.runIntBinaryHeap(g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
+		t.Fatal("canceled Dijkstra (binary heap) returned nil error")
+	}
+	fweights := make([]float64, len(weights))
+	for i := range fweights {
+		fweights[i] = 1
+	}
+	if _, err := d.runFloat(g, nil, 0, fweights, wanted, 0, newCountdownCtx(1)); err == nil {
+		t.Fatal("canceled Dijkstra (float) returned nil error")
+	}
+}
+
+// TestSolverCancelSingleTraversal checks the end-to-end contract at
+// the Solver level: a single-source solve (one group — the case the
+// old source-group granularity could never abort) returns the
+// context's error once canceled mid-traversal, for both BFS and
+// Dijkstra specs.
+func TestSolverCancelSingleTraversal(t *testing.T) {
+	n := 4 * cancelCheckInterval
+	src := make([]VertexID, n-1)
+	dst := make([]VertexID, n-1)
+	weights := make([]int64, n-1)
+	for i := range src {
+		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
+	}
+	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{{Unit: true, UnitI: 1}, {WeightsI: weights}} {
+		s := NewSolver(g)
+		// 2 polls: one consumed at the group boundary, the next inside
+		// the traversal.
+		s.Ctx = newCountdownCtx(2)
+		if _, err := s.Solve([]VertexID{0}, []VertexID{VertexID(n - 1)}, []Spec{spec}); err != context.Canceled {
+			t.Fatalf("spec %+v: err = %v, want context.Canceled", spec, err)
+		}
+	}
+}

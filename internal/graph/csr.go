@@ -256,27 +256,3 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 	}
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
 }
-
-// Reverse returns the CSR of the transposed graph. Perm entries still
-// refer to the original edge rows.
-func (g *CSR) Reverse(ctx context.Context) (*CSR, error) {
-	m := len(g.Targets)
-	src := make([]VertexID, m)
-	dst := make([]VertexID, m)
-	for v := VertexID(0); int(v) < g.N; v++ {
-		lo, hi := g.edgeRange(v)
-		for p := lo; p < hi; p++ {
-			src[p] = g.Targets[p]
-			dst[p] = v
-		}
-	}
-	rev, err := buildCSRSeq(ctx, g.N, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	// Fix Perm to reference original rows rather than positions.
-	for p := range rev.Perm {
-		rev.Perm[p] = g.Perm[rev.Perm[p]]
-	}
-	return rev, nil
-}

@@ -104,19 +104,16 @@ func TestSolverWorkerPanicSurfaces(t *testing.T) {
 	}
 }
 
-// TestSolverLevelFaultStopsTraversal covers the frontier-parallel BFS
-// level point: a mid-traversal injected error aborts the one traversal
-// and surfaces from Solve.
+// TestSolverLevelFaultStopsTraversal covers the BFS level point: a
+// mid-traversal injected error aborts the one traversal and surfaces
+// from Solve.
 func TestSolverLevelFaultStopsTraversal(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	g, _, _ := buildLine(t, 64)
 	if err := fault.Set(fault.Rule{Point: fault.PointSolverLevel, Kind: fault.KindError, After: 5}); err != nil {
 		t.Fatal(err)
 	}
-	// One pair = one group: intra-traversal parallelism gets the budget.
 	s := NewSolver(g)
-	s.Parallelism = 4
-	s.forceParallel = true
 	_, err := s.Solve([]VertexID{0}, []VertexID{63}, []Spec{{Unit: true, UnitI: 1}})
 	var inj *fault.InjectedError
 	if !errors.As(err, &inj) || inj.Point != fault.PointSolverLevel {

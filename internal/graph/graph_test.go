@@ -75,17 +75,6 @@ func TestCSRPermReferencesOriginalRows(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := buildTestCSR(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	r, err := g.Reverse(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OutDegree(2) != 2 || r.OutDegree(0) != 0 {
-		t.Fatalf("reverse degrees wrong: deg(2)=%d deg(0)=%d", r.OutDegree(2), r.OutDegree(0))
-	}
-}
-
 func TestDictIntAndString(t *testing.T) {
 	d := NewIntDict(0)
 	a := d.EncodeInt(100)

@@ -24,12 +24,11 @@ const (
 	minParallelCSREdges = 1 << 16
 	// minParallelEncodeKeys gates parallel dictionary encoding.
 	minParallelEncodeKeys = 1 << 15
-	// cancelCheckInterval is how many queue pops a sequential traversal
-	// (BFS dequeues, Dijkstra settles) runs between Ctx polls. Power of
-	// two; at graph-traversal speeds this bounds the latency of a
+	// cancelCheckInterval is how many queue pops a traversal (BFS
+	// dequeues, Dijkstra settles) runs between Ctx polls. Power of two;
+	// at graph-traversal speeds this bounds the latency of a
 	// cancellation to well under a millisecond of extra work while
-	// keeping the poll itself out of the hot loop. The frontier-parallel
-	// BFS polls once per level instead (see bfspar.go).
+	// keeping the poll itself out of the hot loop.
 	cancelCheckInterval = 1 << 12
 )
 
