@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"graphsql/internal/baseline"
@@ -36,17 +35,11 @@ type Options struct {
 	BatchSizes []int
 	// Seed fixes the workload.
 	Seed uint64
-	// Workers are the worker counts swept by the parallel experiment.
-	// Default: 1, 2, 4, … up to GOMAXPROCS.
-	Workers []int
-	// Parallelism sets the engine worker budget for the non-sweep
-	// experiments (0 = one worker per CPU).
+	// Parallelism sets the engine worker budget (0 = one worker per
+	// CPU).
 	Parallelism int
 	// Out receives the report.
 	Out io.Writer
-	// JSONOut, when non-nil, additionally receives machine-readable
-	// results from experiments that emit them (currently parallel).
-	JSONOut io.Writer
 }
 
 // Defaults fills unset fields with laptop-friendly values.
@@ -65,13 +58,6 @@ func (o *Options) Defaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if len(o.Workers) == 0 {
-		p := runtime.GOMAXPROCS(0)
-		for w := 1; w < p; w *= 2 {
-			o.Workers = append(o.Workers, w)
-		}
-		o.Workers = append(o.Workers, p)
 	}
 }
 
@@ -132,11 +118,13 @@ func timeQuery(e *engine.Engine, q string, src, dst []int64) (time.Duration, err
 
 // Fig1a reproduces figure 1a: average latency per query for Q13
 // (unweighted) and the Q14 variant (weighted) over a scale-factor
-// sweep.
+// sweep. The Q14f column is the same weighted query over the float
+// affinity (binary-heap Dijkstra, the fallback when weights cannot use
+// the radix queue); ratio is Q14var over Q13.
 func Fig1a(o Options) error {
 	o.Defaults()
 	fmt.Fprintf(o.Out, "Figure 1a: average latency per query (shrink=%d, %d pairs per SF)\n", o.Shrink, o.Pairs)
-	fmt.Fprintf(o.Out, "%-6s %14s %16s %10s\n", "SF", "Q13 (s)", "Q14var (s)", "ratio")
+	fmt.Fprintf(o.Out, "%-6s %14s %16s %14s %10s\n", "SF", "Q13 (s)", "Q14var (s)", "Q14f (s)", "ratio")
 	for _, sf := range o.SFs {
 		e, ds, err := Setup(sf, o.Shrink, o.Seed)
 		if err != nil {
@@ -156,8 +144,12 @@ func Fig1a(o Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(o.Out, "%-6d %14.6f %16.6f %10.3f\n",
-			sf, t13.Seconds(), t14.Seconds(), t14.Seconds()/t13.Seconds())
+		t14f, err := timeQuery(e, Q14FloatVariant, src, dst)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(o.Out, "%-6d %14.6f %16.6f %14.6f %10.3f\n",
+			sf, t13.Seconds(), t14.Seconds(), t14f.Seconds(), t14.Seconds()/t13.Seconds())
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -43,12 +42,12 @@ func TestExperimentsRunEndToEnd(t *testing.T) {
 		want []string
 	}{
 		{"table1", Table1, []string{"Table 1", "9892", "362000"}},
-		{"fig1a", Fig1a, []string{"Figure 1a", "Q13", "Q14var", "ratio"}},
+		{"fig1a", Fig1a, []string{"Figure 1a", "Q13", "Q14var", "Q14f", "ratio"}},
 		{"fig1b", Fig1b, []string{"Figure 1b", "b=1", "b=4"}},
 		{"baselines", Baselines, []string{"native REACHES", "recursive CTE", "PSM", "self-join"}},
 		{"phases", Phases, []string{"build (s)", "solve (s)", "indexed"}},
 		{"queues", DijkstraQueues, []string{"radix", "binheap"}},
-		{"parallel", Parallel, []string{"Parallel scalability", "workers", "speedup"}},
+		{"dynindex", DynamicIndex, []string{"E7", "adhoc", "rebuild", "delta"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -65,33 +64,6 @@ func TestExperimentsRunEndToEnd(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelEmitsJSON checks the machine-readable output contract
-// of the scalability experiment: a JSON array with one point per
-// (SF, workers) pair and the stable field names tooling keys on.
-func TestParallelEmitsJSON(t *testing.T) {
-	var out, jsonBuf bytes.Buffer
-	o := Options{SFs: []int{1}, Shrink: 100, Pairs: 2, BatchSizes: []int{1, 8},
-		Seed: 1, Workers: []int{1, 2}, Out: &out, JSONOut: &jsonBuf}
-	if err := Parallel(o); err != nil {
-		t.Fatal(err)
-	}
-	var points []ParallelPoint
-	if err := json.Unmarshal(jsonBuf.Bytes(), &points); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, jsonBuf.String())
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	for i, p := range points {
-		if p.SF != 1 || p.Batch != 8 || p.Workers != o.Workers[i] {
-			t.Fatalf("point %d malformed: %+v", i, p)
-		}
-		if p.QuerySeconds <= 0 || p.Speedup <= 0 {
-			t.Fatalf("point %d missing timings: %+v", i, p)
-		}
 	}
 }
 

@@ -118,23 +118,6 @@ func (ctx *Context) orDefault() *Context {
 	return ctx
 }
 
-// Execute runs a plan to completion and returns the whole result as
-// one chunk: Build, Open, drain, Close. With a trace attached every
-// operator records a span carrying its Describe line, wall time and
-// output row count, nested to mirror the plan tree.
-func Execute(n plan.Node, ctx *Context) (*storage.Chunk, error) {
-	ctx = ctx.orDefault()
-	op, err := Build(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	return drainInput(op)
-}
-
 func planNodeError(n plan.Node) error {
 	return fmt.Errorf("internal: unknown plan node %T", n)
 }

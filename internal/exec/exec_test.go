@@ -25,9 +25,26 @@ func mkChunk(name string, vals ...int64) *storage.Chunk {
 
 func scan(c *storage.Chunk) plan.Node { return &plan.ChunkScan{Chunk: c, Name: "t"} }
 
+// runPlan runs a plan to completion and returns the whole result as
+// one chunk: Build, Open, drain, Close. With a trace attached every
+// operator records a span carrying its Describe line, wall time and
+// output row count, nested to mirror the plan tree.
+func runPlan(n plan.Node, ctx *Context) (*storage.Chunk, error) {
+	ctx = ctx.orDefault()
+	op, err := Build(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	if err := op.Open(ctx); err != nil {
+		return nil, err
+	}
+	return drainInput(op)
+}
+
 func execute(t *testing.T, n plan.Node) *storage.Chunk {
 	t.Helper()
-	out, err := Execute(n, &Context{})
+	out, err := runPlan(n, &Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +152,7 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 		}
 		left, right := randSide("l"), randSide("r")
 		j := &plan.Join{Type: plan.JoinInner, Left: scan(left), Right: scan(right), On: eqCond(0, 2)}
-		out, err := Execute(j, &Context{})
+		out, err := runPlan(j, &Context{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +254,7 @@ func TestSharedNodeExecutesOnce(t *testing.T) {
 			}
 		})
 		ctx := &Context{BatchRows: br}
-		out, err := Execute(j, ctx)
+		out, err := runPlan(j, ctx)
 		SetBatchObserver(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -68,13 +68,13 @@ func randChunk(r *rand.Rand, name string, n int) *storage.Chunk {
 func runBoth(t *testing.T, seed int64, n plan.Node) {
 	t.Helper()
 	seqCtx := &Context{Parallelism: 1}
-	seq, err := Execute(n, seqCtx)
+	seq, err := runPlan(n, seqCtx)
 	if err != nil {
 		t.Fatalf("seed %d: sequential: %v", seed, err)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		parCtx := &Context{Parallelism: workers}
-		got, err := Execute(n, parCtx)
+		got, err := runPlan(n, parCtx)
 		if err != nil {
 			t.Fatalf("seed %d: parallel(%d): %v", seed, workers, err)
 		}

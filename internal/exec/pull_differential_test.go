@@ -33,7 +33,7 @@ const singleBatch = 1_000_000
 // requiring render-identical results. It returns the reference.
 func diffExec(t *testing.T, name string, n plan.Node) *storage.Chunk {
 	t.Helper()
-	ref, err := Execute(n, &Context{BatchRows: singleBatch})
+	ref, err := runPlan(n, &Context{BatchRows: singleBatch})
 	if err != nil {
 		t.Fatalf("%s: single batch: %v", name, err)
 	}
@@ -42,7 +42,7 @@ func diffExec(t *testing.T, name string, n plan.Node) *storage.Chunk {
 	}
 	want := ref.String()
 	for _, br := range diffBatchSizes {
-		got, err := Execute(n, &Context{BatchRows: br})
+		got, err := runPlan(n, &Context{BatchRows: br})
 		if err != nil {
 			t.Fatalf("%s: batch=%d: %v", name, br, err)
 		}
@@ -288,7 +288,7 @@ func TestPullBoundedIntermediates(t *testing.T) {
 		}
 	})
 	defer SetBatchObserver(prev)
-	out, err := Execute(pipeline, &Context{BatchRows: bound})
+	out, err := runPlan(pipeline, &Context{BatchRows: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestPullLimitStopsPulling(t *testing.T) {
 	seen := 0
 	prev := SetBatchObserver(func(op string, rows int) { seen += rows })
 	defer SetBatchObserver(prev)
-	out, err := Execute(n, &Context{BatchRows: bound})
+	out, err := runPlan(n, &Context{BatchRows: bound})
 	if err != nil {
 		t.Fatal(err)
 	}

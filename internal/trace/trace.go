@@ -4,8 +4,8 @@
 //
 // A *Trace is created once per query (or not at all) and threaded down
 // the existing seams: the server brackets resolve/admission/encode, the
-// facade brackets parse/fingerprint/plan-cache, exec.Execute opens one
-// span per operator (rows out, wall time), and the shortest-path solver
+// facade brackets parse/fingerprint/plan-cache, each exec operator opens
+// one span (rows out, wall time), and the shortest-path solver
 // reports per-level frontier sizes through a callback installed from
 // the trace carried in the context. All methods are nil-receiver-safe:
 // a nil *Trace is the disabled path and performs no work and no
