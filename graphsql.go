@@ -21,15 +21,15 @@
 //
 // Query execution is multi-core end to end. The shortest-path runtime
 // drains batched per-source traversals over a worker pool and builds
-// the graph (dictionary encoding, CSR) chunked across workers; the
-// relational operators around it opt into the same budget — hash
-// joins partition build and probe, GROUP BY pre-aggregates per row
-// partition (or accumulates per group when exact float/DISTINCT
-// ordering demands it), ORDER BY runs a stable parallel merge sort,
-// and DISTINCT and set operations shard rows by hash key — and result
-// materialization (row gather, cost columns, nested-table paths) is
-// partitioned the same way. The default budget is one worker per CPU;
-// WithParallelism overrides it:
+// the graph (dictionary encoding, CSR) chunked across workers; each
+// relational breaker around it has one core that spends the same
+// budget — hash joins partition build and probe, GROUP BY
+// pre-aggregates per row partition (or accumulates per group when
+// exact float/DISTINCT ordering demands it), ORDER BY runs a stable
+// parallel merge sort, and DISTINCT and set operations shard rows by
+// hash key — and result materialization (row gather, cost columns,
+// nested-table paths) is partitioned the same way. The default budget
+// is one worker per CPU; WithParallelism overrides it:
 //
 //	db := graphsql.Open(graphsql.WithParallelism(4)) // cap at 4 workers
 //	db := graphsql.Open(graphsql.WithParallelism(1)) // force sequential
@@ -38,9 +38,10 @@
 // partitions independent work (per-source traversals, edge chunks, row
 // ranges, key shards) over disjoint outputs merged in a fixed order,
 // and never reorders the computation inside one unit. A differential
-// test harness holds every operator to that guarantee. Small inputs
-// take a sequential fast path regardless, so point queries pay no
-// goroutine overhead.
+// test harness and a row-at-a-time relational oracle hold every
+// operator to that guarantee. Below a size gate the same cores run on
+// one worker as plain loops, so point queries pay no goroutine
+// overhead.
 //
 // # Serving
 //

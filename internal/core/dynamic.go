@@ -17,7 +17,7 @@ import (
 // problem of the paper's §6 — graph indices must be "amenable to the
 // updates on the underlying tables" even though the CSR itself is
 // immutable. Appended rows are absorbed in O(new edges); once the
-// delta outgrows RebuildFraction of the snapshot the whole index is
+// delta outgrows rebuildFraction of the snapshot the whole index is
 // rebuilt.
 //
 // Restrictions: the underlying table must be append-only between
@@ -37,11 +37,11 @@ type DynamicGraph struct {
 	// appliedRows counts the source-table rows already reflected
 	// (snapshot + delta).
 	appliedRows int
-	// RebuildFraction triggers a snapshot rebuild once
-	// delta edges > RebuildFraction × snapshot edges. 0 means the
-	// default of 0.25.
-	RebuildFraction float64
 }
+
+// rebuildFraction triggers a snapshot rebuild once
+// delta edges > rebuildFraction × snapshot edges.
+const rebuildFraction = 0.25
 
 // NewDynamicGraph builds the initial snapshot from the table chunk
 // with the default parallelism.
@@ -61,7 +61,7 @@ func NewDynamicGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*D
 	return &DynamicGraph{pg: pg, appliedRows: edges.NumRows()}, nil
 }
 
-// Prepared exposes the current snapshot (plus delta via Solver()).
+// Prepared exposes the current snapshot (without the delta).
 func (dg *DynamicGraph) Prepared() *PreparedGraph {
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
@@ -92,11 +92,7 @@ func (dg *DynamicGraph) deltaEdgesLocked() int {
 
 // rebuildThreshold returns the delta size that triggers a rebuild.
 func (dg *DynamicGraph) rebuildThreshold() int {
-	f := dg.RebuildFraction
-	if f <= 0 {
-		f = 0.25
-	}
-	t := int(f * float64(dg.pg.NumEdges()))
+	t := int(rebuildFraction * float64(dg.pg.NumEdges()))
 	if t < 64 {
 		t = 64 // tiny graphs: don't rebuild on every insert
 	}
@@ -199,18 +195,6 @@ func ownEdgesChunk(pg *PreparedGraph, snapshotRows int) {
 	}
 	pg.Edges = pg.Edges.Gather(rows)
 	pg.edgesOwned = true
-}
-
-// Solver returns a solver over the snapshot plus the delta. The
-// returned solver aliases the live delta, so the caller must not run
-// it concurrently with RefreshCtx (the query path uses MatchCtx, which
-// holds the read lock for the whole solve, instead).
-func (dg *DynamicGraph) Solver() *graph.Solver {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	s := graph.NewSolverWithDelta(dg.pg.CSR, dg.delta)
-	s.Parallelism = dg.pg.Parallelism
-	return s
 }
 
 // MatchCtx runs a GraphMatch through the dynamic index

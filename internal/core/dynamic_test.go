@@ -83,7 +83,6 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg.RebuildFraction = 0.25
 	// Push well past the 64-edge floor of the rebuild threshold.
 	for i := int64(1); i <= 100; i++ {
 		appendEdge(tbl, i, i+1, 1)

@@ -31,8 +31,8 @@ func newAggStates(aggs []plan.AggSpec) []aggState {
 }
 
 // accumRow folds input row `row` into the state row st. This is the
-// single accumulation routine shared by the sequential and both
-// parallel paths, so their per-group state transitions are identical.
+// single accumulation routine shared by both grouping paths, so their
+// per-group state transitions are identical.
 func accumRow(aggs []plan.AggSpec, st []aggState, argCols []*storage.Column, row int) {
 	for i := range aggs {
 		spec := &aggs[i]
@@ -100,14 +100,17 @@ func aggregateCore(a *plan.Aggregate, in *storage.Chunk, ctx *Context) (*storage
 		argCols[i] = c
 	}
 
-	var groupRows []int // one representative row per group
+	// groupRows holds one representative row per group. Partial states
+	// that cannot merge exactly fold per group instead; a global
+	// aggregate is one group, so it folds in one partition.
+	var groupRows []int
 	var states [][]aggState
 	workers := ctx.workers(n)
 	switch {
-	case workers <= 1:
-		groupRows, states = aggSequential(a.Aggs, groupCols, argCols, n)
-	case aggMergeSafe(a.Aggs):
+	case workers <= 1 || aggMergeSafe(a.Aggs):
 		groupRows, states = aggPartitioned(a.Aggs, groupCols, argCols, n, workers)
+	case len(a.GroupBy) == 0:
+		groupRows, states = aggPartitioned(a.Aggs, groupCols, argCols, n, 1)
 	default:
 		groupRows, states = aggPerGroup(a.Aggs, groupCols, argCols, n, workers)
 	}
@@ -166,30 +169,6 @@ func aggregateCore(a *plan.Aggregate, in *storage.Chunk, ctx *Context) (*storage
 	return out, nil
 }
 
-// aggSequential is the single-threaded grouping loop: one pass,
-// groups numbered by first appearance.
-func aggSequential(aggs []plan.AggSpec, groupCols, argCols []*storage.Column, n int) ([]int, [][]aggState) {
-	groups := make(map[string]int, 64)
-	var groupRows []int
-	states := make([][]aggState, 0, 64)
-	var buf []byte
-	for row := 0; row < n; row++ {
-		buf = buf[:0]
-		for _, gc := range groupCols {
-			buf = encodeKey(buf, gc, row)
-		}
-		gid, ok := groups[string(buf)]
-		if !ok {
-			gid = len(groupRows)
-			groups[string(buf)] = gid
-			groupRows = append(groupRows, row)
-			states = append(states, newAggStates(aggs))
-		}
-		accumRow(aggs, states[gid], argCols, row)
-	}
-	return groupRows, states
-}
-
 // aggMergeSafe reports whether every aggregate's partial states can be
 // merged across row partitions without changing the result bit for
 // bit: COUNT and integer SUM are associative, MIN/MAX keep the
@@ -219,36 +198,30 @@ func aggMergeSafe(aggs []plan.AggSpec) bool {
 // localAgg is one row partition's private aggregation result: groups
 // in first-appearance order within the partition.
 type localAgg struct {
-	keys   []string
 	reps   []int
 	states [][]aggState
 }
 
-// aggPartitioned is partitioned pre-aggregation for merge-safe
-// aggregate sets: contiguous row partitions aggregate privately (no
-// shared state, no per-row key allocation on group hits), then the
-// partials merge sequentially in partition order. Because partitions
-// are contiguous and merged in order, global group numbering is by
-// first appearance — identical to the sequential loop — and merge-safe
-// states merge exactly.
+// aggPartitioned is partitioned pre-aggregation: contiguous row
+// partitions aggregate privately (no shared state, no per-row key
+// allocation on group hits), then the partials merge sequentially in
+// partition order, each re-keyed from its representative row. Because
+// partitions are contiguous and merged in order, global group numbering
+// is by first appearance and merge-safe states merge exactly. One
+// partition is the sequential grouping loop itself and needs no merge,
+// so any aggregate set may run there.
 func aggPartitioned(aggs []plan.AggSpec, groupCols, argCols []*storage.Column, n, workers int) ([]int, [][]aggState) {
-	nRanges := par.NumRanges(workers, n)
-	locals := make([]localAgg, nRanges)
+	locals := make([]localAgg, par.NumRanges(workers, n))
 	par.Ranges(workers, n, func(w, lo, hi int) {
 		groups := make(map[string]int, 64)
 		var local localAgg
 		var buf []byte
 		for row := lo; row < hi; row++ {
-			buf = buf[:0]
-			for _, gc := range groupCols {
-				buf = encodeKey(buf, gc, row)
-			}
+			buf = appendRowKey(buf[:0], groupCols, row)
 			gid, ok := groups[string(buf)]
 			if !ok {
 				gid = len(local.reps)
-				key := string(buf)
-				groups[key] = gid
-				local.keys = append(local.keys, key)
+				groups[string(buf)] = gid
 				local.reps = append(local.reps, row)
 				local.states = append(local.states, newAggStates(aggs))
 			}
@@ -256,16 +229,20 @@ func aggPartitioned(aggs []plan.AggSpec, groupCols, argCols []*storage.Column, n
 		}
 		locals[w] = local
 	})
+	if len(locals) == 1 {
+		return locals[0].reps, locals[0].states
+	}
 	groups := make(map[string]int, 64)
 	var groupRows []int
 	var states [][]aggState
+	var buf []byte
 	for _, local := range locals {
-		for li, key := range local.keys {
-			gid, ok := groups[key]
+		for li, rep := range local.reps {
+			buf = appendRowKey(buf[:0], groupCols, rep)
+			gid, ok := groups[string(buf)]
 			if !ok {
-				gid = len(groupRows)
-				groups[key] = gid
-				groupRows = append(groupRows, local.reps[li])
+				groups[string(buf)] = len(groupRows)
+				groupRows = append(groupRows, rep)
 				states = append(states, local.states[li])
 				continue
 			}
@@ -297,14 +274,15 @@ func mergeAggStates(aggs []plan.AggSpec, dst, src []aggState) {
 	}
 }
 
-// aggPerGroup is the general parallel path: keys are pre-encoded in
-// parallel, groups are discovered in one sequential pass (numbering by
-// first appearance, as in the sequential loop), and then each group's
-// rows are folded independently — in ascending row order, so every
-// state transition sequence matches the sequential loop's exactly,
-// including float accumulation order and DISTINCT-set insertion order.
+// aggPerGroup is the parallel path for aggregate sets whose partial
+// states do not merge exactly (float SUM/AVG, DISTINCT): keys are
+// pre-encoded in parallel, groups are discovered in one sequential pass
+// (numbering by first appearance), and then each group's rows are
+// folded independently — in ascending row order, so every state
+// transition sequence matches a one-partition fold exactly, including
+// float accumulation order and DISTINCT-set insertion order.
 func aggPerGroup(aggs []plan.AggSpec, groupCols, argCols []*storage.Column, n, workers int) ([]int, [][]aggState) {
-	rk := encodeRowKeys(groupCols, n, false, workers)
+	rk := encodeRowKeys(groupCols, n, workers)
 	groups := make(map[string]int, 64)
 	gids := make([]int32, n)
 	var groupRows []int

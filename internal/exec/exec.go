@@ -8,21 +8,21 @@
 // depth and the first batch reaches the consumer before execution
 // completes. Pipeline breakers — join, GraphMatch, aggregation, sort,
 // distinct, the deduplicating set operations, CTE bodies — drain their
-// inputs, run a deterministic parallel core over the whole input once,
-// and window the output back into batches. Results are value-identical
-// at any worker count and any batch size; the golden corpus and the
-// batch-size differential tests pin that down.
+// inputs, run their one deterministic core over the whole input once
+// (on as many workers as the size gate grants), and window the output
+// back into batches. Results are value-identical at any worker count
+// and any batch size; the golden corpus, the batch-size differential
+// tests and the relational oracle in internal/testutil pin that down.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 
 	"graphsql/internal/core"
 	"graphsql/internal/expr"
-	"graphsql/internal/par"
 	"graphsql/internal/plan"
 	"graphsql/internal/storage"
 	"graphsql/internal/trace"
@@ -197,12 +197,9 @@ func sortCore(s *plan.Sort, in *storage.Chunk, ctx *Context) (*storage.Chunk, er
 		return false
 	}
 	// The stable order under a fixed comparator is unique, so the
-	// parallel merge sort returns exactly what sort.SliceStable would.
+	// parallel merge sort returns exactly what sort.SliceStable would
+	// (and at one worker it is sort.SliceStable).
 	workers := ctx.workers(n)
-	if workers <= 1 {
-		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-		return in.Gather(idx), nil
-	}
 	parallelMergeSort(idx, less, workers)
 	return in.GatherP(idx, workers), nil
 }
@@ -233,46 +230,21 @@ func limitBounds(l *plan.Limit, ctx *Context) (skip, count int, unlimited bool, 
 	return skip, int(v.I), false, nil
 }
 
-// distinctCore deduplicates one materialized input chunk.
+// distinctCore deduplicates one materialized input chunk, keeping the
+// first occurrence of every row.
 func distinctCore(_ *plan.Distinct, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	n := in.NumRows()
 	workers := ctx.workers(n)
-	if workers <= 1 {
-		seen := make(map[string]struct{}, n)
-		var keep []int
-		var buf []byte
-		for i := 0; i < n; i++ {
-			buf = buf[:0]
-			for _, c := range in.Cols {
-				buf = encodeKey(buf, c, i)
-			}
-			k := string(buf)
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				keep = append(keep, i)
-			}
-		}
-		return in.Gather(keep), nil
+	keep := encodeRowKeys(in.Cols, n, workers).firstOccurrences(workers)
+	return in.GatherP(keep, workers), nil
+}
+
+// appendRowKey appends the encodeKey bytes of row i over cols to buf.
+func appendRowKey(buf []byte, cols []*storage.Column, i int) []byte {
+	for _, c := range cols {
+		buf = encodeKey(buf, c, i)
 	}
-	// Sharded dedup: rows are hash-partitioned by key, each shard keeps
-	// its first occurrences (ascending row order), and the per-shard
-	// survivors merge back in ascending row order — exactly the rows a
-	// sequential scan keeps.
-	rk := encodeRowKeys(in.Cols, n, false, workers)
-	shardRows := rk.shardRows(workers, workers, n)
-	keeps := make([][]int, workers)
-	par.Indexed(workers, workers, func(_, s int) {
-		seen := make(map[string]struct{}, len(shardRows[s]))
-		var keep []int
-		for _, i := range shardRows[s] {
-			if _, ok := seen[rk.keys[i]]; !ok {
-				seen[rk.keys[i]] = struct{}{}
-				keep = append(keep, i)
-			}
-		}
-		keeps[s] = keep
-	})
-	return in.GatherP(mergeAscending(keeps, n), workers), nil
+	return buf
 }
 
 // encodeKey appends a type-tagged, self-delimiting encoding of column
@@ -285,7 +257,7 @@ func encodeKey(buf []byte, c *storage.Column, i int) []byte {
 	switch c.Kind {
 	case types.KindFloat:
 		buf = append(buf, 1)
-		bits := uint64(floatBits(c.Floats[i]))
+		bits := floatBits(c.Floats[i])
 		for s := 0; s < 64; s += 8 {
 			buf = append(buf, byte(bits>>s))
 		}
@@ -310,9 +282,13 @@ func encodeKey(buf []byte, c *storage.Column, i int) []byte {
 }
 
 func floatBits(f float64) uint64 {
-	// Normalize -0 and NaN payloads for hashing.
+	// Normalize -0 and NaN payloads for hashing: types.Compare calls
+	// every NaN equal, so every NaN must be one key.
 	if f == 0 {
 		f = 0
 	}
-	return mathFloat64bits(f)
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }

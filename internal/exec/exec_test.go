@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -290,6 +291,14 @@ func TestEncodeKeyDisambiguates(t *testing.T) {
 	n.AppendInt(0)
 	if string(encodeKey(nil, n, 0)) == string(encodeKey(nil, n, 1)) {
 		t.Fatal("NULL collides with 0")
+	}
+	// Every NaN is one key whatever its payload, as types.Compare calls
+	// every NaN equal.
+	f := storage.NewColumn(types.KindFloat, 0)
+	f.AppendFloat(math.NaN())
+	f.AppendFloat(-math.NaN())
+	if string(encodeKey(nil, f, 0)) != string(encodeKey(nil, f, 1)) {
+		t.Fatal("NaN payloads split one key")
 	}
 }
 

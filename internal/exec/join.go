@@ -1,17 +1,11 @@
 package exec
 
 import (
-	"cmp"
-	"math"
-	"slices"
-
 	"graphsql/internal/expr"
 	"graphsql/internal/par"
 	"graphsql/internal/plan"
 	"graphsql/internal/storage"
 )
-
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }
 
 // equiKey is one equality pair extracted from a join condition:
 // leftCol = rightCol (indices local to each side).
@@ -42,16 +36,21 @@ func extractEquiKeys(on expr.Expr, nLeft int) ([]equiKey, expr.Expr) {
 	return keys, expr.AndAll(residual)
 }
 
-// joinCore joins two materialized operands.
+// joinCore joins two materialized operands. Semi and anti joins filter
+// the left side; cross, inner and left outer joins materialize their
+// matching pairs.
 func joinCore(j *plan.Join, left, right *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
-	switch j.Type {
-	case plan.JoinCross:
-		return crossJoin(j, left, right, ctx), nil
-	case plan.JoinSemi, plan.JoinAnti:
+	if j.Type == plan.JoinSemi || j.Type == plan.JoinAnti {
 		return semiAntiJoin(j, left, right, ctx)
-	default:
-		return condJoin(j, left, right, ctx)
 	}
+	li, ri, err := matchPairs(j.On, left, right, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if j.Type == plan.JoinLeft {
+		li, ri = nullExtend(li, ri, left.NumRows())
+	}
+	return pairChunk(j.Schema(), left, right, li, ri, ctx.workers(len(li))), nil
 }
 
 // semiAntiJoin filters the left side by match existence on the right.
@@ -87,34 +86,28 @@ func semiAntiJoin(j *plan.Join, left, right *storage.Chunk, ctx *Context) (*stor
 }
 
 // matchPairs computes the matching (left, right) row pairs of a join
-// condition, hash-based when equality pairs exist. The hash path
-// partitions the build side over key-hash shards and the probe side
-// over contiguous left-row ranges; per-range outputs concatenate in
-// range order, so the pair list is identical to the sequential
-// build/probe at any worker count.
+// condition (nil: every pair), hash-based when equality pairs exist
+// (see hashMatch), all pairs filtered by the residual otherwise; pairs
+// come out ordered by left row, then right row.
 func matchPairs(on expr.Expr, left, right *storage.Chunk, ctx *Context) ([]int, []int, error) {
 	nLeft := len(left.Schema)
 	keys, residual := extractEquiKeys(on, nLeft)
 	var li, ri []int
 	nl, nr := left.NumRows(), right.NumRows()
 	if len(keys) > 0 {
-		workers := ctx.workers(nl + nr)
-		if workers <= 1 {
-			li, ri = hashMatchSeq(keys, left, right)
-		} else {
-			li, ri = hashMatchPar(keys, left, right, workers)
-		}
+		li, ri = hashMatch(keys, left, right, ctx.workers(nl+nr))
 	} else {
-		for a := 0; a < nl; a++ {
-			for b := 0; b < nr; b++ {
-				li = append(li, a)
-				ri = append(ri, b)
+		total := nl * nr
+		li, ri = make([]int, total), make([]int, total)
+		par.Ranges(ctx.workers(total), total, func(_, lo, hi int) {
+			for t := lo; t < hi; t++ {
+				li[t], ri[t] = t/nr, t%nr
 			}
-		}
+		})
 	}
 	if residual != nil && len(li) > 0 {
-		workers := ctx.workers(len(li))
-		cand := pairChunk(left, right, li, ri, workers)
+		sch := append(append(storage.Schema{}, left.Schema...), right.Schema...)
+		cand := pairChunk(sch, left, right, li, ri, ctx.workers(len(li)))
 		pc, err := residual.Eval(ctx.Expr, cand)
 		if err != nil {
 			return nil, nil, err
@@ -131,53 +124,14 @@ func matchPairs(on expr.Expr, left, right *storage.Chunk, ctx *Context) ([]int, 
 	return li, ri, nil
 }
 
-// hashMatchSeq is the single-threaded hash join: build a map over the
-// right side, probe with the left side in row order.
-func hashMatchSeq(keys []equiKey, left, right *storage.Chunk) (li, ri []int) {
-	nl, nr := left.NumRows(), right.NumRows()
-	build := make(map[string][]int, nr)
-	var buf []byte
-	for b := 0; b < nr; b++ {
-		buf = buf[:0]
-		null := false
-		for _, k := range keys {
-			if right.Cols[k.r].IsNull(b) {
-				null = true
-				break
-			}
-			buf = encodeKey(buf, right.Cols[k.r], b)
-		}
-		if null {
-			continue
-		}
-		build[string(buf)] = append(build[string(buf)], b)
-	}
-	for a := 0; a < nl; a++ {
-		buf = buf[:0]
-		null := false
-		for _, k := range keys {
-			if left.Cols[k.l].IsNull(a) {
-				null = true
-				break
-			}
-			buf = encodeKey(buf, left.Cols[k.l], a)
-		}
-		if null {
-			continue
-		}
-		for _, b := range build[string(buf)] {
-			li = append(li, a)
-			ri = append(ri, b)
-		}
-	}
-	return li, ri
-}
-
-// hashMatchPar is the partitioned hash join. Build: every worker owns
-// one key-hash shard and inserts its rows in ascending row order, so
-// each per-key row list matches the sequential build. Probe: contiguous
-// left-row ranges emit pair runs that concatenate in range order.
-func hashMatchPar(keys []equiKey, left, right *storage.Chunk, workers int) ([]int, []int) {
+// hashMatch is the hash join. Build: every worker owns one key-hash
+// shard and inserts its rows in ascending row order, so each per-key
+// row list is what a sequential build makes. Probe: contiguous
+// left-row ranges encode each key into one reused buffer, look it up
+// without allocating, and emit pair runs that concatenate in range
+// order. One worker is one shard and one range: the sequential
+// build/probe itself.
+func hashMatch(keys []equiKey, left, right *storage.Chunk, workers int) ([]int, []int) {
 	nl, nr := left.NumRows(), right.NumRows()
 	lcols := make([]*storage.Column, len(keys))
 	rcols := make([]*storage.Column, len(keys))
@@ -185,34 +139,47 @@ func hashMatchPar(keys []equiKey, left, right *storage.Chunk, workers int) ([]in
 		lcols[i] = left.Cols[k.l]
 		rcols[i] = right.Cols[k.r]
 	}
-	rk := encodeRowKeys(rcols, nr, true, workers)
-	shards := workers
-	shardRows := rk.shardRows(shards, workers, nr)
-	maps := make([]map[string][]int, shards)
-	par.Indexed(workers, shards, func(_, s int) {
+	// Build rows with a NULL key stay in the maps under a key no probe
+	// looks up: the probe skips NULL keys, and a NULL encodes as a tag
+	// no value uses.
+	rk := encodeRowKeys(rcols, nr, workers)
+	shardRows := rk.shardRows(workers, nr)
+	maps := make([]map[string][]int, len(shardRows))
+	par.Indexed(workers, len(shardRows), func(_, s int) {
 		m := make(map[string][]int, len(shardRows[s]))
 		for _, b := range shardRows[s] {
 			m[rk.keys[b]] = append(m[rk.keys[b]], b)
 		}
 		maps[s] = m
 	})
-	lk := encodeRowKeys(lcols, nl, true, workers)
-	nRanges := par.NumRanges(workers, nl)
 	type pairRun struct{ li, ri []int }
-	runs := make([]pairRun, nRanges)
+	runs := make([]pairRun, par.NumRanges(workers, nl))
 	par.Ranges(workers, nl, func(w, lo, hi int) {
 		var li, ri []int
+		var buf []byte
+	probe:
 		for a := lo; a < hi; a++ {
-			if lk.invalid[a] {
-				continue
+			buf = buf[:0]
+			for _, c := range lcols {
+				if c.IsNull(a) {
+					continue probe // NULL never matches
+				}
+				buf = encodeKey(buf, c, a)
 			}
-			for _, b := range maps[lk.shard(a, shards)][lk.keys[a]] {
+			m := maps[0]
+			if len(maps) > 1 {
+				m = maps[shardOf(fnv64(buf), len(maps))]
+			}
+			for _, b := range m[string(buf)] {
 				li = append(li, a)
 				ri = append(ri, b)
 			}
 		}
 		runs[w] = pairRun{li, ri}
 	})
+	if len(runs) == 1 {
+		return runs[0].li, runs[0].ri
+	}
 	total := 0
 	for _, r := range runs {
 		total += len(r.li)
@@ -226,25 +193,10 @@ func hashMatchPar(keys []equiKey, left, right *storage.Chunk, workers int) ([]in
 	return li, ri
 }
 
-// pairChunk materializes candidate pairs over the concatenated schema
-// for residual evaluation.
-func pairChunk(left, right *storage.Chunk, li, ri []int, workers int) *storage.Chunk {
-	out := &storage.Chunk{}
-	out.Schema = append(append(storage.Schema{}, left.Schema...), right.Schema...)
-	for _, c := range left.Cols {
-		out.Cols = append(out.Cols, c.GatherP(li, workers))
-	}
-	for _, c := range right.Cols {
-		out.Cols = append(out.Cols, c.GatherP(ri, workers))
-	}
-	return out
-}
-
-// joinOutput materializes the (li, ri) pairs; ri == -1 null-extends
-// the right side (left outer join).
-func joinOutput(j *plan.Join, left, right *storage.Chunk, li, ri []int, ctx *Context) *storage.Chunk {
-	workers := ctx.workers(len(li))
-	out := &storage.Chunk{Schema: j.Schema()}
+// pairChunk materializes (li, ri) pairs under the concatenated schema
+// sch; ri == -1 null-extends the right side (left outer join).
+func pairChunk(sch storage.Schema, left, right *storage.Chunk, li, ri []int, workers int) *storage.Chunk {
+	out := &storage.Chunk{Schema: sch}
 	for _, c := range left.Cols {
 		out.Cols = append(out.Cols, c.GatherP(li, workers))
 	}
@@ -254,61 +206,20 @@ func joinOutput(j *plan.Join, left, right *storage.Chunk, li, ri []int, ctx *Con
 	return out
 }
 
-func crossJoin(j *plan.Join, left, right *storage.Chunk, ctx *Context) *storage.Chunk {
-	nl, nr := left.NumRows(), right.NumRows()
-	total := nl * nr
-	li := make([]int, total)
-	ri := make([]int, total)
-	par.Ranges(ctx.workers(total), total, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			li[t] = t / nr
-			ri[t] = t % nr
+// nullExtend adds every left row without a match to the pair list
+// (left outer join), paired with -1; the list stays ordered by left
+// row.
+func nullExtend(li, ri []int, nl int) ([]int, []int) {
+	oli := make([]int, 0, len(li)+nl)
+	ori := make([]int, 0, len(li)+nl)
+	k := 0
+	for a := 0; a < nl; a++ {
+		if k == len(li) || li[k] != a {
+			oli, ori = append(oli, a), append(ori, -1)
 		}
-	})
-	return joinOutput(j, left, right, li, ri, ctx)
-}
-
-// condJoin implements inner and left outer joins: hash-based when the
-// condition contains equality pairs, nested-loop otherwise.
-func condJoin(j *plan.Join, left, right *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
-	li, ri, err := matchPairs(j.On, left, right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	nl := left.NumRows()
-
-	if j.Type == plan.JoinLeft {
-		matched := make([]bool, nl)
-		for _, a := range li {
-			matched[a] = true
+		for ; k < len(li) && li[k] == a; k++ {
+			oli, ori = append(oli, a), append(ori, ri[k])
 		}
-		for a := 0; a < nl; a++ {
-			if !matched[a] {
-				li = append(li, a)
-				ri = append(ri, -1)
-			}
-		}
-		// Keep output deterministic: order by left row, then right.
-		li, ri = sortPairs(li, ri)
 	}
-	return joinOutput(j, left, right, li, ri, ctx), nil
-}
-
-// sortPairs orders join output pairs for stable results.
-func sortPairs(li, ri []int) ([]int, []int) {
-	type pair struct{ a, b int }
-	ps := make([]pair, len(li))
-	for i := range li {
-		ps[i] = pair{li[i], ri[i]}
-	}
-	slices.SortFunc(ps, func(x, y pair) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.b, y.b)
-	})
-	for i, p := range ps {
-		li[i], ri[i] = p.a, p.b
-	}
-	return li, ri
+	return oli, ori
 }

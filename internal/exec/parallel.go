@@ -7,17 +7,19 @@ import (
 	"graphsql/internal/storage"
 )
 
-// The relational operators opt into Context.Parallelism with the same
-// discipline as the shortest-path runtime (internal/graph): a
-// sequential fast path below a size threshold, work partitioned over
-// disjoint output locations, and per-range results merged in a fixed
-// order — so every operator's output is bit-identical to its
-// sequential execution at any worker count.
+// Every relational breaker (join, GROUP BY, DISTINCT, the deduplicating
+// set operations, ORDER BY) has exactly one core, written against a
+// worker count, with the same discipline as the shortest-path runtime
+// (internal/graph): work partitioned over disjoint output locations and
+// per-range results merged in a fixed order, so the output is
+// bit-identical at any worker count. The size gate only picks how many
+// workers run that core; at one worker it is one shard and a plain loop
+// with no goroutines, no hashing and no bucketing.
 
-// minParallelRows gates the parallel paths of the relational
-// operators; inputs below it run the original sequential code. A
-// variable (not a const) so tests and benchmarks can lower it to force
-// the parallel paths on small corpora; see SetMinParallelRows.
+// minParallelRows gates the worker count of the relational operators;
+// inputs below it run their core on one worker. A variable (not a
+// const) so tests and benchmarks can lower it to engage several workers
+// on small corpora; see SetMinParallelRows.
 var minParallelRows = 1 << 13
 
 // SetMinParallelRows overrides the parallel-operator gate and returns
@@ -41,7 +43,7 @@ func (ctx *Context) workers(n int) int {
 // FNV-1a, used to shard rows by hash key. The shard assignment never
 // influences operator output (shards are either merged in ascending
 // row order or independent by construction), so the hash only has to
-// be deterministic within one process.
+// be deterministic within one process. One shard needs no hash.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -59,73 +61,60 @@ func fnv64(b []byte) uint64 {
 // rowKeys holds the precomputed hash key and shard hash of every row
 // of an operator input, built in parallel over contiguous ranges.
 type rowKeys struct {
-	keys   []string
+	keys []string
+	// hashes is nil at one worker: everything lands in shard 0.
 	hashes []uint64
-	// invalid is non-nil when rows with NULL key columns are skipped
-	// (join semantics: NULL never matches); such rows have no key.
-	invalid []bool
 }
 
-// shard maps row i onto one of the given shards.
-func (rk *rowKeys) shard(i, shards int) int {
-	return int(rk.hashes[i] % uint64(shards))
-}
+// shardOf maps a key hash onto one of the given shards.
+func shardOf(h uint64, shards int) int { return int(h % uint64(shards)) }
 
 // encodeRowKeys precomputes the self-delimiting encodeKey bytes (as a
-// string) and their hash for every row over the given key columns.
-func encodeRowKeys(cols []*storage.Column, n int, skipNulls bool, workers int) *rowKeys {
-	rk := &rowKeys{keys: make([]string, n), hashes: make([]uint64, n)}
-	if skipNulls {
-		rk.invalid = make([]bool, n)
+// string) for every row over the given key columns, and their hash
+// when the rows will be spread over workers > 1 shards.
+func encodeRowKeys(cols []*storage.Column, n int, workers int) *rowKeys {
+	rk := &rowKeys{keys: make([]string, n)}
+	if workers > 1 {
+		rk.hashes = make([]uint64, n)
 	}
 	par.Ranges(workers, n, func(_, lo, hi int) {
 		var buf []byte
 		for i := lo; i < hi; i++ {
-			if skipNulls {
-				null := false
-				for _, c := range cols {
-					if c.IsNull(i) {
-						null = true
-						break
-					}
-				}
-				if null {
-					rk.invalid[i] = true
-					continue
-				}
-			}
-			buf = buf[:0]
-			for _, c := range cols {
-				buf = encodeKey(buf, c, i)
-			}
+			buf = appendRowKey(buf[:0], cols, i)
 			rk.keys[i] = string(buf)
-			rk.hashes[i] = fnv64(buf)
+			if rk.hashes != nil {
+				rk.hashes[i] = fnv64(buf)
+			}
 		}
 	})
 	return rk
 }
 
-// shardRows buckets the row indices [0, n) by shard, each list in
-// ascending order; rows marked invalid are dropped. Built with one
-// parallel bucketing pass (per-range lists concatenated in range
-// order) so shard workers visit only their own rows instead of
-// re-scanning the whole input.
-func (rk *rowKeys) shardRows(shards, workers, n int) [][]int {
+// shardRows buckets the row indices [0, n) into one shard per worker,
+// each list in ascending order. Built with one parallel bucketing pass
+// (per-range lists concatenated in range order) so shard workers visit
+// only their own rows instead of re-scanning the whole input. One
+// worker means one shard holding every row.
+func (rk *rowKeys) shardRows(workers, n int) [][]int {
+	if workers <= 1 {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		return [][]int{rows}
+	}
 	nRanges := par.NumRanges(workers, n)
 	locals := make([][][]int, nRanges)
 	par.Ranges(workers, n, func(w, lo, hi int) {
-		lists := make([][]int, shards)
+		lists := make([][]int, workers)
 		for i := lo; i < hi; i++ {
-			if rk.invalid != nil && rk.invalid[i] {
-				continue
-			}
-			s := rk.shard(i, shards)
+			s := shardOf(rk.hashes[i], workers)
 			lists[s] = append(lists[s], i)
 		}
 		locals[w] = lists
 	})
-	out := make([][]int, shards)
-	par.Indexed(workers, shards, func(_, s int) {
+	out := make([][]int, workers)
+	par.Indexed(workers, workers, func(_, s int) {
 		total := 0
 		for _, l := range locals {
 			total += len(l[s])
@@ -137,6 +126,29 @@ func (rk *rowKeys) shardRows(shards, workers, n int) [][]int {
 		out[s] = list
 	})
 	return out
+}
+
+// firstOccurrences returns, ascending, the rows whose key has not
+// occurred before — exactly the rows a sequential dedup scan keeps.
+// Rows are hash-partitioned by key, each shard keeps its first
+// occurrences in ascending row order, and the per-shard survivors merge
+// back in ascending row order.
+func (rk *rowKeys) firstOccurrences(workers int) []int {
+	n := len(rk.keys)
+	shards := rk.shardRows(workers, n)
+	keeps := make([][]int, len(shards))
+	par.Indexed(workers, len(shards), func(_, s int) {
+		seen := make(map[string]struct{}, len(shards[s]))
+		var keep []int
+		for _, i := range shards[s] {
+			if _, dup := seen[rk.keys[i]]; !dup {
+				seen[rk.keys[i]] = struct{}{}
+				keep = append(keep, i)
+			}
+		}
+		keeps[s] = keep
+	})
+	return mergeAscending(keeps, n)
 }
 
 // mergeAscending merges per-shard row-index lists into one ascending

@@ -5,11 +5,12 @@
 // repository root) executes the corpus at several parallelism settings
 // and requires byte-identical result renderings; the SQL front-end
 // fuzz target seeds from the same statements. The package also holds
-// the independent shortest-path oracle (oracle.go) and the goroutine
-// leak check. It imports nothing from the engine on purpose — it must
-// be importable from both the root package's tests and internal/sql
-// without cycles, and the oracle must share no code with what it
-// checks.
+// the independent shortest-path oracle (oracle.go), the row-at-a-time
+// relational oracle (relational.go) and the goroutine leak check. It
+// imports nothing from the engine but the value model (internal/types)
+// on purpose — it must be importable from the root package's tests,
+// internal/sql and internal/exec without cycles, and the oracles must
+// share no code with what they check.
 package testutil
 
 import (
