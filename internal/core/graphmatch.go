@@ -165,9 +165,8 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 	for k := range gm.Specs {
 		sp := &gm.Specs[k]
 		gs := graph.Spec{
-			NeedPath:        sp.WantPath,
-			Float:           sp.CostKind == types.KindFloat,
-			ForceBinaryHeap: sp.ForceBinaryHeap,
+			NeedPath: sp.WantPath,
+			Float:    sp.CostKind == types.KindFloat,
 		}
 		if cv, ok := expr.IsConst(sp.Weight, ctx); ok && !cv.Null {
 			gs.Unit = true

@@ -351,9 +351,9 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 		var err error
 		switch {
 		case spec.WeightsF != nil:
-			_, err = sc.dij.runFloat(s.g, s.delta, src, spec.WeightsF, sc.wanted, distinct, s.Ctx)
+			_, err = runHeap(sc.dij, &sc.dij.bqF, sc.dij.distF, s.g, s.delta, src, spec.WeightsF, sc.wanted, distinct, s.Ctx)
 		case spec.ForceBinaryHeap:
-			_, err = sc.dij.runIntBinaryHeap(s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
+			_, err = runHeap(sc.dij, &sc.dij.bqI, sc.dij.distI, s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
 		default:
 			_, err = sc.dij.runInt(s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
 		}

@@ -159,14 +159,14 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 	if got, limit := countSettled(), 2*cancelCheckInterval+2; got > limit {
 		t.Fatalf("Dijkstra settled %d vertices after cancellation, want <= %d", got, limit)
 	}
-	if _, err := d.runIntBinaryHeap(g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
+	if _, err := runHeap(d, &d.bqI, d.distI, g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
 		t.Fatal("canceled Dijkstra (binary heap) returned nil error")
 	}
 	fweights := make([]float64, len(weights))
 	for i := range fweights {
 		fweights[i] = 1
 	}
-	if _, err := d.runFloat(g, nil, 0, fweights, wanted, 0, newCountdownCtx(1)); err == nil {
+	if _, err := runHeap(d, &d.bqF, d.distF, g, nil, 0, fweights, wanted, 0, newCountdownCtx(1)); err == nil {
 		t.Fatal("canceled Dijkstra (float) returned nil error")
 	}
 }

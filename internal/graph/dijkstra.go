@@ -7,8 +7,8 @@ import (
 
 // dijkstraState is the shared per-vertex scratch for both Dijkstra
 // variants (radix queue for integer weights, binary heap for float
-// weights). Like bfsState it uses epoch stamping so per-source runs do
-// not pay an O(V) clear.
+// weights and the forced-heap ablation). Like bfsState it uses epoch
+// stamping so per-source runs do not pay an O(V) clear.
 type dijkstraState struct {
 	distI []int64
 	distF []float64
@@ -20,8 +20,9 @@ type dijkstraState struct {
 	epoch        []uint32
 	cur          uint32
 
-	rq *radixHeap
-	bq floatQueue
+	rq  *radixHeap
+	bqI binHeap[int64]
+	bqF binHeap[float64]
 }
 
 func newDijkstraState(n int) *dijkstraState {
@@ -45,7 +46,8 @@ func (s *dijkstraState) reset() {
 		s.cur = 1
 	}
 	s.rq.reset()
-	s.bq = s.bq[:0]
+	s.bqI = s.bqI[:0]
+	s.bqF = s.bqF[:0]
 }
 
 func (s *dijkstraState) seen(v VertexID) bool { return s.epoch[v] == s.cur }
@@ -120,16 +122,18 @@ func (s *dijkstraState) runInt(g *CSR, delta *Delta, src VertexID, weights []int
 	return reached, nil
 }
 
-// runFloat runs Dijkstra with a binary heap over float weights.
-func (s *dijkstraState) runFloat(g *CSR, delta *Delta, src VertexID, weights []float64, wanted []bool, wantLeft int, ctx context.Context) (int, error) {
+// runHeap runs Dijkstra with a binary heap: float weights always take
+// it, integer weights only under Spec.ForceBinaryHeap (the radix-queue
+// ablation). dist is distI or distF, bq the pooled heap of that type.
+func runHeap[W int64 | float64](s *dijkstraState, bq *binHeap[W], dist []W, g *CSR, delta *Delta, src VertexID, weights []W, wanted []bool, wantLeft int, ctx context.Context) (int, error) {
 	s.reset()
 	s.touch(src)
-	s.distF[src] = 0
+	dist[src] = 0
 	s.parentRow[src] = -1
 	s.parentVertex[src] = NoVertex
-	heap.Push(&s.bq, floatItem{0, src})
+	heap.Push(bq, heapItem[W]{0, src})
 	reached, pops := 0, 0
-	for s.bq.Len() > 0 {
+	for bq.Len() > 0 {
 		if ctx != nil {
 			if pops++; pops&(cancelCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -137,8 +141,7 @@ func (s *dijkstraState) runFloat(g *CSR, delta *Delta, src VertexID, weights []f
 				}
 			}
 		}
-		it := heap.Pop(&s.bq).(floatItem)
-		u := it.v
+		u := heap.Pop(bq).(heapItem[W]).v
 		if s.settled[u] {
 			continue
 		}
@@ -150,20 +153,20 @@ func (s *dijkstraState) runFloat(g *CSR, delta *Delta, src VertexID, weights []f
 				return reached, nil
 			}
 		}
-		du := s.distF[u]
+		du := dist[u]
 		relax := func(v VertexID, row int32) {
 			nd := du + weights[row]
 			if !s.seen(v) {
 				s.touch(v)
-				s.distF[v] = nd
+				dist[v] = nd
 				s.parentRow[v] = row
 				s.parentVertex[v] = u
-				heap.Push(&s.bq, floatItem{nd, v})
-			} else if !s.settled[v] && nd < s.distF[v] {
-				s.distF[v] = nd
+				heap.Push(bq, heapItem[W]{nd, v})
+			} else if !s.settled[v] && nd < dist[v] {
+				dist[v] = nd
 				s.parentRow[v] = row
 				s.parentVertex[v] = u
-				heap.Push(&s.bq, floatItem{nd, v})
+				heap.Push(bq, heapItem[W]{nd, v})
 			}
 		}
 		if int(u) < g.N {
@@ -216,107 +219,22 @@ func ownerOf(g *CSR, p int64) VertexID {
 	return VertexID(lo)
 }
 
-// floatQueue is a container/heap binary heap of (dist, vertex) pairs.
-type floatQueue []floatItem
+// binHeap is a container/heap binary heap of (dist, vertex) pairs.
+type binHeap[W int64 | float64] []heapItem[W]
 
-type floatItem struct {
-	d float64
+type heapItem[W int64 | float64] struct {
+	d W
 	v VertexID
 }
 
-func (q floatQueue) Len() int            { return len(q) }
-func (q floatQueue) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q floatQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *floatQueue) Push(x interface{}) { *q = append(*q, x.(floatItem)) }
-func (q *floatQueue) Pop() interface{} {
+func (q binHeap[W]) Len() int            { return len(q) }
+func (q binHeap[W]) Less(i, j int) bool  { return q[i].d < q[j].d }
+func (q binHeap[W]) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *binHeap[W]) Push(x interface{}) { *q = append(*q, x.(heapItem[W])) }
+func (q *binHeap[W]) Pop() interface{} {
 	old := *q
 	n := len(old)
 	it := old[n-1]
 	*q = old[:n-1]
 	return it
-}
-
-// intQueue is a binary-heap Dijkstra queue over integer distances, used
-// only by the E5 ablation benchmark comparing the radix queue against a
-// conventional heap.
-type intQueue []intItem
-
-type intItem struct {
-	d int64
-	v VertexID
-}
-
-func (q intQueue) Len() int            { return len(q) }
-func (q intQueue) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q intQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *intQueue) Push(x interface{}) { *q = append(*q, x.(intItem)) }
-func (q *intQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// runIntBinaryHeap is runInt with a binary heap instead of the radix
-// queue (ablation E5).
-func (s *dijkstraState) runIntBinaryHeap(g *CSR, delta *Delta, src VertexID, weights []int64, wanted []bool, wantLeft int, ctx context.Context) (int, error) {
-	s.reset()
-	s.touch(src)
-	s.distI[src] = 0
-	s.parentRow[src] = -1
-	s.parentVertex[src] = NoVertex
-	var bq intQueue
-	heap.Push(&bq, intItem{0, src})
-	reached, pops := 0, 0
-	for bq.Len() > 0 {
-		if ctx != nil {
-			if pops++; pops&(cancelCheckInterval-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return reached, err
-				}
-			}
-		}
-		it := heap.Pop(&bq).(intItem)
-		u := it.v
-		if s.settled[u] {
-			continue
-		}
-		s.settled[u] = true
-		if wanted[u] {
-			reached++
-			wantLeft--
-			if wantLeft == 0 {
-				return reached, nil
-			}
-		}
-		du := s.distI[u]
-		relax := func(v VertexID, row int32) {
-			nd := du + weights[row]
-			if !s.seen(v) {
-				s.touch(v)
-				s.distI[v] = nd
-				s.parentRow[v] = row
-				s.parentVertex[v] = u
-				heap.Push(&bq, intItem{nd, v})
-			} else if !s.settled[v] && nd < s.distI[v] {
-				s.distI[v] = nd
-				s.parentRow[v] = row
-				s.parentVertex[v] = u
-				heap.Push(&bq, intItem{nd, v})
-			}
-		}
-		if int(u) < g.N {
-			lo, hi := g.edgeRange(u)
-			for p := lo; p < hi; p++ {
-				relax(g.Targets[p], g.Perm[p])
-			}
-		}
-		if delta != nil {
-			for _, de := range delta.Adj[u] {
-				relax(de.To, de.Row)
-			}
-		}
-	}
-	return reached, nil
 }

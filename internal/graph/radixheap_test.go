@@ -92,14 +92,14 @@ func TestPropertyRadixHeapMatchesContainerHeap(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rh := newRadixHeap()
-		var bh intQueue
+		var bh binHeap[int64]
 		last := int64(0)
 		rh.push(0, 0)
-		heap.Push(&bh, intItem{0, 0})
+		heap.Push(&bh, heapItem[int64]{0, 0})
 		for i := 0; i < 400; i++ {
 			if rh.len() > 0 && r.Intn(2) == 0 {
 				rk, _ := rh.popMin()
-				bi := heap.Pop(&bh).(intItem)
+				bi := heap.Pop(&bh).(heapItem[int64])
 				if rk != bi.d {
 					t.Logf("seed %d: radix %d vs heap %d", seed, rk, bi.d)
 					return false
@@ -108,12 +108,12 @@ func TestPropertyRadixHeapMatchesContainerHeap(t *testing.T) {
 			} else {
 				k := last + int64(r.Intn(1000))
 				rh.push(k, VertexID(i))
-				heap.Push(&bh, intItem{k, VertexID(i)})
+				heap.Push(&bh, heapItem[int64]{k, VertexID(i)})
 			}
 		}
 		for rh.len() > 0 {
 			rk, _ := rh.popMin()
-			bi := heap.Pop(&bh).(intItem)
+			bi := heap.Pop(&bh).(heapItem[int64])
 			if rk != bi.d {
 				return false
 			}

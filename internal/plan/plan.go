@@ -166,9 +166,6 @@ type CheapestSpec struct {
 	// WantPath requests the nested-table path output.
 	WantPath bool
 	PathName string
-	// ForceBinaryHeap switches integer Dijkstra to a binary heap; only
-	// the E5 ablation sets it.
-	ForceBinaryHeap bool
 }
 
 // GraphMatch is the paper's graph select σ̂ (and, over a cross-product

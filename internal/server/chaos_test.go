@@ -6,7 +6,7 @@ package server
 // contract under chaos is absolute: the process keeps serving, every
 // response is either byte-identical to the fault-free reference or a
 // structured error, every admission slot comes back, and no goroutine
-// leaks. Run with -race; the CI chaos job does.
+// leaks. Run with -race; CI's test job runs the whole suite that way.
 
 import (
 	"bytes"
@@ -146,11 +146,12 @@ func TestServerChaosSolverPanic(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestServerChaosMixedFaults layers four fault kinds at once — stream
-// encode errors, cache-insert errors, operator latency and operator
-// errors — over buffered AND streamed clients. Every response must be
-// correct or a structured error; torn streams must end in an error
-// trailer, never a silent truncation.
+// TestServerChaosMixedFaults layers five fault kinds at once — solver
+// panics, stream encode errors, cache-insert errors, operator latency
+// and operator errors — over buffered AND streamed clients with the
+// result cache on. Every response must be correct or a structured
+// error; torn streams must end in an error trailer, never a silent
+// truncation; the panics must be counted as contained.
 func TestServerChaosMixedFaults(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	t.Cleanup(fault.Reset)
@@ -161,7 +162,8 @@ func TestServerChaosMixedFaults(t *testing.T) {
 	want := expectedBodies(t)
 	queries := testutil.Queries()
 
-	spec := "wire.stream.encode:error:p=0.3:seed=2;" +
+	spec := "solver.group:panic:p=0.2:seed=1;" +
+		"wire.stream.encode:error:p=0.3:seed=2;" +
 		"server.cache.insert:error:p=0.5:seed=3;" +
 		"exec.operator:latency:ms=2:p=0.2:seed=4;" +
 		"exec.operator:error:p=0.03:seed=5"
@@ -203,7 +205,7 @@ func TestServerChaosMixedFaults(t *testing.T) {
 						return
 					}
 					if folded.Error != nil {
-						if folded.Error.Code != wire.CodeInternal {
+						if !faultCode(folded.Error.Code) {
 							failures <- fmt.Sprintf("client %d: trailer code %q", c, folded.Error.Code)
 							return
 						}
@@ -221,8 +223,8 @@ func TestServerChaosMixedFaults(t *testing.T) {
 				case status == http.StatusOK && bytes.Equal(body, want[q]):
 				case status == http.StatusInternalServerError:
 					var qr wire.QueryResponse
-					if json.Unmarshal(body, &qr) != nil || qr.Error == nil || qr.Error.Code != wire.CodeInternal {
-						failures <- fmt.Sprintf("client %d: 500 without structured internal error: %s", c, trim(body))
+					if json.Unmarshal(body, &qr) != nil || qr.Error == nil || !faultCode(qr.Error.Code) {
+						failures <- fmt.Sprintf("client %d: 500 without structured internal or panic error: %s", c, trim(body))
 						return
 					}
 					structured.Add(1)
@@ -244,9 +246,18 @@ func TestServerChaosMixedFaults(t *testing.T) {
 	if structured.Load() == 0 {
 		t.Fatal("no injected fault surfaced; the mixed chaos run asserted nothing")
 	}
-	t.Logf("chaos: %d structured error responses", structured.Load())
+	if s.panics.Load() == 0 {
+		t.Fatal("gsqld_panics_total stayed zero with solver panics armed")
+	}
+	t.Logf("chaos: %d structured error responses, %d contained panics", structured.Load(), s.panics.Load())
 
 	fault.Reset()
 	replayClean(t, hs.URL, want)
 	checkAdmissionClean(t, s)
+}
+
+// faultCode reports whether code is what an injected fault may answer:
+// internal for an error, panic for a contained panic.
+func faultCode(code string) bool {
+	return code == wire.CodeInternal || code == wire.CodePanic
 }

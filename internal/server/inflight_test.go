@@ -52,12 +52,13 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // TestQueriesMidFlightCancel drives the in-flight listing through a
 // full lifecycle under -race: a running query shows up with its
 // granted workers, a second query behind it shows stage "admission"
-// while queued, canceling the first lets the second run, and the table
+// while queued, canceling the first lets the second run and counts it
+// abandoned exactly once (gsqld_queries_abandoned_total), and the table
 // is empty once both finish. Per-operator latency injection makes the
 // first query deterministically slow without any real data volume.
 func TestQueriesMidFlightCancel(t *testing.T) {
 	// One slot, one worker: query B must queue behind query A.
-	_, hs := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8, TotalWorkers: 1, CacheEntries: -1})
+	s, hs := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8, TotalWorkers: 1, CacheEntries: -1})
 	loadCorpus(t, hs.URL, "default")
 
 	if empty := getQueries(t, hs.URL); len(empty.Queries) != 0 {
@@ -125,6 +126,7 @@ func TestQueriesMidFlightCancel(t *testing.T) {
 
 	// Cancel A mid-flight: it aborts at the next operator boundary, B
 	// gets the slot, and the table eventually drains.
+	abandoned := s.canceled.Load()
 	cancelA()
 	ra := <-aDone
 	if ra.err == nil && ra.status != 499 {
@@ -137,6 +139,10 @@ func TestQueriesMidFlightCancel(t *testing.T) {
 	waitUntil(t, "in-flight table to drain", func() bool {
 		return len(getQueries(t, hs.URL).Queries) == 0
 	})
+	// A query leaves the table only after its failure was counted.
+	if got := s.canceled.Load() - abandoned; got != 1 {
+		t.Fatalf("canceling query A moved the abandoned counter by %d, want 1", got)
+	}
 }
 
 // TestQueriesFingerprintNormalized: the listing shows the normalized

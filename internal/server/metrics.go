@@ -5,7 +5,7 @@ package server
 // scheduler and result-cache snapshots, and per-endpoint HTTP latency
 // histograms in the format any Prometheus-compatible scraper ingests.
 // Series are emitted in a fixed order (endpoints sorted) so the output
-// is deterministic and greppable by the CI load smoke.
+// is deterministic and greppable.
 
 import (
 	"fmt"

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -106,24 +105,8 @@ func TestServerPanicContainment(t *testing.T) {
 	}
 
 	// The counter reaches the exposition endpoint.
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	found := false
-	for _, line := range strings.Split(string(metrics), "\n") {
-		if v, ok := strings.CutPrefix(line, "gsqld_panics_total "); ok {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err != nil || n < 1 {
-				t.Fatalf("gsqld_panics_total = %q, want >= 1", v)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("gsqld_panics_total missing from /metrics:\n%s", metrics)
+	if v := scrapeMetrics(t, hs.URL)["gsqld_panics_total"]; v < 1 {
+		t.Fatalf("gsqld_panics_total = %g, want >= 1", v)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -95,12 +96,19 @@ func loadCorpus(t *testing.T, base, graph string) {
 // the results — the reference the HTTP bodies must match byte for byte.
 func expectedBodies(t *testing.T) map[string][]byte {
 	t.Helper()
+	return inProcessBodies(t, testutil.Queries())
+}
+
+// inProcessBodies wire-encodes the in-process answers of queries over
+// the corpus.
+func inProcessBodies(t *testing.T, queries []string) map[string][]byte {
+	t.Helper()
 	db := graphsql.Open()
 	if _, err := db.ExecScript(context.Background(), testutil.SetupScript()); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]byte)
-	for _, q := range testutil.Queries() {
+	for _, q := range queries {
 		res, err := db.Query(q)
 		if err != nil {
 			t.Fatalf("direct: %v\nquery: %s", err, q)
@@ -114,20 +122,90 @@ func expectedBodies(t *testing.T) map[string][]byte {
 	return out
 }
 
+// scrapeMetrics reads GET /metrics into a map from series (name plus
+// label set, as exposed) to value.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if sp < 0 || err != nil {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		mf[line[:sp]] = v
+	}
+	return mf
+}
+
+// literalVariant is client c's step-i spelling of one point-lookup
+// shape. The small value domain makes clients collide on values
+// (result-cache hits), and every variant shares its session's
+// fingerprinted plan (plan-cache hits).
+func literalVariant(c, i int) string {
+	return fmt.Sprintf(`SELECT COUNT(*) FROM knows WHERE src >= %d AND dst >= %d`, (c*31+i)%40, i%8)
+}
+
 // TestServerDifferentialConcurrent is the acceptance scenario: 8
-// concurrent HTTP clients replay the differential corpus and require
-// responses byte-identical to in-process execution, while a reloader
-// swaps the graph under load and a canceler aborts in-flight queries —
-// all race-clean under -race.
+// concurrent HTTP clients replay the differential corpus, every 5th
+// request streamed, each step followed by a literal variant of one
+// point lookup, and require responses byte-identical to in-process
+// execution, while a reloader swaps the graph under load and a
+// canceler aborts in-flight queries — all race-clean under -race. The
+// server must then report no 5xx and hits in both the result cache and
+// the plan cache.
 func TestServerDifferentialConcurrent(t *testing.T) {
 	// Admission must admit all 8 clients plus the background load;
 	// overload behavior is tested separately (TestServerAdmissionRejects).
 	_, hs := newTestServer(t, Config{MaxInFlight: 16, QueueDepth: 128, TotalWorkers: 16})
 	loadCorpus(t, hs.URL, "default")
-	want := expectedBodies(t)
 	queries := testutil.Queries()
 
 	const clients = 8
+	all := append([]string(nil), queries...)
+	for c := 0; c < clients; c++ {
+		for i := range queries {
+			all = append(all, literalVariant(c, i))
+		}
+	}
+	want := inProcessBodies(t, all)
+
+	// check posts one request and requires the in-process answer; a
+	// stream is folded and re-encoded first.
+	check := func(req *wire.QueryRequest) error {
+		status, body, err := post(hs.URL+"/query", req)
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("status %d: %s", status, trim(body))
+		}
+		if req.Stream {
+			folded, _, err := wire.FoldStream(bytes.NewReader(body))
+			if err != nil {
+				return fmt.Errorf("stream torn without a trailer: %v", err)
+			}
+			if body, err = folded.Encode(); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(body, want[req.SQL]) {
+			return fmt.Errorf("body differs from in-process execution\ngot:  %s\nwant: %s", body, want[req.SQL])
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, clients+2)
 	stop := make(chan struct{})
@@ -178,20 +256,17 @@ func TestServerDifferentialConcurrent(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			session := fmt.Sprintf("client-%d", c)
-			for i, q := range queries {
+			for i := range queries {
 				// Stagger starting points so clients collide on
 				// different queries.
-				q = queries[(i+c*7)%len(queries)]
-				status, body := postJSON(t, hs.URL+"/query",
-					&wire.QueryRequest{SQL: q, Session: session})
-				if status != http.StatusOK {
-					errs <- fmt.Errorf("client %d: status %d: %s\nquery: %s", c, status, body, q)
-					return
-				}
-				if !bytes.Equal(body, want[q]) {
-					errs <- fmt.Errorf("client %d: body differs from in-process execution\nquery: %s\ngot:  %s\nwant: %s",
-						c, q, body, want[q])
-					return
+				for _, req := range []*wire.QueryRequest{
+					{SQL: queries[(i+c*7)%len(queries)], Session: session, Stream: i%5 == 0},
+					{SQL: literalVariant(c, i), Session: session},
+				} {
+					if err := check(req); err != nil {
+						errs <- fmt.Errorf("client %d: %v\nquery: %s", c, err, req.SQL)
+						return
+					}
 				}
 			}
 		}(c)
@@ -201,6 +276,18 @@ func TestServerDifferentialConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+
+	mf := scrapeMetrics(t, hs.URL)
+	for series, v := range mf {
+		if strings.HasPrefix(series, "gsqld_http_responses_total{") && strings.Contains(series, `code="5`) && v != 0 {
+			t.Errorf("%s = %g, want no 5xx", series, v)
+		}
+	}
+	for _, name := range []string{"gsqld_cache_hits_total", "gsqld_plan_cache_hits_total"} {
+		if mf[name] <= 0 {
+			t.Errorf("%s = %g, want > 0", name, mf[name])
+		}
 	}
 }
 

@@ -391,6 +391,7 @@ func TestServerMetrics(t *testing.T) {
 		`gsqld_http_request_duration_seconds_bucket{endpoint="/query",le="+Inf"}`,
 		`gsqld_http_request_duration_seconds_count{endpoint="/query"}`,
 		"# TYPE gsqld_http_request_duration_seconds histogram",
+		`gsqld_query_stage_seconds_bucket{stage="execute"`,
 	} {
 		if !strings.Contains(text, needle) {
 			t.Fatalf("exposition missing %q:\n%s", needle, text)
