@@ -6,8 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"graphsql/internal/core"
-	"graphsql/internal/exec"
+	"graphsql/internal/par"
 	"graphsql/internal/testutil"
 )
 
@@ -15,7 +14,7 @@ import (
 // guarantee: every query in the golden corpus must render
 // byte-identically at parallelism 1 (the sequential reference), 2, an
 // odd worker count (to hit uneven partition boundaries) and
-// GOMAXPROCS. The operator size gates are lowered so the corpus — kept
+// GOMAXPROCS. The size gates are opened so the corpus — kept
 // small for speed — still drives every partitioned code path.
 
 // differentialSettings returns the parallelism settings under test,
@@ -33,15 +32,11 @@ func differentialSettings() []int {
 	return out
 }
 
-// forceParallelOperators lowers every parallel size gate for the test.
+// forceParallelOperators opens every parallel size gate for the test.
 func forceParallelOperators(t testing.TB) {
 	t.Helper()
-	prevExec := exec.SetMinParallelRows(1)
-	prevCore := core.SetMinParallelOutputRows(1)
-	t.Cleanup(func() {
-		exec.SetMinParallelRows(prevExec)
-		core.SetMinParallelOutputRows(prevCore)
-	})
+	prev := par.OpenGates(true)
+	t.Cleanup(func() { par.OpenGates(prev) })
 }
 
 func openCorpusDB(t testing.TB, parallelism int) *DB {

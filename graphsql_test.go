@@ -237,6 +237,32 @@ func TestNonPositiveWeightErrors(t *testing.T) {
 	}
 }
 
+// TestNaNWeightErrors pins the §2 positivity rule for NaN, which fails
+// every comparison and so used to slip through a `w <= 0` check: a
+// constant NaN weight returned cost NaN, and a NaN edge beat a finite
+// two-hop path. Both must be rejected, ad hoc and over a graph index.
+func TestNaNWeightErrors(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE e (s BIGINT, d BIGINT, w DOUBLE)`)
+	db.MustExec(`INSERT INTO e VALUES (1, 3, CAST('NaN' AS DOUBLE)), (1, 2, 1.0), (2, 3, 1.0)`)
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			if err := db.BuildGraphIndex("e", "s", "d"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []string{
+			`SELECT CHEAPEST SUM(CAST('NaN' AS DOUBLE)) WHERE 1 REACHES 3 OVER e EDGE (s, d)`,
+			`SELECT CHEAPEST SUM(x: w) AS (c, p) WHERE 1 REACHES 3 OVER e x EDGE (s, d)`,
+		} {
+			res, err := db.Query(q)
+			if err == nil || !strings.Contains(err.Error(), "positive") {
+				t.Fatalf("indexed=%v: %s\nexpected strictly-positive weight error, got %v\n%s", indexed, q, err, res)
+			}
+		}
+	}
+}
+
 func TestGraphIndexMatchesAdHoc(t *testing.T) {
 	db := appendixDB(t)
 	adhoc, err := db.QueryScalar(

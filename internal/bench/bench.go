@@ -288,7 +288,8 @@ func Phases(o Options) error {
 		src, dst := ds.RandomPairs(o.Pairs, o.Seed)
 		start = time.Now()
 		for i := range src {
-			if _, err := pg.Reachability(types.NewInt(src[i]), types.NewInt(dst[i])); err != nil {
+			s, d := pg.Dict.LookupInt(src[i]), pg.Dict.LookupInt(dst[i])
+			if _, err := graph.NewSolver(pg.CSR).Solve([]graph.VertexID{s}, []graph.VertexID{d}, nil); err != nil {
 				return err
 			}
 		}

@@ -43,15 +43,9 @@ type DynamicGraph struct {
 // delta edges > rebuildFraction × snapshot edges.
 const rebuildFraction = 0.25
 
-// NewDynamicGraph builds the initial snapshot from the table chunk
-// with the default parallelism.
-func NewDynamicGraph(edges *storage.Chunk, srcIdx, dstIdx int) (*DynamicGraph, error) {
-	return NewDynamicGraphP(edges, srcIdx, dstIdx, 0)
-}
-
-// NewDynamicGraphP is NewDynamicGraph with an explicit parallelism,
-// inherited by snapshot rebuilds and solvers (<= 0 means one worker
-// per CPU).
+// NewDynamicGraphP builds the initial snapshot from the table chunk.
+// The parallelism is inherited by snapshot rebuilds and solvers (<= 0
+// means one worker per CPU).
 func NewDynamicGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*DynamicGraph, error) {
 	//gsqlvet:allow ctxprop index builds run outside any request (engine.BuildGraphIndex carries no context)
 	pg, err := BuildGraphCtx(context.Background(), edges, srcIdx, dstIdx, parallelism)
@@ -61,13 +55,6 @@ func NewDynamicGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*D
 	return &DynamicGraph{pg: pg, appliedRows: edges.NumRows()}, nil
 }
 
-// Prepared exposes the current snapshot (without the delta).
-func (dg *DynamicGraph) Prepared() *PreparedGraph {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	return dg.pg
-}
-
 // AppliedRows reports how many source-table rows the index reflects.
 func (dg *DynamicGraph) AppliedRows() int {
 	dg.mu.RLock()
@@ -75,14 +62,8 @@ func (dg *DynamicGraph) AppliedRows() int {
 	return dg.appliedRows
 }
 
-// DeltaEdges reports the number of edges currently in the delta.
-func (dg *DynamicGraph) DeltaEdges() int {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	return dg.deltaEdgesLocked()
-}
-
-// deltaEdgesLocked is DeltaEdges for callers already holding mu.
+// deltaEdgesLocked reports the number of edges currently in the
+// delta; the caller holds mu.
 func (dg *DynamicGraph) deltaEdgesLocked() int {
 	if dg.delta == nil {
 		return 0

@@ -22,9 +22,23 @@ func appendEdge(c *storage.Chunk, s, d, w int64) {
 	c.Cols[2].AppendInt(w)
 }
 
+// Prepared exposes the current snapshot (without the delta).
+func (dg *DynamicGraph) Prepared() *PreparedGraph {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	return dg.pg
+}
+
+// DeltaEdges reports the number of edges currently in the delta.
+func (dg *DynamicGraph) DeltaEdges() int {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	return dg.deltaEdgesLocked()
+}
+
 func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +67,7 @@ func TestDynamicGraphAbsorbsAppends(t *testing.T) {
 
 func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +93,7 @@ func TestDynamicGraphRefreshIsIdempotent(t *testing.T) {
 
 func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 	tbl := dynTable([][3]int64{{0, 1, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +122,7 @@ func TestDynamicGraphRebuildOnLargeDelta(t *testing.T) {
 
 func TestDynamicGraphRejectsShrunkTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}, {2, 3, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestDynamicGraphRejectsShrunkTable(t *testing.T) {
 
 func TestDynamicGraphDoesNotCorruptBaseTable(t *testing.T) {
 	tbl := dynTable([][3]int64{{1, 2, 1}})
-	dg, err := NewDynamicGraph(tbl, 0, 1)
+	dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +163,7 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 		for i := 0; i < 1+r.Intn(8); i++ {
 			appendEdge(tbl, int64(r.Intn(n)), int64(r.Intn(n)), 1)
 		}
-		dg, err := NewDynamicGraph(tbl, 0, 1)
+		dg, err := NewDynamicGraphP(tbl, 0, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +174,8 @@ func TestPropertyDynamicEqualsRebuilt(t *testing.T) {
 			if _, err := dg.RefreshCtx(context.Background(), tbl); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := BuildGraphCtx(context.Background(), tbl, 0, 1, 0)
+			// Without appends a dynamic graph is exactly its snapshot.
+			fresh, err := NewDynamicGraphP(tbl, 0, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

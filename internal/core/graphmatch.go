@@ -90,11 +90,14 @@ func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, pa
 	dstIDs := make([]graph.VertexID, m)
 	ids := [][]graph.VertexID{srcIDs, dstIDs}
 	var err error
+	// The dictionary starts empty and grows with the distinct keys: a
+	// capacity hint of m edge rows would allocate a map sized by edges,
+	// not vertices.
 	if stringKeyed(sc.Kind) {
-		dict = graph.NewStringDict(m)
+		dict = graph.NewStringDict(0)
 		err = dict.EncodeColumnsStringCtx(ctx, [][]string{sc.Strs, dc.Strs}, ids, parallelism)
 	} else {
-		dict = graph.NewIntDict(m)
+		dict = graph.NewIntDict(0)
 		err = dict.EncodeColumnsIntCtx(ctx, [][]int64{sc.Ints, dc.Ints}, ids, parallelism)
 	}
 	if err != nil {
@@ -236,10 +239,7 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 			keep = append(keep, i)
 		}
 	}
-	workers := 1
-	if len(keep) >= minParallelOutputRows {
-		workers = par.Workers(pg.Parallelism)
-	}
+	workers := par.Gated(pg.Parallelism, len(keep), minParallelOutputRows)
 	out := input.GatherP(keep, workers)
 	out.Schema = gm.Sch[:len(input.Schema)]
 	for k := range gm.Specs {
@@ -280,19 +280,9 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 }
 
 // minParallelOutputRows gates the parallel output phase of GraphMatch:
-// below it, materialization stays on the calling goroutine. A variable
-// (not a const) so tests can lower it to force the parallel path on
-// small corpora; see SetMinParallelOutputRows.
-var minParallelOutputRows = 1 << 12
-
-// SetMinParallelOutputRows overrides the parallel-materialization gate
-// and returns the previous value. Intended for tests and benchmarks;
-// not safe to call concurrently with query execution.
-func SetMinParallelOutputRows(n int) int {
-	prev := minParallelOutputRows
-	minParallelOutputRows = n
-	return prev
-}
+// below it, materialization stays on the calling goroutine (see
+// par.Gated).
+const minParallelOutputRows = 1 << 12
 
 // pathSchema derives the nested-table column names/kinds from the edge
 // chunk (§2: "the attributes enclosed in the nested table ... are the
@@ -318,22 +308,4 @@ func (pg *PreparedGraph) buildPath(names []string, kinds []types.Kind, rows []in
 		p.Rows[i] = pg.Edges.Row(int(r))
 	}
 	return p
-}
-
-// Reachability answers plain reachability for one pair of keys over a
-// prepared graph; it is used by the facade's convenience API and the
-// baseline comparisons.
-func (pg *PreparedGraph) Reachability(srcKey, dstKey types.Value) (bool, error) {
-	sc := storage.NewColumn(pg.KeyKind, 1)
-	sc.Append(srcKey)
-	dc := storage.NewColumn(pg.KeyKind, 1)
-	dc.Append(dstKey)
-	srcs := pg.encodeColumn(sc)
-	dsts := pg.encodeColumn(dc)
-	solver := graph.NewSolver(pg.CSR)
-	sol, err := solver.Solve(srcs, dsts, nil)
-	if err != nil {
-		return false, err
-	}
-	return sol.Reached[0], nil
 }

@@ -68,7 +68,7 @@ func TestBuildGraphCompactsNullEndpoints(t *testing.T) {
 }
 
 func TestReachabilityHelper(t *testing.T) {
-	pg, err := BuildGraphCtx(context.Background(), edgeChunk([][3]int64{{1, 2, 1}, {2, 3, 1}}), 0, 1, 0)
+	dg, err := NewDynamicGraphP(edgeChunk([][3]int64{{1, 2, 1}, {2, 3, 1}}), 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReachabilityHelper(t *testing.T) {
 		{1, 3, true}, {3, 1, false}, {1, 1, true}, {99, 1, false}, {1, 99, false},
 	}
 	for _, c := range cases {
-		got, err := pg.Reachability(types.NewInt(c.s), types.NewInt(c.d))
+		got, err := dg.Reachability(types.NewInt(c.s), types.NewInt(c.d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +243,15 @@ func TestStringKeyedGraph(t *testing.T) {
 	})
 	c.AppendRow([]types.Value{types.NewString("a"), types.NewString("b")})
 	c.AppendRow([]types.Value{types.NewString("b"), types.NewString("c")})
-	pg, err := BuildGraphCtx(context.Background(), c, 0, 1, 0)
+	dg, err := NewDynamicGraphP(c, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := pg.Reachability(types.NewString("a"), types.NewString("c"))
+	ok, err := dg.Reachability(types.NewString("a"), types.NewString("c"))
 	if err != nil || !ok {
 		t.Fatalf("a->c: %v %v", ok, err)
 	}
-	ok, _ = pg.Reachability(types.NewString("c"), types.NewString("a"))
+	ok, _ = dg.Reachability(types.NewString("c"), types.NewString("a"))
 	if ok {
 		t.Fatal("c must not reach a")
 	}

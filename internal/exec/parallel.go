@@ -17,27 +17,13 @@ import (
 // with no goroutines, no hashing and no bucketing.
 
 // minParallelRows gates the worker count of the relational operators;
-// inputs below it run their core on one worker. A variable (not a
-// const) so tests and benchmarks can lower it to engage several workers
-// on small corpora; see SetMinParallelRows.
-var minParallelRows = 1 << 13
-
-// SetMinParallelRows overrides the parallel-operator gate and returns
-// the previous value. Intended for tests and benchmarks; not safe to
-// call concurrently with query execution.
-func SetMinParallelRows(n int) int {
-	prev := minParallelRows
-	minParallelRows = n
-	return prev
-}
+// inputs below it run their core on one worker (see par.Gated).
+const minParallelRows = 1 << 13
 
 // workers resolves the worker count for an operator over n rows: 1
 // below the gate, the context's budget otherwise.
 func (ctx *Context) workers(n int) int {
-	if n < minParallelRows {
-		return 1
-	}
-	return par.Workers(ctx.Parallelism)
+	return par.Gated(ctx.Parallelism, n, minParallelRows)
 }
 
 // FNV-1a, used to shard rows by hash key. The shard assignment never

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphsql/internal/expr"
+	"graphsql/internal/par"
 	"graphsql/internal/plan"
 	"graphsql/internal/storage"
 	"graphsql/internal/testutil"
@@ -18,7 +19,7 @@ import (
 // Every relational breaker core — join, GROUP BY, DISTINCT, the
 // deduplicating set operations, ORDER BY — runs one algorithm at every
 // worker count. These tests run each core over random inputs at 1, 2, 3
-// and 8 workers, with the size gate lowered so every count engages, and
+// and 8 workers, with the size gates open so every count engages, and
 // compare every run with the row-at-a-time oracle in internal/testutil,
 // which shares no code with the cores. Run under -race they are also
 // the data-race check for the partitioned cores.
@@ -26,11 +27,11 @@ import (
 // oracleWorkers are the worker counts every core is checked at.
 var oracleWorkers = []int{1, 2, 3, 8}
 
-// forceParallel lowers the operator gate for the duration of a test.
-func forceParallel(t testing.TB) {
+// openGates opens every size gate for the duration of a test.
+func openGates(t testing.TB) {
 	t.Helper()
-	prev := SetMinParallelRows(1)
-	t.Cleanup(func() { SetMinParallelRows(prev) })
+	prev := par.OpenGates(true)
+	t.Cleanup(func() { par.OpenGates(prev) })
 }
 
 // chunkRows boxes every row of c, the oracle's input form.
@@ -297,7 +298,7 @@ func joinCase(r picker, jt plan.JoinType, left, right *storage.Chunk) (plan.Node
 var setOps = []string{"UNION", "EXCEPT", "INTERSECT"}
 
 func TestParallelDistinctEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n, want := distinctCase(randChunk(r, "t", 20+r.Intn(300)))
@@ -306,7 +307,7 @@ func TestParallelDistinctEquivalence(t *testing.T) {
 }
 
 func TestParallelSortEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n, want := sortCase(r, randChunk(r, "t", 20+r.Intn(500)))
@@ -315,7 +316,7 @@ func TestParallelSortEquivalence(t *testing.T) {
 }
 
 func TestParallelSetOpEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		left := randChunk(r, "l", 10+r.Intn(200))
@@ -327,7 +328,7 @@ func TestParallelSetOpEquivalence(t *testing.T) {
 }
 
 func TestParallelAggregateEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		in := randChunk(r, "t", 20+r.Intn(400))
@@ -337,7 +338,7 @@ func TestParallelAggregateEquivalence(t *testing.T) {
 }
 
 func TestParallelJoinEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	jtypes := []plan.JoinType{plan.JoinInner, plan.JoinLeft, plan.JoinSemi, plan.JoinAnti}
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -353,7 +354,7 @@ func TestParallelJoinEquivalence(t *testing.T) {
 }
 
 func TestParallelCrossJoinEquivalence(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		left := randChunk(r, "l", 5+r.Intn(40))
@@ -420,7 +421,7 @@ func nanChunk(r *rand.Rand, n int) *storage.Chunk {
 // grouped MIN/MAX over a NaN-laced float column must match the oracle
 // at every worker count (requires types.Compare to be a total order).
 func TestParallelNaNTotalOrder(t *testing.T) {
-	forceParallel(t)
+	openGates(t)
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		in := nanChunk(r, 30+r.Intn(300))
@@ -509,7 +510,7 @@ func FuzzBreakerCores(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		forceParallel(t)
+		openGates(t)
 		p := &bytePicker{data: data}
 		core := p.Intn(6)
 		left := randChunk(p, "l", p.Intn(64))

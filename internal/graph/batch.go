@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // Spec describes one CHEAPEST SUM evaluation over a graph: the edge
@@ -67,7 +68,8 @@ type Solver struct {
 	// Parallelism caps the number of solve workers; <= 0 means
 	// runtime.GOMAXPROCS(0). Parallelism is across source groups only:
 	// every traversal runs on one worker, so a single-source query uses
-	// one core. Small batches take a sequential fast path regardless.
+	// one core. Small batches run on one worker regardless (the size
+	// gate).
 	Parallelism int
 	// Ctx carries optional cancellation (client disconnects, server
 	// timeouts). It is checked at the source-group boundary and inside
@@ -81,22 +83,9 @@ type Solver struct {
 	// concurrent use and samples from distinct sources may interleave.
 	// Observation only — it cannot affect results. Nil is free.
 	OnLevel func(level int64, size int)
-	// forceParallel bypasses the sequential fast-path heuristic so
-	// tests can exercise the worker pool on tiny inputs.
-	forceParallel bool
 	// scratches pools per-worker traversal state across Solve calls;
-	// scratches[0] doubles as the sequential-path scratch.
-	scratches []*solverScratch
-}
-
-// solverScratch is the per-worker traversal state: BFS and Dijkstra
-// per-vertex arrays plus the destination mark array of the group being
-// solved. Each worker owns exactly one scratch for the duration of a
-// Solve call.
-type solverScratch struct {
-	bfs    *bfsState
-	dij    *dijkstraState
-	wanted []bool
+	// each worker owns exactly one for the duration of a Solve call.
+	scratches []*search
 }
 
 // NewSolver returns a solver for g.
@@ -116,19 +105,21 @@ func NewSolverWithDelta(g *CSR, delta *Delta) *Solver {
 
 // scratch returns the pooled per-worker scratch with index i, growing
 // the pool on first use.
-func (s *Solver) scratch(i int) *solverScratch {
+func (s *Solver) scratch(i int) *search {
 	for len(s.scratches) <= i {
-		s.scratches = append(s.scratches, &solverScratch{wanted: make([]bool, s.n)})
+		s.scratches = append(s.scratches, newSearch(s.n))
 	}
 	return s.scratches[i]
 }
 
 // ValidateWeights checks the strict positivity requirement of §2 and
 // returns a descriptive error naming the first offending edge row.
+// Every weight that is not > 0 is rejected, NaN included (NaN compares
+// false against everything, so the test is written as !(w > 0)).
 func ValidateWeights(spec *Spec) error {
 	if spec.Unit {
 		if spec.Float {
-			if spec.UnitF <= 0 {
+			if !(spec.UnitF > 0) {
 				return fmt.Errorf("CHEAPEST SUM: weight %v is not strictly positive", spec.UnitF)
 			}
 		} else if spec.UnitI <= 0 {
@@ -142,7 +133,7 @@ func ValidateWeights(spec *Spec) error {
 		}
 	}
 	for i, w := range spec.WeightsF {
-		if w <= 0 {
+		if !(w > 0) {
 			return fmt.Errorf("CHEAPEST SUM: edge row %d has non-positive weight %v", i, w)
 		}
 	}
@@ -199,6 +190,9 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 		at = end
 	}
 
+	if len(groups) == 0 {
+		return sol, nil
+	}
 	workers := s.solveWorkers(len(groups))
 	// Grow the scratch pool up front: workers index it concurrently.
 	for w := 0; w < workers; w++ {
@@ -211,7 +205,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 	var canceled atomic.Bool
 	var failOnce sync.Once
 	var failErr error
-	runIndexed(workers, len(groups), func(worker, i int) {
+	par.Indexed(workers, len(groups), func(worker, i int) {
 		if canceled.Load() || (s.Ctx != nil && s.Ctx.Err() != nil) {
 			canceled.Store(true)
 			return
@@ -223,7 +217,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 		}
 	})
 	if canceled.Load() {
-		// runIndexed's barrier orders the failOnce write before this
+		// par.Indexed's barrier orders the failOnce write before this
 		// read. A nil failErr means a worker observed s.Ctx canceled
 		// before any group returned an error.
 		if failErr != nil {
@@ -245,28 +239,12 @@ func (s *Solver) traversalWork() int {
 }
 
 // solveWorkers picks the worker count for a batch of source groups:
-// one (the sequential fast path) unless the batch is large enough that
-// goroutine overhead is noise against the traversal work.
+// one unless the batch is large enough that goroutine overhead is noise
+// against the traversal work. Each group traverses up to the whole
+// graph; below the gate a single worker finishes before a pool would
+// finish spinning up.
 func (s *Solver) solveWorkers(groups int) int {
-	if groups < 2 {
-		return 1
-	}
-	workers := resolveWorkers(s.Parallelism)
-	if workers > groups {
-		workers = groups
-	}
-	if workers <= 1 {
-		return 1
-	}
-	if s.forceParallel {
-		return workers
-	}
-	// Each group traverses up to the whole graph; below the threshold a
-	// single worker finishes before a pool would finish spinning up.
-	if groups*s.traversalWork() < minParallelSolveWork {
-		return 1
-	}
-	return workers
+	return min(par.Gated(s.Parallelism, groups*s.traversalWork(), minParallelSolveWork), groups)
 }
 
 // solveGroup answers all pairs sharing one source vertex. It runs
@@ -275,7 +253,7 @@ func (s *Solver) solveWorkers(groups int) int {
 // error means the traversal stopped mid-flight (cancellation or an
 // injected fault) and the group's outputs are partial garbage the
 // caller must discard.
-func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) error {
+func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) error {
 	if err := fault.Inject(fault.PointSolverGroup); err != nil {
 		return err
 	}
@@ -304,17 +282,16 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 		}
 	}
 
+	// The BFS results are read out before any Dijkstra run reuses the
+	// scratch.
 	reachedSet := false
 	if needBFS {
-		if sc.bfs == nil {
-			sc.bfs = newBFSState(s.n)
-		}
-		sc.bfs.onLevel = s.OnLevel
-		if _, err := sc.bfs.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
+		sc.onLevel = s.OnLevel
+		if _, err := sc.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
 			return err
 		}
 		for _, i := range group {
-			sol.Reached[i] = sc.bfs.visited(dsts[i])
+			sol.Reached[i] = sc.seen(dsts[i])
 		}
 		reachedSet = true
 		for k := range specs {
@@ -324,17 +301,17 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 			}
 			for _, i := range group {
 				d := dsts[i]
-				if !sc.bfs.visited(d) {
+				if !sc.seen(d) {
 					continue
 				}
-				hops := sc.bfs.dist[d]
+				hops := sc.dist[d]
 				if spec.Float {
 					sol.CostF[k][i] = float64(hops) * spec.UnitF
 				} else {
 					sol.CostI[k][i] = hops * spec.UnitI
 				}
 				if spec.NeedPath {
-					sol.Paths[k][i], _ = sc.bfs.pathTo(d)
+					sol.Paths[k][i], _ = sc.pathTo(d)
 				}
 			}
 		}
@@ -345,24 +322,21 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 		if spec.Unit {
 			continue
 		}
-		if sc.dij == nil {
-			sc.dij = newDijkstraState(s.n)
-		}
 		var err error
 		switch {
 		case spec.WeightsF != nil:
-			_, err = runHeap(sc.dij, &sc.dij.bqF, sc.dij.distF, s.g, s.delta, src, spec.WeightsF, sc.wanted, distinct, s.Ctx)
+			_, err = runHeap(sc, &sc.bqF, sc.floatDist(), s.g, s.delta, src, spec.WeightsF, sc.wanted, distinct, s.Ctx)
 		case spec.ForceBinaryHeap:
-			_, err = runHeap(sc.dij, &sc.dij.bqI, sc.dij.distI, s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
+			_, err = runHeap(sc, &sc.bqI, sc.dist, s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
 		default:
-			_, err = sc.dij.runInt(s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
+			_, err = sc.runInt(s.g, s.delta, src, spec.WeightsI, sc.wanted, distinct, s.Ctx)
 		}
 		if err != nil {
 			return err
 		}
 		for _, i := range group {
 			d := dsts[i]
-			ok := sc.dij.seen(d) && sc.dij.settled[d]
+			ok := sc.settled(d)
 			if !reachedSet {
 				sol.Reached[i] = ok
 			}
@@ -370,12 +344,12 @@ func (s *Solver) solveGroup(sc *solverScratch, src VertexID, group []int, dsts [
 				continue
 			}
 			if spec.Float {
-				sol.CostF[k][i] = sc.dij.distF[d]
+				sol.CostF[k][i] = sc.distF[d]
 			} else {
-				sol.CostI[k][i] = sc.dij.distI[d]
+				sol.CostI[k][i] = sc.dist[d]
 			}
 			if spec.NeedPath {
-				sol.Paths[k][i], _ = sc.dij.pathTo(d)
+				sol.Paths[k][i], _ = sc.pathTo(d)
 			}
 		}
 		reachedSet = true

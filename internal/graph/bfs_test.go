@@ -15,12 +15,9 @@ import (
 func TestBFSPathToUnreached(t *testing.T) {
 	// 0 -> 1 -> 2, and isolated 3; 2 unreachable from 1's component
 	// when starting at 2.
-	g, err := buildCSRSeq(context.Background(), 4, []VertexID{0, 1}, []VertexID{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newBFSState(4)
-	wanted := make([]bool, 4)
+	g := buildTestCSR(t, 4, [][2]int{{0, 1}, {1, 2}})
+	s := newSearch(4)
+	wanted := s.wanted
 	wanted[2] = true
 	if reached, _ := s.runBFS(g, nil, 0, wanted, 1, nil); reached != 1 {
 		t.Fatalf("first run: reached = %d, want 1", reached)
@@ -41,8 +38,8 @@ func TestBFSPathToUnreached(t *testing.T) {
 			t.Fatalf("pathTo(%d) after isolated run = %v, %v; want nil, false", v, p, ok)
 		}
 	}
-	// Same guard on the Dijkstra scratch.
-	d := newDijkstraState(4)
+	// Same guard after Dijkstra runs on a fresh scratch.
+	d := newSearch(4)
 	weights := []int64{1, 1}
 	if reached, _ := d.runInt(g, nil, 0, weights, wanted[:], 1, nil); reached != 1 {
 		t.Fatal("dijkstra first run did not reach 0... (source is wanted)")
@@ -52,6 +49,33 @@ func TestBFSPathToUnreached(t *testing.T) {
 	}
 	if p, ok := d.pathTo(2); ok || p != nil {
 		t.Fatalf("dijkstra pathTo(2) after isolated run = %v, %v; want nil, false", p, ok)
+	}
+	// A Dijkstra run that stops at its last wanted vertex leaves
+	// vertices reached but unsettled: here 0->2 (row 2, cost 5) was
+	// relaxed before 0->1->2 (cost 2) was found. pathTo reports such a
+	// vertex as reached with a path that need not be shortest, so the
+	// answer must come from settled: it is only settled once wanted.
+	h := buildTestCSR(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	e := newSearch(3)
+	hw := []int64{1, 1, 5}
+	e.wanted[1] = true
+	if reached, _ := e.runInt(h, nil, 0, hw, e.wanted, 1, nil); reached != 1 {
+		t.Fatalf("early-stop run: reached = %d, want 1", reached)
+	}
+	if !e.seen(2) || e.settled(2) || e.dist[2] != 5 {
+		t.Fatalf("vertex 2 after early stop: seen=%v settled=%v dist=%d; want reached, unsettled, 5",
+			e.seen(2), e.settled(2), e.dist[2])
+	}
+	if p, ok := e.pathTo(2); !ok || !reflect.DeepEqual(p, []int32{2}) {
+		t.Fatalf("pathTo(2) after early stop = %v, %v; want the relaxed 1-hop edge [2]", p, ok)
+	}
+	e.wanted[1], e.wanted[2] = false, true
+	if reached, _ := e.runInt(h, nil, 0, hw, e.wanted, 1, nil); reached != 1 {
+		t.Fatalf("second run: reached = %d, want 1", reached)
+	}
+	if p, ok := e.pathTo(2); !ok || !e.settled(2) || e.dist[2] != 2 || !reflect.DeepEqual(p, []int32{0, 1}) {
+		t.Fatalf("pathTo(2) once wanted = %v, %v (settled=%v dist=%d); want settled [0 1] at 2",
+			p, ok, e.settled(2), e.dist[2])
 	}
 }
 
@@ -129,13 +153,13 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 	for i := range src {
 		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
 	}
-	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	g, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wanted := make([]bool, n)
 
-	s := newBFSState(n)
+	s := newSearch(n)
+	wanted := s.wanted
 	if _, err := s.runBFS(g, nil, 0, wanted, 0, newCountdownCtx(1)); err == nil {
 		t.Fatal("canceled BFS returned nil error")
 	}
@@ -143,11 +167,11 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 		t.Fatalf("BFS visited %d vertices after cancellation, want <= %d", got, limit)
 	}
 
-	d := newDijkstraState(n)
+	d := newSearch(n)
 	countSettled := func() int {
 		c := 0
 		for v := 0; v < n; v++ {
-			if d.seen(VertexID(v)) && d.settled[v] {
+			if d.settled(VertexID(v)) {
 				c++
 			}
 		}
@@ -159,14 +183,14 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 	if got, limit := countSettled(), 2*cancelCheckInterval+2; got > limit {
 		t.Fatalf("Dijkstra settled %d vertices after cancellation, want <= %d", got, limit)
 	}
-	if _, err := runHeap(d, &d.bqI, d.distI, g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
+	if _, err := runHeap(d, &d.bqI, d.dist, g, nil, 0, weights, wanted, 0, newCountdownCtx(1)); err == nil {
 		t.Fatal("canceled Dijkstra (binary heap) returned nil error")
 	}
 	fweights := make([]float64, len(weights))
 	for i := range fweights {
 		fweights[i] = 1
 	}
-	if _, err := runHeap(d, &d.bqF, d.distF, g, nil, 0, fweights, wanted, 0, newCountdownCtx(1)); err == nil {
+	if _, err := runHeap(d, &d.bqF, d.floatDist(), g, nil, 0, fweights, wanted, 0, newCountdownCtx(1)); err == nil {
 		t.Fatal("canceled Dijkstra (float) returned nil error")
 	}
 }
@@ -184,7 +208,7 @@ func TestSolverCancelSingleTraversal(t *testing.T) {
 	for i := range src {
 		src[i], dst[i], weights[i] = VertexID(i), VertexID(i+1), 1
 	}
-	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	g, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

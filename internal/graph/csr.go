@@ -5,6 +5,12 @@
 // shortest paths are computed with BFS (unweighted), Dijkstra with a
 // radix queue (integer weights) or Dijkstra with a binary heap (float
 // weights), batched over many source/destination pairs.
+//
+// Each of the three phases has one core, written against a worker
+// count (see parallel.go): the chunked dictionary encode (encode.go),
+// the chunked CSR build (this file) and the solver, whose traversals
+// share one epoch-stamped search scratch (search.go). A size gate only
+// picks how many workers run a core.
 package graph
 
 import (
@@ -12,6 +18,7 @@ import (
 	"fmt"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // VertexID is a dense vertex identifier in H = {0..N-1}.
@@ -40,107 +47,44 @@ type CSR struct {
 // NumEdges returns the edge count.
 func (g *CSR) NumEdges() int { return len(g.Targets) }
 
-// OutDegree returns the out-degree of v.
-func (g *CSR) OutDegree(v VertexID) int {
-	return int(g.Offsets[v+1] - g.Offsets[v])
-}
-
-// Neighbors returns the slice of CSR positions for v's outgoing edges.
+// edgeRange returns the CSR positions [lo, hi) of v's outgoing edges.
 func (g *CSR) edgeRange(v VertexID) (int64, int64) {
 	return g.Offsets[v], g.Offsets[v+1]
 }
 
-// buildCSRSeq constructs the CSR sequentially from parallel
-// source/destination arrays of dense vertex ids. n is the vertex count.
-// Entries with src or dst outside [0, n) are rejected. The optional
-// cancellation context is polled every cancelCheckInterval rows in each
-// pass.
-func buildCSRSeq(ctx context.Context, n int, src, dst []VertexID) (*CSR, error) {
-	if len(src) != len(dst) {
-		return nil, fmt.Errorf("graph: src/dst length mismatch: %d vs %d", len(src), len(dst))
-	}
-	if err := fault.Inject(fault.PointGraphBuildChunk); err != nil {
-		return nil, err
-	}
-	m := len(src)
-	offsets := make([]int64, n+1)
-	for row, s := range src {
-		if row&(cancelCheckInterval-1) == 0 {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if s < 0 || int(s) >= n {
-			return nil, fmt.Errorf("graph: source id %d out of range [0,%d)", s, n)
-		}
-		offsets[s+1]++
-	}
-	for row, d := range dst {
-		if row&(cancelCheckInterval-1) == 0 {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if d < 0 || int(d) >= n {
-			return nil, fmt.Errorf("graph: destination id %d out of range [0,%d)", d, n)
-		}
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	targets := make([]VertexID, m)
-	perm := make([]int32, m)
-	// cursor tracks the next free slot per vertex while scattering.
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for row := 0; row < m; row++ {
-		if row&(cancelCheckInterval-1) == 0 {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		s := src[row]
-		pos := cursor[s]
-		cursor[s]++
-		targets[pos] = dst[row]
-		perm[pos] = int32(row)
-	}
-	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
-}
-
-// BuildCSRParallelCtx builds the CSR with chunked parallel degree
-// counting and scattering. The layout is identical to the sequential
-// builder's: each chunk scatters into slots reserved in row order, so
-// CSR positions (and Perm) come out bit-identical regardless of
-// scheduling. Inputs below the size threshold fall back to the
-// sequential builder. The context is polled every cancelCheckInterval
-// rows inside the degree-count and scatter loops (and the sequential
-// fallback), so a cancel landing during graph construction aborts
-// within a few thousand rows.
+// BuildCSRParallelCtx builds the CSR from parallel source/destination
+// arrays of dense vertex ids; n is the vertex count. Entries with src
+// or dst outside [0, n) are rejected: the error names the first
+// out-of-range source row, else the first out-of-range destination
+// row. The chunked core runs on as many workers as the size gate
+// grants, and its output is bit-identical at every worker count. The
+// context is polled every cancelCheckInterval rows inside the
+// degree-count and scatter loops, so a cancel landing during graph
+// construction aborts within a few thousand rows.
 func BuildCSRParallelCtx(ctx context.Context, n int, src, dst []VertexID, parallelism int) (*CSR, error) {
-	workers := resolveWorkers(parallelism)
+	workers := par.Gated(parallelism, len(src), minParallelCSREdges)
 	// Keep every chunk large enough that the per-chunk count arrays
 	// (workers × n) and goroutine startup stay noise.
 	if maxW := len(src) / (minParallelCSREdges / 4); workers > maxW {
-		workers = maxW
+		workers = max(maxW, 1)
 	}
-	if workers <= 1 || len(src) < minParallelCSREdges {
-		return buildCSRSeq(ctx, n, src, dst)
-	}
-	return buildCSRParallel(ctx, n, src, dst, workers)
+	return buildCSR(ctx, n, src, dst, workers)
 }
 
-// buildCSRParallel is the parallel builder proper; tests call it
-// directly to exercise the chunked path on small inputs.
-func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers int) (*CSR, error) {
+// buildCSR is the CSR core: one contiguous row range per worker counts
+// degrees, a sequential prefix sum reserves every range its slots in
+// row order, and each range scatters into its own slots. Edges of one
+// vertex therefore keep their row order (the CSR is the edge rows
+// stably ordered by source), whatever the worker count or scheduling.
+func buildCSR(ctx context.Context, n int, src, dst []VertexID, workers int) (*CSR, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch: %d vs %d", len(src), len(dst))
 	}
 	m := len(src)
 	cp := &cancelPoller{ctx: ctx}
-	// Phase 1: per-chunk degree counting and range validation. ferr
-	// collects per-chunk injected faults (one slot per worker, disjoint
-	// writes); the first one, in chunk order, wins.
+	// Phase 1: per-range degree counting and range validation. ferr
+	// collects per-range injected faults (one slot per worker, disjoint
+	// writes); the first one, in range order, wins.
 	counts := make([][]int32, workers)
 	badSrc := make([]int, workers)
 	badDst := make([]int, workers)
@@ -148,64 +92,53 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 	for w := range badSrc {
 		badSrc[w], badDst[w] = -1, -1
 	}
-	runRanges(workers, m, func(w, lo, hi int) {
+	par.Ranges(workers, m, func(w, lo, hi int) {
 		if err := fault.Inject(fault.PointGraphBuildChunk); err != nil {
 			ferr[w] = err
 			return
 		}
 		cnt := make([]int32, n)
-		badS, badD := -1, -1
 		for row := lo; row < hi; row++ {
 			if row&(cancelCheckInterval-1) == 0 && cp.poll() {
 				return
 			}
+			if d := dst[row]; (d < 0 || int(d) >= n) && badDst[w] < 0 {
+				badDst[w] = row
+			}
 			s := src[row]
 			if s < 0 || int(s) >= n {
-				if badS < 0 {
-					badS = row
+				if badSrc[w] < 0 {
+					badSrc[w] = row
 				}
 				continue
 			}
 			cnt[s]++
 		}
-		for row := lo; row < hi; row++ {
-			if d := dst[row]; d < 0 || int(d) >= n {
-				badD = row
-				break
-			}
-		}
-		counts[w], badSrc[w], badDst[w] = cnt, badS, badD
+		counts[w] = cnt
 	})
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	for _, err := range ferr {
-		if err != nil {
-			return nil, err
+	if err := firstError(ferr); err != nil {
+		return nil, err
+	}
+	// Ranges are in row order, so the first range reporting a bad row
+	// holds the first bad row overall.
+	for _, row := range badSrc {
+		if row >= 0 {
+			return nil, fmt.Errorf("graph: source id %d out of range [0,%d)", src[row], n)
 		}
 	}
-	// Report the same error the sequential builder would: the first
-	// out-of-range source anywhere, else the first bad destination.
-	firstBad := func(bad []int) int {
-		first := -1
-		for _, row := range bad {
-			if row >= 0 && (first < 0 || row < first) {
-				first = row
-			}
+	for _, row := range badDst {
+		if row >= 0 {
+			return nil, fmt.Errorf("graph: destination id %d out of range [0,%d)", dst[row], n)
 		}
-		return first
-	}
-	if row := firstBad(badSrc); row >= 0 {
-		return nil, fmt.Errorf("graph: source id %d out of range [0,%d)", src[row], n)
-	}
-	if row := firstBad(badDst); row >= 0 {
-		return nil, fmt.Errorf("graph: destination id %d out of range [0,%d)", dst[row], n)
 	}
 	// Phase 2 (sequential): prefix-sum the offsets while turning each
-	// chunk's count into its absolute scatter cursor. Chunk w's slots
-	// for vertex v start after the slots of chunks < w, which preserves
-	// the sequential row order within every vertex. Cursors fit int32
-	// because Perm does.
+	// range's count into its absolute scatter cursor. Range w's slots
+	// for vertex v start after the slots of ranges < w, which keeps the
+	// row order within every vertex. Cursors fit int32 because Perm
+	// does.
 	offsets := make([]int64, n+1)
 	pos := int64(0)
 	for v := 0; v < n; v++ {
@@ -216,7 +149,7 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 		}
 		offsets[v] = pos
 		for _, cnt := range counts {
-			if cnt == nil {
+			if cnt == nil { // a range the row count left empty
 				continue
 			}
 			c := cnt[v]
@@ -225,10 +158,10 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 		}
 	}
 	offsets[n] = pos
-	// Phase 3: parallel scatter, each chunk into its reserved slots.
+	// Phase 3: scatter, each range into its reserved slots.
 	targets := make([]VertexID, m)
 	perm := make([]int32, m)
-	runRanges(workers, m, func(w, lo, hi int) {
+	par.Ranges(workers, m, func(w, lo, hi int) {
 		// ferr slots are all nil here (a phase-1 fault returned early),
 		// so the scatter phase reuses them.
 		if err := fault.Inject(fault.PointGraphBuildChunk); err != nil {
@@ -249,10 +182,8 @@ func buildCSRParallel(ctx context.Context, n int, src, dst []VertexID, workers i
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	for _, err := range ferr {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstError(ferr); err != nil {
+		return nil, err
 	}
 	return &CSR{N: n, Offsets: offsets, Targets: targets, Perm: perm}, nil
 }

@@ -4,176 +4,164 @@ package graph
 // key columns (sources then destinations) at once; treating their
 // concatenation as one key stream lets the expensive part — hashing
 // every key — run chunked across workers while keeping the dense-ID
-// assignment deterministic: chunks pre-deduplicate in parallel, then a
-// short sequential merge interns the distinct keys in stream order
-// (so every key gets exactly the ID sequential EncodeInt/EncodeString
-// calls would assign), and finally the chunks fill in the output IDs
-// from the then-read-only map in parallel.
-//
-// Every loop — sequential and per-chunk alike — polls the optional
-// cancellation context every cancelCheckInterval keys, so a cancel
-// landing during ad-hoc graph construction aborts the encode within a
-// few thousand keys instead of waiting for the whole column pair.
+// assignment deterministic. Every loop polls the optional cancellation
+// context every cancelCheckInterval keys, so a cancel landing during
+// ad-hoc graph construction aborts the encode within a few thousand
+// keys instead of waiting for the whole column pair.
 
 import (
 	"context"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/par"
 )
 
 // EncodeColumnsIntCtx encodes the concatenation of the given int64 key
 // columns, writing dense IDs into the parallel outs slices (outs[c]
 // must have len(cols[c])). IDs are identical to sequential EncodeInt
-// calls in stream order, for any parallelism. The context is polled at
-// chunk boundaries and every few thousand keys inside each loop. On
-// cancellation the dictionary is left partially populated and must be
-// discarded; the outs contents are unspecified.
+// calls in stream order, for any parallelism. On cancellation the
+// dictionary is left partially populated and must be discarded; the
+// outs contents are unspecified.
 func (d *Dict) EncodeColumnsIntCtx(ctx context.Context, cols [][]int64, outs [][]VertexID, parallelism int) error {
-	return bulkEncode(ctx, d.ints, &d.n, cols, outs, resolveWorkers(parallelism))
+	return encode(ctx, d.ints, &d.n, cols, outs, parallelism)
 }
 
 // EncodeColumnsStringCtx is EncodeColumnsIntCtx over the string key
 // space.
 func (d *Dict) EncodeColumnsStringCtx(ctx context.Context, cols [][]string, outs [][]VertexID, parallelism int) error {
-	return bulkEncode(ctx, d.strs, &d.n, cols, outs, resolveWorkers(parallelism))
+	return encode(ctx, d.strs, &d.n, cols, outs, parallelism)
 }
 
-// canceled polls a possibly-nil context.
-func canceled(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-func bulkEncode[K comparable](ctx context.Context, m map[K]VertexID, next *VertexID, cols [][]K, outs [][]VertexID, workers int) error {
+// encode is the dictionary-encode core. The key stream is split into
+// one contiguous range per worker the size gate grants, then:
+//
+//  1. range 0 interns its keys straight into the dictionary; every
+//     other range numbers its keys by first occurrence in a private
+//     map, writing range-local ids into outs and collecting its
+//     distinct keys in order;
+//  2. one sequential pass interns those ranges' distinct keys in
+//     stream order, recording a local-to-dense remap per range;
+//  3. each range but the first rewrites its outs through its remap.
+//
+// Range 0 comes first in stream order, so a key's id is fixed by the
+// first range holding it, at its first occurrence there: ids are
+// exactly those of sequential EncodeInt calls in stream order, over an
+// empty or a populated dictionary. On one worker this is one pass over
+// one map, which grows with the distinct keys rather than being sized
+// by edges.
+func encode[K comparable](ctx context.Context, m map[K]VertexID, next *VertexID, cols [][]K, outs [][]VertexID, parallelism int) error {
 	total := 0
 	for _, col := range cols {
 		total += len(col)
 	}
-	if workers <= 1 || total < minParallelEncodeKeys {
-		for c, col := range cols {
-			if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
-				return err
-			}
-			out := outs[c]
-			for i, k := range col {
-				if i&(cancelCheckInterval-1) == 0 {
-					if err := canceled(ctx); err != nil {
-						return err
-					}
-				}
-				id, ok := m[k]
-				if !ok {
-					id = *next
-					m[k] = id
-					*next = id + 1
-				}
-				out[i] = id
-			}
-		}
-		return nil
-	}
-	return bulkEncodeParallel(ctx, m, next, cols, outs, workers, total)
-}
-
-// encodeChunk is one contiguous piece of a key column plus the keys it
-// saw first within itself (phase-1 output).
-type encodeChunk[K comparable] struct {
-	col, lo, hi int
-	distinct    []K
-}
-
-func bulkEncodeParallel[K comparable](ctx context.Context, m map[K]VertexID, next *VertexID, cols [][]K, outs [][]VertexID, workers, total int) error {
-	// A few chunks per worker balances skew without shrinking chunks
-	// below the point where map overhead dominates.
-	size := total / (workers * 2)
-	if min := minParallelEncodeKeys / 8; size < min {
-		size = min
-	}
-	var chunks []*encodeChunk[K]
-	for c, col := range cols {
-		for lo := 0; lo < len(col); lo += size {
-			hi := lo + size
-			if hi > len(col) {
-				hi = len(col)
-			}
-			chunks = append(chunks, &encodeChunk[K]{col: c, lo: lo, hi: hi})
-		}
-	}
-	cp := &cancelPoller{ctx: ctx}
-	// ferr collects per-chunk injected faults (disjoint slots, read
+	workers := par.Gated(parallelism, total, minParallelEncodeKeys)
+	ranges := par.NumRanges(workers, total)
+	distinct := make([][]K, ranges)
+	// ferr collects per-range injected faults (disjoint slots, read
 	// after each phase's barrier).
-	ferr := make([]error, len(chunks))
-	// Phase 1 (parallel): per-chunk dedup of keys the dictionary does
-	// not already know; the shared map is read-only here.
-	runIndexed(workers, len(chunks), func(_, i int) {
+	ferr := make([]error, ranges)
+	cp := &cancelPoller{ctx: ctx}
+	par.Ranges(workers, total, func(w, lo, hi int) {
 		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
-			ferr[i] = err
+			ferr[w] = err
 			return
 		}
-		ch := chunks[i]
-		keys := cols[ch.col][ch.lo:ch.hi]
-		local := make(map[K]struct{}, len(keys)/4+8)
-		for j, k := range keys {
-			if j&(cancelCheckInterval-1) == 0 && cp.poll() {
-				return
-			}
-			if _, ok := m[k]; ok {
-				continue
-			}
-			if _, ok := local[k]; ok {
-				continue
-			}
-			local[k] = struct{}{}
-			ch.distinct = append(ch.distinct, k)
+		if w == 0 {
+			segments(cols, lo, hi, func(c, a, b int) {
+				col, out := cols[c], outs[c]
+				for j := a; j < b; j++ {
+					if j&(cancelCheckInterval-1) == 0 && cp.poll() {
+						return
+					}
+					k := col[j]
+					id, ok := m[k]
+					if !ok {
+						id = *next
+						m[k] = id
+						*next++
+					}
+					out[j] = id
+				}
+			})
+			return
 		}
+		local := make(map[K]VertexID)
+		var keys []K
+		segments(cols, lo, hi, func(c, a, b int) {
+			col, out := cols[c], outs[c]
+			for j := a; j < b; j++ {
+				if j&(cancelCheckInterval-1) == 0 && cp.poll() {
+					return
+				}
+				k := col[j]
+				id, ok := local[k]
+				if !ok {
+					id = VertexID(len(keys))
+					local[k] = id
+					keys = append(keys, k)
+				}
+				out[j] = id
+			}
+		})
+		distinct[w] = keys
 	})
 	if err := canceled(ctx); err != nil {
 		return err
 	}
-	for _, err := range ferr {
-		if err != nil {
-			return err
-		}
+	if err := firstError(ferr); err != nil {
+		return err
 	}
-	// Phase 2 (sequential): intern distinct keys in stream order so the
-	// dense IDs match what a sequential pass would assign.
-	for _, ch := range chunks {
+	remaps := make([][]VertexID, ranges)
+	for w := 1; w < ranges; w++ {
 		if err := canceled(ctx); err != nil {
 			return err
 		}
-		for _, k := range ch.distinct {
-			if _, ok := m[k]; !ok {
-				m[k] = *next
+		remap := make([]VertexID, len(distinct[w]))
+		for j, k := range distinct[w] {
+			id, ok := m[k]
+			if !ok {
+				id = *next
+				m[k] = id
 				*next++
 			}
+			remap[j] = id
 		}
+		remaps[w] = remap
 	}
-	// Phase 3 (parallel): fill output IDs from the now-complete map.
-	// ferr slots are all nil again (a phase-1 fault returned early).
-	runIndexed(workers, len(chunks), func(_, i int) {
-		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
-			ferr[i] = err
+	par.Ranges(workers, total, func(w, lo, hi int) {
+		if w == 0 { // range 0 interned into the dictionary itself
 			return
 		}
-		ch := chunks[i]
-		keys := cols[ch.col]
-		out := outs[ch.col]
-		for j := ch.lo; j < ch.hi; j++ {
-			if j&(cancelCheckInterval-1) == 0 && cp.poll() {
-				return
-			}
-			out[j] = m[keys[j]]
+		remap := remaps[w]
+		// ferr slots are all nil again (a phase-1 fault returned early).
+		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
+			ferr[w] = err
+			return
 		}
+		segments(cols, lo, hi, func(c, a, b int) {
+			out := outs[c]
+			for j := a; j < b; j++ {
+				if j&(cancelCheckInterval-1) == 0 && cp.poll() {
+					return
+				}
+				out[j] = remap[out[j]]
+			}
+		})
 	})
 	if err := canceled(ctx); err != nil {
 		return err
 	}
-	for _, err := range ferr {
-		if err != nil {
-			return err
+	return firstError(ferr)
+}
+
+// segments calls f(c, a, b) for every piece cols[c][a:b] of the
+// positions [lo, hi) of the concatenated key stream.
+func segments[K any](cols [][]K, lo, hi int, f func(c, a, b int)) {
+	base := 0
+	for c, col := range cols {
+		if a, b := max(lo-base, 0), min(hi-base, len(col)); a < b {
+			f(c, a, b)
 		}
+		base += len(col)
 	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func buildLine(t *testing.T, n int) (*CSR, []VertexID, []VertexID) {
 		src[i] = VertexID(i)
 		dst[i] = VertexID(i + 1)
 	}
-	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	g, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +44,9 @@ func TestSolverInjectedErrorPropagates(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointSolverGroup, Kind: fault.KindError, After: 3}); err != nil {
 		t.Fatal(err)
 	}
+	openGates(t)
 	s := NewSolver(g)
 	s.Parallelism = 4
-	s.forceParallel = true
 	// Ctx is nil: the error path must not dereference it.
 	_, err := s.Solve(srcs, dsts, []Spec{{Unit: true, UnitI: 1}})
 	var inj *fault.InjectedError
@@ -64,9 +65,9 @@ func TestSolverWorkerPanicSurfaces(t *testing.T) {
 	if err := fault.Set(fault.Rule{Point: fault.PointSolverGroup, Kind: fault.KindPanic, After: 2}); err != nil {
 		t.Fatal(err)
 	}
+	openGates(t)
 	s := NewSolver(g)
 	s.Parallelism = 4
-	s.forceParallel = true
 
 	var wp *par.WorkerPanic
 	func() {
@@ -121,8 +122,8 @@ func TestSolverLevelFaultStopsTraversal(t *testing.T) {
 	}
 }
 
-// TestBuildCSRFaults covers the graph-build chunk point on both the
-// sequential and the chunked-parallel builder.
+// TestBuildCSRFaults covers the graph-build chunk point on the CSR
+// core at one and at four workers.
 func TestBuildCSRFaults(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	const n, m = 100, 4000
@@ -137,23 +138,18 @@ func TestBuildCSRFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inj *fault.InjectedError
-	if _, err := buildCSRSeq(context.Background(), n, src, dst); !errors.As(err, &inj) {
-		t.Fatalf("sequential build error = %v, want injected", err)
-	}
-	if _, err := buildCSRParallel(nil, n, src, dst, 4); !errors.As(err, &inj) {
-		t.Fatalf("parallel build error = %v, want injected", err)
+	for _, workers := range []int{1, 4} {
+		if _, err := buildCSR(nil, n, src, dst, workers); !errors.As(err, &inj) {
+			t.Fatalf("build error at %d workers = %v, want injected", workers, err)
+		}
 	}
 	fault.Reset()
-	want, err := buildCSRSeq(context.Background(), n, src, dst)
+	got, err := buildCSR(nil, n, src, dst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := buildCSRParallel(nil, n, src, dst, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Targets) != len(want.Targets) {
-		t.Fatalf("post-fault rebuild differs: %d vs %d targets", len(got.Targets), len(want.Targets))
+	if want, _ := referenceCSR(n, src, dst); !reflect.DeepEqual(want, got) {
+		t.Fatal("post-fault rebuild differs from the reference")
 	}
 }
 

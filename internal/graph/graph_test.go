@@ -17,11 +17,30 @@ func buildTestCSR(t testing.TB, n int, edges [][2]int) *CSR {
 		src[i] = VertexID(e[0])
 		dst[i] = VertexID(e[1])
 	}
-	g, err := buildCSRSeq(context.Background(), n, src, dst)
+	g, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// OutDegree returns the out-degree of v.
+func (g *CSR) OutDegree(v VertexID) int {
+	return int(g.Offsets[v+1] - g.Offsets[v])
+}
+
+// ownerOf returns the source vertex owning CSR position p.
+func ownerOf(g *CSR, p int64) VertexID {
+	lo, hi := 0, g.N
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if g.Offsets[mid+1] <= p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return VertexID(lo)
 }
 
 func TestBuildCSRBasic(t *testing.T) {
@@ -44,13 +63,13 @@ func TestBuildCSRBasic(t *testing.T) {
 }
 
 func TestBuildCSRRejectsOutOfRange(t *testing.T) {
-	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0, 5}, []VertexID{1, 0}); err == nil {
+	if _, err := BuildCSRParallelCtx(context.Background(), 2, []VertexID{0, 5}, []VertexID{1, 0}, 1); err == nil {
 		t.Fatal("expected error for out-of-range source")
 	}
-	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0}, []VertexID{-1}); err == nil {
+	if _, err := BuildCSRParallelCtx(context.Background(), 2, []VertexID{0}, []VertexID{-1}, 1); err == nil {
 		t.Fatal("expected error for negative destination")
 	}
-	if _, err := buildCSRSeq(context.Background(), 2, []VertexID{0, 1}, []VertexID{1}); err == nil {
+	if _, err := BuildCSRParallelCtx(context.Background(), 2, []VertexID{0, 1}, []VertexID{1}, 1); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
 }

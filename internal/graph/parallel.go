@@ -3,26 +3,26 @@ package graph
 import (
 	"context"
 	"sync/atomic"
-
-	"graphsql/internal/par"
 )
 
-// Parallelism knobs of the shortest-path runtime. A parallelism value
-// of 0 (the default everywhere) resolves to runtime.GOMAXPROCS(0);
-// explicit values cap the worker count. All parallel paths are gated
-// by size thresholds so small interactive inputs never pay goroutine
-// overhead, and all of them produce results bit-identical to the
-// sequential code: work is only ever partitioned over disjoint output
-// ranges, never reordered within one. The distribution primitives
-// themselves live in internal/par, shared with the relational
+// Parallelism of the shortest-path runtime. Each runtime phase —
+// dictionary encode, CSR build, the batched solve — has exactly one
+// core, written against a worker count: work is partitioned over
+// disjoint output ranges and merged in a fixed order, so the output is
+// bit-identical at any worker count. A parallelism value of 0 (the
+// default everywhere) resolves to runtime.GOMAXPROCS(0); explicit
+// values cap the worker count. The size gates below only pick how many
+// workers run a core (see par.Gated): small interactive inputs run it
+// on one worker, a plain loop with no goroutines. The distribution
+// primitives live in internal/par, shared with the relational
 // operators and result materialization.
 const (
-	// minParallelSolveWork gates the parallel solver: the estimated
-	// traversal work (source groups × graph size) must exceed it.
+	// minParallelSolveWork gates the solver: the estimated traversal
+	// work (source groups × graph size) must reach it.
 	minParallelSolveWork = 1 << 17
-	// minParallelCSREdges gates parallel CSR construction.
+	// minParallelCSREdges gates CSR construction.
 	minParallelCSREdges = 1 << 16
-	// minParallelEncodeKeys gates parallel dictionary encoding.
+	// minParallelEncodeKeys gates dictionary encoding.
 	minParallelEncodeKeys = 1 << 15
 	// cancelCheckInterval is how many queue pops a traversal (BFS
 	// dequeues, Dijkstra settles) runs between Ctx polls. Power of two;
@@ -32,17 +32,13 @@ const (
 	cancelCheckInterval = 1 << 12
 )
 
-// resolveWorkers maps a Parallelism option onto a concrete worker
-// count: values <= 0 mean one worker per available CPU.
-func resolveWorkers(parallelism int) int { return par.Workers(parallelism) }
-
-// runIndexed drains n indexed work items over the given number of
-// workers using an atomic work-stealing cursor; see par.Indexed.
-func runIndexed(workers, n int, f func(worker, item int)) { par.Indexed(workers, n, f) }
-
-// runRanges splits [0, n) into one contiguous range per worker and
-// runs them concurrently; see par.Ranges.
-func runRanges(workers, n int, f func(worker, lo, hi int)) { par.Ranges(workers, n, f) }
+// canceled polls a possibly-nil context.
+func canceled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
 
 // cancelPoller coordinates cooperative cancellation across the workers
 // of one parallel phase: the first worker observing a dead context
@@ -66,4 +62,15 @@ func (p *cancelPoller) poll() bool {
 		return true
 	}
 	return false
+}
+
+// firstError returns the first non-nil error of a phase's per-chunk
+// slots, in chunk order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

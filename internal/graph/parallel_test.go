@@ -2,11 +2,20 @@ package graph
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"graphsql/internal/par"
 )
+
+// openGates opens every size gate for the duration of a test, so the
+// cores run at the requested worker count on tiny inputs.
+func openGates(t testing.TB) {
+	t.Helper()
+	prev := par.OpenGates(true)
+	t.Cleanup(func() { par.OpenGates(prev) })
+}
 
 // randomWorkload builds a random graph (CSR plus optional delta of
 // appended edges), weight vectors covering snapshot and delta rows,
@@ -41,7 +50,7 @@ func makeWorkload(rng *rand.Rand, withDelta bool) *randomWorkload {
 		wI[i] = 1 + int64(rng.Intn(20))
 		wF[i] = 0.25 + rng.Float64()*5
 	}
-	g, err := buildCSRSeq(context.Background(), n, src[:snapM], dst[:snapM])
+	g, err := BuildCSRParallelCtx(context.Background(), n, src[:snapM], dst[:snapM], 1)
 	if err != nil {
 		panic(err)
 	}
@@ -93,11 +102,12 @@ func (w *randomWorkload) randomSpecs(rng *rand.Rand) []Spec {
 
 // TestSolverParallelMatchesSequential is the randomized equivalence
 // test of the parallel solver: for random graphs (with and without a
-// delta), random spec mixes and random pair batches, a forced-parallel
-// 4-worker solve must produce a Solution deeply equal to the
+// delta), random spec mixes and random pair batches, a 4-worker solve
+// with the size gates open must produce a Solution deeply equal to the
 // sequential one. Run under -race this also exercises the worker pool
 // for data races.
 func TestSolverParallelMatchesSequential(t *testing.T) {
+	openGates(t)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		withDelta := trial%2 == 1
@@ -111,10 +121,9 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		par := NewSolverWithDelta(w.g, w.delta)
-		par.Parallelism = 4
-		par.forceParallel = true
-		got, err := par.Solve(w.srcs, w.dsts, specs)
+		pool := NewSolverWithDelta(w.g, w.delta)
+		pool.Parallelism = 4
+		got, err := pool.Solve(w.srcs, w.dsts, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,149 +133,12 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 		}
 		// Re-solving with the same (now warm) scratch pool must stay
 		// identical — the epoch-stamped scratches are reusable.
-		again, err := par.Solve(w.srcs, w.dsts, specs)
+		again, err := pool.Solve(w.srcs, w.dsts, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, again) {
 			t.Fatalf("trial %d: second parallel solve differs", trial)
 		}
-	}
-}
-
-// TestBuildCSRParallelMatchesSequential checks the chunked CSR builder
-// produces a bit-identical structure for random inputs and worker
-// counts, including the empty and single-vertex corners.
-func TestBuildCSRParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(50)
-		m := rng.Intn(300)
-		src := make([]VertexID, m)
-		dst := make([]VertexID, m)
-		for i := 0; i < m; i++ {
-			src[i] = VertexID(rng.Intn(n))
-			dst[i] = VertexID(rng.Intn(n))
-		}
-		want, err := buildCSRSeq(context.Background(), n, src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 4, 7} {
-			got, err := buildCSRParallel(context.Background(), n, src, dst, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d workers %d: CSR differs\nwant %+v\ngot  %+v", trial, workers, want, got)
-			}
-		}
-	}
-}
-
-// TestBuildCSRParallelErrors checks the chunked builder reports the
-// same first offending row as the sequential one.
-func TestBuildCSRParallelErrors(t *testing.T) {
-	src := make([]VertexID, 100)
-	dst := make([]VertexID, 100)
-	src[40] = 99 // out of range for n=10
-	src[60] = 77
-	dst[30] = -1
-	_, wantErr := buildCSRSeq(context.Background(), 10, src, dst)
-	_, gotErr := buildCSRParallel(context.Background(), 10, src, dst, 4)
-	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("error mismatch: sequential %v, parallel %v", wantErr, gotErr)
-	}
-	// Destination errors surface once sources are valid.
-	src[40], src[60] = 0, 0
-	_, wantErr = buildCSRSeq(context.Background(), 10, src, dst)
-	_, gotErr = buildCSRParallel(context.Background(), 10, src, dst, 4)
-	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("dst error mismatch: sequential %v, parallel %v", wantErr, gotErr)
-	}
-	if _, err := buildCSRParallel(context.Background(), 10, src, dst[:50], 4); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-}
-
-// TestBulkEncodeMatchesSequential checks the two-phase parallel
-// dictionary encoding assigns exactly the dense IDs a sequential pass
-// would, for int and string key spaces.
-func TestBulkEncodeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		m := 1 + rng.Intn(500)
-		ss := make([]int64, m)
-		ds := make([]int64, m)
-		for i := 0; i < m; i++ {
-			ss[i] = int64(rng.Intn(m/2 + 1))
-			ds[i] = int64(rng.Intn(m/2 + 1))
-		}
-		seqDict := NewIntDict(m)
-		wantS := make([]VertexID, m)
-		wantD := make([]VertexID, m)
-		for i := 0; i < m; i++ {
-			wantS[i] = seqDict.EncodeInt(ss[i])
-		}
-		for i := 0; i < m; i++ {
-			wantD[i] = seqDict.EncodeInt(ds[i])
-		}
-		parDict := NewIntDict(m)
-		gotS := make([]VertexID, m)
-		gotD := make([]VertexID, m)
-		bulkEncodeParallel(context.Background(), parDict.ints, &parDict.n, [][]int64{ss, ds}, [][]VertexID{gotS, gotD}, 4, 2*m)
-		if parDict.Len() != seqDict.Len() {
-			t.Fatalf("trial %d: |V| %d != %d", trial, parDict.Len(), seqDict.Len())
-		}
-		if !reflect.DeepEqual(wantS, gotS) || !reflect.DeepEqual(wantD, gotD) {
-			t.Fatalf("trial %d: parallel encoding differs", trial)
-		}
-	}
-	// String key space through the public threshold-gated entry point,
-	// with a pre-populated dictionary (the delta-refresh case).
-	m := minParallelEncodeKeys
-	keys := make([]string, m)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("v%d", i%(m/3))
-	}
-	seqDict := NewStringDict(0)
-	seqDict.EncodeString("pre")
-	want := make([]VertexID, m)
-	for i, k := range keys {
-		want[i] = seqDict.EncodeString(k)
-	}
-	parDict := NewStringDict(0)
-	parDict.EncodeString("pre")
-	got := make([]VertexID, m)
-	if err := parDict.EncodeColumnsStringCtx(context.Background(), [][]string{keys}, [][]VertexID{got}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("string bulk encoding differs from sequential")
-	}
-}
-
-// TestBuildCSRParallelPublicThreshold drives the public entry point
-// past the size gate so the parallel path runs on a realistic input.
-func TestBuildCSRParallelPublicThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 5000
-	m := minParallelCSREdges + 1000
-	src := make([]VertexID, m)
-	dst := make([]VertexID, m)
-	for i := 0; i < m; i++ {
-		src[i] = VertexID(rng.Intn(n))
-		dst[i] = VertexID(rng.Intn(n))
-	}
-	want, err := buildCSRSeq(context.Background(), n, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BuildCSRParallelCtx(context.Background(), n, src, dst, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("threshold-gated parallel CSR differs from sequential")
 	}
 }

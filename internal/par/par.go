@@ -76,6 +76,28 @@ func Workers(parallelism int) int {
 	return parallelism
 }
 
+// gatesOpen makes every size gate grant the full worker budget; see
+// OpenGates.
+var gatesOpen atomic.Bool
+
+// Gated is the size gate every parallel core consults: it grants one
+// worker when work falls below gate, so small inputs never pay
+// goroutine overhead, and Workers(parallelism) otherwise. A gate only
+// picks the worker count of a core; it never selects a different
+// algorithm.
+func Gated(parallelism, work, gate int) int {
+	if work < gate && !gatesOpen.Load() {
+		return 1
+	}
+	return Workers(parallelism)
+}
+
+// OpenGates sets whether every size gate grants the full worker budget
+// regardless of input size, and returns the previous setting. It is the
+// one override of the gates: tests use it to run the multi-worker cores
+// on tiny inputs.
+func OpenGates(open bool) bool { return gatesOpen.Swap(open) }
+
 // Indexed drains n indexed work items over the given number of workers
 // using an atomic work-stealing cursor. Item order across workers is
 // unspecified; callers must write to disjoint output locations per

@@ -163,3 +163,20 @@ func TestNoPanicNoOverhead(t *testing.T) {
 		t.Fatalf("ranges sum = %d, want 4950", got)
 	}
 }
+
+// TestGatedOpenGates pins the one size gate: one worker below the gate,
+// the budget at and above it, and the budget everywhere once the gates
+// are open.
+func TestGatedOpenGates(t *testing.T) {
+	if got := Gated(3, 9, 10); got != 1 {
+		t.Fatalf("below the gate: %d workers, want 1", got)
+	}
+	if got := Gated(3, 10, 10); got != 3 {
+		t.Fatalf("at the gate: %d workers, want 3", got)
+	}
+	prev := OpenGates(true)
+	defer OpenGates(prev)
+	if got := Gated(3, 0, 10); got != 3 {
+		t.Fatalf("gates open: %d workers, want 3", got)
+	}
+}

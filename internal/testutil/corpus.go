@@ -30,7 +30,7 @@ func (l *lcg) next() uint64 {
 // intn returns a value in [0, n).
 func (l *lcg) intn(n int) int { return int(l.next() % uint64(n)) }
 
-// Corpus dimensions. Large enough that a lowered parallel-operator
+// Corpus dimensions. Large enough that an opened parallel-operator
 // gate exercises every partitioned code path, small enough to keep the
 // harness fast.
 const (

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"graphsql/internal/core"
-	"graphsql/internal/exec"
 )
 
 // refGraph is an adjacency-list oracle with Bellman-Ford shortest
@@ -219,15 +216,10 @@ var parallelEquivalenceQueries = []string{
 
 // TestPropertyParallelEquivalence runs the full SQL pipeline over
 // random graphs twice — sequentially and over a worker pool with the
-// parallel-operator gates lowered — and requires byte-identical result
+// size gates open — and requires byte-identical result
 // renderings for every plan shape.
 func TestPropertyParallelEquivalence(t *testing.T) {
-	prevExec := exec.SetMinParallelRows(1)
-	prevCore := core.SetMinParallelOutputRows(1)
-	t.Cleanup(func() {
-		exec.SetMinParallelRows(prevExec)
-		core.SetMinParallelOutputRows(prevCore)
-	})
+	forceParallelOperators(t)
 	f := func(seed int64) bool {
 		g := randomRefGraph(seed)
 		if len(g.edges) == 0 {
