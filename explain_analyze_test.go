@@ -103,6 +103,43 @@ func TestExplainAnalyzeGraphIndexFrontiers(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeBidirectionalLevels is README's EXPLAIN ANALYZE
+// example: one pair over a graph index is searched from both ends, and
+// the levels of the backward half say so. Without the index the same
+// query searches forward only.
+func TestExplainAnalyzeBidirectionalLevels(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE knows (src BIGINT, dst BIGINT)`)
+	db.MustExec(`INSERT INTO knows VALUES (1,2),(1,3),(2,4),(3,4),(4,5)`)
+	const q = `SELECT CHEAPEST SUM(1) WHERE 1 REACHES 5 OVER knows k EDGE (src, dst)`
+	levels := func() string {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(planText(t, plan), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "level ") {
+				out = append(out, strings.TrimSpace(line))
+			}
+		}
+		return strings.Join(out, "; ")
+	}
+	if got, want := levels(), "level 0: frontier=1; level 1: frontier=2; level 2: frontier=1"; got != want {
+		t.Fatalf("ad hoc graph levels: %s, want %s", got, want)
+	}
+	if err := db.BuildGraphIndex("knows", "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := levels(), "level 0: frontier=1; level 0 (backward): frontier=1; level 1 (backward): frontier=1"; got != want {
+		t.Fatalf("graph index levels: %s, want %s", got, want)
+	}
+	if hops, err := db.QueryScalar(q); err != nil || hops != int64(3) {
+		t.Fatalf("hops = %v, err %v; want 3", hops, err)
+	}
+}
+
 // TestExplainWithoutAnalyze: plain EXPLAIN renders the bound plan
 // without executing, matching DB.Explain.
 func TestExplainWithoutAnalyze(t *testing.T) {

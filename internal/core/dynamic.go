@@ -9,7 +9,6 @@ import (
 	"graphsql/internal/graph"
 	"graphsql/internal/plan"
 	"graphsql/internal/storage"
-	"graphsql/internal/types"
 )
 
 // DynamicGraph is an updatable graph index: a CSR snapshot plus a
@@ -18,7 +17,9 @@ import (
 // updates on the underlying tables" even though the CSR itself is
 // immutable. Appended rows are absorbed in O(new edges); once the
 // delta outgrows rebuildFraction of the snapshot the whole index is
-// rebuilt.
+// rebuilt. Every snapshot carries the transpose of its CSR, and the
+// delta keeps appended edges both ways, so single-pair queries over the
+// index search from both ends.
 //
 // Restrictions: the underlying table must be append-only between
 // refreshes (DELETE and DROP invalidate the index entirely, handled by
@@ -43,12 +44,12 @@ type DynamicGraph struct {
 // delta edges > rebuildFraction × snapshot edges.
 const rebuildFraction = 0.25
 
-// NewDynamicGraphP builds the initial snapshot from the table chunk.
-// The parallelism is inherited by snapshot rebuilds and solvers (<= 0
-// means one worker per CPU).
+// NewDynamicGraphP builds the initial snapshot, transpose included,
+// from the table chunk. The parallelism is inherited by snapshot
+// rebuilds and solvers (<= 0 means one worker per CPU).
 func NewDynamicGraphP(edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*DynamicGraph, error) {
 	//gsqlvet:allow ctxprop index builds run outside any request (engine.BuildGraphIndex carries no context)
-	pg, err := BuildGraphCtx(context.Background(), edges, srcIdx, dstIdx, parallelism)
+	pg, err := buildGraph(context.Background(), edges, srcIdx, dstIdx, parallelism, true)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func (dg *DynamicGraph) RefreshCtx(ctx context.Context, current *storage.Chunk) 
 	}
 	newEdges := n - dg.appliedRows
 	if dg.deltaEdgesLocked()+newEdges > dg.rebuildThreshold() {
-		pg, err := BuildGraphCtx(ctx, current, dg.pg.SrcIdx, dg.pg.DstIdx, dg.pg.Parallelism)
+		pg, err := buildGraph(ctx, current, dg.pg.SrcIdx, dg.pg.DstIdx, dg.pg.Parallelism, true)
 		if err != nil {
 			return false, err
 		}
@@ -186,26 +187,4 @@ func (dg *DynamicGraph) MatchCtx(stdctx context.Context, gm *plan.GraphMatch, in
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
 	return dg.pg.match(stdctx, gm, input, xCol, yCol, ctx, dg.delta)
-}
-
-// Reachability answers one pair over the current snapshot+delta. The
-// read lock is held for the whole solve: the dictionary lookups and
-// the delta adjacency are mutated in place by RefreshCtx.
-func (dg *DynamicGraph) Reachability(srcKey, dstKey types.Value) (bool, error) {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	pg := dg.pg
-	solver := graph.NewSolverWithDelta(pg.CSR, dg.delta)
-	solver.Parallelism = pg.Parallelism
-	sc := storage.NewColumn(pg.KeyKind, 1)
-	sc.Append(srcKey)
-	dc := storage.NewColumn(pg.KeyKind, 1)
-	dc.Append(dstKey)
-	srcs := pg.encodeColumn(sc)
-	dsts := pg.encodeColumn(dc)
-	sol, err := solver.Solve(srcs, dsts, nil)
-	if err != nil {
-		return false, err
-	}
-	return sol.Reached[0], nil
 }

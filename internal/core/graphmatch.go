@@ -59,7 +59,17 @@ func stringKeyed(k types.Kind) bool { return k == types.KindString }
 // threaded through the dictionary-encode and CSR chunk loops: a cancel
 // landing during ad-hoc graph construction aborts the build within a
 // few thousand rows instead of finishing it. A nil ctx never cancels.
+// The graph carries no transpose: one query's traversals cannot pay
+// back an O(E) transpose build, so they all search forward.
 func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
+	return buildGraph(ctx, edges, srcIdx, dstIdx, parallelism, false)
+}
+
+// buildGraph is BuildGraphCtx, optionally also building the CSR's
+// transpose (graph indices, whose many single-pair queries search from
+// both ends). The transpose build runs the CSR core under the same ctx
+// polling and fault points.
+func buildGraph(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, parallelism int, transpose bool) (*PreparedGraph, error) {
 	if srcIdx < 0 || srcIdx >= len(edges.Cols) || dstIdx < 0 || dstIdx >= len(edges.Cols) {
 		return nil, fmt.Errorf("graph build: edge column index out of range")
 	}
@@ -106,6 +116,11 @@ func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, pa
 	csr, err := graph.BuildCSRParallelCtx(ctx, dict.Len(), srcIDs, dstIDs, parallelism)
 	if err != nil {
 		return nil, err
+	}
+	if transpose {
+		if csr.In, err = graph.BuildTransposeCtx(ctx, dict.Len(), srcIDs, dstIDs, parallelism); err != nil {
+			return nil, err
+		}
 	}
 	return &PreparedGraph{
 		Dict: dict, CSR: csr, Edges: edges,
@@ -213,8 +228,8 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 		// A traced query carries its trace (and the GraphMatch span) in
 		// the context; report each BFS level's frontier size into it.
 		if tr, span, ok := trace.FromContext(stdctx); ok {
-			solver.OnLevel = func(level int64, size int) {
-				tr.AddLevel(span, level, size)
+			solver.OnLevel = func(level int64, size int, backward bool) {
+				tr.AddLevel(span, level, size, backward)
 			}
 		}
 	}

@@ -79,11 +79,7 @@ func TestReachabilityHelper(t *testing.T) {
 		{1, 3, true}, {3, 1, false}, {1, 1, true}, {99, 1, false}, {1, 99, false},
 	}
 	for _, c := range cases {
-		got, err := dg.Reachability(types.NewInt(c.s), types.NewInt(c.d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
+		if got := reaches(t, dg, types.NewInt(c.s), types.NewInt(c.d)); got != c.want {
 			t.Errorf("reach(%d,%d) = %v, want %v", c.s, c.d, got, c.want)
 		}
 	}
@@ -247,12 +243,10 @@ func TestStringKeyedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := dg.Reachability(types.NewString("a"), types.NewString("c"))
-	if err != nil || !ok {
-		t.Fatalf("a->c: %v %v", ok, err)
+	if !reaches(t, dg, types.NewString("a"), types.NewString("c")) {
+		t.Fatal("a must reach c")
 	}
-	ok, _ = dg.Reachability(types.NewString("c"), types.NewString("a"))
-	if ok {
+	if reaches(t, dg, types.NewString("c"), types.NewString("a")) {
 		t.Fatal("c must not reach a")
 	}
 }

@@ -53,7 +53,9 @@ type Solution struct {
 // updates). It groups pairs by source so each distinct source runs a
 // single traversal that serves all its destinations (the batching that
 // figure 1b shows amortizes graph construction), with early exit once
-// every destination of the group is settled.
+// every destination of the group is settled. Over a graph that carries
+// its transpose, a group with one destination and no weights or paths
+// to compute searches from both ends instead (runBiBFS).
 //
 // Source groups are independent — each writes a disjoint set of pair
 // indices of the Solution — so large batches are drained by a pool of
@@ -77,15 +79,14 @@ type Solver struct {
 	// query aborts a single in-flight traversal within milliseconds
 	// rather than running it to completion.
 	Ctx context.Context
-	// OnLevel, when non-nil, receives one (level, frontier size) sample
-	// per BFS level of every traversal (level 0 is the source itself).
-	// Source groups run concurrently, so the callback must be safe for
-	// concurrent use and samples from distinct sources may interleave.
-	// Observation only — it cannot affect results. Nil is free.
-	OnLevel func(level int64, size int)
-	// scratches pools per-worker traversal state across Solve calls;
-	// each worker owns exactly one for the duration of a Solve call.
-	scratches []*search
+	// OnLevel, when non-nil, receives one (level, frontier size,
+	// direction) sample per BFS level of every traversal: level 0 is
+	// the source itself, or the destination for the backward half of a
+	// bidirectional search. Source groups run concurrently, so the
+	// callback must be safe for concurrent use and samples from distinct
+	// sources may interleave. Observation only — it cannot affect
+	// results. Nil is free.
+	OnLevel func(level int64, size int, backward bool)
 }
 
 // NewSolver returns a solver for g.
@@ -103,13 +104,14 @@ func NewSolverWithDelta(g *CSR, delta *Delta) *Solver {
 	return &Solver{g: g, delta: delta, n: n}
 }
 
-// scratch returns the pooled per-worker scratch with index i, growing
-// the pool on first use.
-func (s *Solver) scratch(i int) *search {
-	for len(s.scratches) <= i {
-		s.scratches = append(s.scratches, newSearch(s.n))
+// takeScratch returns idle scratch from the graph's pool, or a fresh
+// one. A pooled scratch shorter than n is dropped: the delta has grown
+// the graph since it was made.
+func (s *Solver) takeScratch() *search {
+	if sc, ok := s.g.pool.Get().(*search); ok && len(sc.wanted) >= s.n {
+		return sc
 	}
-	return s.scratches[i]
+	return newSearch(s.n)
 }
 
 // ValidateWeights checks the strict positivity requirement of §2 and
@@ -194,9 +196,9 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 		return sol, nil
 	}
 	workers := s.solveWorkers(len(groups))
-	// Grow the scratch pool up front: workers index it concurrently.
-	for w := 0; w < workers; w++ {
-		s.scratch(w)
+	scratch := make([]*search, workers)
+	for w := range scratch {
+		scratch[w] = s.takeScratch()
 	}
 	// canceled latches the first failure observation so remaining groups
 	// drain as no-ops instead of starting new traversals; failOnce keeps
@@ -211,11 +213,18 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 			return
 		}
 		group := order[groups[i].lo:groups[i].hi]
-		if err := s.solveGroup(s.scratches[worker], srcs[group[0]], group, dsts, specs, sol); err != nil {
+		if err := s.solveGroup(scratch[worker], srcs[group[0]], group, dsts, specs, sol); err != nil {
 			canceled.Store(true)
 			failOnce.Do(func() { failErr = err })
 		}
 	})
+	// The scratch goes back to the graph only here: a traversal that
+	// panicked unwinds past this point, so its scratch is dropped. It
+	// must not keep this query's level callback (and trace) alive.
+	for _, sc := range scratch {
+		sc.onLevel = nil
+		s.g.pool.Put(sc)
+	}
 	if canceled.Load() {
 		// par.Indexed's barrier orders the failOnce write before this
 		// read. A nil failErr means a worker observed s.Ctx canceled
@@ -245,6 +254,24 @@ func (s *Solver) traversalWork() int {
 // finish spinning up.
 func (s *Solver) solveWorkers(groups int) int {
 	return min(par.Gated(s.Parallelism, groups*s.traversalWork(), minParallelSolveWork), groups)
+}
+
+// bidirectional reports whether a source group searches from both
+// ends, given its count of distinct destinations and its specs: it
+// needs exactly one destination, a graph that carries its transpose,
+// and only unit-weight specs without paths (REACHES, CHEAPEST SUM of a
+// constant), because the bidirectional search yields one hop count and
+// nothing else.
+func (s *Solver) bidirectional(distinct int, specs []Spec) bool {
+	if distinct != 1 || s.g.In == nil {
+		return false
+	}
+	for k := range specs {
+		if !specs[k].Unit || specs[k].NeedPath {
+			return false
+		}
+	}
+	return true
 }
 
 // solveGroup answers all pairs sharing one source vertex. It runs
@@ -287,11 +314,19 @@ func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []Vertex
 	reachedSet := false
 	if needBFS {
 		sc.onLevel = s.OnLevel
-		if _, err := sc.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
+		// hopsTo reads a destination's hop count off the traversal.
+		hopsTo := func(d VertexID) (int64, bool) { return sc.dist[d], sc.seen(d) }
+		if s.bidirectional(distinct, specs) {
+			hops, ok, err := sc.runBiBFS(s.g, s.delta, src, dsts[group[0]], s.Ctx)
+			if err != nil {
+				return err
+			}
+			hopsTo = func(VertexID) (int64, bool) { return hops, ok }
+		} else if _, err := sc.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
 			return err
 		}
 		for _, i := range group {
-			sol.Reached[i] = sc.seen(dsts[i])
+			_, sol.Reached[i] = hopsTo(dsts[i])
 		}
 		reachedSet = true
 		for k := range specs {
@@ -301,10 +336,10 @@ func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []Vertex
 			}
 			for _, i := range group {
 				d := dsts[i]
-				if !sc.seen(d) {
+				hops, ok := hopsTo(d)
+				if !ok {
 					continue
 				}
-				hops := sc.dist[d]
 				if spec.Float {
 					sol.CostF[k][i] = float64(hops) * spec.UnitF
 				} else {

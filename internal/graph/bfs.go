@@ -43,7 +43,7 @@ func (s *search) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantL
 				return reached, err
 			}
 			if s.onLevel != nil {
-				s.onLevel(du, len(s.queue)-head)
+				s.onLevel(du, len(s.queue)-head, false)
 			}
 		}
 		relax := func(v VertexID, row int32) bool {
@@ -79,4 +79,114 @@ func (s *search) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantL
 		}
 	}
 	return reached, nil
+}
+
+// runBiBFS answers one pair by searching from both ends: forward from
+// src over g, backward from dst over its transpose g.In, and over the
+// delta's edges both ways. Each step expands one whole level of the
+// side with the smaller frontier (forward on a tie). Whole levels make
+// the first vertex seen from both sides lie on a shortest path: while
+// forward levels 0..a and backward levels 0..b share no vertex, every
+// path is longer than a+b, so the level that meets the other side finds
+// a path of exactly a+b+1 hops. Hop counts are unique, so the answer
+// equals runBFS's. It returns the hop count and whether dst is
+// reachable. No parents are recorded, so pathTo means nothing after it.
+// Like runBFS it polls ctx every cancelCheckInterval dequeues, fires
+// fault.PointSolverLevel per level and reports every expanded level,
+// with its direction, to onLevel.
+func (s *search) runBiBFS(g *CSR, delta *Delta, src, dst VertexID, ctx context.Context) (int64, bool, error) {
+	s.reset(src, false)
+	if src == dst {
+		return 0, true, nil
+	}
+	s.resetBackward(dst)
+	fwd := biSide{g: g, epoch: s.epoch, dist: s.dist, queue: append(s.queue, src)}
+	bwd := biSide{g: g.In, epoch: s.bepoch, dist: s.bdist, queue: s.bqueue, backward: true}
+	if delta != nil {
+		fwd.delta, bwd.delta = delta.Adj, delta.In
+	}
+	// Keep the grown queues for the next run on this scratch.
+	defer func() { s.queue, s.bqueue = fwd.queue, bwd.queue }()
+	pops := 0
+	for {
+		a, b := &fwd, &bwd
+		if b.frontier() < a.frontier() {
+			a, b = b, a
+		}
+		if a.frontier() == 0 {
+			// One side's reachable set is exhausted without meeting the
+			// other side.
+			return 0, false, nil
+		}
+		if hops, met, err := s.expandLevel(a, b, &pops, ctx); met || err != nil {
+			return hops, met, err
+		}
+	}
+}
+
+// biSide is one half of a bidirectional BFS: the adjacency it walks
+// (out-edges forward, in-edges backward), its epoch stamps and hop
+// counts, and its queue, whose tail from lo on is the frontier.
+type biSide struct {
+	g        *CSR
+	delta    map[VertexID][]DeltaEdge
+	epoch    []uint32
+	dist     []int64
+	queue    []VertexID
+	lo       int
+	backward bool
+}
+
+func (b *biSide) frontier() int { return len(b.queue) - b.lo }
+
+// expandLevel expands a's whole frontier by one level, stopping at the
+// first vertex b has seen; it then returns the hop count of the path
+// through that vertex and true.
+func (s *search) expandLevel(a, b *biSide, pops *int, ctx context.Context) (int64, bool, error) {
+	lvl := a.dist[a.queue[a.lo]]
+	if err := fault.Inject(fault.PointSolverLevel); err != nil {
+		return 0, false, err
+	}
+	if s.onLevel != nil {
+		s.onLevel(lvl, a.frontier(), a.backward)
+	}
+	cur := s.cur
+	for end := len(a.queue); a.lo < end; a.lo++ {
+		if ctx != nil {
+			if *pops++; *pops&(cancelCheckInterval-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, false, err
+				}
+			}
+		}
+		u := a.queue[a.lo]
+		hops := int64(-1)
+		step := func(v VertexID) bool {
+			if a.epoch[v] == cur {
+				return false
+			}
+			if b.epoch[v] == cur {
+				hops = lvl + 1 + b.dist[v]
+				return true
+			}
+			a.epoch[v] = cur
+			a.dist[v] = lvl + 1
+			a.queue = append(a.queue, v)
+			return false
+		}
+		if int(u) < a.g.N {
+			lo, hi := a.g.edgeRange(u)
+			for p := lo; p < hi; p++ {
+				if step(a.g.Targets[p]) {
+					return hops, true, nil
+				}
+			}
+		}
+		for _, de := range a.delta[u] {
+			if step(de.To) {
+				return hops, true, nil
+			}
+		}
+	}
+	return 0, false, nil
 }

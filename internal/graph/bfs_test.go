@@ -103,13 +103,17 @@ func (c *countdownCtx) Err() error {
 
 // TestBFSReportsEveryLevel pins the per-level samples the solver hands
 // to OnLevel (EXPLAIN ANALYZE frontier lines, the benchmark's
-// bfs_levels_per_query): one (level, frontier size) per level the
-// traversal started expanding, including the level it stops on after
-// an early exit, and none when the source is the only destination.
+// bfs_levels_per_query): one (level, frontier size, direction) per
+// level the traversal started expanding, including the level it stops
+// on after an early exit, and none when the source is the only
+// destination. Over a graph that carries its transpose the pair is
+// searched from both ends: each step expands the smaller frontier
+// (forward on a tie), and backward levels count from the destination.
 func TestBFSReportsEveryLevel(t *testing.T) {
 	type level struct {
-		level int64
-		size  int
+		level    int64
+		size     int
+		backward bool
 	}
 	line := [][2]int{{0, 1}, {1, 2}, {2, 3}}
 	tree := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}}
@@ -117,23 +121,37 @@ func TestBFSReportsEveryLevel(t *testing.T) {
 		name     string
 		n        int
 		edges    [][2]int
+		index    bool // the graph carries its transpose
 		src, dst VertexID
+		hops     int64 // -1: unreachable
 		want     []level
 	}{
-		{"early exit on a line", 4, line, 0, 3, []level{{0, 1}, {1, 1}, {2, 1}}},
-		{"early exit mid-level", 5, tree, 0, 3, []level{{0, 1}, {1, 2}}},
-		{"exhausted component", 6, tree, 0, 5, []level{{0, 1}, {1, 2}, {2, 1}, {3, 1}}},
-		{"src == dst", 4, line, 2, 2, nil},
+		{"early exit on a line", 4, line, false, 0, 3, 3, []level{{0, 1, false}, {1, 1, false}, {2, 1, false}}},
+		{"early exit mid-level", 5, tree, false, 0, 3, 2, []level{{0, 1, false}, {1, 2, false}}},
+		{"exhausted component", 6, tree, false, 0, 5, -1, []level{{0, 1, false}, {1, 2, false}, {2, 1, false}, {3, 1, false}}},
+		{"src == dst", 4, line, false, 2, 2, 0, nil},
+		{"bidirectional line", 4, line, true, 0, 3, 3, []level{{0, 1, false}, {1, 1, false}, {2, 1, false}}},
+		{"bidirectional tree", 5, tree, true, 0, 4, 3, []level{{0, 1, false}, {0, 1, true}, {1, 1, true}}},
+		{"bidirectional unreachable", 6, tree, true, 0, 5, -1, []level{{0, 1, false}, {0, 1, true}}},
+		{"bidirectional src == dst", 4, line, true, 2, 2, 0, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSolver(buildTestCSR(t, tc.n, tc.edges))
+			g := buildTestCSR(t, tc.n, tc.edges)
+			if tc.index {
+				g = withTranspose(t, tc.n, tc.edges)
+			}
+			s := NewSolver(g)
 			var got []level
-			s.OnLevel = func(l int64, size int) { got = append(got, level{l, size}) }
-			if _, err := s.Solve([]VertexID{tc.src}, []VertexID{tc.dst}, []Spec{{Unit: true, UnitI: 1}}); err != nil {
+			s.OnLevel = func(l int64, size int, backward bool) { got = append(got, level{l, size, backward}) }
+			sol, err := s.Solve([]VertexID{tc.src}, []VertexID{tc.dst}, []Spec{{Unit: true, UnitI: 1}})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("levels = %v, want %v", got, tc.want)
+			}
+			if reached := sol.Reached[0]; reached != (tc.hops >= 0) || reached && sol.CostI[0][0] != tc.hops {
+				t.Fatalf("reached %v at %d hops, want %d hops", reached, sol.CostI[0][0], tc.hops)
 			}
 		})
 	}
@@ -165,6 +183,19 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 	}
 	if got, limit := len(s.queue), 2*cancelCheckInterval+2; got > limit {
 		t.Fatalf("BFS visited %d vertices after cancellation, want <= %d", got, limit)
+	}
+
+	// Bidirectional BFS over the chain's transpose: each level holds one
+	// vertex, so its two queues count the dequeues too.
+	if g.In, err = BuildTransposeCtx(context.Background(), n, src, dst, 1); err != nil {
+		t.Fatal(err)
+	}
+	b := newSearch(n)
+	if _, _, err := b.runBiBFS(g, nil, 0, VertexID(n-1), newCountdownCtx(1)); err == nil {
+		t.Fatal("canceled bidirectional BFS returned nil error")
+	}
+	if got, limit := len(b.queue)+len(b.bqueue), 2*cancelCheckInterval+2; got > limit {
+		t.Fatalf("bidirectional BFS visited %d vertices after cancellation, want <= %d", got, limit)
 	}
 
 	d := newSearch(n)
@@ -199,7 +230,8 @@ func TestSequentialTraversalCancelGranularity(t *testing.T) {
 // the Solver level: a single-source solve (one group — the case the
 // old source-group granularity could never abort) returns the
 // context's error once canceled mid-traversal, for both BFS and
-// Dijkstra specs.
+// Dijkstra specs, and for the bidirectional BFS over a graph that
+// carries its transpose.
 func TestSolverCancelSingleTraversal(t *testing.T) {
 	n := 4 * cancelCheckInterval
 	src := make([]VertexID, n-1)
@@ -212,13 +244,19 @@ func TestSolverCancelSingleTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []Spec{{Unit: true, UnitI: 1}, {WeightsI: weights}} {
-		s := NewSolver(g)
-		// 2 polls: one consumed at the group boundary, the next inside
-		// the traversal.
-		s.Ctx = newCountdownCtx(2)
-		if _, err := s.Solve([]VertexID{0}, []VertexID{VertexID(n - 1)}, []Spec{spec}); err != context.Canceled {
-			t.Fatalf("spec %+v: err = %v, want context.Canceled", spec, err)
+	index := &CSR{N: g.N, Offsets: g.Offsets, Targets: g.Targets, Perm: g.Perm}
+	if index.In, err = BuildTransposeCtx(context.Background(), n, src, dst, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, csr := range []*CSR{g, index} {
+		for _, spec := range []Spec{{Unit: true, UnitI: 1}, {WeightsI: weights}} {
+			s := NewSolver(csr)
+			// 2 polls: one consumed at the group boundary, the next
+			// inside the traversal.
+			s.Ctx = newCountdownCtx(2)
+			if _, err := s.Solve([]VertexID{0}, []VertexID{VertexID(n - 1)}, []Spec{spec}); err != context.Canceled {
+				t.Fatalf("spec %+v (transpose %v): err = %v, want context.Canceled", spec, csr.In != nil, err)
+			}
 		}
 	}
 }

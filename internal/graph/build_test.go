@@ -54,6 +54,21 @@ func referenceCSR(n int, src, dst []VertexID) (*CSR, error) {
 	return g, nil
 }
 
+// referenceTranspose builds the transpose the spec defines: the
+// sources of every vertex's in-edges, in row order, and no Perm.
+func referenceTranspose(n int, src, dst []VertexID) *CSR {
+	in := make([][]VertexID, n)
+	for row, d := range dst {
+		in[d] = append(in[d], src[row])
+	}
+	g := &CSR{N: n, Offsets: make([]int64, n+1), Targets: make([]VertexID, 0, len(src))}
+	for v, sources := range in {
+		g.Targets = append(g.Targets, sources...)
+		g.Offsets[v+1] = int64(len(g.Targets))
+	}
+	return g
+}
+
 // referenceEncode assigns dense ids by first occurrence over pre (keys
 // the dictionary already holds) followed by the concatenated columns.
 func referenceEncode[K comparable](pre []K, cols [][]K) (map[K]VertexID, [][]VertexID) {
@@ -80,7 +95,8 @@ func referenceEncode[K comparable](pre []K, cols [][]K) (map[K]VertexID, [][]Ver
 }
 
 // checkCSR runs the CSR core at each worker count and compares it with
-// the reference: the same CSR, or the same error.
+// the reference: the same CSR, or the same error. A valid input's
+// transpose is checked against its reference too.
 func checkCSR(t *testing.T, name string, n int, src, dst []VertexID, workers ...int) {
 	t.Helper()
 	want, wantErr := referenceCSR(n, src, dst)
@@ -94,6 +110,25 @@ func checkCSR(t *testing.T, name string, n int, src, dst []VertexID, workers ...
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s, %d workers: CSR differs from the reference\nwant %+v\ngot  %+v", name, w, want, got)
+		}
+	}
+	if wantErr == nil {
+		checkTranspose(t, name, n, src, dst, workers...)
+	}
+}
+
+// checkTranspose builds the transpose at each parallelism and compares
+// it with the reference.
+func checkTranspose(t *testing.T, name string, n int, src, dst []VertexID, parallelisms ...int) {
+	t.Helper()
+	want := referenceTranspose(n, src, dst)
+	for _, p := range parallelisms {
+		got, err := BuildTransposeCtx(context.Background(), n, src, dst, p)
+		if err != nil {
+			t.Fatalf("%s, parallelism %d: transpose: %v", name, p, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s, parallelism %d: transpose differs from the reference\nwant %+v\ngot  %+v", name, p, want, got)
 		}
 	}
 }
@@ -260,6 +295,7 @@ func TestBuildCSRParallelPublicThreshold(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%d edges: CSR differs from the reference", m)
 		}
+		checkTranspose(t, fmt.Sprintf("%d edges", m), n, src, dst, 2)
 	}
 }
 

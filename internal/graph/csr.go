@@ -11,11 +11,19 @@
 // the chunked CSR build (this file) and the solver, whose traversals
 // share one epoch-stamped search scratch (search.go). A size gate only
 // picks how many workers run a core.
+//
+// A graph index (core.DynamicGraph) also carries the transpose of its
+// CSR, built by the same core with the endpoints swapped. Over it the
+// solver answers a source group with one destination and no path by
+// searching from both ends (runBiBFS); ad hoc graphs, built for one
+// query, carry no transpose and always search forward. Search scratch
+// belongs to the graph: each CSR pools the scratch its solves return.
 package graph
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"graphsql/internal/fault"
 	"graphsql/internal/par"
@@ -42,6 +50,15 @@ type CSR struct {
 	// addressed without re-scattering, and paths can be reconstructed
 	// as edge-table row references (§3.3).
 	Perm []int32
+	// In is the transpose (see BuildTransposeCtx): In.Offsets and
+	// In.Targets list every vertex's in-edge sources. In.Perm is nil,
+	// because the backward half of a search never rebuilds a path. Only
+	// graph indices carry a transpose; it is nil on ad hoc graphs.
+	In *CSR
+
+	// pool holds idle search scratch for solves over this graph (see
+	// Solver.Solve).
+	pool sync.Pool
 }
 
 // NumEdges returns the edge count.
@@ -69,6 +86,19 @@ func BuildCSRParallelCtx(ctx context.Context, n int, src, dst []VertexID, parall
 		workers = max(maxW, 1)
 	}
 	return buildCSR(ctx, n, src, dst, workers)
+}
+
+// BuildTransposeCtx builds the transpose of the CSR that
+// BuildCSRParallelCtx builds from the same arguments: the same core with
+// the endpoints swapped, and no Perm. The transpose's rows of one vertex
+// are its in-edges in row order.
+func BuildTransposeCtx(ctx context.Context, n int, src, dst []VertexID, parallelism int) (*CSR, error) {
+	t, err := BuildCSRParallelCtx(ctx, n, dst, src, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	t.Perm = nil
+	return t, nil
 }
 
 // buildCSR is the CSR core: one contiguous row range per worker counts

@@ -107,18 +107,24 @@ func TestSolverWorkerPanicSurfaces(t *testing.T) {
 
 // TestSolverLevelFaultStopsTraversal covers the BFS level point: a
 // mid-traversal injected error aborts the one traversal and surfaces
-// from Solve.
+// from Solve, searching forward and, over a graph that carries its
+// transpose, from both ends.
 func TestSolverLevelFaultStopsTraversal(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	g, _, _ := buildLine(t, 64)
-	if err := fault.Set(fault.Rule{Point: fault.PointSolverLevel, Kind: fault.KindError, After: 5}); err != nil {
-		t.Fatal(err)
+	line := make([][2]int, 63)
+	for i := range line {
+		line[i] = [2]int{i, i + 1}
 	}
-	s := NewSolver(g)
-	_, err := s.Solve([]VertexID{0}, []VertexID{63}, []Spec{{Unit: true, UnitI: 1}})
-	var inj *fault.InjectedError
-	if !errors.As(err, &inj) || inj.Point != fault.PointSolverLevel {
-		t.Fatalf("Solve error = %v, want injected error at %s", err, fault.PointSolverLevel)
+	for _, g := range []*CSR{buildTestCSR(t, 64, line), withTranspose(t, 64, line)} {
+		if err := fault.Set(fault.Rule{Point: fault.PointSolverLevel, Kind: fault.KindError, After: 5}); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSolver(g)
+		_, err := s.Solve([]VertexID{0}, []VertexID{63}, []Spec{{Unit: true, UnitI: 1}})
+		var inj *fault.InjectedError
+		if !errors.As(err, &inj) || inj.Point != fault.PointSolverLevel {
+			t.Fatalf("transpose %v: Solve error = %v, want injected error at %s", g.In != nil, err, fault.PointSolverLevel)
+		}
 	}
 }
 

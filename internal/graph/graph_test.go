@@ -24,6 +24,23 @@ func buildTestCSR(t testing.TB, n int, edges [][2]int) *CSR {
 	return g
 }
 
+// withTranspose builds a CSR that carries its transpose, as a graph
+// index does, failing the test on error.
+func withTranspose(t testing.TB, n int, edges [][2]int) *CSR {
+	t.Helper()
+	g := buildTestCSR(t, n, edges)
+	src := make([]VertexID, len(edges))
+	dst := make([]VertexID, len(edges))
+	for i, e := range edges {
+		src[i], dst[i] = VertexID(e[0]), VertexID(e[1])
+	}
+	var err error
+	if g.In, err = BuildTransposeCtx(context.Background(), n, src, dst, 1); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // OutDegree returns the out-degree of v.
 func (g *CSR) OutDegree(v VertexID) int {
 	return int(g.Offsets[v+1] - g.Offsets[v])

@@ -17,9 +17,10 @@ func openGates(t testing.TB) {
 	t.Cleanup(func() { par.OpenGates(prev) })
 }
 
-// randomWorkload builds a random graph (CSR plus optional delta of
-// appended edges), weight vectors covering snapshot and delta rows,
-// and a batch of query pairs including NoVertex entries.
+// randomWorkload builds a random graph (CSR, optionally carrying its
+// transpose as a graph index does, plus an optional delta of appended
+// edges), weight vectors covering snapshot and delta rows, and a batch
+// of query pairs including NoVertex entries.
 type randomWorkload struct {
 	g      *CSR
 	delta  *Delta
@@ -32,7 +33,7 @@ type randomWorkload struct {
 	deltaM int
 }
 
-func makeWorkload(rng *rand.Rand, withDelta bool) *randomWorkload {
+func makeWorkload(rng *rand.Rand, withDelta, index bool) *randomWorkload {
 	n := 2 + rng.Intn(60)
 	m := rng.Intn(4 * n)
 	deltaM := 0
@@ -53,6 +54,11 @@ func makeWorkload(rng *rand.Rand, withDelta bool) *randomWorkload {
 	g, err := BuildCSRParallelCtx(context.Background(), n, src[:snapM], dst[:snapM], 1)
 	if err != nil {
 		panic(err)
+	}
+	if index {
+		if g.In, err = BuildTransposeCtx(context.Background(), n, src[:snapM], dst[:snapM], 1); err != nil {
+			panic(err)
+		}
 	}
 	var delta *Delta
 	if withDelta {
@@ -102,7 +108,7 @@ func (w *randomWorkload) randomSpecs(rng *rand.Rand) []Spec {
 
 // TestSolverParallelMatchesSequential is the randomized equivalence
 // test of the parallel solver: for random graphs (with and without a
-// delta), random spec mixes and random pair batches, a 4-worker solve
+// delta, with and without a transpose), random spec mixes and random pair batches, a 4-worker solve
 // with the size gates open must produce a Solution deeply equal to the
 // sequential one. Run under -race this also exercises the worker pool
 // for data races.
@@ -111,7 +117,7 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		withDelta := trial%2 == 1
-		w := makeWorkload(rng, withDelta)
+		w := makeWorkload(rng, withDelta, trial%4 >= 2)
 		specs := w.randomSpecs(rng)
 
 		seq := NewSolverWithDelta(w.g, w.delta)

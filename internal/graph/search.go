@@ -1,10 +1,13 @@
 package graph
 
-// search is the per-worker traversal scratch shared by BFS and both
-// Dijkstra variants. Instead of clearing O(V) state between sources,
-// entries carry an epoch stamp and are considered unset unless the stamp
-// matches the current run. A BFS touches only the base arrays and its
-// queue; the arrays only Dijkstra needs are allocated on its first run.
+// search is the traversal scratch shared by BFS, bidirectional BFS and
+// both Dijkstra variants. Instead of clearing O(V) state between
+// sources, entries carry an epoch stamp and are considered unset unless
+// the stamp matches the current run. A BFS touches only the base arrays
+// and its queue; the arrays only Dijkstra or the backward half of a
+// bidirectional BFS needs are allocated on their first run. Scratch is
+// pooled per graph (CSR.pool), so one lives for many runs and its epoch
+// counter can wrap: reset then clears every stamp array once.
 type search struct {
 	// wanted marks the destinations of the source group being solved.
 	wanted []bool
@@ -28,10 +31,18 @@ type search struct {
 	bqI       binHeap[int64]
 	bqF       binHeap[float64]
 
-	// onLevel, when non-nil, receives one (level, frontier size) sample
-	// per BFS level (level 0 is the source itself). Set per traversal
-	// from Solver.OnLevel; nil costs one pointer check per level.
-	onLevel func(level int64, size int)
+	// The backward half of a bidirectional BFS: bepoch[v] == cur iff the
+	// backward search reached v, bdist is its hop count to the
+	// destination, bqueue its queue.
+	bepoch []uint32
+	bdist  []int64
+	bqueue []VertexID
+
+	// onLevel, when non-nil, receives one (level, frontier size,
+	// direction) sample per BFS level (level 0 is the source or the
+	// destination itself). Set per traversal from Solver.OnLevel; nil
+	// costs one pointer check per level.
+	onLevel func(level int64, size int, backward bool)
 }
 
 func newSearch(n int) *search {
@@ -53,6 +64,7 @@ func (s *search) reset(src VertexID, dijkstra bool) {
 	if s.cur == 0 { // epoch counter wrapped: do one full clear
 		clear(s.epoch)
 		clear(s.settledAt)
+		clear(s.bepoch)
 		s.cur = 1
 	}
 	if dijkstra {
@@ -70,6 +82,20 @@ func (s *search) reset(src VertexID, dijkstra bool) {
 	}
 	s.visit(src, -1, NoVertex)
 	s.dist[src] = 0
+}
+
+// resetBackward starts the backward half of a bidirectional run at
+// dst, under the epoch the preceding reset advanced. The backward
+// arrays are allocated by the first bidirectional run.
+func (s *search) resetBackward(dst VertexID) {
+	if s.bepoch == nil {
+		s.bepoch = make([]uint32, len(s.wanted))
+		s.bdist = make([]int64, len(s.wanted))
+		s.bqueue = make([]VertexID, 0, 1024)
+	}
+	s.bepoch[dst] = s.cur
+	s.bdist[dst] = 0
+	s.bqueue = append(s.bqueue[:0], dst)
 }
 
 // floatDist returns the float cost array, allocating it on first use.

@@ -37,8 +37,9 @@ const NoSpan SpanID = -1
 const slabSize = 24
 
 type levelSample struct {
-	level int64
-	size  int
+	level    int64
+	size     int
+	backward bool
 }
 
 type span struct {
@@ -179,14 +180,16 @@ func (t *Trace) SetGraphBuilt(id SpanID, vertices, edges int) {
 }
 
 // AddLevel appends one BFS frontier sample (level number, frontier
-// size) to the span. Called from solver goroutines mid-traversal.
-func (t *Trace) AddLevel(id SpanID, level int64, size int) {
+// size, and whether the level belongs to the backward half of a
+// bidirectional search) to the span. Called from solver goroutines
+// mid-traversal.
+func (t *Trace) AddLevel(id SpanID, level int64, size int, backward bool) {
 	if t == nil || id < 0 {
 		return
 	}
 	t.mu.Lock()
 	if int(id) < len(t.spans) {
-		t.spans[id].levels = append(t.spans[id].levels, levelSample{level, size})
+		t.spans[id].levels = append(t.spans[id].levels, levelSample{level, size, backward})
 	}
 	t.mu.Unlock()
 }
@@ -300,10 +303,14 @@ func (t *Trace) Stages() []Stage {
 	return out
 }
 
-// Level is one frontier sample of a solver span in wire form.
+// Level is one frontier sample of a solver span in wire form. Backward
+// marks a level of the backward half of a bidirectional search, counted
+// from the destination; it is omitted for forward levels, so a
+// forward-only trace encodes as it did before searches had a direction.
 type Level struct {
-	Level int64 `json:"level"`
-	Size  int   `json:"size"`
+	Level    int64 `json:"level"`
+	Size     int   `json:"size"`
+	Backward bool  `json:"backward,omitempty"`
 }
 
 // Node is the wire form of a span subtree: what a traced /query
@@ -370,7 +377,7 @@ func (t *Trace) Tree() *Node {
 		if len(s.levels) > 0 {
 			n.Levels = make([]Level, len(s.levels))
 			for j, l := range s.levels {
-				n.Levels[j] = Level{Level: l.level, Size: l.size}
+				n.Levels[j] = Level{Level: l.level, Size: l.size, Backward: l.backward}
 			}
 		}
 		nodes[i] = n
@@ -434,7 +441,11 @@ func Render(root *Node) string {
 		b.WriteString(")\n")
 		for _, l := range n.Levels {
 			b.WriteString(strings.Repeat("  ", depth+1))
-			fmt.Fprintf(&b, "level %d: frontier=%d\n", l.Level, l.Size)
+			dir := ""
+			if l.Backward {
+				dir = " (backward)"
+			}
+			fmt.Fprintf(&b, "level %d%s: frontier=%d\n", l.Level, dir, l.Size)
 		}
 		for _, c := range n.Children {
 			walk(c, depth+1)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 		sp := tr.Begin(NoSpan, "op")
 		tr.SetRows(sp, 42)
 		tr.SetWorkers(sp, 4)
-		tr.AddLevel(sp, 3, 128)
+		tr.AddLevel(sp, 3, 128, true)
 		tr.End(sp)
 		_ = tr.Duration(sp)
 		_ = tr.CurrentStage()
@@ -39,8 +40,9 @@ func TestSpanTreeAndRowsIn(t *testing.T) {
 	tr.End(scan1)
 	scan2 := tr.Begin(proj, "Scan b")
 	tr.SetRows(scan2, 5)
-	tr.AddLevel(scan2, 0, 1)
-	tr.AddLevel(scan2, 1, 7)
+	tr.AddLevel(scan2, 0, 1, false)
+	tr.AddLevel(scan2, 1, 7, false)
+	tr.AddLevel(scan2, 0, 2, true)
 	tr.SetWorkers(scan2, 3)
 	tr.End(scan2)
 	tr.SetRows(proj, 8)
@@ -67,14 +69,36 @@ func TestSpanTreeAndRowsIn(t *testing.T) {
 		t.Fatalf("project children: %d", len(pr.Children))
 	}
 	sc := pr.Children[1]
-	if sc.Workers != 3 || len(sc.Levels) != 2 || sc.Levels[1] != (Level{Level: 1, Size: 7}) {
+	if sc.Workers != 3 || len(sc.Levels) != 3 || sc.Levels[1] != (Level{Level: 1, Size: 7}) ||
+		sc.Levels[2] != (Level{Level: 0, Size: 2, Backward: true}) {
 		t.Fatalf("scan b: %+v", sc)
 	}
 
 	text := Render(ex)
-	for _, want := range []string{"Project (rows=8, rows_in=15", "level 0: frontier=1", "level 1: frontier=7", "workers=3"} {
+	for _, want := range []string{"Project (rows=8, rows_in=15", "level 0: frontier=1", "level 1: frontier=7", "level 0 (backward): frontier=2", "workers=3"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered tree missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestLevelWireForm pins the JSON of a frontier sample: a forward level
+// encodes exactly as it did before levels had a direction, and only a
+// backward level carries the flag.
+func TestLevelWireForm(t *testing.T) {
+	for _, tc := range []struct {
+		l    Level
+		want string
+	}{
+		{Level{Level: 2, Size: 9}, `{"level":2,"size":9}`},
+		{Level{Level: 1, Size: 4, Backward: true}, `{"level":1,"size":4,"backward":true}`},
+	} {
+		got, err := json.Marshal(tc.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Fatalf("%+v encodes as %s, want %s", tc.l, got, tc.want)
 		}
 	}
 }
@@ -116,7 +140,7 @@ func TestConcurrentLevelSamples(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.AddLevel(sp, int64(i), w)
+				tr.AddLevel(sp, int64(i), w, i%2 == 1)
 			}
 		}(w)
 	}

@@ -20,8 +20,9 @@ func sampleTrace() *trace.Node {
 	gm := tr.Begin(proj, "GraphMatch")
 	tr.SetRows(gm, 7)
 	tr.SetWorkers(gm, 2)
-	tr.AddLevel(gm, 0, 1)
-	tr.AddLevel(gm, 1, 42)
+	tr.AddLevel(gm, 0, 1, false)
+	tr.AddLevel(gm, 1, 42, false)
+	tr.AddLevel(gm, 0, 3, true)
 	tr.End(gm)
 	tr.SetRows(proj, 7)
 	tr.End(proj)
@@ -58,7 +59,8 @@ func TestTraceRoundTripBuffered(t *testing.T) {
 		t.Fatalf("root children: %d, want 2", len(back.Trace.Children))
 	}
 	gm := back.Trace.Children[1].Children[0].Children[0]
-	if gm.Rows == nil || *gm.Rows != 7 || gm.Workers != 2 || len(gm.Levels) != 2 || gm.Levels[1].Size != 42 {
+	if gm.Rows == nil || *gm.Rows != 7 || gm.Workers != 2 || len(gm.Levels) != 3 || gm.Levels[1].Size != 42 ||
+		gm.Levels[1].Backward || !gm.Levels[2].Backward {
 		t.Fatalf("GraphMatch node mangled: %+v", gm)
 	}
 }

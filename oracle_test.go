@@ -138,8 +138,14 @@ func TestShortestPathsAgainstOracle(t *testing.T) {
 	const costQ = `SELECT a.id, b.id, CHEAPEST SUM(1) AS hops,
 			CHEAPEST SUM(x: w) AS (icost, ipath), CHEAPEST SUM(x: f) AS (fcost, fpath)
 		FROM v a, v b WHERE a.id REACHES b.id OVER e x EDGE (src, dst)`
+	// The cross joins above give every source several destinations. A
+	// single pair over the graph index is searched from both ends
+	// instead, so each pair is also asked on its own.
+	const pairReachQ = `SELECT 1 AS r WHERE ? REACHES ? OVER e EDGE (src, dst)`
+	const pairHopsQ = `SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (src, dst)`
 
 	pairs, selfLoops, parallel, unreachable := 0, 0, 0, 0
+	single, deltaOnly, selfPairs, singleUnreachable := 0, 0, 0, 0
 	for g := 0; g < oracleGraphs; g++ {
 		n, edges := oracleGraph(rand.New(rand.NewSource(int64(g))))
 		seenEdge := map[[2]int64]bool{}
@@ -216,7 +222,59 @@ func TestShortestPathsAgainstOracle(t *testing.T) {
 					fail("%d→%d: float-weight path %v: %v", a, b, row[6], err)
 				}
 			}
+			if !indexed {
+				continue
+			}
+
+			// Vertices only the delta (the edges inserted after the
+			// index was built) knows.
+			snapshot := map[int64]bool{}
+			for _, e := range edges[:len(edges)/2] {
+				snapshot[e.Src], snapshot[e.Dst] = true, true
+			}
+			late := map[int64]bool{}
+			for _, e := range edges[len(edges)/2:] {
+				for _, v := range [2]int64{e.Src, e.Dst} {
+					late[v] = !snapshot[v]
+				}
+			}
+			for a := int64(0); a < int64(n); a++ {
+				for b := int64(0); b < int64(n); b++ {
+					wantHops, ok := hops[[2]int64{a, b}]
+					reach, err := db.Query(pairReachQ, a, b)
+					if err != nil {
+						fail("%v", err)
+					}
+					if reach.Len() != 1 && ok || reach.Len() != 0 && !ok {
+						fail("single pair %d→%d: REACHES returned %d rows, oracle reachable %v", a, b, reach.Len(), ok)
+					}
+					res, err := db.Query(pairHopsQ, a, b)
+					if err != nil {
+						fail("%v", err)
+					}
+					if res.Len() != 1 && ok || res.Len() != 0 && !ok {
+						fail("single pair %d→%d: CHEAPEST SUM(1) returned %d rows, oracle reachable %v", a, b, res.Len(), ok)
+					}
+					if ok && res.Rows[0][0].(int64) != int64(wantHops) {
+						fail("single pair %d→%d: hops %v, oracle %d", a, b, res.Rows[0][0], wantHops)
+					}
+					single++
+					if late[a] || late[b] {
+						deltaOnly++
+					}
+					if a == b {
+						selfPairs++
+					}
+					if !ok {
+						singleUnreachable++
+					}
+				}
+			}
 		}
+	}
+	if single == 0 || deltaOnly == 0 || selfPairs == 0 || singleUnreachable == 0 {
+		t.Fatalf("vacuous single-pair run: %d pairs, %d with a delta-only vertex, %d self pairs, %d unreachable",
+			single, deltaOnly, selfPairs, singleUnreachable)
 	}
 	// The generator must actually have produced the hostile shapes.
 	if pairs == 0 || selfLoops == 0 || parallel == 0 || unreachable == 0 {
@@ -225,4 +283,6 @@ func TestShortestPathsAgainstOracle(t *testing.T) {
 	}
 	t.Logf("%d graphs: %d reachable pairs checked twice, %d unreachable, %d self-loops, %d parallel edges",
 		oracleGraphs, pairs/2, unreachable, selfLoops, parallel)
+	t.Logf("single pairs over the index: %d, %d with a delta-only vertex, %d self pairs, %d unreachable",
+		single, deltaOnly, selfPairs, singleUnreachable)
 }
