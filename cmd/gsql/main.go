@@ -9,106 +9,113 @@
 // Meta commands: \d lists tables, \explain SELECT ... prints the plan,
 // \q quits.
 //
-// Tracing: -analyze wraps every SELECT in EXPLAIN ANALYZE, so each
-// query executes and prints its annotated plan tree (actual rows,
-// timings, workers, BFS frontier sizes) instead of its rows. -trace
-// records a span trace per statement: the human-readable mode prints
-// the rendered tree to stderr after the rows, -json attaches it as the
-// wire response's "trace" field, and -stream carries it in the trailer
-// frame — exactly like a gsqld request with "trace": true.
+// A script (-f) and every REPL input run through one statement loop:
+// each statement is parsed, run on the shell's session and printed
+// before the next one is read, so every output mode prints one result
+// per statement, in order. A failing statement stops a -f script with
+// exit status 1 after the results before it; the REPL reports the
+// failure, drops the rest of that input and carries on. SET
+// parallelism applies to the shell's session.
 //
-// Output modes: -json emits each statement's result as one buffered
-// wire object (the gsqld /query response encoding); -stream emits the
-// chunked NDJSON frame sequence (the gsqld streaming encoding), with
+// Output modes: by default each result prints as a table followed by
+// "(n row(s))", or as "ok" for a statement without rows, and errors go
+// to stderr. -json emits one buffered wire object per statement (the
+// gsqld /query response encoding); -stream emits one chunked NDJSON
+// frame sequence per statement (the gsqld streaming encoding), with
 // rows converted and written batch by batch through the engine's
 // row-batch cursor, so huge results never exist row-major in memory.
 //
+// Tracing: -analyze prefixes every SELECT with EXPLAIN ANALYZE, so each
+// query executes and prints its annotated plan tree (actual rows,
+// timings, workers, BFS frontier sizes) instead of its rows. -trace
+// records a span trace per statement: the default mode prints the
+// rendered tree to stderr after the result, -json attaches it as the
+// wire object's "trace" field, and -stream carries it in the trailer
+// frame — exactly like a gsqld request with "trace": true.
+//
 // Queries run with the engine's full worker budget: batched REACHES
-// queries parallelize across source groups, and single-source queries
-// over large graphs parallelize within the traversal (frontier-
-// parallel BFS) — results are bit-identical either way. Ctrl-C exits
-// the shell; for cancelable queries use the HTTP daemon (cmd/gsqld),
-// which aborts a running traversal when the client disconnects.
+// queries parallelize across source groups, while one source group is
+// one search — results are bit-identical either way. Ctrl-C exits the
+// shell; for cancelable queries use the HTTP daemon (cmd/gsqld), which
+// aborts a running traversal when the client disconnects.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"graphsql"
-	"graphsql/internal/sql/lexer"
+	"graphsql/internal/sql/ast"
+	"graphsql/internal/sql/parser"
 	"graphsql/internal/wire"
 )
 
-func main() {
-	file := flag.String("f", "", "run a SQL script instead of the REPL")
-	jsonOut := flag.Bool("json", false, "emit results as wire JSON (the gsqld response encoding), one object per statement")
-	streamOut := flag.Bool("stream", false, "emit results as chunked NDJSON frames (the gsqld streaming encoding), one stream per statement; rows are converted batch by batch instead of materializing the whole result row-major")
-	analyze := flag.Bool("analyze", false, "wrap every SELECT in EXPLAIN ANALYZE: execute it and print the annotated plan tree (actual rows, timings, frontier sizes) instead of its rows")
-	traced := flag.Bool("trace", false, "record a span trace per statement; prints the rendered tree to stderr (human mode), or attaches it to the wire output (-json response field, -stream trailer frame)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
-	db := graphsql.Open()
-	sess := db.Session()
-	if *file != "" {
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+// shell is what the statement loop runs with: the session, the output
+// mode and the two destinations.
+type shell struct {
+	db                                  *graphsql.DB
+	sess                                *graphsql.Session
+	jsonOut, streamOut, analyze, traced bool
+	out, errOut                         io.Writer
+}
+
+// run parses the flags, then runs the -f script or the REPL over
+// stdin; it returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gsql", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("f", "", "run a SQL script instead of the REPL")
+	jsonOut := fs.Bool("json", false, "emit results as wire JSON (the gsqld response encoding), one object per statement")
+	streamOut := fs.Bool("stream", false, "emit results as chunked NDJSON frames (the gsqld streaming encoding), one stream per statement; rows are converted batch by batch instead of materializing the whole result row-major")
+	analyze := fs.Bool("analyze", false, "wrap every SELECT in EXPLAIN ANALYZE: execute it and print the annotated plan tree (actual rows, timings, frontier sizes) instead of its rows")
+	traced := fs.Bool("trace", false, "record a span trace per statement; prints the rendered tree to stderr (human mode), or attaches it to the wire output (-json response field, -stream trailer frame)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		script := string(data)
-		if *analyze {
-			script = analyzeScript(script)
-		}
-		if *streamOut {
-			// The lexer-driven splitter sees quoting and comments exactly
-			// as the parser will, so script statements stream one at a
-			// time without a second scanner to drift out of sync.
-			for _, stmt := range lexer.SplitStatements(script) {
-				if !streamStatement(sess, stmt, *traced) {
-					os.Exit(1)
-				}
-			}
-			return
-		}
-		if *traced {
-			// Per-statement execution: each statement gets its own trace.
-			for _, stmt := range lexer.SplitStatements(script) {
-				if !tracedStatement(sess, stmt, *jsonOut) {
-					os.Exit(1)
-				}
-			}
-			return
-		}
-		res, err := db.ExecScript(context.Background(), script)
-		if *jsonOut {
-			if !printWire(res, err) {
-				os.Exit(1)
-			}
-			return
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if res != nil && len(res.Columns) > 0 {
-			fmt.Print(res)
-		}
-		return
+		return 2
 	}
 
-	in := bufio.NewScanner(os.Stdin)
+	db := graphsql.Open()
+	sh := &shell{
+		db: db, sess: db.Session(),
+		jsonOut: *jsonOut, streamOut: *streamOut, analyze: *analyze, traced: *traced,
+		out: stdout, errOut: stderr,
+	}
+	if *file == "" {
+		sh.repl(stdin)
+		return 0
+	}
+	data, err := os.ReadFile(*file)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if !sh.script(string(data)) {
+		return 1
+	}
+	return 0
+}
+
+// repl reads input lines, runs each ';'-terminated input through the
+// statement loop and handles backslash meta commands.
+func (sh *shell) repl(stdin io.Reader) {
+	in := bufio.NewScanner(stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
 		if buf.Len() == 0 {
-			fmt.Print("gsql> ")
+			fmt.Fprint(sh.out, "gsql> ")
 		} else {
-			fmt.Print("  ... ")
+			fmt.Fprint(sh.out, "  ... ")
 		}
 	}
 	prompt()
@@ -116,7 +123,7 @@ func main() {
 		line := in.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if runMeta(db, trimmed) {
+			if sh.meta(trimmed) {
 				return
 			}
 			prompt()
@@ -125,125 +132,96 @@ func main() {
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if strings.HasSuffix(trimmed, ";") {
-			sql := buf.String()
+			sh.script(buf.String())
 			buf.Reset()
-			if *analyze {
-				sql = analyzeScript(sql)
-			}
-			if *streamOut {
-				// The buffer may hold several ';'-separated statements;
-				// stream each one, exactly like the -f script path.
-				for _, stmt := range lexer.SplitStatements(sql) {
-					streamStatement(sess, stmt, *traced)
-				}
-				prompt()
-				continue
-			}
-			if *traced {
-				for _, stmt := range lexer.SplitStatements(sql) {
-					tracedStatement(sess, stmt, *jsonOut)
-				}
-				prompt()
-				continue
-			}
-			res, err := db.ExecScript(context.Background(), sql)
-			switch {
-			case *jsonOut:
-				printWire(res, err)
-			case err != nil:
-				fmt.Println("error:", err)
-			case res != nil && len(res.Columns) > 0:
-				fmt.Print(res)
-				fmt.Printf("(%d row(s))\n", res.Len())
-			default:
-				fmt.Println("ok")
-			}
 		}
 		prompt()
 	}
 }
 
-// analyzeScript rewrites each SELECT (or WITH ... SELECT) statement of
-// a script into EXPLAIN ANALYZE form; other statements pass through so
-// schema setup and inserts in the same script keep working.
-func analyzeScript(sql string) string {
-	stmts := lexer.SplitStatements(sql)
-	for i, stmt := range stmts {
-		fields := strings.Fields(stmt)
-		if len(fields) == 0 {
-			continue
+// script is the statement loop: it parses one statement of src, runs
+// it, prints its outcome and drops it before reading the next one. It
+// stops at the first statement that fails to parse or run and reports
+// whether every statement succeeded.
+func (sh *shell) script(src string) bool {
+	stmts := parser.NewScript(src)
+	for {
+		stmt, err := stmts.Next()
+		if err != nil {
+			return sh.print(nil, err, nil)
 		}
-		switch strings.ToUpper(fields[0]) {
-		case "SELECT", "WITH":
-			stmts[i] = "EXPLAIN ANALYZE " + stmt
+		if stmt == nil {
+			return true
+		}
+		sql := stmts.Text()
+		if _, ok := stmt.(*ast.SelectStmt); ok && sh.analyze {
+			sql = "EXPLAIN ANALYZE " + sql
+		}
+		var tr *graphsql.Trace
+		if sh.traced {
+			tr = graphsql.NewTrace()
+		}
+		rows, err := sh.sess.QueryRows(context.Background(), graphsql.QueryOptions{Trace: tr}, sql)
+		if !sh.print(rows, err, tr) {
+			return false
 		}
 	}
-	return strings.Join(stmts, ";\n") + ";"
 }
 
-// tracedStatement runs one statement with a span trace. -json attaches
-// the tree to the wire response (the gsqld "trace": true shape); the
-// human mode prints the rows to stdout and the rendered tree to
-// stderr, keeping piped output clean.
-func tracedStatement(sess *graphsql.Session, sql string, jsonOut bool) bool {
-	tr := graphsql.NewTrace()
-	res, err := sess.QueryOpts(context.Background(), graphsql.QueryOptions{Trace: tr}, sql)
-	if jsonOut {
+// print renders one statement's outcome — rows, or err when the
+// statement failed — in the output mode and reports success.
+func (sh *shell) print(rows *graphsql.Rows, err error, tr *graphsql.Trace) bool {
+	if sh.streamOut && err == nil {
+		return sh.stream(rows, tr)
+	}
+	var res *graphsql.Result
+	if err == nil {
+		res, err = rows.Result()
+	}
+	if sh.jsonOut || sh.streamOut {
+		// A stream that fails before its header is one buffered error
+		// object, exactly like gsqld's.
 		var payload *wire.QueryResponse
 		if err != nil {
 			payload = wire.FromError(wire.CodeSQL, err)
 		} else {
-			if res == nil {
-				res = &graphsql.Result{}
-			}
 			payload = wire.FromResult(res)
 		}
-		payload.Trace = tr.Tree()
+		if sh.jsonOut {
+			payload.Trace = tr.Tree()
+		}
 		data, encErr := payload.Encode()
 		if encErr != nil {
-			fmt.Fprintln(os.Stderr, encErr)
+			fmt.Fprintln(sh.errOut, encErr)
 			return false
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(sh.out, string(data))
 		return err == nil
 	}
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(sh.errOut, "error:", err)
 		return false
 	}
-	if res != nil && len(res.Columns) > 0 {
-		fmt.Print(res)
-		fmt.Printf("(%d row(s))\n", res.Len())
+	if len(res.Columns) > 0 {
+		fmt.Fprint(sh.out, res)
+		fmt.Fprintf(sh.out, "(%d row(s))\n", res.Len())
 	} else {
-		fmt.Println("ok")
+		fmt.Fprintln(sh.out, "ok")
 	}
-	fmt.Fprint(os.Stderr, graphsql.RenderTrace(tr.Tree()))
+	if tr != nil {
+		fmt.Fprint(sh.errOut, graphsql.RenderTrace(tr.Tree()))
+	}
 	return true
 }
 
-// streamStatement runs one statement through the row-batch cursor and
-// emits it in the chunked wire encoding (identical to a gsqld
-// streaming /query response body); it reports success. Errors before
-// the header use the buffered error object, exactly like gsqld. When
-// traced, the span tree rides in the trailer frame.
-func streamStatement(sess *graphsql.Session, sql string, traced bool) bool {
-	var tr *graphsql.Trace
-	if traced {
-		tr = graphsql.NewTrace()
-	}
-	rows, err := sess.QueryRows(context.Background(), graphsql.QueryOptions{Trace: tr}, sql)
-	if err != nil {
-		data, encErr := wire.FromError(wire.CodeSQL, err).Encode()
-		if encErr != nil {
-			fmt.Fprintln(os.Stderr, encErr)
-			return false
-		}
-		fmt.Println(string(data))
-		return false
-	}
-	sw := wire.NewStreamWriter(os.Stdout)
+// stream writes rows as one chunked frame sequence (the gsqld
+// streaming encoding), converting them batch by batch; the span tree,
+// when traced, rides in the trailer frame. It reports success.
+func (sh *shell) stream(rows *graphsql.Rows, tr *graphsql.Trace) bool {
+	defer rows.Close()
+	sw := wire.NewStreamWriter(sh.out)
 	if err := sw.Header(rows.Columns); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(sh.errOut, err)
 		return false
 	}
 	for {
@@ -256,57 +234,37 @@ func streamStatement(sess *graphsql.Session, sql string, traced bool) bool {
 			break
 		}
 		if err := sw.Batch(b); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(sh.errOut, err)
 			return false
 		}
 	}
 	if err := sw.Trailer(tr.Tree()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(sh.errOut, err)
 		return false
 	}
 	return true
 }
 
-// printWire renders one statement outcome in the shared wire encoding
-// (identical to a gsqld /query response body); it reports success.
-func printWire(res *graphsql.Result, err error) bool {
-	var payload *wire.QueryResponse
-	if err != nil {
-		payload = wire.FromError(wire.CodeSQL, err)
-	} else {
-		if res == nil {
-			res = &graphsql.Result{}
-		}
-		payload = wire.FromResult(res)
-	}
-	data, encErr := payload.Encode()
-	if encErr != nil {
-		fmt.Fprintln(os.Stderr, encErr)
-		return false
-	}
-	fmt.Println(string(data))
-	return err == nil
-}
-
-// runMeta executes a backslash command; it returns true on quit.
-func runMeta(db *graphsql.DB, cmd string) bool {
+// meta executes a backslash command; it returns true on quit.
+func (sh *shell) meta(cmd string) bool {
 	switch {
 	case cmd == `\q`:
 		return true
 	case cmd == `\d`:
-		for _, name := range db.Engine().Catalog().TableNames() {
-			t, _ := db.Engine().Catalog().Table(name)
-			fmt.Printf("%s (%d rows): %s\n", t.Name, t.NumRows(), t.Schema)
+		cat := sh.db.Engine().Catalog()
+		for _, name := range cat.TableNames() {
+			t, _ := cat.Table(name)
+			fmt.Fprintf(sh.out, "%s (%d rows): %s\n", t.Name, t.NumRows(), t.Schema)
 		}
 	case strings.HasPrefix(cmd, `\explain `):
-		p, err := db.Explain(strings.TrimSuffix(strings.TrimPrefix(cmd, `\explain `), ";"))
+		p, err := sh.db.Explain(strings.TrimSuffix(strings.TrimPrefix(cmd, `\explain `), ";"))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.errOut, "error:", err)
 		} else {
-			fmt.Print(p)
+			fmt.Fprint(sh.out, p)
 		}
 	default:
-		fmt.Println(`meta commands: \d (tables), \explain <select>, \q (quit)`)
+		fmt.Fprintln(sh.out, `meta commands: \d (tables), \explain <select>, \q (quit)`)
 	}
 	return false
 }

@@ -463,9 +463,13 @@ func (db *DB) QueryScalar(sql string, args ...any) (any, error) {
 }
 
 // ExecScript runs a semicolon-separated script under the write lock
-// and returns the result of the last statement. ctx is checked between
-// statements: a canceled script stops there with the context's error
-// (statements already executed stay applied).
+// and returns the result of the last statement. The script runs
+// statement at a time: each statement is parsed, executed and dropped
+// before the next one is read, so a script of any size holds one
+// statement's tokens and AST at a time. It stops at the first
+// statement that fails to parse (a syntax error reported at its
+// position in the script) or to run, or at the next statement boundary
+// once ctx is canceled; the statements before that one stay applied.
 func (db *DB) ExecScript(ctx context.Context, sql string) (*Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

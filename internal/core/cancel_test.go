@@ -110,7 +110,7 @@ func TestBuildGraphCtxUncanceled(t *testing.T) {
 func TestRefreshCtxCanceledRebuild(t *testing.T) {
 	c := bigEdgeChunk(70000)
 	// Snapshot over the first half of the rows.
-	half := c.Gather(seqRows(35000))
+	half := c.Gather(seqRows(35000), 1)
 	dg, err := NewDynamicGraphP(half, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)

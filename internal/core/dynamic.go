@@ -175,7 +175,7 @@ func ownEdgesChunk(pg *PreparedGraph, snapshotRows int) {
 	for i := range rows {
 		rows[i] = i
 	}
-	pg.Edges = pg.Edges.Gather(rows)
+	pg.Edges = pg.Edges.Gather(rows, 1)
 	pg.edgesOwned = true
 }
 

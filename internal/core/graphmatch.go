@@ -90,7 +90,7 @@ func buildGraph(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, paral
 				keep = append(keep, i)
 			}
 		}
-		edges = edges.Gather(keep)
+		edges = edges.Gather(keep, 1)
 		sc, dc = edges.Cols[srcIdx], edges.Cols[dstIdx]
 		owned = true
 	}
@@ -255,7 +255,7 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 		}
 	}
 	workers := par.Gated(pg.Parallelism, len(keep), minParallelOutputRows)
-	out := input.GatherP(keep, workers)
+	out := input.Gather(keep, workers)
 	out.Schema = gm.Sch[:len(input.Schema)]
 	for k := range gm.Specs {
 		sp := &gm.Specs[k]

@@ -84,11 +84,6 @@ func (e *Engine) SetParallelism(p int) {
 // Parallelism reports the configured worker budget (0 = one per CPU).
 func (e *Engine) Parallelism() int { return e.parallelism }
 
-// SchemaVersion reports the catalog shape version; it is bumped by
-// CREATE TABLE and DROP TABLE. Prepared statements remember the version
-// they were bound against (see Prepared.Stale).
-func (e *Engine) SchemaVersion() uint64 { return e.schemaVersion }
-
 // DataVersion reports a counter bumped by every statement that may
 // change query-visible state (CREATE/DROP/INSERT/DELETE — before it
 // runs, so even a partially applied failure moves it). Two executions
@@ -415,32 +410,38 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string, params ...types.Value
 	return drain(cur)
 }
 
-// ExecScript runs a semicolon-separated script and returns the cursor
-// of the last statement; the statements before it are drained. The
-// context is checked between statements, so a canceled script stops at
-// the next statement boundary with the context's error. A panic in any
+// ExecScript runs a semicolon-separated script statement at a time —
+// each statement is parsed, executed and dropped before the next one is
+// read — and returns the cursor of the last statement; the statements
+// before it are drained. The script stops at the first statement that
+// fails to parse or run, or at the next statement boundary once ctx is
+// canceled; the statements before it stay applied. A panic in any
 // statement surfaces as a *QueryPanicError (the script stops at that
 // statement, like any other statement error).
-func (e *Engine) ExecScript(ctx context.Context, sql string, params ...types.Value) (last *exec.Cursor, err error) {
+func (e *Engine) ExecScript(ctx context.Context, sql string) (last *exec.Cursor, err error) {
 	defer recoverExecPanic(&err)
-	stmts, err := parser.ParseAll(sql)
-	if err != nil {
-		return nil, err
-	}
+	script := parser.NewScript(sql)
 	last = exec.NewCursor(ctx, nil)
-	for _, s := range stmts {
+	for {
+		stmt, err := script.Next()
+		if err != nil {
+			last.Close()
+			return nil, err
+		}
+		if stmt == nil {
+			return last, nil
+		}
 		if _, err := drain(last); err != nil {
 			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		last, err = e.ExecPreparedCursor(ctx, &Prepared{stmt: s}, nil, params...)
+		last, err = e.ExecPreparedCursor(ctx, &Prepared{stmt: stmt}, nil)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return last, nil
 }
 
 // Explain returns the optimized logical plan of a SELECT statement.
@@ -666,7 +667,7 @@ func (e *Engine) execDelete(t *ast.DeleteStmt, params []types.Value) error {
 			keep = append(keep, i)
 		}
 	}
-	kept := chunk.Gather(keep)
+	kept := chunk.Gather(keep, 1)
 	copy(table.Cols, kept.Cols)
 	return nil
 }

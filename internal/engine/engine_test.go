@@ -467,3 +467,25 @@ func TestValuesRowMismatch(t *testing.T) {
 	mustFail(t, e, `CREATE TABLE t (b BIGINT)`, "exists")
 	_ = rows
 }
+
+// TestExecScriptStopsAtFailingStatement runs a four-statement script
+// whose third statement fails to parse or to lex. The error is the one
+// a whole-script parse reports, position included; the two statements
+// before it stay applied and the fourth never runs.
+func TestExecScriptStopsAtFailingStatement(t *testing.T) {
+	const head = "CREATE TABLE t (a BIGINT);\nINSERT INTO t VALUES (1), (2);\n"
+	cases := []struct{ third, wantErr string }{
+		{"SELECT a FROM WHERE a > 1;", "parse error at line 3 col 15: expected table name, found WHERE"},
+		{"SELECT 'oops FROM t;", "syntax error at line 5 col 1: unterminated string literal"},
+	}
+	for _, c := range cases {
+		e := New()
+		_, err := e.ExecScript(context.Background(), head+c.third+"\nINSERT INTO t VALUES (3);\n")
+		if err == nil || err.Error() != c.wantErr {
+			t.Fatalf("%q: error = %v, want %q", c.third, err, c.wantErr)
+		}
+		if got := run(t, e, "SELECT COUNT(*) FROM t").Cols[0].Get(0).I; got != 2 {
+			t.Fatalf("%q: t has %d rows, want the 2 inserted before the failing statement", c.third, got)
+		}
+	}
+}

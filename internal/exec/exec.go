@@ -201,7 +201,7 @@ func sortCore(s *plan.Sort, in *storage.Chunk, ctx *Context) (*storage.Chunk, er
 	// (and at one worker it is sort.SliceStable).
 	workers := ctx.workers(n)
 	parallelMergeSort(idx, less, workers)
-	return in.GatherP(idx, workers), nil
+	return in.Gather(idx, workers), nil
 }
 
 // limitBounds evaluates and validates OFFSET/LIMIT. unlimited is true
@@ -236,7 +236,7 @@ func distinctCore(_ *plan.Distinct, in *storage.Chunk, ctx *Context) (*storage.C
 	n := in.NumRows()
 	workers := ctx.workers(n)
 	keep := encodeRowKeys(in.Cols, n, workers).firstOccurrences(workers)
-	return in.GatherP(keep, workers), nil
+	return in.Gather(keep, workers), nil
 }
 
 // appendRowKey appends the encodeKey bytes of row i over cols to buf.

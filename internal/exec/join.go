@@ -80,7 +80,7 @@ func semiAntiJoin(j *plan.Join, left, right *storage.Chunk, ctx *Context) (*stor
 			keep = append(keep, a)
 		}
 	}
-	out := left.GatherP(keep, ctx.workers(len(keep)))
+	out := left.Gather(keep, ctx.workers(len(keep)))
 	out.Schema = j.Schema()
 	return out, nil
 }
@@ -198,7 +198,7 @@ func hashMatch(keys []equiKey, left, right *storage.Chunk, workers int) ([]int, 
 func pairChunk(sch storage.Schema, left, right *storage.Chunk, li, ri []int, workers int) *storage.Chunk {
 	out := &storage.Chunk{Schema: sch}
 	for _, c := range left.Cols {
-		out.Cols = append(out.Cols, c.GatherP(li, workers))
+		out.Cols = append(out.Cols, c.Gather(li, workers))
 	}
 	for _, c := range right.Cols {
 		out.Cols = append(out.Cols, c.GatherNullExtend(ri, workers))

@@ -420,9 +420,10 @@ func (o *windowOp) materialize() (*storage.Chunk, error) {
 // ---------------------------------------------------------------------------
 // Pipeline sources
 
-// scanOp windows a base table. Open takes a storage.Chunk.Snapshot
-// under the caller's lock, so the batches stay valid — and isolated
-// from concurrent INSERT/DELETE — after the lock is released.
+// scanOp windows a base table. Open takes a length-clamped view of it
+// (storage.Chunk.Slice) under the caller's lock, so the batches stay
+// valid — and isolated from concurrent INSERT/DELETE — after the lock
+// is released.
 type scanOp struct {
 	windowOp
 	scan *plan.Scan
@@ -433,7 +434,7 @@ func (o *scanOp) Open(ctx *Context) error {
 	if err := o.openCheck(); err != nil {
 		return err
 	}
-	o.win.chunk = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Snapshot()
+	o.win.chunk = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Slice(0, o.scan.Table.NumRows())
 	return nil
 }
 

@@ -44,8 +44,8 @@ func setOpSharded(s *plan.SetOp, left, right *storage.Chunk, workers int) (*stor
 		for i, v := range merged[split:] {
 			rightKeep[i] = v - nl
 		}
-		out := left.GatherP(merged[:split], workers)
-		out.Extend(right.GatherP(rightKeep, workers))
+		out := left.Gather(merged[:split], workers)
+		out.Extend(right.Gather(rightKeep, workers))
 		return out, nil
 	case "EXCEPT", "INTERSECT":
 		leftShards := lk.shardRows(workers, nl)
@@ -80,7 +80,7 @@ func setOpSharded(s *plan.SetOp, left, right *storage.Chunk, workers int) (*stor
 			}
 			keeps[sh] = keep
 		})
-		return left.GatherP(mergeAscending(keeps, nl), workers), nil
+		return left.Gather(mergeAscending(keeps, nl), workers), nil
 	}
 	return nil, fmt.Errorf("internal: unknown set operation %s", s.Op)
 }

@@ -4,9 +4,9 @@
 // in the language").
 //
 // The tokenizer is a zero-allocation byte scanner: it sits on the hot
-// path of every uncached statement (parse, statement splitting, cache
-// admission sniffing, fingerprinting), so Next never allocates on the
-// common path. Token.Text is a view — a substring sharing the input's
+// path of every uncached statement (parse, cache admission sniffing,
+// fingerprinting), so Next never allocates on the common path.
+// Token.Text is a view — a substring sharing the input's
 // backing array — for identifiers and numbers, a canonical interned
 // constant for keywords and symbols, and only escape-carrying string
 // literals ('it”s') or quoted identifiers ("a""b") pay for an
@@ -105,7 +105,7 @@ const maxKeywordLen = 10 // ORDINALITY
 var kwBuckets [maxKeywordLen + 1][]string
 
 // kwCanon maps the exact upper-case spelling to the canonical interned
-// string; the non-ASCII slow path and IsKeyword go through it.
+// string; the non-ASCII slow path goes through it.
 var kwCanon = make(map[string]string, len(keywordList))
 
 // identStartTable / identPartTable are byte-class tables mirroring the
@@ -165,9 +165,6 @@ func keywordOf(word string) string {
 	}
 	return asciiKeyword(word)
 }
-
-// IsKeyword reports whether the upper-cased word is reserved.
-func IsKeyword(word string) bool { return keywordOf(word) != "" }
 
 // Lexer scans SQL text into tokens. The zero value is unusable; obtain
 // one with New, or embed a Lexer and (re)initialize it with Reset —
@@ -466,10 +463,11 @@ func (l *Lexer) lexQuotedIdentSlow(start, line, col, esc int) (Token, error) {
 
 func isDigit(ch byte) bool { return ch >= '0' && ch <= '9' }
 
-// Tokenize scans the whole input (convenience for tests and the
-// parser). The returned tokens view the input string; they stay valid
-// as long as the input does (strings are immutable, so effectively
-// always).
+// Tokenize scans the whole input into one slice, for tests and the
+// benchmark's lexer layer; the parser reads its tokens statement by
+// statement instead (parser.Script). The returned tokens view the
+// input string; they stay valid as long as the input does (strings are
+// immutable, so effectively always).
 func Tokenize(src string) ([]Token, error) {
 	var l Lexer
 	l.Reset(src)

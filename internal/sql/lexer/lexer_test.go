@@ -110,15 +110,6 @@ func TestUnexpectedCharacter(t *testing.T) {
 	}
 }
 
-func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("select") || !IsKeyword("REACHES") {
-		t.Fatal("IsKeyword broken")
-	}
-	if IsKeyword("foo") {
-		t.Fatal("foo is not a keyword")
-	}
-}
-
 func TestTokenString(t *testing.T) {
 	if (Token{Type: EOF}).String() != "end of input" {
 		t.Fatal("EOF rendering")

@@ -34,62 +34,135 @@ func (e *Error) Error() string {
 // Parse parses a single SQL statement (a trailing semicolon is
 // allowed).
 func Parse(src string) (ast.Statement, error) {
-	stmts, err := ParseAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
-	}
-	return stmts[0], nil
-}
-
-// ParseAll parses a semicolon-separated script.
-func ParseAll(src string) ([]ast.Statement, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	var stmts []ast.Statement
+	s := newSingle(src)
+	var stmt ast.Statement
+	n := 0
 	for {
-		for p.peekSymbol(";") {
-			p.next()
-		}
-		if p.peek().Type == lexer.EOF {
-			break
-		}
-		s, err := p.parseStatement()
+		st, err := s.Next()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
-		if !p.peekSymbol(";") && p.peek().Type != lexer.EOF {
-			return nil, p.errorf("unexpected %s after statement", p.peek())
+		if st == nil {
+			break
 		}
+		stmt = st
+		n++
 	}
-	return stmts, nil
+	if n != 1 {
+		return nil, fmt.Errorf("expected exactly one statement, got %d", n)
+	}
+	return stmt, nil
 }
 
-// NumParams reports how many ? placeholders the last parsed statement
-// used. Exposed through ParseWithParams.
+// ParseWithParams parses a single SQL statement (trailing semicolons
+// are allowed) and reports how many ? placeholders it used.
 func ParseWithParams(src string) (ast.Statement, int, error) {
-	toks, err := lexer.Tokenize(src)
+	s := newSingle(src)
+	if err := s.scan(false); err != nil {
+		return nil, 0, err
+	}
+	stmt, err := s.p.statement()
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &Parser{toks: toks}
-	s, err := p.parseStatement()
-	if err != nil {
+	nparams := s.p.params
+	// Only separators may follow.
+	if err := s.scan(true); err != nil {
 		return nil, 0, err
 	}
-	for p.peekSymbol(";") {
-		p.next()
+	if t := s.p.peek(); t.Type != lexer.EOF {
+		return nil, 0, s.p.errorf("unexpected %s after statement", t)
 	}
-	if p.peek().Type != lexer.EOF {
-		return nil, 0, p.errorf("unexpected %s after statement", p.peek())
+	return stmt, nparams, nil
+}
+
+// Script iterates over the statements of a semicolon-separated
+// script: each Next reads one statement's tokens, up to and including
+// its ';', and parses them, so a script of any length holds one
+// statement's tokens and AST at a time. Token positions are
+// script-global, so an error points into the whole script. Empty
+// statements (bare ';', comment-only segments) are skipped.
+type Script struct {
+	src        string
+	lex        lexer.Lexer
+	p          Parser
+	start, end int // source span of the current statement
+}
+
+// NewScript returns an iterator over the statements of src.
+func NewScript(src string) *Script {
+	s := &Script{src: src}
+	s.lex.Reset(src)
+	return s
+}
+
+// newSingle is NewScript for a single-statement parse: the token
+// buffer is sized for the whole input up front, as lexer.Tokenize
+// sizes it, so it is allocated exactly once.
+func newSingle(src string) *Script {
+	s := NewScript(src)
+	s.p.toks = make([]lexer.Token, 0, len(src)/3+8)
+	return s
+}
+
+// Next parses the next statement; it returns nil, nil at the end of
+// the script. A script cannot continue past an error.
+func (s *Script) Next() (ast.Statement, error) {
+	if err := s.scan(true); err != nil {
+		return nil, err
 	}
-	return s, p.params, nil
+	if s.p.peek().Type == lexer.EOF {
+		return nil, nil
+	}
+	return s.p.statement()
+}
+
+// Text returns the source of the statement Next last returned,
+// trimmed, without its ';'.
+func (s *Script) Text() string { return strings.TrimSpace(s.src[s.start:s.end]) }
+
+// scan loads the parser with the next statement's tokens: up to and
+// including its ';' (followed by an end-of-input token, so the parser
+// never reads past the statement), or up to the end of the input.
+// With skipEmpty, the ';' of empty statements are dropped first. The
+// token buffer is reused from statement to statement.
+func (s *Script) scan(skipEmpty bool) error {
+	toks := s.p.toks[:0]
+	s.start = s.lex.Offset()
+	for {
+		t, err := s.lex.Next()
+		if err != nil {
+			return err
+		}
+		semi := t.Type == lexer.Symbol && t.Text == ";"
+		if semi && skipEmpty && len(toks) == 0 {
+			s.start = s.lex.Offset()
+			continue
+		}
+		toks = append(toks, t)
+		if semi {
+			toks = append(toks, lexer.Token{Type: lexer.EOF, Pos: t.Pos + 1, Line: t.Line, Col: t.Col + 1})
+		}
+		if semi || t.Type == lexer.EOF {
+			s.end = t.Pos
+			break
+		}
+	}
+	s.p.toks, s.p.pos, s.p.params = toks, 0, 0
+	return nil
+}
+
+// statement parses one statement from the loaded tokens; only its ';'
+// or the end of the input may follow it.
+func (p *Parser) statement() (ast.Statement, error) {
+	stmt, err := p.parseStatement()
+	if err != nil {
+		return nil, err
+	}
+	if !p.peekSymbol(";") && p.peek().Type != lexer.EOF {
+		return nil, p.errorf("unexpected %s after statement", p.peek())
+	}
+	return stmt, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -310,14 +312,135 @@ func TestParseParams(t *testing.T) {
 	}
 }
 
-func TestParseAllScript(t *testing.T) {
-	stmts, err := ParseAll(`CREATE TABLE t (x INT); INSERT INTO t VALUES (1); SELECT * FROM t;`)
-	if err != nil {
-		t.Fatal(err)
+func TestScriptParsesEveryStatement(t *testing.T) {
+	s := NewScript(`CREATE TABLE t (x INT); INSERT INTO t VALUES (1); SELECT * FROM t;`)
+	var got []string
+	for {
+		stmt, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stmt == nil {
+			break
+		}
+		got = append(got, fmt.Sprintf("%T", stmt))
 	}
-	if len(stmts) != 3 {
-		t.Fatalf("statements = %d", len(stmts))
+	want := []string{"*ast.CreateTableStmt", "*ast.InsertStmt", "*ast.SelectStmt"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("statements = %v, want %v", got, want)
 	}
+	if stmt, err := s.Next(); stmt != nil || err != nil {
+		t.Fatalf("Next after the end = %v, %v", stmt, err)
+	}
+}
+
+// TestScriptText holds the statement boundaries to the lexer's view of
+// the script: semicolons inside string literals (” escapes included)
+// and quoted identifiers ("" escapes included), -- line comments and
+// /* */ block comments never split, comment apostrophes never open a
+// literal, and empty or comment-only statements are skipped. An
+// unterminated comment is a lexer error at its position in the whole
+// script.
+func TestScriptText(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    []string
+		wantErr string
+	}{
+		{in: "SELECT 1; SELECT 2;", want: []string{"SELECT 1", "SELECT 2"}},
+		{in: "SELECT 'a;b'; SELECT 2", want: []string{"SELECT 'a;b'", "SELECT 2"}},
+		{in: "SELECT 'it''s; fine'", want: []string{"SELECT 'it''s; fine'"}},
+		{in: "-- can't touch this\nSELECT 1;\nSELECT 2;", want: []string{"-- can't touch this\nSELECT 1", "SELECT 2"}},
+		{in: "/* no; split 'here */ SELECT 1; SELECT 2", want: []string{"/* no; split 'here */ SELECT 1", "SELECT 2"}},
+		{in: "SELECT 1 -- trailing; comment\n; SELECT 2", want: []string{"SELECT 1 -- trailing; comment", "SELECT 2"}},
+		{in: ";;  ;"},
+		{in: "SELECT 1;\n-- done\n", want: []string{"SELECT 1"}},
+		{in: "/* only a comment */; SELECT 2", want: []string{"SELECT 2"}},
+		{in: "SELECT 1;\n/* unterminated; never splits", want: []string{"SELECT 1"},
+			wantErr: "syntax error at line 2 col 30: unterminated block comment"},
+		{in: `SELECT "a;b" FROM t; SELECT 2`, want: []string{`SELECT "a;b" FROM t`, "SELECT 2"}},
+		{in: `SELECT "a""x;y" FROM t; SELECT 2`, want: []string{`SELECT "a""x;y" FROM t`, "SELECT 2"}},
+	}
+	for _, c := range cases {
+		s := NewScript(c.in)
+		var got []string
+		var err error
+		for {
+			var stmt ast.Statement
+			if stmt, err = s.Next(); err != nil || stmt == nil {
+				break
+			}
+			got = append(got, s.Text())
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("NewScript(%q) texts = %q, want %q", c.in, got, c.want)
+		}
+		if gotErr := fmt.Sprint(err); (err != nil || c.wantErr != "") && gotErr != c.wantErr {
+			t.Errorf("NewScript(%q) error = %v, want %q", c.in, err, c.wantErr)
+		}
+	}
+}
+
+// TestScriptErrorsAreScriptGlobal checks that a statement's parse and
+// lex errors carry their position in the whole script and that the
+// statements before them were returned first.
+func TestScriptErrorsAreScriptGlobal(t *testing.T) {
+	cases := []struct{ in, wantErr string }{
+		{"SELECT 1;\nSELECT 2;\n  SELECT a FROM;\nSELECT 4;",
+			"parse error at line 3 col 16: expected table name, found ;"},
+		{"SELECT 1;\nSELECT 2;\nSELECT 3 4;\nSELECT 4;",
+			"parse error at line 3 col 10: unexpected 4 after statement"},
+		{"SELECT 1;\nSELECT 2;\nSELECT @;\nSELECT 4;",
+			"syntax error at line 3 col 8: unexpected character \"@\""},
+	}
+	for _, c := range cases {
+		s := NewScript(c.in)
+		for i := 0; i < 2; i++ {
+			if stmt, err := s.Next(); stmt == nil || err != nil {
+				t.Fatalf("%q: statement %d = %v, %v", c.in, i+1, stmt, err)
+			}
+		}
+		if _, err := s.Next(); fmt.Sprint(err) != c.wantErr {
+			t.Errorf("%q: error = %v, want %q", c.in, err, c.wantErr)
+		}
+	}
+}
+
+// TestSingleStatementMessages pins the messages of the two
+// single-statement entry points for inputs that are not exactly one
+// statement.
+func TestSingleStatementMessages(t *testing.T) {
+	cases := []struct {
+		in                string
+		parse, withParams string
+	}{
+		{"", "expected exactly one statement, got 0",
+			"parse error at line 1 col 1: expected a statement, found end of input"},
+		{";SELECT 1", "",
+			"parse error at line 1 col 1: expected a statement, found ;"},
+		{"SELECT 1; SELECT 2", "expected exactly one statement, got 2",
+			"parse error at line 1 col 11: unexpected SELECT after statement"},
+		{"SELECT 1;;", "", ""},
+		{"SELECT 1; SELECT 'x", "syntax error at line 1 col 20: unterminated string literal",
+			"syntax error at line 1 col 20: unterminated string literal"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.in)
+		if got := errText(err); got != c.parse {
+			t.Errorf("Parse(%q) error = %q, want %q", c.in, got, c.parse)
+		}
+		_, _, err = ParseWithParams(c.in)
+		if got := errText(err); got != c.withParams {
+			t.Errorf("ParseWithParams(%q) error = %q, want %q", c.in, got, c.withParams)
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 func TestParseErrors(t *testing.T) {

@@ -59,7 +59,13 @@ func TestParserNeverPanics(t *testing.T) {
 					t.Fatalf("parser panicked on %q: %v", src, p)
 				}
 			}()
-			_, _ = ParseAll(src)
+			s := NewScript(src)
+			for {
+				stmt, err := s.Next()
+				if err != nil || stmt == nil {
+					break
+				}
+			}
 		}()
 	}
 }

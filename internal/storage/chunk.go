@@ -82,21 +82,13 @@ func (c *Chunk) AppendRow(row []types.Value) {
 	}
 }
 
-// Gather returns a new chunk containing the given rows of c, in order.
-func (c *Chunk) Gather(rows []int) *Chunk {
+// Gather returns a new chunk containing the given rows of c, in order,
+// with each column's copies partitioned over up to workers goroutines;
+// identical output at every worker count (see Column.Gather).
+func (c *Chunk) Gather(rows []int, workers int) *Chunk {
 	out := &Chunk{Schema: c.Schema, Cols: make([]*Column, len(c.Cols))}
 	for j, col := range c.Cols {
-		out.Cols[j] = col.Gather(rows)
-	}
-	return out
-}
-
-// GatherP is Gather with each column's copies partitioned over up to
-// workers goroutines; identical output at every worker count.
-func (c *Chunk) GatherP(rows []int, workers int) *Chunk {
-	out := &Chunk{Schema: c.Schema, Cols: make([]*Column, len(c.Cols))}
-	for j, col := range c.Cols {
-		out.Cols[j] = col.GatherP(rows, workers)
+		out.Cols[j] = col.Gather(rows, workers)
 	}
 	return out
 }
@@ -106,21 +98,6 @@ func (c *Chunk) Slice(lo, hi int) *Chunk {
 	out := &Chunk{Schema: c.Schema, Cols: make([]*Column, len(c.Cols))}
 	for j, col := range c.Cols {
 		out.Cols[j] = col.Slice(lo, hi)
-	}
-	return out
-}
-
-// Snapshot returns a stable zero-copy view of the chunk's current rows
-// that can outlive the lock it was taken under: the column slice and
-// every column header are copied (so swapping a column pointer in the
-// source, as DELETE and reloads do, cannot reach the view) while the
-// backing arrays are shared length-clamped (so in-place appends land
-// beyond the view); see Column.Snapshot. The row-batch cursor takes one
-// before the read lock is released.
-func (c *Chunk) Snapshot() *Chunk {
-	out := &Chunk{Schema: c.Schema, Cols: make([]*Column, len(c.Cols))}
-	for j, col := range c.Cols {
-		out.Cols[j] = col.Snapshot()
 	}
 	return out
 }
@@ -141,7 +118,7 @@ func (c *Chunk) FilterByMask(mask []bool) *Chunk {
 			rows = append(rows, i)
 		}
 	}
-	return c.Gather(rows)
+	return c.Gather(rows, 1)
 }
 
 // ColIndex locates a column by optional qualifier and name

@@ -172,7 +172,12 @@ func (c *Column) Get(i int) types.Value {
 // Slice returns a read-only view of rows [lo, hi) sharing c's backing
 // arrays; the capacities are clamped so an append through the view can
 // never write into c. Used by the row-batch cursor to hand out result
-// windows without copying.
+// windows without copying, and, as Slice(0, Len()), by base-table scans
+// for a view that stays stable while the table keeps growing: later
+// in-place appends land beyond it and append-triggered reallocations
+// move the writer to a fresh array. The view is NOT isolated from
+// in-place overwrites of existing rows — the engine never does that
+// (DELETE and reloads swap whole columns).
 func (c *Column) Slice(lo, hi int) *Column {
 	out := &Column{Kind: c.Kind, n: hi - lo}
 	switch c.Kind {
@@ -191,73 +196,55 @@ func (c *Column) Slice(lo, hi int) *Column {
 	return out
 }
 
-// Snapshot returns a read-only view of the column's current rows that
-// stays stable while the original keeps growing: the backing arrays are
-// shared (no copy), but the view's length and capacity are clamped to
-// the current row count, so later in-place appends land beyond it and
-// append-triggered reallocations move the writer to a fresh array. The
-// snapshot is NOT isolated from in-place overwrites of existing rows —
-// the engine never does that (DELETE and reloads swap whole columns).
-func (c *Column) Snapshot() *Column {
-	n := c.n
-	out := &Column{Kind: c.Kind, n: n}
-	switch c.Kind {
-	case types.KindFloat:
-		out.Floats = c.Floats[:n:n]
-	case types.KindString:
-		out.Strs = c.Strs[:n:n]
-	case types.KindPath:
-		out.Paths = c.Paths[:n:n]
-	default:
-		out.Ints = c.Ints[:n:n]
-	}
-	if c.Nulls != nil {
-		out.Nulls = c.Nulls[:n:n]
-	}
-	return out
-}
-
 // Gather returns a new column holding the entries of c at the given
-// row indices, in order.
-func (c *Column) Gather(rows []int) *Column {
-	out := NewColumn(c.Kind, len(rows))
-	switch c.Kind {
-	case types.KindFloat:
-		for _, r := range rows {
-			out.Floats = append(out.Floats, c.Floats[r])
-		}
-	case types.KindString:
-		for _, r := range rows {
-			out.Strs = append(out.Strs, c.Strs[r])
-		}
-	case types.KindPath:
-		for _, r := range rows {
-			out.Paths = append(out.Paths, c.Paths[r])
-		}
-	default:
-		for _, r := range rows {
-			out.Ints = append(out.Ints, c.Ints[r])
-		}
-	}
-	out.n = len(rows)
+// row indices, in order. The copies are partitioned over up to workers
+// goroutines in contiguous output ranges, so the result is identical
+// at every worker count; callers gate by size and pass 1 for a plain
+// loop on the calling goroutine.
+func (c *Column) Gather(rows []int, workers int) *Column {
+	out := c.sized(len(rows))
 	if c.Nulls != nil {
 		out.Nulls = make([]bool, len(rows))
-		for i, r := range rows {
-			out.Nulls[i] = c.Nulls[r]
-		}
+	}
+	if workers <= 1 {
+		// Same range copy, minus the closure par.Ranges would allocate.
+		c.gatherRange(out, rows, 0, len(rows))
+	} else {
+		par.Ranges(workers, len(rows), func(_, lo, hi int) { c.gatherRange(out, rows, lo, hi) })
 	}
 	return out
 }
 
-// GatherP is Gather with the copies partitioned over up to workers
-// goroutines in contiguous output ranges; the result is identical to
-// Gather at every worker count. Callers gate by size — with workers
-// <= 1 (or few rows) it degrades to a plain loop.
-func (c *Column) GatherP(rows []int, workers int) *Column {
-	if workers <= 1 {
-		return c.Gather(rows)
+// gatherRange fills out[lo:hi) with the entries of c at rows[lo:hi).
+func (c *Column) gatherRange(out *Column, rows []int, lo, hi int) {
+	switch c.Kind {
+	case types.KindFloat:
+		for i := lo; i < hi; i++ {
+			out.Floats[i] = c.Floats[rows[i]]
+		}
+	case types.KindString:
+		for i := lo; i < hi; i++ {
+			out.Strs[i] = c.Strs[rows[i]]
+		}
+	case types.KindPath:
+		for i := lo; i < hi; i++ {
+			out.Paths[i] = c.Paths[rows[i]]
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			out.Ints[i] = c.Ints[rows[i]]
+		}
 	}
-	n := len(rows)
+	if c.Nulls != nil {
+		for i := lo; i < hi; i++ {
+			out.Nulls[i] = c.Nulls[rows[i]]
+		}
+	}
+}
+
+// sized returns an n-entry column of c's kind with a zeroed payload
+// and no null mask, for the gathers to fill in place.
+func (c *Column) sized(n int) *Column {
 	out := &Column{Kind: c.Kind, n: n}
 	switch c.Kind {
 	case types.KindFloat:
@@ -269,54 +256,17 @@ func (c *Column) GatherP(rows []int, workers int) *Column {
 	default:
 		out.Ints = make([]int64, n)
 	}
-	if c.Nulls != nil {
-		out.Nulls = make([]bool, n)
-	}
-	par.Ranges(workers, n, func(_, lo, hi int) {
-		switch c.Kind {
-		case types.KindFloat:
-			for i := lo; i < hi; i++ {
-				out.Floats[i] = c.Floats[rows[i]]
-			}
-		case types.KindString:
-			for i := lo; i < hi; i++ {
-				out.Strs[i] = c.Strs[rows[i]]
-			}
-		case types.KindPath:
-			for i := lo; i < hi; i++ {
-				out.Paths[i] = c.Paths[rows[i]]
-			}
-		default:
-			for i := lo; i < hi; i++ {
-				out.Ints[i] = c.Ints[rows[i]]
-			}
-		}
-		if c.Nulls != nil {
-			for i := lo; i < hi; i++ {
-				out.Nulls[i] = c.Nulls[rows[i]]
-			}
-		}
-	})
 	return out
 }
 
-// GatherNullExtend is GatherP where a row index of -1 yields a NULL
+// GatherNullExtend is Gather where a row index of -1 yields a NULL
 // entry (left-outer-join null extension). The null mask is dropped
 // when no output entry is NULL, matching what an append-based copy
 // would have produced.
 func (c *Column) GatherNullExtend(rows []int, workers int) *Column {
 	n := len(rows)
-	out := &Column{Kind: c.Kind, n: n, Nulls: make([]bool, n)}
-	switch c.Kind {
-	case types.KindFloat:
-		out.Floats = make([]float64, n)
-	case types.KindString:
-		out.Strs = make([]string, n)
-	case types.KindPath:
-		out.Paths = make([]*types.Path, n)
-	default:
-		out.Ints = make([]int64, n)
-	}
+	out := c.sized(n)
+	out.Nulls = make([]bool, n)
 	par.Ranges(workers, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := rows[i]

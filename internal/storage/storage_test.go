@@ -80,7 +80,7 @@ func TestColumnGather(t *testing.T) {
 			c.AppendInt(int64(i))
 		}
 	}
-	g := c.Gather([]int{9, 5, 0})
+	g := c.Gather([]int{9, 5, 0}, 1)
 	if g.Len() != 3 || g.Get(0).I != 9 || !g.IsNull(1) || g.Get(2).I != 0 {
 		t.Fatalf("gather wrong: %v", g)
 	}
@@ -106,7 +106,7 @@ func TestPropertyGatherPreservesValues(t *testing.T) {
 		for i, p := range pick {
 			rows[i] = int(p) % len(vals)
 		}
-		g := c.Gather(rows)
+		g := c.Gather(rows, 1)
 		for i, r := range rows {
 			if g.Get(i).I != vals[r] {
 				return false

@@ -74,10 +74,9 @@ type flusher interface{ Flush() }
 // be called in protocol order: Header once, Batch any number of times,
 // then exactly one of Trailer or Fail.
 type StreamWriter struct {
-	w       io.Writer
-	enc     *json.Encoder
-	sent    int
-	batches int
+	w    io.Writer
+	enc  *json.Encoder
+	sent int
 }
 
 // NewStreamWriter wraps a destination (typically an
@@ -85,12 +84,6 @@ type StreamWriter struct {
 func NewStreamWriter(w io.Writer) *StreamWriter {
 	return &StreamWriter{w: w, enc: json.NewEncoder(w)}
 }
-
-// Batches reports the number of batch frames written so far.
-func (sw *StreamWriter) Batches() int { return sw.batches }
-
-// RowsSent reports the number of rows written so far.
-func (sw *StreamWriter) RowsSent() int { return sw.sent }
 
 func (sw *StreamWriter) frame(v any) error {
 	if err := sw.enc.Encode(v); err != nil {
@@ -128,7 +121,6 @@ func (sw *StreamWriter) Batch(rows [][]any) error {
 		enc[i] = er
 	}
 	sw.sent += len(rows)
-	sw.batches++
 	return sw.frame(&StreamBatch{Rows: enc})
 }
 
