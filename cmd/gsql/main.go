@@ -21,9 +21,9 @@
 // "(n row(s))", or as "ok" for a statement without rows, and errors go
 // to stderr. -json emits one buffered wire object per statement (the
 // gsqld /query response encoding); -stream emits one chunked NDJSON
-// frame sequence per statement (the gsqld streaming encoding), with
-// rows converted and written batch by batch through the engine's
-// row-batch cursor, so huge results never exist row-major in memory.
+// frame sequence per statement (the gsqld streaming encoding), written
+// batch by batch from the engine's row-batch cursor. Both write through
+// wire.Write, so a failure prints gsqld's error object or trailer.
 //
 // Tracing: -analyze prefixes every SELECT with EXPLAIN ANALYZE, so each
 // query executes and prints its annotated plan tree (actual rows,
@@ -169,34 +169,15 @@ func (sh *shell) script(src string) bool {
 }
 
 // print renders one statement's outcome — rows, or err when the
-// statement failed — in the output mode and reports success.
+// statement failed — in the output mode and reports success. The wire
+// modes write what gsqld would answer, codes included.
 func (sh *shell) print(rows *graphsql.Rows, err error, tr *graphsql.Trace) bool {
-	if sh.streamOut && err == nil {
-		return sh.stream(rows, tr)
+	if sh.jsonOut || sh.streamOut {
+		return wire.Write(sh.out, rows, err, sh.streamOut, tr) == nil
 	}
 	var res *graphsql.Result
 	if err == nil {
 		res, err = rows.Result()
-	}
-	if sh.jsonOut || sh.streamOut {
-		// A stream that fails before its header is one buffered error
-		// object, exactly like gsqld's.
-		var payload *wire.QueryResponse
-		if err != nil {
-			payload = wire.FromError(wire.CodeSQL, err)
-		} else {
-			payload = wire.FromResult(res)
-		}
-		if sh.jsonOut {
-			payload.Trace = tr.Tree()
-		}
-		data, encErr := payload.Encode()
-		if encErr != nil {
-			fmt.Fprintln(sh.errOut, encErr)
-			return false
-		}
-		fmt.Fprintln(sh.out, string(data))
-		return err == nil
 	}
 	if err != nil {
 		fmt.Fprintln(sh.errOut, "error:", err)
@@ -210,37 +191,6 @@ func (sh *shell) print(rows *graphsql.Rows, err error, tr *graphsql.Trace) bool 
 	}
 	if tr != nil {
 		fmt.Fprint(sh.errOut, graphsql.RenderTrace(tr.Tree()))
-	}
-	return true
-}
-
-// stream writes rows as one chunked frame sequence (the gsqld
-// streaming encoding), converting them batch by batch; the span tree,
-// when traced, rides in the trailer frame. It reports success.
-func (sh *shell) stream(rows *graphsql.Rows, tr *graphsql.Trace) bool {
-	defer rows.Close()
-	sw := wire.NewStreamWriter(sh.out)
-	if err := sw.Header(rows.Columns); err != nil {
-		fmt.Fprintln(sh.errOut, err)
-		return false
-	}
-	for {
-		b, err := rows.NextBatch(wire.DefaultBatchRows)
-		if err != nil {
-			sw.Fail(wire.CodeCanceled, err)
-			return false
-		}
-		if b == nil {
-			break
-		}
-		if err := sw.Batch(b); err != nil {
-			fmt.Fprintln(sh.errOut, err)
-			return false
-		}
-	}
-	if err := sw.Trailer(tr.Tree()); err != nil {
-		fmt.Fprintln(sh.errOut, err)
-		return false
 	}
 	return true
 }

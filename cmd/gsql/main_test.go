@@ -214,3 +214,27 @@ SELECT COUNT(*) FROM e;
 		t.Fatalf("REPL stderr = %q, want the failing statement's error", stderr)
 	}
 }
+
+// TestWireModesAnswerLikeGsqld: a statement that fails mid-drain or
+// returns a cell with no JSON encoding prints gsqld's shape and code —
+// an error object for -json, an error trailer after the header for
+// -stream — and stops the script.
+func TestWireModesAnswerLikeGsqld(t *testing.T) {
+	const inf = `{"row_count":0,"error":{"code":"internal","message":"json: unsupported value: +Inf"}}`
+	const div = `{"row_count":0,"error":{"code":"sql_error","message":"division by zero"}}`
+	for _, c := range []struct {
+		name, script, mode, want string
+	}{
+		{"division json", "SELECT 1 / 0;\nSELECT 2;\n", "-json", div},
+		{"division stream", "SELECT 1 / 0;\nSELECT 2;\n", "-stream", `{"columns":["(1 / 0)"]}` + "\n" + div},
+		{"infinity json", "SELECT 1e308 * 10.0 AS x;\nSELECT 2;\n", "-json", inf},
+		{"infinity stream", "SELECT 1e308 * 10.0 AS x;\nSELECT 2;\n", "-stream", `{"columns":["x"]}` + "\n" + inf},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := gsql(t, c.script, "", c.mode)
+			if code != 1 || stdout != c.want+"\n" || stderr != "" {
+				t.Fatalf("exit %d, stdout\n%s\nstderr %q; want exit 1, stdout\n%s", code, stdout, stderr, c.want)
+			}
+		})
+	}
+}

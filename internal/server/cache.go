@@ -9,11 +9,12 @@ import (
 	"graphsql"
 	"graphsql/internal/fault"
 	"graphsql/internal/sql/lexer"
+	"graphsql/internal/wire"
 )
 
-// ResultCache is the server's result-set cache: an LRU over fully
-// materialized SELECT results keyed by (graph name, registry
-// generation, engine data version, statement text, bound arguments).
+// ResultCache is the server's result-set cache: an LRU over complete
+// SELECT results keyed by (graph name, registry generation, engine
+// data version, statement text, bound arguments).
 // Repeated SELECTs are served straight from it without touching the
 // engine — no parse, no plan, no admission slot.
 //
@@ -30,13 +31,12 @@ import (
 // the typed argument list — internal/sql/fingerprint), so the literal
 // form of a point lookup and its parameterized form share one entry.
 //
-// Entries hold a single representation: the materialized Result. The
-// buffered JSON encoding is derived on demand (the wire encoding is
-// deterministic, so a buffered hit stays byte-identical to a fresh
-// execution) and streaming hits re-chunk the rows — storing only one
-// form roughly doubles the hit capacity of a given byte budget.
-// Entries larger than a quarter of the byte budget are never admitted,
-// so one huge result cannot wipe the working set.
+// Entries are the rows a response already encoded (wire.Encoded: one
+// byte slice plus each row's end), so a hit writes them again — as one
+// buffered body or in stream frames of any size — encoding no cell. An
+// entry's size is exact: its key, encoded rows and row ends, which
+// CacheBytes bounds. Entries larger than a quarter of the byte budget
+// are never admitted, so one huge result cannot wipe the working set.
 type ResultCache struct {
 	maxEntries int
 	maxBytes   int64
@@ -52,67 +52,8 @@ type ResultCache struct {
 type cacheEntry struct {
 	key   string
 	graph string
-	res   *graphsql.Result
-	// bytes memoizes resultFootprint(res) + key + overhead, so LRU
-	// eviction never re-walks the rows.
-	bytes int64
-}
-
-// cacheEntryOverhead approximates the bookkeeping bytes per entry on
-// top of the result payload (list element, map bucket, key).
-const cacheEntryOverhead = 256
-
-func entrySize(key string, res *graphsql.Result) int64 {
-	return resultFootprint(res) + int64(len(key)) + cacheEntryOverhead
-}
-
-// resultFootprint approximates the resident bytes of a materialized
-// Result. Boxed cells dominate: an interface value plus the boxed
-// payload runs ~24 bytes even for an int64 cell, and variable-size
-// payloads (strings, nested path tables) add their own bytes on top —
-// with no encoded copy retained, the row walk must count them itself.
-func resultFootprint(res *graphsql.Result) int64 {
-	if res == nil {
-		return 0
-	}
-	const perRow = 24  // row slice header
-	const perCell = 24 // interface header + boxed payload
-	total := int64(len(res.Rows)) * perRow
-	for _, row := range res.Rows {
-		total += int64(len(row)) * perCell
-		for _, cell := range row {
-			total += cellPayload(cell)
-		}
-	}
-	return total
-}
-
-// cellPayload counts the variable-size bytes of one cell beyond its
-// boxed header: string contents and nested path tables. Fixed-size
-// cells (int64, float64, bool, time.Time) are covered by the per-cell
-// constant.
-func cellPayload(cell any) int64 {
-	switch t := cell.(type) {
-	case string:
-		return int64(len(t))
-	case *graphsql.Path:
-		if t == nil {
-			return 0
-		}
-		var n int64
-		for _, c := range t.Columns {
-			n += int64(len(c))
-		}
-		n += int64(len(t.Rows)) * 24
-		for _, row := range t.Rows {
-			n += int64(len(row)) * 24
-			for _, pc := range row {
-				n += cellPayload(pc)
-			}
-		}
-		return n
-	}
-	return 0
+	rows  *wire.Encoded
+	bytes int64 // key + rows.Size()
 }
 
 // NewResultCache builds a cache bounded by both an entry count and a
@@ -206,10 +147,9 @@ func firstKeyword(sql string) string {
 	return strings.ToLower(tok.Text)
 }
 
-// Get returns the cached result, promoting the entry to
-// most-recently-used. Callers derive whichever response form they need
-// (buffered encoding or streamed chunks) from the result.
-func (rc *ResultCache) Get(key string) (*graphsql.Result, bool) {
+// Get returns the cached result's encoded rows, promoting the entry to
+// most-recently-used. The rows are shared: callers only read them.
+func (rc *ResultCache) Get(key string) (*wire.Encoded, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	el, ok := rc.entries[key]
@@ -219,20 +159,29 @@ func (rc *ResultCache) Get(key string) (*graphsql.Result, bool) {
 	}
 	rc.hits++
 	rc.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).rows, true
 }
 
-// Put inserts a result, evicting least-recently-used entries until the
-// budgets hold. Results bigger than a quarter of the byte budget are
-// dropped instead of cached.
+// Put encodes a result and inserts it. A result with a cell that has
+// no JSON encoding is not cached.
 func (rc *ResultCache) Put(key, graph string, res *graphsql.Result) {
+	rows := wire.NewEncoded(res.Columns)
+	if rows.Append(res.Rows) == nil {
+		rc.insert(key, graph, rows)
+	}
+}
+
+// insert adds rows nobody writes to any more, evicting least-recently
+// used entries until the budgets hold; rows bigger than a quarter of
+// the byte budget are dropped instead.
+func (rc *ResultCache) insert(key, graph string, rows *wire.Encoded) {
 	// A cache-insert fault skips the insert: the result itself is
 	// complete and still goes out, so losing only the cache admission is
 	// the correct degraded behavior (and what the chaos harness asserts).
 	if fault.Inject(fault.PointCacheInsert) != nil {
 		return
 	}
-	e := &cacheEntry{key: key, graph: graph, res: res, bytes: entrySize(key, res)}
+	e := &cacheEntry{key: key, graph: graph, rows: rows, bytes: int64(len(key)) + rows.Size()}
 	if e.bytes > rc.maxBytes/4 {
 		return
 	}
@@ -252,9 +201,8 @@ func (rc *ResultCache) Put(key, graph string, res *graphsql.Result) {
 	}
 }
 
-// AdmissionBudget reports the per-entry byte ceiling; callers that
-// accumulate rows speculatively (the streaming miss path) use it to
-// stop buffering as soon as an entry could no longer be admitted.
+// AdmissionBudget reports the per-entry byte ceiling; the streaming
+// miss path keeps the rows it has written only while they fit it.
 func (rc *ResultCache) AdmissionBudget() int64 {
 	return rc.maxBytes / 4
 }

@@ -101,8 +101,7 @@ func TestCacheLRUBudgets(t *testing.T) {
 		t.Fatalf("unexpected snapshot: %+v", snap)
 	}
 	// An entry above a quarter of the byte budget is never admitted —
-	// the result's payload bytes (here one big string cell) count, not
-	// just its row headers.
+	// its size is its encoded length (here one big string cell).
 	rc2 := NewResultCache(100, 2048)
 	big := &graphsql.Result{Columns: []string{"s"}, Rows: [][]any{{strings.Repeat("x", 600)}}}
 	rc2.Put("huge", "g", big)
@@ -113,10 +112,12 @@ func TestCacheLRUBudgets(t *testing.T) {
 	if rc2.Snapshot().Entries != 1 {
 		t.Fatal("small entry refused: admission budget miscomputed")
 	}
-	// The byte budget evicts from the back.
+	// The byte budget evicts from the back: eight ~315-byte entries do
+	// not fit 1600 bytes.
 	rc3 := NewResultCache(100, 4*400)
+	mid := &graphsql.Result{Columns: []string{"s"}, Rows: [][]any{{strings.Repeat("x", 300)}}}
 	for i := 0; i < 8; i++ {
-		rc3.Put(fmt.Sprintf("k%d", i), "g", res)
+		rc3.Put(fmt.Sprintf("k%d", i), "g", mid)
 	}
 	if s := rc3.Snapshot(); s.Bytes > s.MaxBytes || s.Entries == 8 {
 		t.Fatalf("byte budget not enforced: %+v", s)

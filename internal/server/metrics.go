@@ -237,7 +237,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.counter("gsqld_cache_evictions_total", "Entries evicted by the LRU budgets.", cs.Evictions)
 		p.counter("gsqld_cache_invalidated_entries_total", "Entries purged by reloads and writes.", cs.Invalidated)
 		p.gauge("gsqld_cache_entries", "Live result-cache entries.", float64(cs.Entries))
-		p.gauge("gsqld_cache_bytes", "Approximate bytes held by the result cache.", float64(cs.Bytes))
+		p.gauge("gsqld_cache_bytes", "Bytes held by the result cache: keys and encoded rows.", float64(cs.Bytes))
 	}
 
 	// Plan-cache counters summed over the registry's current databases

@@ -211,6 +211,38 @@ func TestServerStreamFaultTrailer(t *testing.T) {
 	checkAdmissionClean(t, s)
 }
 
+// TestServerUnencodableCell: a result cell with no JSON encoding (an
+// overflow to +Inf) is a server-side failure in both encodings — code
+// internal, counted as an error and never as canceled — and a stream
+// whose only batch failed to encode reports zero delivered rows. The
+// failed result is not cached: a repeat fails the same way.
+func TestServerUnencodableCell(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
+	for _, stream := range []bool{false, true} {
+		for pass := 0; pass < 2; pass++ {
+			label := fmt.Sprintf("stream=%v pass %d", stream, pass)
+			before := s.failureCounters()
+			status, body, _ := postRaw(t, hs.URL+"/query", &wire.QueryRequest{SQL: `SELECT 1e308 * 10.0 AS x`, Stream: stream})
+			wantStatus, want := http.StatusInternalServerError,
+				`{"row_count":0,"error":{"code":"internal","message":"json: unsupported value: +Inf"}}`
+			if stream {
+				wantStatus, want = http.StatusOK, `{"columns":["x"]}`+"\n"+want+"\n"
+			}
+			if status != wantStatus || string(body) != want {
+				t.Fatalf("%s: status %d, body\n%s\nwant %d, body\n%s", label, status, body, wantStatus, want)
+			}
+			if got := s.failureCounters().since(before); got != (failureCounters{errors: 1}) {
+				t.Fatalf("%s: counter deltas %+v, want one error and nothing canceled", label, got)
+			}
+		}
+	}
+	if e := s.Cache().Snapshot().Entries; e != 0 {
+		t.Fatalf("%d cache entries, want the failed result uncached", e)
+	}
+	checkAdmissionClean(t, s)
+}
+
 // TestServerQueueWaitDeadline pins the only execution slot and requires
 // a queued request to be shed at the queue-wait deadline with a 503,
 // code queue_timeout, and a Retry-After hint — while the query timeout

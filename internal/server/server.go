@@ -42,17 +42,18 @@
 //
 // Result cache: SELECT results are cached keyed by (graph, registry
 // generation, engine data version, statement, bound args) — see
-// ResultCache — and a hit is served from memory without consuming an
-// admission slot. Reloads and write statements can never leak a stale
-// entry to a later reader: both bump a component of the key.
+// ResultCache — as the rows their first response encoded, and a hit is
+// served from memory without consuming an admission slot or encoding a
+// cell. Reloads and write statements can never leak a stale entry to a
+// later reader: both bump a component of the key.
 //
 // One path: every statement runs the same way whichever response
 // encoding was asked for — Prepare → ExecPreparedCursor → Rows → sink.
 // runQuery calls Session.QueryRows at one site and respond drains the
-// cursor through one loop into a sink; the two sinks (one JSON body,
-// NDJSON frames) are two wire formats, not two executions, and a cache
-// hit replays the stored result through the same loop. Failures have
-// one classifier (failExec), writes one cache purge and misses one
+// cursor through one loop into a sink, whose two encodings (one JSON
+// body, NDJSON frames) are two wire formats of cells encoded once, not
+// two executions; a cache hit hands the sink its stored rows. Failures
+// have one classifier (failExec), writes one cache purge and misses one
 // cache fill, so the encodings cannot disagree on an error code, a
 // counter or a purge.
 //
@@ -69,6 +70,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -85,7 +87,6 @@ import (
 	"time"
 
 	"graphsql"
-	"graphsql/internal/fault"
 	"graphsql/internal/sql/fingerprint"
 	"graphsql/internal/trace"
 	"graphsql/internal/wire"
@@ -127,8 +128,8 @@ type Config struct {
 	// CacheEntries bounds the result cache's entry count: 0 defaults to
 	// 512, negative disables the cache entirely.
 	CacheEntries int
-	// CacheBytes bounds the result cache's (approximate) memory;
-	// 0 defaults to 64 MiB.
+	// CacheBytes bounds the bytes of the result cache's entries (keys
+	// and encoded rows, counted exactly); 0 defaults to 64 MiB.
 	CacheBytes int64
 	// Logger receives the structured query log and panic reports;
 	// defaults to slog.Default(). Every completed query logs at DEBUG
@@ -435,13 +436,13 @@ func errorStatus(code string) int {
 // sink — malformed input, an unknown graph, admission — with the
 // buffered error body.
 func (s *Server) failQuery(w http.ResponseWriter, code string, err error) {
-	s.fail(&jsonSink{w: w}, code, err)
+	s.fail(&sink{w: w}, code, err)
 }
 
 // fail counts one failed query and reports it through the sink. A
 // canceled or timed-out query also counts as abandoned, in whichever
 // encoding the client was (no longer) reading.
-func (s *Server) fail(out sink, code string, err error) {
+func (s *Server) fail(out *sink, code string, err error) {
 	s.errors.Add(1)
 	if code == wire.CodeCanceled || code == wire.CodeTimeout {
 		s.canceled.Add(1)
@@ -451,29 +452,26 @@ func (s *Server) fail(out sink, code string, err error) {
 
 // failExec is the one classifier of a failure between admission and
 // the last byte — opening the statement, draining it, or writing the
-// response: contained panic beats injected fault beats timeout beats
-// cancellation beats fallback. (A panic racing a timeout reports the
-// panic — the more actionable signal; an injected fault reports
-// internal, not sql_error: the statement was fine, the server
-// hiccuped.) fallback is what an error carrying none of those signals
-// means where it arose: sql_error from execution, canceled from a
-// write to the client (the connection is gone), internal from the
-// encoder. It returns the wire code it chose, which the query log
-// records as the outcome.
+// response: contained panic beats injected fault or unencodable cell
+// (wire.ErrorCode: internal — the statement was fine, the server failed
+// it) beats timeout beats cancellation beats fallback, what an error
+// carrying none of those signals means where it arose: sql_error from
+// execution, canceled from the sink (a write to a client that is gone).
+// It returns the wire code it chose, which the query log records.
 func (s *Server) failExec(rq *running, err error, fallback string) string {
-	var qp *graphsql.QueryPanicError
-	var inj *fault.InjectedError
-	code := fallback
+	code := wire.ErrorCode(err, "")
 	switch {
-	case errors.As(err, &qp):
+	case code == wire.CodePanic:
+		var qp *graphsql.QueryPanicError
+		errors.As(err, &qp)
 		s.recordPanic(rq.ctx, qp.Value, qp.Stack, rq.qid, rq.fp)
-		code = wire.CodePanic
-	case errors.As(err, &inj):
-		code = wire.CodeInternal
+	case code != "":
 	case rq.timedOut():
 		code = wire.CodeTimeout
 	case rq.ctx.Err() != nil:
 		code = wire.CodeCanceled
+	default:
+		code = fallback
 	}
 	s.fail(rq.out, code, err)
 	return code
@@ -487,27 +485,8 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// querySpec is one statement execution, shared by POST /query and
-// POST /execute.
-type querySpec struct {
-	graph         string
-	session       string
-	sql           string
-	args          []any
-	workers       int
-	timeoutMillis int
-	stream        bool
-	batchRows     int
-	trace         bool
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		s.failQuery(w, wire.CodeInvalidRequest, err)
-		return
-	}
-	req, err := wire.DecodeRequest(body)
+	req, err := wire.DecodeRequest[wire.QueryRequest](io.LimitReader(r.Body, 16<<20))
 	if err != nil {
 		s.failQuery(w, wire.CodeInvalidRequest, err)
 		return
@@ -516,19 +495,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.failQuery(w, wire.CodeInvalidRequest, errors.New("missing sql"))
 		return
 	}
-	s.runQuery(w, r, querySpec{
-		graph: req.Graph, session: req.Session, sql: req.SQL, args: req.Args,
-		workers: req.Workers, timeoutMillis: req.TimeoutMillis,
-		stream: req.Stream, batchRows: req.BatchRows, trace: req.Trace,
-	})
+	s.runQuery(w, r, req)
 }
 
-// runQuery executes one statement: result-cache lookup, admission, one
+// runQuery executes one statement — of POST /query, or the registered
+// statement of POST /execute: result-cache lookup, admission, one
 // QueryRows call on the session facade, and one drain of its cursor
-// into the response sink of the requested encoding. A cache hit drains
-// the stored result through the same loop.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
-	graphName := q.graph
+// into the response sink of the requested encoding. A cache hit goes
+// through the same respond, with its stored rows and no cursor.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryRequest) {
+	graphName := q.Graph
 	if graphName == "" {
 		graphName = s.cfg.DefaultGraph
 	}
@@ -543,8 +519,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// active, and must keep its LRU stamp fresh or eviction would
 	// retire its prepared statements and SET settings mid-use.
 	var ssess *serverSession
-	if q.session != "" {
-		ssess = s.session(q.session)
+	if q.Session != "" {
+		ssess = s.session(q.Session)
 	}
 
 	// Every query records a trace: its root-level spans (cache,
@@ -556,8 +532,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// cache key without quoting literal values.
 	qid := s.queryID.Add(1)
 	tr := trace.New()
-	norm := fingerprint.Normalize(q.sql)
-	fp := q.sql
+	norm := fingerprint.Normalize(q.SQL)
+	fp := q.SQL
 	if norm.Changed() {
 		fp = norm.SQL
 	}
@@ -568,29 +544,21 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 		s.finishQuery(r.Context(), qid, graphName, fp, tr, start, outcome, rowsOut)
 	}()
 
-	// The two response encodings are two sinks over one drain. frame is
+	// The two response encodings are one sink over one drain. frame is
 	// the window the result is drained in — and the executor's batch
 	// bound: the whole result at once for the single JSON body; the
 	// requested frame size for NDJSON, so a small-batch stream starts
 	// flowing after the first few rows are computed instead of after the
 	// first 1024.
 	rq := &running{ctx: r.Context(), timedOut: func() bool { return false }, qid: qid, fp: fp}
-	if q.trace {
+	if q.Trace {
 		rq.traced = tr
 	}
 	frame := 0
-	if q.stream {
-		rq.out = &ndjsonSink{w: w}
-		frame = q.batchRows
-		if frame <= 0 {
-			frame = wire.DefaultBatchRows
-		}
-		if frame > wire.MaxBatchRows {
-			frame = wire.MaxBatchRows
-		}
-	} else {
-		rq.out = &jsonSink{w: w, tr: tr}
+	if q.Stream { // BatchRows 0 is DefaultBatchRows; at most MaxBatchRows
+		frame = min(cmp.Or(max(q.BatchRows, 0), wire.DefaultBatchRows), wire.MaxBatchRows)
 	}
+	rq.out = &sink{w: w, tr: tr, frame: frame}
 
 	// Result-cache lookup. The generation and data version are read
 	// BEFORE execution: a write racing this request can at worst make
@@ -607,27 +575,27 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// the raw text keys the entry, which is always correct, just less
 	// shared.
 	var key string
-	if s.cache != nil && cacheableSQL(q.sql) {
-		keySQL, keyArgs := q.sql, q.args
+	if s.cache != nil && cacheableSQL(q.SQL) {
+		keySQL, keyArgs := q.SQL, q.Args
 		if norm.Changed() {
-			if merged, ok := norm.MergeAny(q.args); ok {
+			if merged, ok := norm.MergeAny(q.Args); ok {
 				keySQL, keyArgs = norm.SQL, merged
 			}
 		}
 		key = cacheKey(graphName, gen, db.DataVersion(), keySQL, keyArgs)
 		if key != "" {
 			spCache := tr.Begin(trace.NoSpan, "cache")
-			res, hit := s.cache.Get(key)
+			cached, hit := s.cache.Get(key)
 			tr.End(spCache)
 			tr.SetResultCacheHit(hit)
 			if hit {
-				// The wire encoding is deterministic, so re-encoding the
-				// stored result reproduces the first response byte for
-				// byte — the cache holds one representation, not two.
-				// (A trace, when requested, is per-request by nature and
+				// The entry holds the rows the first response encoded, so
+				// writing them again reproduces it byte for byte in either
+				// encoding, at any frame size, with no cell encoded. (A
+				// trace, when requested, is per-request by nature and
 				// rides outside that equivalence.)
 				s.queries.Add(1)
-				outcome, rowsOut = s.respond(rq, res.Columns, replay(res), frame, nil)
+				outcome, rowsOut = s.respond(rq, cached, nil)
 				return
 			}
 		}
@@ -636,8 +604,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// The request context is canceled when the client disconnects; the
 	// timeout (request-level, else server default) stacks on top.
 	timeout := s.cfg.QueryTimeout
-	if q.timeoutMillis > 0 {
-		timeout = time.Duration(q.timeoutMillis) * time.Millisecond
+	if q.TimeoutMillis > 0 {
+		timeout = time.Duration(q.TimeoutMillis) * time.Millisecond
 	}
 	if timeout > 0 {
 		tctx, cancel := context.WithTimeout(rq.ctx, timeout)
@@ -655,7 +623,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	} else {
 		fsess = db.Session()
 	}
-	want := q.workers
+	want := q.Workers
 	if want <= 0 {
 		if sp := fsess.Parallelism(); sp > 0 {
 			want = sp
@@ -714,12 +682,12 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 
 	s.queries.Add(1)
 	opts := graphsql.QueryOptions{Workers: grant.Workers, Trace: tr, BatchRows: frame}
-	rows, err := fsess.QueryRows(ctx, opts, q.sql, q.args...)
+	rows, err := fsess.QueryRows(ctx, opts, q.SQL, q.Args...)
 	// Writes purge the graph's cached results once they finish — a write
 	// executes to completion inside QueryRows, under the write lock. The
 	// data-version key already guarantees no stale hit; the purge just
 	// releases the memory eagerly.
-	if s.cache != nil && invalidatingSQL(q.sql) {
+	if s.cache != nil && invalidatingSQL(q.SQL) {
 		s.cache.InvalidateGraph(graphName)
 	}
 	if err != nil {
@@ -729,15 +697,14 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q querySpec) {
 	// The cursor owns a live operator tree; release it even when the
 	// response is torn before exhaustion (client gone mid-stream).
 	defer rows.Close()
-	// A miss feeds the cache: the batches are accumulated as they go out
-	// (bounded by the admission budget, so a result too big to cache
-	// stops buffering instead of doubling its memory) and admitted only
-	// once the result is complete — a torn drain caches nothing.
-	var fill *cacheFill
+	// A miss feeds the cache the rows its response encodes, admitted only
+	// once the result is complete — a torn drain caches nothing. A
+	// stream keeps its written rows only while they fit the admission
+	// budget, so a result too big to cache is not held.
 	if key != "" {
-		fill = &cacheFill{cache: s.cache, key: key, graph: graphName, budget: s.cache.AdmissionBudget()}
+		rq.out.cache, rq.out.key, rq.out.graph = s.cache, key, graphName
 	}
-	outcome, rowsOut = s.respond(rq, rows.Columns, rows.NextBatch, frame, fill)
+	outcome, rowsOut = s.respond(rq, wire.NewEncoded(rows.Columns), rows.NextBatch)
 }
 
 // finishQuery closes out one query's observability: stage histograms
@@ -790,195 +757,154 @@ type running struct {
 	// traced is the query's trace when the request asked for the span
 	// tree in the response, nil otherwise.
 	traced *trace.Trace
-	out    sink
+	out    *sink
 }
 
-// sink is a response encoding: the two implementations are the two wire
-// *formats* of one result, not two executions. respond calls header
-// once, batch per drained window, then finish; fail may come at any
-// point before finish and answers in whatever shape the bytes already
-// sent allow.
-type sink interface {
-	header(columns []string) error
-	batch(rows [][]any) error
-	// finish completes a successful response; tree is the query's span
-	// tree when the request asked for it. It reports only a failure to
-	// encode — after the last byte nothing is left to tell the client.
-	finish(tree *trace.Node) error
-	fail(code string, err error)
+// sink is the response to one request in the encoding it asked for:
+// NDJSON frames of at most frame rows (wire/stream.go), or one buffered
+// wire.QueryResponse body when frame is 0, both written from one
+// wire.Encoded. respond calls header once, batch per drained window of
+// a live result, then finish; fail may come at any point before finish
+// and answers in whatever shape the bytes already sent allow.
+type sink struct {
+	w     http.ResponseWriter
+	tr    *trace.Trace // records the buffered body's "encode" stage
+	frame int
+	rows  *wire.Encoded
+	// cache, when set, admits rows under key once they hold the whole
+	// result, before the last byte goes out: a torn drain caches nothing.
+	cache      *ResultCache
+	key, graph string
+	live       [][]any            // the buffered body's windows, encoded by finish
+	sw         *wire.StreamWriter // a stream's, once its header frame is out
+	written    int                // rows of rows already in stream frames
 }
 
-// jsonSink is the buffered encoding: one wire.QueryResponse body
-// written when the result is complete, so a failure at any earlier
-// point still owns the HTTP status.
-type jsonSink struct {
-	w   http.ResponseWriter
-	tr  *trace.Trace // records the "encode" stage
-	res graphsql.Result
+// header opens the response over rows: empty for a live result, which
+// batch fills, or a cache hit's, complete and shared (read only).
+func (o *sink) header(rows *wire.Encoded) error {
+	o.rows = rows
+	if o.frame == 0 {
+		return nil
+	}
+	o.w.Header().Set("Content-Type", wire.StreamContentType)
+	o.sw = wire.NewStreamWriter(o.w)
+	return o.sw.Header(rows.Columns())
 }
 
-func (j *jsonSink) header(columns []string) error {
-	j.res.Columns = columns
+// batch takes one window of a live result. The buffered body keeps it
+// for finish, which encodes it inside the "encode" stage; a stream
+// frames it at once and keeps the written rows only for the cache,
+// while they fit its admission budget.
+func (o *sink) batch(b [][]any) error {
+	if o.sw == nil {
+		o.live = append(o.live, b...)
+		return nil
+	}
+	if err := o.rows.Append(b); err != nil {
+		return err
+	}
+	if err := o.frames(); err != nil {
+		return err
+	}
+	if o.cache == nil || o.rows.Size() > o.cache.AdmissionBudget() {
+		o.rows.Reset()
+		o.written, o.cache = 0, nil
+	}
 	return nil
 }
 
-func (j *jsonSink) batch(rows [][]any) error {
-	j.res.Rows = append(j.res.Rows, rows...)
+// frames writes the stream's rows not yet in a frame, frame rows each.
+func (o *sink) frames() error {
+	for o.written < o.rows.Len() {
+		hi := min(o.written+o.frame, o.rows.Len())
+		if err := o.sw.Rows(o.rows, o.written, hi); err != nil {
+			return err
+		}
+		o.written = hi
+	}
 	return nil
 }
 
-func (j *jsonSink) finish(tree *trace.Node) error {
-	resp := wire.FromResult(&j.res)
-	// tree was snapshotted before the encode span opens: it cannot
-	// describe the encoding it is itself part of.
-	resp.Trace = tree
-	spEnc := j.tr.Begin(trace.NoSpan, "encode")
-	data, err := resp.Encode()
-	j.tr.End(spEnc)
+// finish writes every row not yet written and completes a successful
+// response; tree is the query's span tree when the request asked for
+// it. It fails only before its last write: a cell that fails to encode
+// (*wire.EncodeError), or a frame of a cache hit that cannot go out.
+func (o *sink) finish(tree *trace.Node) (err error) {
+	var body []byte
+	if o.sw != nil {
+		err = o.frames()
+	} else {
+		// tree was snapshotted before the encode span opens: it cannot
+		// describe the encoding it is itself part of.
+		spEnc := o.tr.Begin(trace.NoSpan, "encode")
+		if err = o.rows.Append(o.live); err == nil {
+			body, err = o.rows.AppendResponse(nil, tree)
+		}
+		o.tr.End(spEnc)
+	}
 	if err != nil {
 		return err
 	}
-	j.w.Header().Set("Content-Type", "application/json")
-	j.w.Write(data)
+	if o.cache != nil {
+		o.cache.insert(o.key, o.graph, o.rows)
+	}
+	// Past this point a failed write leaves nothing to tell the client.
+	if o.sw != nil {
+		o.sw.Trailer(tree)
+		return nil
+	}
+	o.w.Header().Set("Content-Type", "application/json")
+	o.w.Write(body)
 	return nil
 }
 
-func (j *jsonSink) fail(code string, err error) {
-	writeJSON(j.w, errorStatus(code), wire.FromError(code, err))
-}
-
-// ndjsonSink is the chunked encoding of wire/stream.go: each window
-// leaves as its own frame, so the first rows reach the client while the
-// query is still running and the full response never exists
-// server-side. Once the header frame is out the HTTP status is spent: a
-// later failure ends the stream with an error trailer — a stream is
-// only ever torn by its trailer, never silently.
-type ndjsonSink struct {
-	w  http.ResponseWriter
-	sw *wire.StreamWriter // nil until the header frame
-}
-
-func (n *ndjsonSink) header(columns []string) error {
-	n.w.Header().Set("Content-Type", wire.StreamContentType)
-	n.sw = wire.NewStreamWriter(n.w)
-	return n.sw.Header(columns)
-}
-
-func (n *ndjsonSink) batch(rows [][]any) error { return n.sw.Batch(rows) }
-
-func (n *ndjsonSink) finish(tree *trace.Node) error {
-	n.sw.Trailer(tree)
-	return nil
-}
-
-func (n *ndjsonSink) fail(code string, err error) {
-	if n.sw == nil {
-		writeJSON(n.w, errorStatus(code), wire.FromError(code, err))
+func (o *sink) fail(code string, err error) {
+	if o.sw == nil { // no byte is out: the failure owns the HTTP status
+		writeJSON(o.w, errorStatus(code), wire.FromError(code, err))
 		return
 	}
-	n.sw.Fail(code, err)
-}
-
-// cacheFill accumulates the batches of a cache miss so the full result
-// can be admitted once the drain completes. The byte estimate uses the
-// same accounting as resultFootprint; crossing the budget sets overflow
-// and drops what was gathered — the response itself is unaffected.
-type cacheFill struct {
-	cache      *ResultCache
-	key, graph string
-	budget     int64
-	bytes      int64
-	rows       [][]any
-	overflow   bool
-}
-
-// add retains one outgoing batch. NextBatch allocates fresh row slices
-// per call, so retaining them aliases nothing the cursor will reuse.
-func (c *cacheFill) add(b [][]any) {
-	if c == nil || c.overflow {
-		return
-	}
-	for _, row := range b {
-		c.bytes += 24 + int64(len(row))*24
-		for _, cell := range row {
-			c.bytes += cellPayload(cell)
-		}
-	}
-	if c.bytes > c.budget {
-		c.overflow = true
-		c.rows = nil
-		return
-	}
-	c.rows = append(c.rows, b...)
-}
-
-// put admits the completed result.
-func (c *cacheFill) put(columns []string) {
-	if c == nil || c.overflow {
-		return
-	}
-	c.cache.Put(c.key, c.graph, &graphsql.Result{Columns: columns, Rows: c.rows})
-}
-
-// replay serves a cached result through the drain's pull signature:
-// successive windows of max rows (everything at once when max <= 0).
-func replay(res *graphsql.Result) func(max int) ([][]any, error) {
-	rest := res.Rows
-	return func(max int) ([][]any, error) {
-		if len(rest) == 0 {
-			return nil, nil
-		}
-		n := len(rest)
-		if max > 0 && max < n {
-			n = max
-		}
-		b := rest[:n]
-		rest = rest[n:]
-		return b, nil
-	}
+	o.sw.Fail(code, err) // a stream is torn by its error trailer, never silently
 }
 
 // respond is the one drain behind every successful response: it pulls
-// windows of frame rows from next — a live cursor's NextBatch, or the
-// replay of a cached result — into the request's sink, feeding fill on
-// the way. The cursor *is* the execution: each pull runs the operator
-// tree far enough to fill one window, so any execution failure — a
-// contained panic, an injected fault, a runtime error, cancellation —
-// can surface between windows; it, a failed write and a panic on this
-// goroutine (recovered here, where the sink can still answer in the
-// right shape) all go through failExec. It reports the outcome ("ok",
-// else the wire code the response failed with — only a complete result
-// is cached) and the rows delivered.
-func (s *Server) respond(rq *running, columns []string, next func(max int) ([][]any, error), frame int, fill *cacheFill) (outcome string, sent int) {
+// windows of rq.out.frame rows from next — a live cursor's NextBatch,
+// nil for a cache hit, whose stored rows finish writes — into the
+// request's sink. The cursor *is* the execution, so any execution
+// failure — a contained panic, an injected fault, a runtime error,
+// cancellation — can surface between windows; it, a cell that fails to
+// encode, a failed write and a panic on this goroutine (recovered here,
+// where the sink can still answer in the right shape) all go through
+// failExec. It reports the outcome ("ok", else the wire code the
+// response failed with) and the rows delivered.
+func (s *Server) respond(rq *running, rows *wire.Encoded, next func(max int) ([][]any, error)) (outcome string, sent int) {
 	defer func() {
 		if rv := recover(); rv != nil {
 			outcome = s.failExec(rq, &graphsql.QueryPanicError{Value: rv, Stack: debug.Stack()}, wire.CodePanic)
 		}
 	}()
-	if err := rq.out.header(columns); err != nil {
+	if err := rq.out.header(rows); err != nil {
 		return s.failExec(rq, err, wire.CodeCanceled), 0 // client gone before the first frame
 	}
-	for {
-		b, err := next(frame)
+	sent = rows.Len() // a cache hit's, written by finish
+	for next != nil {
+		b, err := next(rq.out.frame)
 		if err != nil {
 			return s.failExec(rq, err, wire.CodeSQL), sent
 		}
 		if b == nil {
 			break
 		}
-		fill.add(b)
-		// A server-side encoder failure (e.g. an injected stream fault) is
-		// not a disconnect: the connection still works, so the client gets
-		// a structured error. Only a write error on a dead connection
-		// falls back to canceled — nothing is left to tell it.
+		// An unencodable cell or an injected stream fault is internal
+		// (wire.ErrorCode) and answered; only a failed write — the client
+		// is gone, nothing is left to tell it — falls back to canceled.
 		if err := rq.out.batch(b); err != nil {
 			return s.failExec(rq, err, wire.CodeCanceled), sent
 		}
 		sent += len(b)
 	}
-	fill.put(columns)
 	if err := rq.out.finish(rq.traced.Tree()); err != nil {
-		return s.failExec(rq, err, wire.CodeInternal), sent
+		return s.failExec(rq, err, wire.CodeCanceled), sent
 	}
 	return "ok", sent
 }
@@ -988,12 +914,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		s.errors.Add(1)
 		writeJSON(w, status, &wire.PrepareResponse{Error: &wire.Error{Code: code, Message: err.Error()}})
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		fail(http.StatusBadRequest, wire.CodeInvalidRequest, err)
-		return
-	}
-	req, err := wire.DecodePrepareRequest(body)
+	req, err := wire.DecodeRequest[wire.PrepareRequest](io.LimitReader(r.Body, 16<<20))
 	if err != nil {
 		fail(http.StatusBadRequest, wire.CodeInvalidRequest, err)
 		return
@@ -1026,12 +947,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		s.failQuery(w, wire.CodeInvalidRequest, err)
-		return
-	}
-	req, err := wire.DecodeExecuteRequest(body)
+	req, err := wire.DecodeRequest[wire.ExecuteRequest](io.LimitReader(r.Body, 16<<20))
 	if err != nil {
 		s.failQuery(w, wire.CodeInvalidRequest, err)
 		return
@@ -1046,22 +962,17 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown statement id %q (never prepared, or its session was evicted)", req.StatementID))
 		return
 	}
-	s.runQuery(w, r, querySpec{
-		graph: st.graph, session: req.Session, sql: st.sql, args: req.Args,
-		workers: req.Workers, timeoutMillis: req.TimeoutMillis,
-		stream: req.Stream, batchRows: req.BatchRows, trace: req.Trace,
+	s.runQuery(w, r, &wire.QueryRequest{
+		Graph: st.graph, Session: req.Session, SQL: st.sql, Args: req.Args,
+		Workers: req.Workers, TimeoutMillis: req.TimeoutMillis,
+		Stream: req.Stream, BatchRows: req.BatchRows, Trace: req.Trace,
 	})
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
-		return
-	}
 	var req wire.LoadRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, &wire.LoadResponse{Graph: name, Error: &wire.Error{Code: wire.CodeInvalidRequest, Message: err.Error()}})
 		return
 	}

@@ -1,0 +1,214 @@
+package wire
+
+// The one cell encoder: each cell is appended to a byte buffer once,
+// by appendCell. Anything without a direct case — a string that needs
+// escaping, NaN, ±Inf, a folded json.Number, another type — goes
+// through encoding/json, so bytes and error text are encoding/json's.
+
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+	"time"
+	"unicode/utf8"
+
+	"graphsql"
+	"graphsql/internal/trace"
+)
+
+// EncodeError is a cell with no JSON encoding; its text is encoding/json's.
+type EncodeError struct{ error }
+
+// Encoded is a result in its wire encoding: the column names and each
+// row's JSON array, rows joined by commas, with the offset just past
+// each row — so any window of consecutive rows is one slice, written as
+// is into a batch frame or a buffered body. The result cache stores
+// Encoded rows and serves a hit at any frame size without encoding.
+type Encoded struct {
+	columns []string
+	rows    []byte
+	ends    []int
+}
+
+// NewEncoded returns an empty encoding of a result with these columns.
+func NewEncoded(columns []string) *Encoded { return &Encoded{columns: columns} }
+
+// Columns returns the column names.
+func (e *Encoded) Columns() []string { return e.columns }
+
+// Len returns the number of encoded rows.
+func (e *Encoded) Len() int { return len(e.ends) }
+
+// Size returns the bytes of the encoded rows and their row ends.
+func (e *Encoded) Size() int64 { return int64(len(e.rows) + 8*len(e.ends)) }
+
+// Reset drops the encoded rows, keeping the buffers.
+func (e *Encoded) Reset() { e.rows, e.ends = e.rows[:0], e.ends[:0] }
+
+// Append encodes rows after those held; on an *EncodeError it keeps
+// none of them. Appending no rows does not touch e.
+func (e *Encoded) Append(rows [][]any) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	b, n, held := e.rows, len(e.rows), len(e.ends)
+	for _, row := range rows {
+		if len(e.ends) > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendRow(b, row); err != nil {
+			e.rows, e.ends = b[:n], e.ends[:held]
+			return err
+		}
+		e.ends = append(e.ends, len(b))
+	}
+	e.rows = b
+	return nil
+}
+
+// window returns rows [lo, hi) as they appear inside a JSON array.
+func (e *Encoded) window(lo, hi int) []byte {
+	if lo >= hi {
+		return nil
+	}
+	start := 0
+	if lo > 0 {
+		start = e.ends[lo-1] + 1 // past the separating comma
+	}
+	return e.rows[start:e.ends[hi-1]]
+}
+
+// AppendResponse appends the buffered QueryResponse body of the result;
+// tree, when non-nil, is the query's span tree.
+func (e *Encoded) AppendResponse(dst []byte, tree *trace.Node) ([]byte, error) {
+	r := QueryResponse{Columns: e.columns, RowCount: e.Len(), Trace: tree}
+	return r.appendTo(dst, e.window(0, e.Len()))
+}
+
+// appendTo appends the response as encoding/json would marshal it, with
+// rows its rows already encoded. A stream trailer is the same object
+// without columns and rows.
+func (r *QueryResponse) appendTo(b []byte, rows []byte) ([]byte, error) {
+	b = append(b, '{')
+	if len(r.Columns) > 0 {
+		b = append(appendNames(append(b, `"columns":`...), r.Columns), ',')
+	}
+	if len(rows) > 0 {
+		b = append(append(append(b, `"rows":[`...), rows...), "],"...)
+	}
+	b = strconv.AppendInt(append(b, `"row_count":`...), int64(r.RowCount), 10)
+	var err error
+	if r.Trace != nil {
+		b, err = appendJSON(append(b, `,"trace":`...), r.Trace)
+	}
+	if r.Error != nil && err == nil {
+		b, err = appendJSON(append(b, `,"error":`...), r.Error)
+	}
+	return append(b, '}'), err
+}
+
+func appendJSON(b []byte, v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	return append(b, data...), err
+}
+
+// appendArray appends items as a JSON array, each through add.
+func appendArray[T any](b []byte, items []T, add func([]byte, T) ([]byte, error)) ([]byte, error) {
+	b = append(b, '[')
+	for i, v := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = add(b, v); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+func appendRow(b []byte, row []any) ([]byte, error) { return appendArray(b, row, appendCell) }
+
+// appendNames appends a JSON array of names (nil is null).
+func appendNames(b []byte, names []string) []byte {
+	if names == nil {
+		return append(b, "null"...)
+	}
+	b, _ = appendArray(b, names, appendString) // strings always encode
+	return b
+}
+
+// appendCell appends one cell as the package comment maps it.
+func appendCell(b []byte, v any) ([]byte, error) {
+	switch t := v.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case bool:
+		return strconv.AppendBool(b, t), nil
+	case int64:
+		return strconv.AppendInt(b, t, 10), nil
+	case float64:
+		if !math.IsInf(t, 0) && !math.IsNaN(t) {
+			return appendFloat(b, t), nil
+		}
+	case string:
+		return appendString(b, t)
+	case time.Time:
+		return append(t.AppendFormat(append(b, '"'), "2006-01-02"), '"'), nil
+	case *graphsql.Path:
+		if t != nil {
+			b = append(appendNames(append(b, `{"columns":`...), t.Columns), `,"rows":`...)
+			b, err := appendArray(b, t.Rows, appendRow)
+			return append(b, '}'), err
+		}
+	}
+	b, err := appendJSON(b, v)
+	if err != nil {
+		return b, &EncodeError{error: err}
+	}
+	return b, nil
+}
+
+// appendString appends s as a JSON string; it never fails.
+func appendString(b []byte, s string) ([]byte, error) {
+	if plain(s) {
+		return append(append(append(b, '"'), s...), '"'), nil
+	}
+	return appendJSON(b, s)
+}
+
+// appendFloat is encoding/json's float64 form: shortest round-trip
+// digits, exponent notation below 1e-6 and from 1e21, "e-7" not "e-07".
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// plain reports whether encoding/json writes s between quotes as is:
+// valid UTF-8 without control characters, "\<>&, U+2028 or U+2029.
+func plain(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return false
+		}
+		i += size
+	}
+	return true
+}

@@ -12,19 +12,13 @@ package wire
 //
 //	{"row_count":2,"error":{"code":"canceled","message":"..."}}
 //
-// where row_count reports the rows delivered before the error (a
-// client must treat such a result as partial and discard it). Frames
-// are classified by key: "columns" marks the header, "rows" a batch,
-// "row_count" the trailer. Cells use exactly the encoding of the
-// buffered QueryResponse (see the package comment), so folding the
-// batches back together — FoldStream — reproduces the buffered
-// response byte for byte; the server's differential tests lean on
-// that equivalence.
-//
-// The writer emits one frame per Batch call and flushes after every
-// frame when the destination supports it, so the response leaves the
-// server incrementally: at no point does the full result set exist as
-// one encoded blob server-side.
+// where row_count counts the rows of the batch frames written before
+// the error (a partial result the client must discard). A requested
+// span tree rides in the trailer as "trace". Frames are classified by
+// key; cells use exactly the buffered encoding, so folding the batches
+// back together (FoldStream) reproduces the buffered response byte for
+// byte. Each frame is flushed as it is written, so the response leaves
+// the server incrementally.
 
 import (
 	"encoding/json"
@@ -46,47 +40,29 @@ const DefaultBatchRows = 1024
 // bounded fraction of a large result.
 const MaxBatchRows = 16384
 
-// StreamHeader is the first frame of a chunked response.
-type StreamHeader struct {
-	Columns []string `json:"columns"`
-}
-
-// StreamBatch is one row-batch frame.
-type StreamBatch struct {
-	Rows [][]any `json:"rows"`
-}
-
-// StreamTrailer is the final frame: the total delivered row count and,
-// on failure, the error that cut the stream short. When the request
-// asked for a trace, the span tree rides in the trailer (it is only
-// complete once the last row has been sent).
-type StreamTrailer struct {
-	RowCount int         `json:"row_count"`
-	Trace    *trace.Node `json:"trace,omitempty"`
-	Error    *Error      `json:"error,omitempty"`
-}
-
 // flusher is the subset of http.Flusher the writer uses; declared
 // locally so the wire package stays free of net/http.
 type flusher interface{ Flush() }
 
-// StreamWriter emits a chunked response frame by frame. Methods must
-// be called in protocol order: Header once, Batch any number of times,
-// then exactly one of Trailer or Fail.
+// StreamWriter emits a chunked response frame by frame, each built in
+// one reused buffer. Methods must be called in protocol order: Header
+// once, Batch or Rows any number of times, then exactly one of Trailer
+// or Fail.
 type StreamWriter struct {
-	w    io.Writer
-	enc  *json.Encoder
-	sent int
+	w     io.Writer
+	rows  Encoded // Batch's rows, reused
+	frame []byte
+	sent  int // rows in the batch frames written
 }
 
 // NewStreamWriter wraps a destination (typically an
 // http.ResponseWriter, which is flushed after every frame).
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{w: w, enc: json.NewEncoder(w)}
-}
+func NewStreamWriter(w io.Writer) *StreamWriter { return &StreamWriter{w: w} }
 
-func (sw *StreamWriter) frame(v any) error {
-	if err := sw.enc.Encode(v); err != nil {
+// send writes frame, newline-terminated, and flushes.
+func (sw *StreamWriter) send(frame []byte) error {
+	sw.frame = append(frame, '\n')
+	if _, err := sw.w.Write(sw.frame); err != nil {
 		return err
 	}
 	if f, ok := sw.w.(flusher); ok {
@@ -100,39 +76,54 @@ func (sw *StreamWriter) Header(columns []string) error {
 	if columns == nil {
 		columns = []string{}
 	}
-	return sw.frame(&StreamHeader{Columns: columns})
+	return sw.send(append(appendNames(append(sw.frame[:0], `{"columns":`...), columns), '}'))
 }
 
-// Batch encodes and writes one row batch (cells are converted with the
-// same mapping as the buffered response). Empty batches are skipped.
+// Batch encodes and writes one row batch as a frame. Empty batches are
+// skipped.
 func (sw *StreamWriter) Batch(rows [][]any) error {
-	if len(rows) == 0 {
+	sw.rows.Reset()
+	if err := sw.rows.Append(rows); err != nil {
+		return err
+	}
+	return sw.Rows(&sw.rows, 0, sw.rows.Len())
+}
+
+// Rows writes rows [lo, hi) of an encoded result as one batch frame,
+// without encoding them again. An empty window is skipped.
+func (sw *StreamWriter) Rows(e *Encoded, lo, hi int) error {
+	if lo >= hi {
 		return nil
 	}
 	if err := fault.Inject(fault.PointStreamEncode); err != nil {
 		return err
 	}
-	enc := make([][]any, len(rows))
-	for i, row := range rows {
-		er := make([]any, len(row))
-		for j, v := range row {
-			er[j] = encodeCell(v)
-		}
-		enc[i] = er
+	if err := sw.send(append(append(append(sw.frame[:0], `{"rows":[`...), e.window(lo, hi)...), "]}"...)); err != nil {
+		return err
 	}
-	sw.sent += len(rows)
-	return sw.frame(&StreamBatch{Rows: enc})
+	sw.sent += hi - lo
+	return nil
 }
 
 // Trailer writes the success trailer. tr, when non-nil, is the query's
 // span tree (requested via "trace": true).
 func (sw *StreamWriter) Trailer(tr *trace.Node) error {
-	return sw.frame(&StreamTrailer{RowCount: sw.sent, Trace: tr})
+	return sw.trailer(&QueryResponse{Trace: tr})
 }
 
 // Fail writes an error trailer carrying the rows delivered so far.
 func (sw *StreamWriter) Fail(code string, err error) error {
-	return sw.frame(&StreamTrailer{RowCount: sw.sent, Error: &Error{Code: code, Message: err.Error()}})
+	return sw.trailer(FromError(code, err))
+}
+
+// trailer writes the final frame: a buffered body without its rows.
+func (sw *StreamWriter) trailer(r *QueryResponse) error {
+	r.RowCount = sw.sent
+	b, err := r.appendTo(sw.frame[:0], nil)
+	if err != nil {
+		return err
+	}
+	return sw.send(b)
 }
 
 // FoldStream reads a complete chunked response and folds it back into

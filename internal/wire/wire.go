@@ -1,9 +1,12 @@
 // Package wire defines the structured result and error encoding shared
-// by the gsqld HTTP server and the gsql CLI's --json mode. The encoding
-// is deterministic — the same Result always marshals to the same bytes
-// — which is what the server's differential tests lean on: an HTTP
-// response body must be byte-identical to the wire encoding of the same
-// query executed in-process.
+// by the gsqld HTTP server and the gsql CLI's -json and -stream modes.
+// The encoding is deterministic — the same Result always marshals to
+// the same bytes — which is what the server's differential tests lean
+// on: an HTTP response body must be byte-identical to the wire encoding
+// of the same query executed in-process.
+//
+// One encoder (encode.go) writes every cell once: for the buffered
+// body, each NDJSON frame, the server's result cache (Encoded) and gsql.
 //
 // Cell mapping (lossless for everything the engine produces):
 //
@@ -22,12 +25,13 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"time"
+	"io"
 
 	"graphsql"
+	"graphsql/internal/fault"
 	"graphsql/internal/trace"
 )
 
@@ -57,6 +61,19 @@ const (
 	// CodeInternal marks server-side failures (encoding, invariants).
 	CodeInternal = "internal"
 )
+
+// ErrorCode is the wire code of a failure that names its own cause — a
+// contained panic is CodePanic; an injected fault or a cell with no
+// JSON encoding is CodeInternal — and fallback for any other.
+func ErrorCode(err error, fallback string) string {
+	switch {
+	case errors.As(err, new(*graphsql.QueryPanicError)):
+		return CodePanic
+	case errors.As(err, new(*fault.InjectedError)), errors.As(err, new(*EncodeError)):
+		return CodeInternal
+	}
+	return fallback
+}
 
 // Error is the structured error payload.
 type Error struct {
@@ -142,19 +159,14 @@ type ExecuteRequest struct {
 // QueryResponse is the POST /query result payload. Exactly one of
 // (Columns+Rows) and Error is populated. Trace is attached only when
 // the request set "trace": true; it never affects the row payload, so
-// untraced responses stay byte-identical to earlier releases.
+// untraced responses stay byte-identical to earlier releases. Rows
+// holds facade cells, or JSON values folded back by FoldStream.
 type QueryResponse struct {
 	Columns  []string    `json:"columns,omitempty"`
 	Rows     [][]any     `json:"rows,omitempty"`
 	RowCount int         `json:"row_count"`
 	Trace    *trace.Node `json:"trace,omitempty"`
 	Error    *Error      `json:"error,omitempty"`
-}
-
-// PathValue is the wire form of a nested-table path cell.
-type PathValue struct {
-	Columns []string `json:"columns"`
-	Rows    [][]any  `json:"rows"`
 }
 
 // LoadRequest is the POST /graphs/{name}/load payload: a SQL script
@@ -182,20 +194,9 @@ type LoadResponse struct {
 	Error      *Error `json:"error,omitempty"`
 }
 
-// FromResult converts a materialized query result into its wire form.
+// FromResult wraps a materialized query result as its wire form.
 func FromResult(res *graphsql.Result) *QueryResponse {
-	out := &QueryResponse{Columns: res.Columns, RowCount: len(res.Rows)}
-	if len(res.Rows) > 0 {
-		out.Rows = make([][]any, len(res.Rows))
-		for i, row := range res.Rows {
-			enc := make([]any, len(row))
-			for j, v := range row {
-				enc[j] = encodeCell(v)
-			}
-			out.Rows[i] = enc
-		}
-	}
-	return out
+	return &QueryResponse{Columns: res.Columns, Rows: res.Rows, RowCount: len(res.Rows)}
 }
 
 // FromError wraps an error into a response payload.
@@ -203,111 +204,93 @@ func FromError(code string, err error) *QueryResponse {
 	return &QueryResponse{Error: &Error{Code: code, Message: err.Error()}}
 }
 
-// Encode marshals the response deterministically (json.Marshal emits
-// struct fields in declaration order and map-free payloads verbatim).
-func (r *QueryResponse) Encode() ([]byte, error) { return json.Marshal(r) }
+// Encode marshals the response deterministically, each cell through
+// the one cell encoder; a cell with no JSON encoding fails it with an
+// *EncodeError.
+func (r *QueryResponse) Encode() ([]byte, error) {
+	rows := NewEncoded(nil)
+	if err := rows.Append(r.Rows); err != nil {
+		return nil, err
+	}
+	return r.appendTo(nil, rows.window(0, rows.Len()))
+}
 
-func encodeCell(v any) any {
-	switch t := v.(type) {
-	case time.Time:
-		return t.Format("2006-01-02")
-	case *graphsql.Path:
-		p := &PathValue{Columns: t.Columns, Rows: make([][]any, len(t.Rows))}
-		for i, row := range t.Rows {
-			enc := make([]any, len(row))
-			for j, c := range row {
-				enc[j] = encodeCell(c)
+// Write writes a statement's outcome the way gsqld answers it — its
+// rows, or err when it failed before it had any — as one buffered
+// QueryResponse object and a newline, or as an NDJSON stream of
+// DefaultBatchRows-row frames. tr, when non-nil, is the query's trace.
+// A failure ends the output in gsqld's shape and code and is returned.
+func Write(w io.Writer, rows *graphsql.Rows, err error, stream bool, tr *trace.Trace) error {
+	if err == nil && stream {
+		defer rows.Close()
+		sw := NewStreamWriter(w)
+		err = sw.Header(rows.Columns)
+		for err == nil {
+			var b [][]any
+			if b, err = rows.NextBatch(DefaultBatchRows); err != nil || b == nil {
+				break
 			}
-			p.Rows[i] = enc
+			err = sw.Batch(b)
 		}
-		return p
-	default:
-		return v
+		if err != nil {
+			sw.Fail(ErrorCode(err, CodeSQL), err)
+			return err
+		}
+		return sw.Trailer(tr.Tree())
 	}
-}
-
-// DecodeRequest unmarshals a QueryRequest preserving integer arguments:
-// a bare json.Unmarshal turns every number into float64, which would
-// bind BIGINT vertex keys as DOUBLE. Numbers are decoded as
-// json.Number and normalized to int64 when integral.
-func DecodeRequest(data []byte) (*QueryRequest, error) {
-	var req QueryRequest
-	if err := unmarshalUseNumber(data, &req); err != nil {
-		return nil, err
+	var body []byte
+	if err == nil {
+		var res *graphsql.Result
+		if res, err = rows.Result(); err == nil {
+			resp := FromResult(res)
+			resp.Trace = tr.Tree()
+			body, err = resp.Encode()
+		}
 	}
-	args, err := NormalizeArgs(req.Args)
 	if err != nil {
-		return nil, err
+		body, _ = FromError(ErrorCode(err, CodeSQL), err).Encode() // strings only
 	}
-	req.Args = args
-	return &req, nil
+	if _, werr := w.Write(append(body, '\n')); err == nil {
+		err = werr
+	}
+	return err
 }
 
-// DecodePrepareRequest unmarshals a PrepareRequest with the same
-// integer-preserving argument handling as DecodeRequest.
-func DecodePrepareRequest(data []byte) (*PrepareRequest, error) {
-	var req PrepareRequest
-	if err := unmarshalUseNumber(data, &req); err != nil {
-		return nil, err
-	}
-	args, err := NormalizeArgs(req.Args)
-	if err != nil {
-		return nil, err
-	}
-	req.Args = args
-	return &req, nil
-}
-
-// DecodeExecuteRequest unmarshals an ExecuteRequest with the same
-// integer-preserving argument handling as DecodeRequest.
-func DecodeExecuteRequest(data []byte) (*ExecuteRequest, error) {
-	var req ExecuteRequest
-	if err := unmarshalUseNumber(data, &req); err != nil {
-		return nil, err
-	}
-	args, err := NormalizeArgs(req.Args)
-	if err != nil {
-		return nil, err
-	}
-	req.Args = args
-	return &req, nil
-}
-
-func unmarshalUseNumber(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+// DecodeRequest reads one request payload — a QueryRequest,
+// PrepareRequest or ExecuteRequest — preserving integer arguments: a
+// bare json.Unmarshal turns every number into float64, which would
+// bind BIGINT vertex keys as DOUBLE. Numbers are decoded as json.Number
+// and become int64 when integral, float64 otherwise; strings, bools and
+// nulls pass through.
+func DecodeRequest[T any, P interface {
+	*T
+	args() []any
+}](r io.Reader) (*T, error) {
+	req := new(T)
+	dec := json.NewDecoder(r)
 	dec.UseNumber()
-	return dec.Decode(v)
-}
-
-// NormalizeArgs converts decoded JSON argument values into the types
-// the facade binds: json.Number becomes int64 when integral and
-// float64 otherwise; strings, bools and nulls pass through.
-func NormalizeArgs(args []any) ([]any, error) {
-	if len(args) == 0 {
-		return nil, nil
+	if err := dec.Decode(req); err != nil {
+		return nil, err
 	}
-	out := make([]any, len(args))
+	args := P(req).args()
 	for i, a := range args {
 		switch t := a.(type) {
 		case nil, string, bool:
-			out[i] = a
 		case json.Number:
 			if n, err := t.Int64(); err == nil {
-				out[i] = n
-				continue
-			}
-			f, err := t.Float64()
-			if err != nil {
+				args[i] = n
+			} else if f, err := t.Float64(); err == nil {
+				args[i] = f
+			} else {
 				return nil, fmt.Errorf("argument %d: invalid number %q", i+1, t.String())
 			}
-			out[i] = f
-		case float64:
-			out[i] = t
-		case int64, int:
-			out[i] = t
 		default:
 			return nil, fmt.Errorf("argument %d: unsupported JSON type %T", i+1, a)
 		}
 	}
-	return out, nil
+	return req, nil
 }
+
+func (r *QueryRequest) args() []any   { return r.Args }
+func (r *PrepareRequest) args() []any { return r.Args }
+func (r *ExecuteRequest) args() []any { return r.Args }

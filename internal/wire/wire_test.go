@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestDecodeRequestIntegerArgs(t *testing.T) {
-	req, err := DecodeRequest([]byte(`{"sql":"SELECT ?","args":[1, 2.5, "x", true, null, 9007199254740993]}`))
+	req, err := DecodeRequest[QueryRequest](strings.NewReader(`{"sql":"SELECT ?","args":[1, 2.5, "x", true, null, 9007199254740993]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func TestDecodeRequestIntegerArgs(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsGarbage(t *testing.T) {
-	if _, err := DecodeRequest([]byte(`{"sql":`)); err == nil {
+	if _, err := DecodeRequest[QueryRequest](strings.NewReader(`{"sql":`)); err == nil {
 		t.Fatal("expected error for truncated JSON")
 	}
-	if _, err := DecodeRequest([]byte(`{"sql":"q","args":[[1]]}`)); err == nil {
+	if _, err := DecodeRequest[QueryRequest](strings.NewReader(`{"sql":"q","args":[[1]]}`)); err == nil {
 		t.Fatal("expected error for nested-array argument")
 	}
 }
@@ -92,3 +93,35 @@ func TestErrorPayload(t *testing.T) {
 
 // ErrTest is a fixture error.
 var ErrTest = &Error{Code: "x", Message: "boom"}
+
+// FuzzAppendCell holds the direct int64, float64 and string cases of
+// the cell encoder to encoding/json, byte for byte; strings are
+// arbitrary bytes, so escaping and invalid UTF-8 are covered.
+func FuzzAppendCell(f *testing.F) {
+	f.Add(int64(0), 0.0, "")
+	f.Add(int64(math.MinInt64), math.Copysign(0, -1), "plain")
+	f.Add(int64(math.MaxInt64), 1e-6, "<&>\"\\")
+	f.Add(int64(-1), math.Nextafter(1e-6, 0), "\b\f\x00\x1f\x7f")
+	f.Add(int64(1), 1e21, "\u2028\u2029")
+	f.Add(int64(42), math.Nextafter(1e21, 0), "bad\xff\xc3")
+	f.Add(int64(7), 5e-324, "héllo 日本 😀 \ufffd")
+	f.Add(int64(8), math.MaxFloat64, "\xed\xa0\x80")
+	f.Fuzz(func(t *testing.T, i int64, fl float64, s string) {
+		for _, v := range []any{i, fl, s} {
+			want, wantErr := json.Marshal(v)
+			got, err := appendCell([]byte("prefix"), v)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%#v: error %v, encoding/json's %v", v, err, wantErr)
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() {
+					t.Fatalf("%#v: error %q, encoding/json's %q", v, err, wantErr)
+				}
+				continue
+			}
+			if string(got) != "prefix"+string(want) {
+				t.Fatalf("%#v: encoded %s, encoding/json %s", v, got[len("prefix"):], want)
+			}
+		}
+	})
+}
