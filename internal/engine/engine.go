@@ -657,17 +657,11 @@ func (e *Engine) execDelete(t *ast.DeleteStmt, params []types.Value) error {
 		return err
 	}
 	chunk := table.Chunk()
-	pc, err := pred.Eval(&expr.Context{Params: params}, chunk)
+	del, err := expr.Select(&expr.Context{Params: params}, pred, chunk, nil)
 	if err != nil {
 		return err
 	}
-	var keep []int
-	for i := 0; i < chunk.NumRows(); i++ {
-		if pc.IsNull(i) || pc.Ints[i] == 0 {
-			keep = append(keep, i)
-		}
-	}
-	kept := chunk.Gather(keep, 1)
+	kept := chunk.Gather(expr.Complement(del, chunk.NumRows()), 1)
 	copy(table.Cols, kept.Cols)
 	return nil
 }

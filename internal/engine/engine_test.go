@@ -94,6 +94,30 @@ func TestDivisionByZero(t *testing.T) {
 	mustFail(t, e, `SELECT 1 % 0`, "modulo by zero")
 }
 
+// TestPredicateErrorsAreEager pins that an AND/OR operand that can fail
+// is evaluated over the whole batch: a row the other operand already
+// decided still raises its error, in SELECT and DELETE alike.
+func TestPredicateErrorsAreEager(t *testing.T) {
+	e := New()
+	run(t, e, `CREATE TABLE t (a BIGINT, s VARCHAR)`)
+	run(t, e, `INSERT INTO t VALUES (0, '1'), (2, '2'), (5, 'x')`)
+	for _, q := range []string{
+		`SELECT a FROM t WHERE a <> 0 AND 10 / a > 1`,
+		`SELECT a FROM t WHERE a > 100 AND 10 / a > 1`,
+		`SELECT a FROM t WHERE a = 0 OR 10 / a > 1`,
+		`SELECT a FROM t WHERE NOT (a = 0 OR a % a = 0)`,
+		`DELETE FROM t WHERE a <> 0 AND 10 / a > 1`,
+		`SELECT a <> 0 AND 10 / a > 1 FROM t`,
+		`SELECT CASE WHEN a = 0 OR NOT 10 / a > 1 THEN 1 END FROM t`,
+	} {
+		mustFail(t, e, q, "by zero")
+	}
+	mustFail(t, e, `SELECT a FROM t WHERE s <> 'x' AND CAST(s AS BIGINT) > 0`, "cannot cast")
+	checkCells(t, run(t, e, `SELECT COUNT(*) FROM t`), [][]string{{"3"}})
+	// Without a failing operand the narrowing is invisible.
+	checkCells(t, run(t, e, `SELECT a FROM t WHERE a <> 0 AND a + 10 > 12`), [][]string{{"5"}})
+}
+
 func TestNullPropagation(t *testing.T) {
 	e := testEngine(t)
 	res := run(t, e, `SELECT n + 1, f * 2, s || 'x' FROM nums WHERE n IS NULL`)

@@ -122,20 +122,6 @@ func planNodeError(n plan.Node) error {
 	return fmt.Errorf("internal: unknown plan node %T", n)
 }
 
-// filterCore applies the predicate to one input chunk; row-local, so
-// per-batch application concatenates to the whole-input result.
-func filterCore(f *plan.Filter, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
-	pc, err := f.Pred.Eval(ctx.Expr, in)
-	if err != nil {
-		return nil, err
-	}
-	mask := make([]bool, in.NumRows())
-	for i := range mask {
-		mask[i] = !pc.IsNull(i) && pc.Ints[i] != 0
-	}
-	return in.FilterByMask(mask), nil
-}
-
 // projectCore evaluates the projection over one input chunk.
 func projectCore(p *plan.Project, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
 	out := &storage.Chunk{Schema: p.Sch, Cols: make([]*storage.Column, len(p.Exprs))}

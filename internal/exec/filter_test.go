@@ -1,0 +1,144 @@
+package exec
+
+import (
+	"testing"
+
+	"graphsql/internal/expr"
+	"graphsql/internal/plan"
+	"graphsql/internal/storage"
+	"graphsql/internal/types"
+)
+
+// pairsChunk is the shape of the Fig 1b pairs table: seq 0..n-1 plus a
+// source and destination column.
+func pairsChunk(n int) *storage.Chunk {
+	c := storage.NewChunk(storage.Schema{
+		{Table: "p", Name: "seq", Kind: types.KindInt},
+		{Table: "p", Name: "src", Kind: types.KindInt},
+		{Table: "p", Name: "dst", Kind: types.KindInt},
+	})
+	for i := 0; i < n; i++ {
+		c.Cols[0].AppendInt(int64(i))
+		c.Cols[1].AppendInt(int64(i * 7 % n))
+		c.Cols[2].AppendInt(int64(i * 13 % n))
+	}
+	return c
+}
+
+// seqWindow is p.seq >= ?1 AND p.seq < ?2, the batched pairs window.
+func seqWindow() expr.Expr {
+	seq := &expr.ColRef{Idx: 0, K: types.KindInt, Name: "p.seq"}
+	return &expr.Logic{And: true,
+		L: &expr.Cmp{Op: expr.CmpGe, L: seq, R: &expr.Param{Idx: 0, K: types.KindInt}},
+		R: &expr.Cmp{Op: expr.CmpLt, L: seq, R: &expr.Param{Idx: 1, K: types.KindInt}},
+	}
+}
+
+// drainFilter runs Filter(scan) to the end and returns the rows seen.
+func drainFilter(tb testing.TB, pred expr.Expr, in *storage.Chunk, params ...types.Value) int {
+	ctx := (&Context{Expr: &expr.Context{Params: params}}).orDefault()
+	op, err := Build(&plan.Filter{Input: scan(in), Pred: pred}, ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer op.Close()
+	if err := op.Open(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	rows := 0
+	for {
+		c, err := op.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if c == nil {
+			return rows
+		}
+		rows += c.NumRows()
+	}
+}
+
+// repeatOp emits the same batch a given number of times.
+type repeatOp struct {
+	batch *storage.Chunk
+	left  int
+}
+
+func (o *repeatOp) Schema() storage.Schema { return o.batch.Schema }
+func (o *repeatOp) Open(*Context) error    { return nil }
+func (o *repeatOp) Close() error           { return nil }
+
+func (o *repeatOp) Next() (*storage.Chunk, error) {
+	if o.left == 0 {
+		return nil, nil
+	}
+	o.left--
+	return o.batch, nil
+}
+
+// openFilter opens a filter over a child that repeats batch.
+func openFilter(t *testing.T, pred expr.Expr, batch *storage.Chunk, params ...types.Value) (*filterOp, *repeatOp) {
+	t.Helper()
+	ctx := (&Context{Expr: &expr.Context{Params: params}}).orDefault()
+	f := &plan.Filter{Input: scan(batch), Pred: pred}
+	child := &repeatOp{batch: batch}
+	op := &filterOp{opBase: newBase(f), f: f, child: child}
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return op, child
+}
+
+func TestFilterSkipsEmptyBatchesWithoutAllocating(t *testing.T) {
+	op, child := openFilter(t, seqWindow(), pairsChunk(DefaultBatchRows), types.NewInt(5000), types.NewInt(5128))
+	allocs := testing.AllocsPerRun(10, func() {
+		child.left = 50
+		if c, err := op.Next(); c != nil || err != nil {
+			t.Fatalf("Next = %v, %v; want exhaustion", c, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("skipping 50 batches with no survivors allocated %v times", allocs)
+	}
+}
+
+func TestFilterPassesWholeBatchesAndGathersPartialOnes(t *testing.T) {
+	batch := pairsChunk(DefaultBatchRows)
+	op, child := openFilter(t, seqWindow(), batch, types.NewInt(0), types.NewInt(5000))
+	child.left = 1
+	if c, err := op.Next(); err != nil || c != batch {
+		t.Fatalf("a batch that survives whole must pass through unchanged: %v", err)
+	}
+	op, child = openFilter(t, seqWindow(), batch, types.NewInt(10), types.NewInt(20))
+	child.left = 2
+	first, err := op.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := op.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second || &first.Cols[0].Ints[0] == &second.Cols[0].Ints[0] {
+		t.Fatal("an emitted batch must not be reused by the next one")
+	}
+	for _, c := range []*storage.Chunk{first, second} {
+		if c.NumRows() != 10 || cap(c.Cols[0].Ints) != 10 || c.Cols[0].Ints[0] != 10 || c.Cols[2].Ints[9] != 19*13%DefaultBatchRows {
+			t.Fatalf("gathered batch wrong:\n%s", c)
+		}
+	}
+}
+
+// BenchmarkFilterSeqWindow filters 64 batches of 1,024 rows down to the
+// 128 of one window, the predicate of every Fig 1b batch statement.
+func BenchmarkFilterSeqWindow(b *testing.B) {
+	in := pairsChunk(64 * DefaultBatchRows)
+	pred := seqWindow()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := drainFilter(b, pred, in, types.NewInt(30000), types.NewInt(30128)); n != 128 {
+			b.Fatalf("rows = %d, want 128", n)
+		}
+	}
+}

@@ -108,18 +108,14 @@ func matchPairs(on expr.Expr, left, right *storage.Chunk, ctx *Context) ([]int, 
 	if residual != nil && len(li) > 0 {
 		sch := append(append(storage.Schema{}, left.Schema...), right.Schema...)
 		cand := pairChunk(sch, left, right, li, ri, ctx.workers(len(li)))
-		pc, err := residual.Eval(ctx.Expr, cand)
+		sel, err := expr.Select(ctx.Expr, residual, cand, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		var fli, fri []int
-		for i := range li {
-			if !pc.IsNull(i) && pc.Ints[i] != 0 {
-				fli = append(fli, li[i])
-				fri = append(fri, ri[i])
-			}
+		for k, i := range sel {
+			li[k], ri[k] = li[i], ri[i]
 		}
-		li, ri = fli, fri
+		li, ri = li[:len(sel)], ri[:len(sel)]
 	}
 	return li, ri, nil
 }

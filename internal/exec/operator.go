@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"graphsql/internal/core"
+	"graphsql/internal/expr"
 	"graphsql/internal/fault"
 	"graphsql/internal/par"
 	"graphsql/internal/plan"
@@ -514,13 +515,19 @@ func (o *renameOp) Close() error {
 	return err
 }
 
-// filterOp evaluates the predicate per batch and emits the surviving
-// rows; batches with no survivors are skipped, so consumers never see
-// empty batches.
+// filterOp selects each batch's rows with expr.Select — row-local, so
+// per-batch selection concatenates to the whole-input result — and
+// emits the survivors: a batch that survives whole passes through
+// unchanged, any other is gathered into a fresh exact-size batch, and
+// one with no survivors is skipped, so consumers never see empty
+// batches. The selection vector is scratch reused across batches; an
+// emitted batch is never reused, since drainInput and the cursor hold
+// it across the next Next.
 type filterOp struct {
 	opBase
 	f     *plan.Filter
 	child Operator
+	sel   []int
 }
 
 func (o *filterOp) Open(ctx *Context) error {
@@ -543,12 +550,15 @@ func (o *filterOp) Next() (*storage.Chunk, error) {
 		if in == nil {
 			return o.emit(nil), nil
 		}
-		out, err := filterCore(o.f, in, o.ctx)
-		if err != nil {
+		if o.sel, err = expr.Select(o.ctx.Expr, o.f.Pred, in, o.sel); err != nil {
 			return nil, err
 		}
-		if out.NumRows() > 0 {
-			return o.emit(out), nil
+		switch len(o.sel) {
+		case 0:
+		case in.NumRows():
+			return o.emit(in), nil
+		default:
+			return o.emit(in.Gather(o.sel, 1)), nil
 		}
 	}
 }

@@ -1,6 +1,18 @@
 // Package expr defines bound (resolved, typed) scalar expressions and
-// their column-at-a-time evaluation over materialized chunks, the
-// execution style of the MonetDB model the paper's prototype targets.
+// their column-at-a-time evaluation over chunks, the execution style
+// of the MonetDB model the paper's prototype targets.
+//
+// An expression evaluates in one of two ways. Eval computes its value
+// for every row of a chunk as a column. Select (select.go) answers
+// which rows a predicate keeps, as a selection vector of row indices:
+// typed comparison, IN, LIKE and IS NULL kernels narrow the candidate
+// rows in place, AND hands its right operand only the rows its left
+// one kept, and OR its right operand only the rows its left one did
+// not keep. A literal or bound parameter operand of a kernel or of
+// arithmetic is read once as a scalar (IsConst) rather than broadcast
+// into a column. A predicate's Eval — its boolean column, used in
+// projections and CASE — is derived from the same kernels: the rows
+// selected as TRUE, the rows selected as FALSE, NULL elsewhere.
 package expr
 
 import (
@@ -114,8 +126,13 @@ func IsConst(e Expr, ctx *Context) (types.Value, bool) {
 }
 
 // EvalScalar evaluates an expression that must not reference any
-// column (LIMIT counts, VALUES rows, DEFAULTs).
+// column (LIMIT counts, VALUES rows, DEFAULTs). A literal or parameter
+// is its own value, of the kind a column of it would hold (Kind.Stored).
 func EvalScalar(e Expr, ctx *Context) (types.Value, error) {
+	if v, ok := IsConst(e, ctx); ok {
+		v.K = v.K.Stored()
+		return v, nil
+	}
 	one := &storage.Chunk{
 		Schema: storage.Schema{{Name: "dummy", Kind: types.KindInt}},
 		Cols:   []*storage.Column{storage.ConstColumn(types.NewInt(0), 1)},

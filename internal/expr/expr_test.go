@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -264,6 +265,25 @@ func TestInListSemantics(t *testing.T) {
 	}
 }
 
+// TestPathPredicatesFollowTheReference pins what comparisons do with
+// nested-table paths: types.Compare calls every pair equal, while IN
+// uses types.Equal, which never matches a path.
+func TestPathPredicatesFollowTheReference(t *testing.T) {
+	in := storage.NewChunk(storage.Schema{{Name: "p", Kind: types.KindPath}, {Name: "q", Kind: types.KindPath}})
+	p := &types.Path{Cols: []string{"src", "dst"}}
+	in.AppendRow([]types.Value{types.NewPath(p), types.NewPath(&types.Path{})})
+	in.AppendRow([]types.Value{types.NewNull(types.KindPath), types.NewPath(p)})
+	in.AppendRow([]types.Value{types.NewPath(p), types.NewNull(types.KindPath)})
+	x, y := colRef(0, types.KindPath), colRef(1, types.KindPath)
+	for op := CmpEq; op <= CmpGe; op++ {
+		checkPredicate(t, &Context{}, &Cmp{Op: op, L: x, R: y}, in)
+	}
+	for _, not := range []bool{false, true} {
+		checkPredicate(t, &Context{}, &InList{X: x, List: []Expr{y, x}, Not: not}, in)
+		checkPredicate(t, &Context{}, &InList{X: x, List: []Expr{y}, Not: not}, in)
+	}
+}
+
 func TestIsConst(t *testing.T) {
 	ctx := &Context{Params: []types.Value{types.NewInt(9)}}
 	if v, ok := IsConst(&Const{Val: types.NewInt(5)}, ctx); !ok || v.I != 5 {
@@ -324,6 +344,36 @@ func TestEvalScalar(t *testing.T) {
 		R: &Const{Val: types.NewInt(7)}, K: types.KindInt}, &Context{})
 	if err != nil || v.I != 42 {
 		t.Fatalf("scalar = %v, %v", v, err)
+	}
+}
+
+// TestEvalScalarConstantsAreColumnValues pins that a literal or
+// parameter answered directly is the value a one-row column of it
+// would hold, an untyped NULL's kind included, and costs no allocation.
+func TestEvalScalarConstantsAreColumnValues(t *testing.T) {
+	vals := []types.Value{
+		types.NewNull(types.KindNull), types.NewNull(types.KindString), types.NewNull(types.KindDate),
+		types.NewInt(-7), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN()),
+		types.NewString("x"), types.NewBool(true), types.NewDate(19000),
+		types.NewPath(&types.Path{Cols: []string{"src"}}),
+	}
+	ctx := &Context{Params: vals}
+	for i, v := range vals {
+		want := storage.ConstColumn(v, 1).Get(0)
+		for _, e := range []Expr{&Const{Val: v}, &Param{Idx: i, K: v.K}} {
+			got, err := EvalScalar(e, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.K != want.K || got.Null != want.Null || got.I != want.I || got.S != want.S || got.P != want.P ||
+				math.Float64bits(got.F) != math.Float64bits(want.F) {
+				t.Fatalf("EvalScalar(%s) = %#v, want %#v", e, got, want)
+			}
+		}
+	}
+	lit := &Const{Val: types.NewString("x")}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = EvalScalar(lit, ctx) }); allocs != 0 {
+		t.Fatalf("EvalScalar of a literal allocated %v times", allocs)
 	}
 }
 

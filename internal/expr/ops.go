@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"strings"
 
 	"graphsql/internal/storage"
 	"graphsql/internal/types"
@@ -39,25 +38,28 @@ func (a *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
 }
 
-// Eval implements Expr with specialized int/float loops.
+// Eval implements Expr with specialized int/float loops; a literal or
+// parameter operand is read once as a scalar.
 func (a *Arith) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	lc, err := a.L.Eval(ctx, in)
+	l, err := evalOperand(ctx, a.L, in)
 	if err != nil {
 		return nil, err
 	}
-	rc, err := a.R.Eval(ctx, in)
+	r, err := evalOperand(ctx, a.R, in)
 	if err != nil {
 		return nil, err
 	}
-	n := lc.Len()
+	n := in.NumRows()
 	out := storage.NewColumn(a.K, n)
 	if a.K == types.KindInt {
+		lx, ls := l.ints()
+		rx, rs := r.ints()
 		for i := 0; i < n; i++ {
-			if lc.IsNull(i) || rc.IsNull(i) {
+			if l.nullAt(i) || r.nullAt(i) {
 				out.AppendNull()
 				continue
 			}
-			x, y := lc.Ints[i], rc.Ints[i]
+			x, y := lx[i*ls], rx[i*rs]
 			var v int64
 			switch a.Op {
 			case OpAdd:
@@ -82,10 +84,9 @@ func (a *Arith) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
 		return out, nil
 	}
 	// Float path; operands may still be int-backed (promotion).
-	lf := asFloats(lc)
-	rf := asFloats(rc)
+	lf, rf := l.floatAt(), r.floatAt()
 	for i := 0; i < n; i++ {
-		if lc.IsNull(i) || rc.IsNull(i) {
+		if l.nullAt(i) || r.nullAt(i) {
 			out.AppendNull()
 			continue
 		}
@@ -111,12 +112,25 @@ func (a *Arith) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
 	return out, nil
 }
 
-// asFloats returns an accessor that widens a numeric column to float.
-func asFloats(c *storage.Column) func(int) float64 {
-	if c.Kind == types.KindFloat {
-		return func(i int) float64 { return c.Floats[i] }
+// ints returns an integer operand's payload and the stride rows step
+// through it: 1 for a column, 0 for a scalar.
+func (o operand) ints() ([]int64, int) {
+	if o.col == nil {
+		return []int64{o.val.I}, 0
 	}
-	return func(i int) float64 { return float64(c.Ints[i]) }
+	return o.col.Ints, 1
+}
+
+// floatAt returns an accessor that widens a numeric operand to float.
+func (o operand) floatAt() func(int) float64 {
+	switch {
+	case o.col == nil:
+		f := o.val.AsFloat()
+		return func(int) float64 { return f }
+	case o.col.Kind == types.KindFloat:
+		return func(i int) float64 { return o.col.Floats[i] }
+	}
+	return func(i int) float64 { return float64(o.col.Ints[i]) }
 }
 
 // Neg is unary minus.
@@ -188,24 +202,6 @@ func CmpOpFromString(s string) (CmpOp, bool) {
 	return 0, false
 }
 
-func cmpHolds(op CmpOp, c int) bool {
-	switch op {
-	case CmpEq:
-		return c == 0
-	case CmpNe:
-		return c != 0
-	case CmpLt:
-		return c < 0
-	case CmpLe:
-		return c <= 0
-	case CmpGt:
-		return c > 0
-	case CmpGe:
-		return c >= 0
-	}
-	return false
-}
-
 // Cmp compares two operands of a common comparable kind; NULL operands
 // yield NULL (three-valued logic).
 type Cmp struct {
@@ -218,61 +214,9 @@ func (c *Cmp) Kind() types.Kind { return types.KindBool }
 
 func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 
-// Eval implements Expr.
+// Eval implements Expr from the comparison kernels (evalPredicate).
 func (c *Cmp) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	lc, err := c.L.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := c.R.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	n := lc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	// Fast paths for matching primitive kinds without nulls.
-	if lc.Nulls == nil && rc.Nulls == nil {
-		switch {
-		case lc.Kind != types.KindFloat && rc.Kind != types.KindFloat &&
-			lc.Kind != types.KindString && rc.Kind != types.KindString &&
-			lc.Kind != types.KindPath && rc.Kind != types.KindPath:
-			for i := 0; i < n; i++ {
-				out.AppendInt(boolToInt(cmpHolds(c.Op, cmpInt(lc.Ints[i], rc.Ints[i]))))
-			}
-			return out, nil
-		case lc.Kind == types.KindString && rc.Kind == types.KindString:
-			for i := 0; i < n; i++ {
-				out.AppendInt(boolToInt(cmpHolds(c.Op, strings.Compare(lc.Strs[i], rc.Strs[i]))))
-			}
-			return out, nil
-		}
-	}
-	for i := 0; i < n; i++ {
-		lv, rv := lc.Get(i), rc.Get(i)
-		if lv.Null || rv.Null {
-			out.AppendNull()
-			continue
-		}
-		out.AppendInt(boolToInt(cmpHolds(c.Op, types.Compare(lv, rv))))
-	}
-	return out, nil
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	return evalPredicate(ctx, c, in)
 }
 
 // Logic is AND/OR under SQL three-valued logic.
@@ -292,48 +236,9 @@ func (l *Logic) String() string {
 	return fmt.Sprintf("(%s %s %s)", l.L, op, l.R)
 }
 
-// Eval implements Expr.
+// Eval implements Expr by selection (evalPredicate).
 func (l *Logic) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	lc, err := l.L.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := l.R.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	n := lc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	for i := 0; i < n; i++ {
-		ln, rn := lc.IsNull(i), rc.IsNull(i)
-		var lv, rv bool
-		if !ln {
-			lv = lc.Ints[i] != 0
-		}
-		if !rn {
-			rv = rc.Ints[i] != 0
-		}
-		if l.And {
-			switch {
-			case !ln && !lv, !rn && !rv:
-				out.AppendInt(0)
-			case ln || rn:
-				out.AppendNull()
-			default:
-				out.AppendInt(1)
-			}
-		} else {
-			switch {
-			case !ln && lv, !rn && rv:
-				out.AppendInt(1)
-			case ln || rn:
-				out.AppendNull()
-			default:
-				out.AppendInt(0)
-			}
-		}
-	}
-	return out, nil
+	return evalPredicate(ctx, l, in)
 }
 
 // Not is logical negation (NULL stays NULL).
@@ -344,22 +249,9 @@ func (u *Not) Kind() types.Kind { return types.KindBool }
 
 func (u *Not) String() string { return fmt.Sprintf("(NOT %s)", u.X) }
 
-// Eval implements Expr.
+// Eval implements Expr by selection (evalPredicate).
 func (u *Not) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	xc, err := u.X.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	n := xc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	for i := 0; i < n; i++ {
-		if xc.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		out.AppendInt(boolToInt(xc.Ints[i] == 0))
-	}
-	return out, nil
+	return evalPredicate(ctx, u, in)
 }
 
 // Concat is the || string concatenation operator; non-string operands
@@ -409,17 +301,7 @@ func (e *IsNull) String() string {
 	return fmt.Sprintf("(%s IS NULL)", e.X)
 }
 
-// Eval implements Expr.
+// Eval implements Expr by selection (evalPredicate).
 func (e *IsNull) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	xc, err := e.X.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	n := xc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	for i := 0; i < n; i++ {
-		isn := xc.IsNull(i)
-		out.AppendInt(boolToInt(isn != e.Not))
-	}
-	return out, nil
+	return evalPredicate(ctx, e, in)
 }

@@ -186,37 +186,9 @@ func (l *Like) Kind() types.Kind { return types.KindBool }
 
 func (l *Like) String() string { return fmt.Sprintf("(%s LIKE %s)", l.X, l.Pattern) }
 
-// Eval implements Expr.
+// Eval implements Expr by selection (evalPredicate).
 func (l *Like) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	xc, err := l.X.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := l.Pattern.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	n := xc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	// Compile the pattern once when it is constant across rows.
-	var cached func(string) bool
-	var cachedPat string
-	var haveCache bool
-	for i := 0; i < n; i++ {
-		if xc.IsNull(i) || pc.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		pat := pc.Strs[i]
-		if !haveCache || pat != cachedPat {
-			cached = compileLike(pat)
-			cachedPat = pat
-			haveCache = true
-		}
-		m := cached(xc.Strs[i])
-		out.AppendInt(boolToInt(m != l.Not))
-	}
-	return out, nil
+	return evalPredicate(ctx, l, in)
 }
 
 // compileLike builds a matcher for a SQL LIKE pattern.
@@ -545,49 +517,7 @@ func (e *InList) Kind() types.Kind { return types.KindBool }
 
 func (e *InList) String() string { return fmt.Sprintf("(%s IN [...])", e.X) }
 
-// Eval implements Expr.
+// Eval implements Expr by selection (evalPredicate).
 func (e *InList) Eval(ctx *Context, in *storage.Chunk) (*storage.Column, error) {
-	xc, err := e.X.Eval(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]*storage.Column, len(e.List))
-	for i, le := range e.List {
-		c, err := le.Eval(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	n := xc.Len()
-	out := storage.NewColumn(types.KindBool, n)
-	for i := 0; i < n; i++ {
-		if xc.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		xv := xc.Get(i)
-		found := false
-		sawNull := false
-		for _, c := range cols {
-			v := c.Get(i)
-			if v.Null {
-				sawNull = true
-				continue
-			}
-			if types.Equal(xv, v) {
-				found = true
-				break
-			}
-		}
-		switch {
-		case found:
-			out.AppendInt(boolToInt(!e.Not))
-		case sawNull:
-			out.AppendNull()
-		default:
-			out.AppendInt(boolToInt(e.Not))
-		}
-	}
-	return out, nil
+	return evalPredicate(ctx, e, in)
 }

@@ -38,8 +38,9 @@ func (s Schema) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Chunk is a fully materialized intermediate result: a schema plus one
-// column vector per schema entry, all of equal length.
+// Chunk is a set of rows — an operator's batch or a materialized
+// result: a schema plus one column vector per schema entry, all of
+// equal length.
 type Chunk struct {
 	Schema Schema
 	Cols   []*Column
@@ -108,17 +109,6 @@ func (c *Chunk) Extend(o *Chunk) {
 	for j, col := range c.Cols {
 		col.Extend(o.Cols[j])
 	}
-}
-
-// FilterByMask returns the rows whose mask entry is true.
-func (c *Chunk) FilterByMask(mask []bool) *Chunk {
-	rows := make([]int, 0, len(mask))
-	for i, keep := range mask {
-		if keep {
-			rows = append(rows, i)
-		}
-	}
-	return c.Gather(rows, 1)
 }
 
 // ColIndex locates a column by optional qualifier and name

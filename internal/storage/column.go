@@ -1,8 +1,9 @@
 // Package storage implements the columnar physical layer: typed column
-// vectors with null masks, materialized chunks (intermediate results),
-// base tables and the catalog. The engine follows the MonetDB execution
-// model the paper builds on: every operator fully materializes its
-// result (paper §3.3).
+// vectors with null masks, chunks (the batches operators pass and the
+// results breakers materialize), base tables and the catalog. Columns
+// are the unit of work, as in the MonetDB model the paper builds on
+// (§3.3); the executor pulls them through its operators in bounded
+// batches rather than materializing every intermediate result.
 package storage
 
 import (
@@ -343,15 +344,40 @@ func ColumnFromPaths(ps []*types.Path) *Column {
 	return &Column{Kind: types.KindPath, Paths: ps, n: len(ps)}
 }
 
-// ConstColumn builds a column of n copies of value v.
+// ConstColumn builds a column of n copies of value v, an untyped NULL
+// as a BIGINT column of NULLs. Expressions build one only for a value
+// (a constant select-list item or CASE arm, a function argument);
+// predicates and arithmetic read constants as scalars.
 func ConstColumn(v types.Value, n int) *Column {
-	kind := v.K
-	if kind == types.KindNull {
-		kind = types.KindInt
+	kind := v.K.Stored()
+	c := (&Column{Kind: kind}).sized(n)
+	if v.Null {
+		if n > 0 {
+			c.Nulls = make([]bool, n)
+			for i := range c.Nulls {
+				c.Nulls[i] = true
+			}
+		}
+		return c
 	}
-	c := NewColumn(kind, n)
-	for i := 0; i < n; i++ {
-		c.Append(v)
+	switch kind {
+	case types.KindFloat:
+		f := v.AsFloat()
+		for i := range c.Floats {
+			c.Floats[i] = f
+		}
+	case types.KindString:
+		for i := range c.Strs {
+			c.Strs[i] = v.S
+		}
+	case types.KindPath:
+		for i := range c.Paths {
+			c.Paths[i] = v.P
+		}
+	default:
+		for i := range c.Ints {
+			c.Ints[i] = v.I
+		}
 	}
 	return c
 }

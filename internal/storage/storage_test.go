@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,8 +126,28 @@ func TestConstColumn(t *testing.T) {
 		t.Fatal("const column broken")
 	}
 	n := ConstColumn(types.NewNull(types.KindNull), 2)
-	if !n.IsNull(0) || !n.IsNull(1) {
+	if !n.IsNull(0) || !n.IsNull(1) || n.Kind != types.KindInt {
 		t.Fatal("null const column broken")
+	}
+	// The typed fill holds what appending the value n times holds.
+	for _, v := range []types.Value{
+		types.NewNull(types.KindNull), types.NewNull(types.KindFloat), types.NewInt(3), types.NewFloat(2.5),
+		types.NewString("s"), types.NewBool(true), types.NewDate(7), types.NewPath(&types.Path{}),
+	} {
+		for _, rows := range []int{0, 1, 5} {
+			kind := v.K
+			if kind == types.KindNull {
+				kind = types.KindInt
+			}
+			want := NewColumn(kind, rows)
+			for i := 0; i < rows; i++ {
+				want.Append(v)
+			}
+			got := ConstColumn(v, rows)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ConstColumn(%v, %d) = %+v, want %+v", v, rows, got, want)
+			}
+		}
 	}
 }
 
@@ -170,10 +191,6 @@ func TestChunkBasics(t *testing.T) {
 	row := c.Row(1)
 	if row[0].I != 2 || row[1].S != "y" {
 		t.Fatal("row materialization wrong")
-	}
-	m := c.FilterByMask([]bool{false, true})
-	if m.NumRows() != 1 || m.Row(0)[1].S != "y" {
-		t.Fatal("mask filter wrong")
 	}
 	out := c.String()
 	if !strings.Contains(out, "a") || !strings.Contains(out, "y") {

@@ -64,6 +64,15 @@ func (k Kind) Comparable() bool {
 	return false
 }
 
+// Stored returns the kind a column holds values of kind k as: an
+// untyped NULL is stored as a BIGINT NULL, every other kind as itself.
+func (k Kind) Stored() Kind {
+	if k == KindNull {
+		return KindInt
+	}
+	return k
+}
+
 // Value is a single scalar (or nested-table) runtime value.
 // The zero Value is the NULL of kind KindNull.
 type Value struct {

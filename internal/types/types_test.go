@@ -33,6 +33,15 @@ func TestKindPredicates(t *testing.T) {
 	if KindPath.Comparable() || KindNull.Comparable() {
 		t.Error("path/null must not be comparable")
 	}
+	for k := KindNull; k <= KindPath; k++ {
+		want := k
+		if k == KindNull {
+			want = KindInt
+		}
+		if k.Stored() != want {
+			t.Errorf("%v.Stored() = %v, want %v", k, k.Stored(), want)
+		}
+	}
 }
 
 func TestValueConstructorsAndString(t *testing.T) {
