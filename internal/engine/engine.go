@@ -184,36 +184,24 @@ func (p *Prepared) Stale(e *Engine, params []types.Value) bool {
 	return false
 }
 
-// Describe parses a statement without binding it: the parameter count
-// and statement class are available even before any representative
-// argument values exist. The wire-level PREPARE path uses it to defer
-// binding until the first typed execution.
-func (e *Engine) Describe(sql string) (numParams int, isSelect bool, err error) {
-	stmt, nparams, err := parser.ParseWithParams(sql)
-	if err != nil {
-		return 0, false, err
-	}
-	switch stmt.(type) {
-	case *ast.SelectStmt, *ast.ExplainStmt:
-		return nparams, true, nil
-	}
-	return nparams, false, nil
-}
-
 // Prepare parses and, for SELECT statements, binds and rewrites sql.
 // params supply the argument kinds referenced during binding; their
 // values are not captured (they are re-supplied at execution time).
-// A panic during binding or rewrite surfaces as a *QueryPanicError.
+// Given fewer params than the statement has placeholders, it returns
+// the statement parsed but unbound: NumParams and IsSelect are known,
+// and ExecPreparedCursor binds it once it gets enough arguments (and
+// refuses too few). A panic during binding or rewrite surfaces as a
+// *QueryPanicError.
 func (e *Engine) Prepare(sql string, params ...types.Value) (prep *Prepared, err error) {
 	defer recoverExecPanic(&err)
 	stmt, nparams, err := parser.ParseWithParams(sql)
 	if err != nil {
 		return nil, err
 	}
-	if nparams > len(params) {
-		return nil, fmt.Errorf("statement uses %d parameters but %d argument(s) were supplied", nparams, len(params))
-	}
 	p := &Prepared{SQL: sql, stmt: stmt, NumParams: nparams, version: e.schemaVersion}
+	if nparams > len(params) {
+		return p, nil
+	}
 	if nparams > 0 {
 		p.paramKinds = make([]types.Kind, nparams)
 		for i := range p.paramKinds {

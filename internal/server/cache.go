@@ -3,12 +3,10 @@ package server
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 
 	"graphsql"
 	"graphsql/internal/fault"
-	"graphsql/internal/sql/lexer"
 	"graphsql/internal/wire"
 )
 
@@ -26,10 +24,11 @@ import (
 // (InvalidateGraph) so dead entries release memory immediately instead
 // of aging out of the LRU.
 //
-// Lookup keys are fingerprint-normalized by the caller (statement
-// literals rewritten to placeholders, the extracted values folded into
-// the typed argument list — internal/sql/fingerprint), so the literal
-// form of a point lookup and its parameterized form share one entry.
+// The statement half of a key is the request's graphsql.Stmt: its
+// fingerprint-normalized text (statement literals rewritten to
+// placeholders, the extracted values folded into the typed argument
+// list), so the literal form of a point lookup and its parameterized
+// form share one entry.
 //
 // Entries are the rows a response already encoded (wire.Encoded: one
 // byte slice plus each row's end), so a hit writes them again — as one
@@ -67,84 +66,24 @@ func NewResultCache(maxEntries int, maxBytes int64) *ResultCache {
 	}
 }
 
-// cacheKey builds the lookup key; it returns "" when the request is
-// not cacheable (an argument of a type the normalizer never produces).
-// Every field is length-prefixed (netstring style), so no payload byte
-// — a NUL inside a string argument, a separator lookalike in a graph
-// name — can shift field boundaries and collide two distinct requests
-// onto one key; argument values are additionally type-tagged so 1
-// (BIGINT), 1.0 (DOUBLE) and the string "1" stay distinct.
-func cacheKey(graph string, generation int64, dataVersion uint64, sql string, args []any) string {
-	var b strings.Builder
-	b.Grow(len(graph) + len(sql) + 32*len(args) + 64)
-	field := func(tag byte, payload string) {
-		b.WriteByte(tag)
-		b.WriteString(strconv.Itoa(len(payload)))
-		b.WriteByte(':')
-		b.WriteString(payload)
-	}
-	field('g', graph)
-	field('v', strconv.FormatInt(generation, 10))
-	field('d', strconv.FormatUint(dataVersion, 10))
-	field('q', sql)
-	for _, a := range args {
-		switch t := a.(type) {
-		case nil:
-			field('n', "")
-		case bool:
-			if t {
-				field('b', "1")
-			} else {
-				field('b', "0")
-			}
-		case int:
-			field('i', strconv.FormatInt(int64(t), 10))
-		case int64:
-			field('i', strconv.FormatInt(t, 10))
-		case float64:
-			field('f', strconv.FormatFloat(t, 'g', -1, 64))
-		case string:
-			field('s', t)
-		default:
-			return ""
-		}
-	}
-	return b.String()
-}
-
-// cacheableSQL reports whether a statement may be served from (and
-// admitted into) the cache: only reads qualify. The dialect's only
-// read statements open with SELECT or WITH, so a keyword sniff is
-// exact — anything else executes normally and misclassification is
-// impossible (no write statement can start with either keyword).
-func cacheableSQL(sql string) bool {
-	kw := firstKeyword(sql)
-	return kw == "select" || kw == "with"
-}
-
-// invalidatingSQL reports whether a statement may change data and must
-// purge the graph's cached results (the data-version key already
-// protects correctness; the purge frees memory eagerly).
-func invalidatingSQL(sql string) bool {
-	switch firstKeyword(sql) {
-	case "insert", "delete", "create", "drop":
-		return true
-	}
-	return false
-}
-
-// firstKeyword returns the statement's leading keyword, lower-cased,
-// by asking the engine's own lexer for the first token — whatever
-// whitespace and comment forms the lexer skips, this skips, so a
-// client tagging queries with a comment prefix classifies the same as
-// the bare statement. Anything that does not open with a reserved word
-// (including lex errors) yields "".
-func firstKeyword(sql string) string {
-	tok, err := lexer.New(sql).Next()
-	if err != nil || tok.Type != lexer.Keyword {
-		return ""
-	}
-	return strings.ToLower(tok.Text)
+// cacheKey builds the lookup key: the graph name (length-prefixed),
+// the registry generation and data version (each ':'-terminated), then
+// the statement's own key — its executed text and type-tagged argument
+// values (Stmt.AppendKey). Every field is self-delimiting, so no
+// payload byte — a NUL inside a string argument, a separator lookalike
+// in a graph name — can shift field boundaries and collide two
+// distinct requests onto one key, and 1 (BIGINT), 1.0 (DOUBLE) and the
+// string "1" stay distinct.
+func cacheKey(graph string, generation int64, dataVersion uint64, st *graphsql.Stmt) string {
+	b := make([]byte, 0, 64+len(graph)+len(st.Fingerprint()))
+	b = strconv.AppendInt(b, int64(len(graph)), 10)
+	b = append(b, ':')
+	b = append(b, graph...)
+	b = strconv.AppendInt(b, generation, 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, dataVersion, 10)
+	b = append(b, ':')
+	return string(st.AppendKey(b))
 }
 
 // Get returns the cached result's encoded rows, promoting the entry to

@@ -172,3 +172,83 @@ func TestServerPlanCacheCounters(t *testing.T) {
 		t.Fatalf("gsqld_plan_cache_hits_total = %g under literal-variant traffic, want > 0", v)
 	}
 }
+
+// planCounters sums the session plan-cache counters of every loaded
+// graph, as GET /stats reports them.
+func planCounters(t *testing.T, base string) (hits, misses uint64) {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range stats.Graphs {
+		hits += g.PlanCacheHits
+		misses += g.PlanCacheMisses
+	}
+	return hits, misses
+}
+
+// TestServerArgumentCountContract: a /query with too few arguments is a
+// 422 sql_error carrying the engine's exact message, in either
+// encoding; a /prepare without arguments reports the statement's
+// placeholders but caches no plan, and the first typed /execute
+// prepares and caches it.
+func TestServerArgumentCountContract(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4})
+	loadCorpus(t, hs.URL, "default")
+	const q = `SELECT COUNT(*) FROM knows WHERE src >= ? AND dst >= ?`
+	const want = "statement uses 2 parameters but 1 argument(s) were supplied"
+	for _, stream := range []bool{false, true} {
+		status, resp := queryIn(t, hs.URL, wire.QueryRequest{SQL: q, Args: []any{1}}, stream)
+		if status != http.StatusUnprocessableEntity || resp.Error == nil ||
+			resp.Error.Code != wire.CodeSQL || resp.Error.Message != want {
+			t.Fatalf("stream=%v: status %d, error %+v; want 422 %s %q", stream, status, resp.Error, wire.CodeSQL, want)
+		}
+	}
+
+	prepare := func() wire.PrepareResponse {
+		t.Helper()
+		status, body := postJSON(t, hs.URL+"/prepare", &wire.PrepareRequest{Session: "p", SQL: q})
+		if status != http.StatusOK {
+			t.Fatalf("arg-less prepare: %d: %s", status, body)
+		}
+		var prep wire.PrepareResponse
+		if err := json.Unmarshal(body, &prep); err != nil {
+			t.Fatal(err)
+		}
+		if prep.NumParams != 2 {
+			t.Fatalf("arg-less prepare: num_params %d, want 2: %s", prep.NumParams, body)
+		}
+		return prep
+	}
+	h0, _ := planCounters(t, hs.URL)
+	prepare()
+	prep := prepare()
+	if h, _ := planCounters(t, hs.URL); h != h0 {
+		t.Fatalf("re-preparing without arguments hit the plan cache (%d hits): the first prepare cached a plan", h-h0)
+	}
+	execute := func(a, b int64) {
+		t.Helper()
+		status, body := postJSON(t, hs.URL+"/execute", &wire.ExecuteRequest{
+			Session: "p", StatementID: prep.StatementID, Args: []any{a, b},
+		})
+		if status != http.StatusOK {
+			t.Fatalf("execute(%d, %d): %d: %s", a, b, status, body)
+		}
+	}
+	// Distinct arguments keep the result cache out of the way: every
+	// execute resolves its plan.
+	execute(1, 2)
+	if h1, _ := planCounters(t, hs.URL); h1 != h0 {
+		t.Fatalf("first execute hit the plan cache (%d hits): the arg-less prepare cached a plan", h1-h0)
+	}
+	execute(2, 3)
+	if h2, _ := planCounters(t, hs.URL); h2 != h0+1 {
+		t.Fatalf("second execute: %d plan-cache hits, want 1: the first execute did not cache its plan", h2-h0)
+	}
+}

@@ -15,65 +15,78 @@ import (
 )
 
 // TestCacheKeyDistinguishesArgTypes: 1 (BIGINT), 1.0 (DOUBLE), "1"
-// (VARCHAR) and true must produce four distinct keys, and unsupported
-// argument types must make the request uncacheable.
+// (VARCHAR) and true must produce four distinct keys, and an
+// unsupported argument type is refused before any key is built.
 func TestCacheKeyDistinguishesArgTypes(t *testing.T) {
+	key := func(graph string, gen int64, dv uint64, sql string, args ...any) string {
+		t.Helper()
+		st, err := graphsql.NewStmt(sql, args...)
+		if err != nil {
+			t.Fatalf("NewStmt(%q, %v): %v", sql, args, err)
+		}
+		return cacheKey(graph, gen, dv, st)
+	}
 	seen := map[string]bool{}
 	for _, arg := range []any{int64(1), float64(1), "1", true} {
-		k := cacheKey("g", 1, 1, "SELECT ?", []any{arg})
-		if k == "" {
-			t.Fatalf("arg %v (%T): unexpectedly uncacheable", arg, arg)
-		}
+		k := key("g", 1, 1, "SELECT ?", arg)
 		if seen[k] {
 			t.Fatalf("arg %v (%T): key collision", arg, arg)
 		}
 		seen[k] = true
 	}
-	if k := cacheKey("g", 1, 1, "SELECT ?", []any{[]byte("x")}); k != "" {
-		t.Fatalf("unsupported arg type produced key %q", k)
+	if _, err := graphsql.NewStmt("SELECT ?", []byte("x")); err == nil {
+		t.Fatal("unsupported arg type accepted")
 	}
 	// Version components must separate keys.
-	base := cacheKey("g", 1, 1, "SELECT 1", nil)
-	if cacheKey("g", 2, 1, "SELECT 1", nil) == base || cacheKey("g", 1, 2, "SELECT 1", nil) == base {
+	base := key("g", 1, 1, "SELECT 1")
+	if key("g", 2, 1, "SELECT 1") == base || key("g", 1, 2, "SELECT 1") == base {
 		t.Fatal("generation/data-version not part of the key")
 	}
-	// Field boundaries are length-prefixed: payload bytes that mimic a
+	// Field boundaries are self-delimiting: payload bytes that mimic a
 	// separator or an adjacent field's tag must never collide two
 	// distinct requests onto one key.
-	if cacheKey("g", 1, 1, "SELECT ? || ?", []any{"x", "y\x00sz"}) ==
-		cacheKey("g", 1, 1, "SELECT ? || ?", []any{"x\x00sy", "z"}) {
+	if key("g", 1, 1, "SELECT ? || ?", "x", "y\x00sz") ==
+		key("g", 1, 1, "SELECT ? || ?", "x\x00sy", "z") {
 		t.Fatal("NUL inside a string argument shifted field boundaries")
 	}
-	if cacheKey("g\x001", 2, 1, "SELECT 1", nil) == cacheKey("g", 12, 1, "SELECT 1", nil) {
+	if key("g\x001", 2, 1, "SELECT 1") == key("g", 12, 1, "SELECT 1") {
 		t.Fatal("graph-name bytes leaked into the generation field")
 	}
 }
 
 // TestCacheableSQL checks the read/write keyword classification.
 func TestCacheableSQL(t *testing.T) {
+	stmt := func(q string) *graphsql.Stmt {
+		t.Helper()
+		st, err := graphsql.NewStmt(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	for _, q := range []string{
 		"SELECT 1", "  \n\tselect 1", "WITH c AS (SELECT 1) SELECT * FROM c",
 		"-- tagged\nSELECT 1", "/* app:r7 */ SELECT 1", "/* a */ -- b\n /* c */ SELECT 1",
 	} {
-		if !cacheableSQL(q) {
+		if !stmt(q).Reads() {
 			t.Fatalf("%q should be cacheable", q)
 		}
 	}
 	// Unterminated comments classify as neither (the lexer rejects them).
-	if cacheableSQL("/* open SELECT 1") || cacheableSQL("-- only a comment") {
+	if stmt("/* open SELECT 1").Reads() || stmt("-- only a comment").Reads() {
 		t.Fatal("comment-only/unterminated input misclassified as cacheable")
 	}
 	for _, q := range []string{"INSERT INTO t VALUES (1)", "DELETE FROM t", "CREATE TABLE t (x BIGINT)", "DROP TABLE t", "SET parallelism = 1", ""} {
-		if cacheableSQL(q) {
+		if stmt(q).Reads() {
 			t.Fatalf("%q should not be cacheable", q)
 		}
 	}
 	for _, q := range []string{"INSERT INTO t VALUES (1)", "delete FROM t", "CREATE TABLE t (x BIGINT)", "DROP TABLE t", "/* app */ INSERT INTO t VALUES (1)", "-- note\nDROP TABLE t"} {
-		if !invalidatingSQL(q) {
+		if !stmt(q).Writes() {
 			t.Fatalf("%q should invalidate", q)
 		}
 	}
-	if invalidatingSQL("SELECT 1") || invalidatingSQL("SET parallelism = 2") {
+	if stmt("SELECT 1").Writes() || stmt("SET parallelism = 2").Writes() {
 		t.Fatal("reads/SET must not invalidate")
 	}
 }

@@ -49,7 +49,8 @@
 //
 // One path: every statement runs the same way whichever response
 // encoding was asked for — Prepare → ExecPreparedCursor → Rows → sink.
-// runQuery calls Session.QueryRows at one site and respond drains the
+// runQuery builds one graphsql.Stmt per request, calls
+// Session.QueryStmt at one site and respond drains the
 // cursor through one loop into a sink, whose two encodings (one JSON
 // body, NDJSON frames) are two wire formats of cells encoded once, not
 // two executions; a cache hit hands the sink its stored rows. Failures
@@ -87,7 +88,6 @@ import (
 	"time"
 
 	"graphsql"
-	"graphsql/internal/sql/fingerprint"
 	"graphsql/internal/trace"
 	"graphsql/internal/wire"
 )
@@ -523,20 +523,25 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 		ssess = s.session(q.Session)
 	}
 
+	// The statement's identity is built once: its fingerprint names the
+	// statement shape in the log and the in-flight listing without
+	// quoting literal values, its key is the statement half of the
+	// result-cache key, its keyword decides whether the result may be
+	// cached or the cache must be purged, and the session runs it as is.
+	st, err := graphsql.NewStmt(q.SQL, q.Args...)
+	if err != nil {
+		s.failQuery(w, wire.CodeSQL, err)
+		return
+	}
+	fp := st.Fingerprint()
+
 	// Every query records a trace: its root-level spans (cache,
 	// admission, plan, execute, encode) feed the per-stage latency
 	// histograms and the query log, its open span names GET /queries'
 	// "stage" column, and — when the request set "trace": true — its
-	// tree rides back in the response. The fingerprint identifies the
-	// statement shape in the log, the in-flight listing and the result
-	// cache key without quoting literal values.
+	// tree rides back in the response.
 	qid := s.queryID.Add(1)
 	tr := trace.New()
-	norm := fingerprint.Normalize(q.SQL)
-	fp := q.SQL
-	if norm.Changed() {
-		fp = norm.SQL
-	}
 	start := time.Now()
 	outcome := "ok"
 	rowsOut := -1
@@ -566,38 +571,29 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 	// request computes again — never serve an older result under a
 	// fresher key. A hit consumes no admission slot: it is memory out.
 	//
-	// The statement half of the key is fingerprint-normalized: literals
-	// rewrite to placeholders and their values fold into the typed
-	// argument list, so `... WHERE id = 7` and `... WHERE id = ?` with
-	// arg 7 compute the same key (while `id = 8` stays distinct — the
-	// argument list is part of the key). When normalization declines the
-	// statement — or the argument count does not match its placeholders —
-	// the raw text keys the entry, which is always correct, just less
-	// shared.
+	// The statement half of the key is the Stmt's: literals rewrite to
+	// placeholders and their values fold into the typed argument list,
+	// so `... WHERE id = 7` and `... WHERE id = ?` with arg 7 compute the
+	// same key (while `id = 8` stays distinct — the arguments are part
+	// of the key). When normalization declines the statement — or the
+	// argument count does not match its placeholders — the raw text keys
+	// the entry, which is always correct, just less shared.
 	var key string
-	if s.cache != nil && cacheableSQL(q.SQL) {
-		keySQL, keyArgs := q.SQL, q.Args
-		if norm.Changed() {
-			if merged, ok := norm.MergeAny(q.Args); ok {
-				keySQL, keyArgs = norm.SQL, merged
-			}
-		}
-		key = cacheKey(graphName, gen, db.DataVersion(), keySQL, keyArgs)
-		if key != "" {
-			spCache := tr.Begin(trace.NoSpan, "cache")
-			cached, hit := s.cache.Get(key)
-			tr.End(spCache)
-			tr.SetResultCacheHit(hit)
-			if hit {
-				// The entry holds the rows the first response encoded, so
-				// writing them again reproduces it byte for byte in either
-				// encoding, at any frame size, with no cell encoded. (A
-				// trace, when requested, is per-request by nature and
-				// rides outside that equivalence.)
-				s.queries.Add(1)
-				outcome, rowsOut = s.respond(rq, cached, nil)
-				return
-			}
+	if s.cache != nil && st.Reads() {
+		key = cacheKey(graphName, gen, db.DataVersion(), st)
+		spCache := tr.Begin(trace.NoSpan, "cache")
+		cached, hit := s.cache.Get(key)
+		tr.End(spCache)
+		tr.SetResultCacheHit(hit)
+		if hit {
+			// The entry holds the rows the first response encoded, so
+			// writing them again reproduces it byte for byte in either
+			// encoding, at any frame size, with no cell encoded. (A
+			// trace, when requested, is per-request by nature and rides
+			// outside that equivalence.)
+			s.queries.Add(1)
+			outcome, rowsOut = s.respond(rq, cached, nil)
+			return
 		}
 	}
 
@@ -682,12 +678,12 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 
 	s.queries.Add(1)
 	opts := graphsql.QueryOptions{Workers: grant.Workers, Trace: tr, BatchRows: frame}
-	rows, err := fsess.QueryRows(ctx, opts, q.SQL, q.Args...)
+	rows, err := fsess.QueryStmt(ctx, opts, st)
 	// Writes purge the graph's cached results once they finish — a write
-	// executes to completion inside QueryRows, under the write lock. The
+	// executes to completion inside QueryStmt, under the write lock. The
 	// data-version key already guarantees no stale hit; the purge just
 	// releases the memory eagerly.
-	if s.cache != nil && invalidatingSQL(q.SQL) {
+	if s.cache != nil && st.Writes() {
 		s.cache.InvalidateGraph(graphName)
 	}
 	if err != nil {

@@ -33,11 +33,17 @@
 // errors) returns the input unchanged: skipping is always correct.
 //
 // Pre-existing ? placeholders are preserved; extracted literals and
-// caller-supplied arguments interleave in token order via MergeValues
-// or MergeAny, which refuse (ok=false) unless the caller supplied
-// exactly as many arguments as the statement has raw placeholders —
-// refusal routes the statement down the unnormalized path so
-// mismatched-argument errors read exactly as before.
+// caller-supplied arguments interleave in token order via MergeValues,
+// which refuses (ok=false) unless the caller supplied exactly as many
+// arguments as the statement has raw placeholders — refusal routes the
+// statement down the unnormalized path so mismatched-argument errors
+// read exactly as before.
+//
+// The same pass records the statement's leading keyword, so a caller
+// classifies a statement as a read or a write without lexing it again.
+// graphsql.Stmt is the one caller: it normalizes each statement once
+// and derives the fingerprint, the plan- and result-cache keys and the
+// read/write class from the result.
 package fingerprint
 
 import (
@@ -60,6 +66,11 @@ type Normalized struct {
 	// placeholder came from an extracted literal, false when it was a
 	// caller placeholder already present in the input.
 	FromLiteral []bool
+	// Keyword is the statement's first token, upper-cased, when that
+	// token is a keyword; "" otherwise (including a lexical error in the
+	// first token). Whatever whitespace and comments the lexer skips are
+	// skipped here too.
+	Keyword string
 }
 
 // Changed reports whether normalization extracted anything.
@@ -90,34 +101,6 @@ func (n *Normalized) MergeValues(args []types.Value) ([]types.Value, bool) {
 		if fromLit {
 			out = append(out, n.Literals[li])
 			li++
-		} else {
-			out = append(out, args[ai])
-			ai++
-		}
-	}
-	return out, true
-}
-
-// MergeAny is MergeValues over untyped arguments (the server's JSON
-// request shape); extracted literals surface as int64/float64/string.
-func (n *Normalized) MergeAny(args []any) ([]any, bool) {
-	if len(args) != n.NumRawParams() {
-		return nil, false
-	}
-	out := make([]any, 0, len(n.FromLiteral))
-	li, ai := 0, 0
-	for _, fromLit := range n.FromLiteral {
-		if fromLit {
-			v := n.Literals[li]
-			li++
-			switch v.K {
-			case types.KindInt:
-				out = append(out, v.I)
-			case types.KindFloat:
-				out = append(out, v.F)
-			default:
-				out = append(out, v.S)
-			}
 		} else {
 			out = append(out, args[ai])
 			ai++
@@ -190,7 +173,11 @@ func Normalize(sql string) Normalized {
 			return ident
 		}
 		if first {
-			if tok.Type != lexer.Keyword || (tok.Text != "SELECT" && tok.Text != "WITH") {
+			if tok.Type != lexer.Keyword {
+				return ident
+			}
+			ident.Keyword = tok.Text
+			if tok.Text != "SELECT" && tok.Text != "WITH" {
 				return ident
 			}
 			first = false
@@ -271,7 +258,7 @@ func Normalize(sql string) Normalized {
 		last = sp.end
 	}
 	b.WriteString(sql[last:])
-	return Normalized{SQL: b.String(), Literals: lits, FromLiteral: fromLit}
+	return Normalized{SQL: b.String(), Literals: lits, FromLiteral: fromLit, Keyword: ident.Keyword}
 }
 
 // extract decides whether the literal token may be parameterized given

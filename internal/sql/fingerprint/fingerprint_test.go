@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphsql/internal/sql/lexer"
 	"graphsql/internal/types"
 )
 
@@ -184,13 +185,6 @@ func TestMerge(t *testing.T) {
 	if !reflect.DeepEqual(merged, want) {
 		t.Fatalf("MergeValues = %+v, want %+v", merged, want)
 	}
-	anyMerged, ok := n.MergeAny([]any{int64(10), "z"})
-	if !ok {
-		t.Fatal("MergeAny refused matching args")
-	}
-	if !reflect.DeepEqual(anyMerged, []any{int64(10), int64(2), "z"}) {
-		t.Fatalf("MergeAny = %+v", anyMerged)
-	}
 	// Wrong arity must refuse so error paths stay on the raw statement.
 	if _, ok := n.MergeValues(ints(1)); ok {
 		t.Fatal("MergeValues accepted too few args")
@@ -214,4 +208,74 @@ func TestNormalizeAllocsBounded(t *testing.T) {
 	if per > 12 {
 		t.Fatalf("Normalize allocates %.1f per run, want <= 12", per)
 	}
+}
+
+// FuzzNormalize checks the normalize → merge round trip on arbitrary
+// input: no panic; an unchanged statement comes back verbatim; a
+// changed one has one placeholder per FromLiteral entry, keeps the
+// input's own placeholders as its raw parameters, merges exactly that
+// many arguments and normalizes to itself, so one statement shape has
+// one key; and Keyword is the lexer's first token whenever that token
+// is a keyword, "" otherwise.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"SELECT * FROM t WHERE id = 42",
+		"SELECT * FROM t WHERE a = ? AND b = 2 AND c = ?",
+		"SELECT a FROM t WHERE a IN (1, -2, 'x') AND b BETWEEN 3 AND -4.5",
+		"WITH c AS (SELECT * FROM t WHERE a > 1e3) SELECT * FROM c JOIN d ON c.a = 7",
+		"SELECT COUNT(*) FROM t GROUP BY a HAVING COUNT(*) >= 2 ORDER BY 1 LIMIT 3",
+		"SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (s, d) AND x = 5",
+		"/* tag */ select * from t where s = 'it''s'",
+		"INSERT INTO t VALUES (?, 2)",
+		"SELECT * FROM t WHERE a = 1; DELETE FROM t",
+		"SELECT * FROM t WHERE a = 'unterminated",
+		"-- only a comment",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		n := Normalize(in)
+		want := ""
+		if tok, err := lexer.New(in).Next(); err == nil && tok.Type == lexer.Keyword {
+			want = tok.Text
+		}
+		if n.Keyword != want {
+			t.Fatalf("Keyword = %q, want %q for %q", n.Keyword, want, in)
+		}
+		if n.Changed() == (n.SQL == in) {
+			t.Fatalf("Changed() = %v but SQL %q vs input %q", n.Changed(), n.SQL, in)
+		}
+		if !n.Changed() {
+			return
+		}
+		if got := countParams(t, n.SQL); got != len(n.FromLiteral) {
+			t.Fatalf("%q has %d placeholders, FromLiteral %d", n.SQL, got, len(n.FromLiteral))
+		}
+		if got := countParams(t, in); got != n.NumRawParams() {
+			t.Fatalf("%q has %d placeholders, NumRawParams %d", in, got, n.NumRawParams())
+		}
+		merged, ok := n.MergeValues(make([]types.Value, n.NumRawParams()))
+		if !ok || len(merged) != len(n.FromLiteral) {
+			t.Fatalf("MergeValues of %d args: ok %v, %d values, want %d", n.NumRawParams(), ok, len(merged), len(n.FromLiteral))
+		}
+		if again := Normalize(n.SQL); again.Changed() {
+			t.Fatalf("normalizing %q again extracted %+v", n.SQL, again.Literals)
+		}
+	})
+}
+
+// countParams counts the ? placeholders the lexer finds in sql.
+func countParams(t *testing.T, sql string) int {
+	t.Helper()
+	toks, err := lexer.Tokenize(sql)
+	if err != nil {
+		t.Fatalf("%q does not lex: %v", sql, err)
+	}
+	n := 0
+	for _, tok := range toks {
+		if tok.Type == lexer.Param {
+			n++
+		}
+	}
+	return n
 }

@@ -5,18 +5,18 @@ import (
 	"sync"
 
 	"graphsql/internal/engine"
-	"graphsql/internal/sql/fingerprint"
 	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
 
 // Session is a server-friendly handle over a shared DB: it carries
 // session-scoped settings (`SET parallelism = n` applies to the session
-// only) and a prepared-plan cache keyed by statement text and argument
-// kinds, so repeated queries skip parse, bind and rewrite. Sessions are
-// cheap; create one per client connection. A Session serializes its own
-// statements but runs concurrently with other sessions (SELECTs share
-// the DB's read lock).
+// only) and a prepared-plan cache keyed by each statement's Stmt — its
+// fingerprint-normalized text and argument kinds — so repeated queries,
+// and literal variants of one statement shape, skip parse, bind and
+// rewrite. Sessions are cheap; create one per client connection. A
+// Session serializes its own statements but runs concurrently with
+// other sessions (SELECTs share the DB's read lock).
 type Session struct {
 	db *DB
 
@@ -55,9 +55,9 @@ type QueryOptions struct {
 	// negative) inherits.
 	Workers int
 	// Trace, when non-nil, records the statement's spans: plan
-	// resolution (fingerprint, parse/bind on a plan-cache miss) and the
-	// per-operator execution tree. Create one with NewTrace. Nil — the
-	// default — disables tracing at zero cost.
+	// resolution (parse/bind on a plan-cache miss) and the per-operator
+	// execution tree. Create one with NewTrace. Nil — the default —
+	// disables tracing at zero cost.
 	Trace *trace.Trace
 	// BatchRows bounds the row count of the batches the executor's
 	// pipeline operators hand between each other; 0 (or negative) uses
@@ -86,17 +86,25 @@ func (s *Session) QueryOpts(ctx context.Context, qo QueryOptions, sql string, ar
 
 // QueryRows is the session's core query entry point: DB.QueryRows with
 // the session's settings and prepared-plan cache applied (see there for
-// the locking and Close contract). Session-scoped SETs never touch the
-// engine thanks to applySet and stay under the read lock too.
+// the locking and Close contract). It is NewStmt plus QueryStmt.
 func (s *Session) QueryRows(ctx context.Context, qo QueryOptions, sql string, args ...any) (*Rows, error) {
-	params, err := bindArgs(args)
+	st, err := NewStmt(sql, args...)
 	if err != nil {
 		return nil, err
 	}
+	return s.QueryStmt(ctx, qo, st)
+}
+
+// QueryStmt runs a statement whose identity the caller already built —
+// a server that keys its result cache on the Stmt runs the same Stmt
+// here, so nothing is normalized or converted twice. Session-scoped
+// SETs never touch the engine thanks to applySet and stay under the
+// read lock too.
+func (s *Session) QueryStmt(ctx context.Context, qo QueryOptions, st *Stmt) (*Rows, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.db.queryRows(ctx, qo, s.parallelism, s.applySet, func(planSpan trace.SpanID) (*engine.Prepared, []types.Value, error) {
-		return s.resolvePlan(qo.Trace, planSpan, sql, params)
+		return s.resolvePlan(qo.Trace, planSpan, st)
 	})
 }
 
@@ -110,13 +118,17 @@ type StmtInfo struct {
 
 // Prepare parses — and, for SELECT, binds and rewrites — a statement
 // into the session's plan cache ahead of execution, so the first
-// Query/QueryOpts/QueryRows with the same text (and argument kinds)
-// skips parse, bind and rewrite. args supply representative values for
-// kind inference when the statement uses ? placeholders; preparing with
-// no args and executing with typed ones re-prepares once on first use.
-// This is what the gsqld wire-level POST /prepare endpoint rides.
+// Query/QueryOpts/QueryRows with the same statement and argument kinds
+// skips parse, bind and rewrite. It resolves the plan exactly as
+// execution does, so re-preparing a cached statement is a plan-cache
+// hit that parses nothing. args supply representative values for kind
+// inference when the statement uses ? placeholders; with fewer args
+// than placeholders the statement is only parsed — binding infers
+// types from the argument kinds — and the first typed execution
+// prepares and caches the plan. This is what the gsqld wire-level POST
+// /prepare endpoint rides.
 func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
-	params, err := bindArgs(args)
+	st, err := NewStmt(sql, args...)
 	if err != nil {
 		return StmtInfo{}, err
 	}
@@ -124,98 +136,71 @@ func (s *Session) Prepare(sql string, args ...any) (StmtInfo, error) {
 	defer s.mu.Unlock()
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	// Re-preparing a cached statement costs no parse at all.
-	if p := s.plans[planKey(sql, params)]; p != nil && !p.Stale(s.db.eng, params) {
-		return StmtInfo{NumParams: p.NumParams, IsSelect: p.IsSelect()}, nil
-	}
-	// Without a representative value for every placeholder the plan
-	// cannot be bound yet (binding infers types from the argument
-	// kinds); report the parse-level metadata and let the first typed
-	// execution prepare — and cache — the plan. (A first-time prepare
-	// with sufficient args parses twice — describe, then bind — a
-	// one-time cost per statement.)
-	n, isSel, err := s.db.eng.Describe(sql)
-	if err != nil {
-		return StmtInfo{}, err
-	}
-	if len(params) < n {
-		return StmtInfo{NumParams: n, IsSelect: isSel}, nil
-	}
-	p, _, err := s.resolvePlan(nil, trace.NoSpan, sql, params)
+	p, _, err := s.resolvePlan(nil, trace.NoSpan, st)
 	if err != nil {
 		return StmtInfo{}, err
 	}
 	// NumParams reports the placeholders in the statement as written —
-	// the wire contract — not the plan's count, which fingerprinting
-	// may have raised by turning literals into extra parameters.
+	// the wire contract — not a normalized plan's count, which also
+	// counts the literals fingerprinting turned into parameters.
+	n := p.NumParams
+	if p.SQL != sql {
+		n = st.norm.NumRawParams()
+	}
 	return StmtInfo{NumParams: n, IsSelect: p.IsSelect()}, nil
 }
 
 // resolvePlan returns the cached plan of the statement together with
 // the parameter values to execute it with, preparing and caching the
 // plan if absent or stale. Both s.mu and the DB read lock must be held.
-// It records fingerprint and prepare spans (and the plan-cache outcome)
-// into tr under parent; a nil tr records nothing.
+// It records the prepare span (and the plan-cache outcome) into tr
+// under parent; a nil tr records nothing.
 //
-// SELECT statements are fingerprinted first (literals in filter
-// positions rewrite to placeholders, their values merging with the
-// caller's arguments in statement order), so literal variants of one
-// statement shape share a single cached plan. When the statement
-// cannot be normalized — or the caller's argument count does not match
-// its placeholders — the raw text is used and every error reads
-// exactly as it would have without normalization.
-func (s *Session) resolvePlan(tr *trace.Trace, parent trace.SpanID, sql string, params []types.Value) (*engine.Prepared, []types.Value, error) {
+// The plan cache is keyed by the Stmt: the text it executes — the
+// fingerprint-normalized text when normalization applies, so literal
+// variants of one statement shape share a single cached plan — and the
+// argument kinds it binds with.
+func (s *Session) resolvePlan(tr *trace.Trace, parent trace.SpanID, st *Stmt) (*engine.Prepared, []types.Value, error) {
 	db := s.db
-	execSQL, execParams := sql, params
-	spFp := tr.Begin(parent, "fingerprint")
-	norm := fingerprint.Normalize(sql)
-	if norm.Changed() {
-		if merged, ok := norm.MergeValues(params); ok {
-			execSQL, execParams = norm.SQL, merged
-		}
-	}
-	tr.End(spFp)
-	key := planKey(execSQL, execParams)
-	if p := s.plans[key]; p != nil && !p.Stale(db.eng, execParams) {
+	// Built in a stack buffer, the key costs a hit no allocation.
+	var buf [256]byte
+	key := st.appendKey(buf[:0], false)
+	if p := s.plans[string(key)]; p != nil && !p.Stale(db.eng, st.execParams) {
 		db.planHits.Add(1)
 		tr.SetPlanCacheHit(true)
-		return p, execParams, nil
+		return p, st.execParams, nil
 	}
 	tr.SetPlanCacheHit(false)
 	spPrep := tr.Begin(parent, "prepare")
 	defer tr.End(spPrep)
-	p, err := db.eng.Prepare(execSQL, execParams...)
-	if err != nil {
-		if execSQL != sql {
-			// Normalization is semantics-preserving by construction; if
-			// the rewritten statement nonetheless fails to prepare, fall
-			// back to the raw text so the caller sees exactly the plan —
-			// or the error — it would have seen without normalization.
-			p, err = db.eng.Prepare(sql, params...)
-			if err != nil {
-				return nil, nil, err
+	p, err := db.eng.Prepare(st.execSQL, st.execParams...)
+	if err == nil {
+		db.planMisses.Add(1)
+		// A statement given fewer arguments than placeholders comes back
+		// parsed but unbound; the first typed execution binds and caches
+		// it.
+		if (p.IsSelect() || p.IsSet()) && len(st.execParams) >= p.NumParams {
+			if len(s.plans) >= maxSessionPlans {
+				s.plans = make(map[string]*engine.Prepared)
 			}
-			db.planMisses.Add(1)
-			s.cachePlanLocked(planKey(sql, params), p)
-			return p, params, nil
+			s.plans[string(key)] = p
 		}
+		return p, st.execParams, nil
+	}
+	if st.execSQL == st.sql {
+		return nil, nil, err
+	}
+	// Normalization is semantics-preserving by construction; if the
+	// rewritten statement nonetheless fails to prepare, fall back to the
+	// raw text so the caller sees exactly the plan — or the error — it
+	// would have seen without normalization. The fallback plan runs with
+	// the raw arguments, so it is not cached under the Stmt's key.
+	p, err = db.eng.Prepare(st.sql, st.params...)
+	if err != nil {
 		return nil, nil, err
 	}
 	db.planMisses.Add(1)
-	s.cachePlanLocked(key, p)
-	return p, execParams, nil
-}
-
-// cachePlanLocked inserts a cacheable plan, dropping the cache
-// wholesale at the size bound; s.mu must be held.
-func (s *Session) cachePlanLocked(key string, p *engine.Prepared) {
-	if !p.IsSelect() && !p.IsSet() {
-		return
-	}
-	if len(s.plans) >= maxSessionPlans {
-		s.plans = make(map[string]*engine.Prepared)
-	}
-	s.plans[key] = p
+	return p, st.params, nil
 }
 
 // applySet scopes SET statements to the session; called by the engine
@@ -231,20 +216,4 @@ func (s *Session) applySet(name string, v types.Value) (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// planKey builds the session plan-cache key: the statement text plus
-// the argument kinds it was bound with (the same text bound with
-// differently-typed arguments produces a different plan).
-func planKey(sql string, params []types.Value) string {
-	if len(params) == 0 {
-		return sql
-	}
-	b := make([]byte, 0, len(sql)+1+len(params))
-	b = append(b, sql...)
-	b = append(b, 0)
-	for _, p := range params {
-		b = append(b, byte(p.K))
-	}
-	return string(b)
 }

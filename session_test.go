@@ -257,3 +257,68 @@ func TestQueryCtxCancelMidSolve(t *testing.T) {
 		t.Fatalf("post-cancel query failed: %v", err)
 	}
 }
+
+// TestSessionRePrepareIsOnePlanHit: re-preparing a statement looks its
+// plan up by the same Stmt key execution uses, so it parses nothing and
+// counts one plan-cache hit — whether a filter literal was fingerprinted
+// into a parameter or not — and NumParams counts the placeholders as the
+// client wrote them, not the normalized plan's.
+func TestSessionRePrepareIsOnePlanHit(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE t (id BIGINT, x DOUBLE)`)
+	for _, tc := range []struct {
+		sql  string
+		args []any
+		n    int
+	}{
+		{`SELECT id FROM t WHERE id >= ? AND x < 2.5`, []any{1}, 1},
+		{`SELECT id FROM t WHERE id >= ? AND x < ?`, []any{1, 2.5}, 2},
+	} {
+		s := db.Session()
+		if _, err := s.Prepare(tc.sql, tc.args...); err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		h0, m0 := db.PlanCacheStats()
+		info, err := s.Prepare(tc.sql, tc.args...)
+		if err != nil {
+			t.Fatalf("%s: re-prepare: %v", tc.sql, err)
+		}
+		h1, m1 := db.PlanCacheStats()
+		if h1-h0 != 1 || m1 != m0 {
+			t.Fatalf("%s: re-prepare moved hits by %d and misses by %d, want 1 and 0", tc.sql, h1-h0, m1-m0)
+		}
+		if info.NumParams != tc.n || !info.IsSelect {
+			t.Fatalf("%s: info = %+v, want NumParams %d, IsSelect", tc.sql, info, tc.n)
+		}
+	}
+}
+
+// TestTooFewArgumentsMessage pins the argument-count error of every
+// in-process entry point: preparing an under-supplied statement only
+// parses it, and execution refuses it with this exact message — for a
+// fingerprinted SELECT, a plain one and a write alike.
+func TestTooFewArgumentsMessage(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE t (a BIGINT, b BIGINT)`)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		sql  string
+		args []any
+		want string
+	}{
+		{`SELECT a FROM t WHERE a = ? AND b = ?`, []any{1}, "statement uses 2 parameters but 1 argument(s) were supplied"},
+		{`SELECT a FROM t WHERE a = ? AND b = 5`, nil, "statement uses 1 parameters but 0 argument(s) were supplied"},
+		{`INSERT INTO t VALUES (?, ?)`, []any{1}, "statement uses 2 parameters but 1 argument(s) were supplied"},
+	} {
+		_, dbErr := db.Query(tc.sql, tc.args...)
+		_, sessErr := db.Session().Query(ctx, tc.sql, tc.args...)
+		for name, err := range map[string]error{"DB.Query": dbErr, "Session.Query": sessErr} {
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s(%q, %v) = %v, want %q", name, tc.sql, tc.args, err, tc.want)
+			}
+		}
+	}
+	if n, _ := db.QueryScalar(`SELECT COUNT(*) FROM t`); n != int64(0) {
+		t.Fatalf("an under-supplied INSERT wrote rows: COUNT(*) = %v", n)
+	}
+}
