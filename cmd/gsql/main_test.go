@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -236,5 +238,55 @@ func TestWireModesAnswerLikeGsqld(t *testing.T) {
 				t.Fatalf("exit %d, stdout\n%s\nstderr %q; want exit 1, stdout\n%s", code, stdout, stderr, c.want)
 			}
 		})
+	}
+}
+
+// encFailScript creates a table of n rows and selects its even ids with
+// y = x * 1e308, which overflows to +Inf only at id bad; the next
+// statement must not run.
+func encFailScript(n, bad int) string {
+	var b strings.Builder
+	b.WriteString("CREATE TABLE enc (id BIGINT, x DOUBLE);\nINSERT INTO enc VALUES ")
+	for id := 1; id <= n; id++ {
+		x := fmt.Sprintf("%d.0 / %d", id, n*10)
+		if id == bad {
+			x = "2.0"
+		}
+		if id > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %s)", id, x)
+	}
+	b.WriteString(";\nSELECT id, x * 1e308 AS y FROM enc WHERE id % 2 = 0;\nSELECT 2;\n")
+	return b.String()
+}
+
+// TestStreamMidResultEncodeFailure: a cell that fails to encode partway
+// through a filtered result ends gsql -stream the way it ends gsqld's
+// stream — every complete 1,024-row frame ahead of the bad row, then an
+// error trailer counting their rows — with the bytes recorded from the
+// encoder that cut frames in fixed windows before encoding them.
+func TestStreamMidResultEncodeFailure(t *testing.T) {
+	const (
+		ddl     = `{"columns":[]}` + "\n" + `{"row_count":0}` + "\n"
+		failure = `"error":{"code":"internal","message":"json: unsupported value: +Inf"}}` + "\n"
+	)
+	for _, c := range []struct {
+		n, bad int
+		sha    string // of all of stdout
+		tail   string
+	}{
+		{20, 12, "b34be3f92ca9b7d48c1a07c23b243dee7b962a1d8e4274f13e6adfbb88c5def4",
+			`{"columns":["id","y"]}` + "\n" + `{"row_count":0,` + failure},
+		{2500, 2202, "db3e8360c51e54328bdc61a716a51f14f1fed054b49219c947a4bf01e746a757",
+			`[2046,8.184e+306],[2048,8.192000000000001e+306]]}` + "\n" + `{"row_count":1024,` + failure},
+	} {
+		code, stdout, stderr := gsql(t, encFailScript(c.n, c.bad), "", "-stream")
+		if code != 1 || stderr != "" || !strings.HasPrefix(stdout, ddl+ddl) || !strings.HasSuffix(stdout, c.tail) {
+			t.Fatalf("%d rows: exit %d, stderr %q, stdout ends %q; want exit 1 and the tail %q", c.n, code, stderr, stdout[max(0, len(stdout)-200):], c.tail)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != c.sha {
+			t.Fatalf("%d rows: stdout sha256 %s, want %s", c.n, got, c.sha)
+		}
 	}
 }

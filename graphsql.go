@@ -90,6 +90,7 @@ import (
 
 	"graphsql/internal/engine"
 	"graphsql/internal/exec"
+	"graphsql/internal/storage"
 	"graphsql/internal/trace"
 	"graphsql/internal/types"
 )
@@ -297,8 +298,18 @@ func (db *DB) QueryCtx(ctx context.Context, sql string, args ...any) (*Result, e
 // from. A SELECT executes batch by batch *as Rows is drained* — the
 // first batch of a 100k-row result is available before the query
 // finishes, and the full row-major copy never exists in memory at
-// once. NextBatch polls the query's context, keeping the cursor under
-// the same cancellation contract as execution, and converts any panic
+// once.
+//
+// There are two ways to drain it. NextChunk hands out the executor's
+// batches typed, as columns, with no cell boxed: gsqld and gsql's
+// -json and -stream modes encode their responses straight from them
+// (wire.Encoded.AppendChunk). NextBatch and Result box every cell into
+// the representations Result.Rows documents; they are the public edge
+// for embedding callers, and the only place boxing remains on a
+// result's way out.
+//
+// Every pull polls the query's context, keeping the cursor under the
+// same cancellation contract as execution, and converts any panic
 // raised by in-drain operator code into a *QueryPanicError, the same
 // containment the engine boundary applies. Callers that may abandon a
 // result early must Close it to release the operator tree; a fully
@@ -322,33 +333,39 @@ func newRows(cur *exec.Cursor) *Rows {
 // total only becomes known at exhaustion.
 func (r *Rows) Len() int { return r.cur.NumRows() }
 
+// NextChunk returns the next executor batch whole, as typed columns,
+// or (nil, nil) once the result is exhausted. Batch sizes are the
+// executor's (QueryOptions.BatchRows bounds them; a filter leaves them
+// ragged). A chunk is read-only and stays valid after later calls.
+// Read a cell the way Result.Rows holds it with Cell.
+func (r *Rows) NextChunk() (*storage.Chunk, error) {
+	return r.pull(r.cur.Pull, 0)
+}
+
 // NextBatch returns the next batch of up to maxRows rows (maxRows <= 0
 // means all remaining rows), or (nil, nil) once the result is
 // exhausted. Cells use the same representations as Result.Rows.
-func (r *Rows) NextBatch(maxRows int) (rows [][]any, err error) {
-	// Operator code runs during the drain — after the engine's own
-	// panic guard returned — so the containment contract is re-applied
-	// here. The guard closes the cursor on the way out;
-	// ordinary errors already closed it (they are sticky in the cursor).
+func (r *Rows) NextBatch(maxRows int) ([][]any, error) {
+	win, err := r.pull(r.cur.Next, maxRows)
+	if err != nil || win == nil {
+		return nil, err
+	}
+	return appendBoxed(nil, win), nil
+}
+
+// pull runs one cursor pull under the containment contract. Operator
+// code runs during the drain — after the engine's own panic guard
+// returned — so it is re-applied here. The guard closes the cursor on
+// the way out; ordinary errors already closed it (they are sticky in
+// the cursor).
+func (r *Rows) pull(next func(maxRows int) (*storage.Chunk, error), maxRows int) (c *storage.Chunk, err error) {
 	defer func() {
 		if err != nil {
 			r.cur.Close()
 		}
 	}()
 	defer engine.CapturePanic(&err)
-	win, err := r.cur.Next(maxRows)
-	if err != nil || win == nil {
-		return nil, err
-	}
-	out := make([][]any, win.NumRows())
-	for i := range out {
-		row := make([]any, len(win.Cols))
-		for j, col := range win.Cols {
-			row[j] = fromValue(col.Get(i))
-		}
-		out[i] = row
-	}
-	return out, nil
+	return next(maxRows)
 }
 
 // Close releases the result's operator tree. It is idempotent and safe
@@ -360,21 +377,35 @@ func (r *Rows) Close() error { return r.cur.Close() }
 // and closes the cursor. Draining from the start reproduces exactly
 // what QueryCtx would have returned.
 func (r *Rows) Result() (*Result, error) {
+	defer r.Close()
 	res := &Result{Columns: append([]string(nil), r.Columns...)}
 	for {
-		batch, err := r.NextBatch(0)
+		c, err := r.NextChunk()
 		if err != nil {
-			r.Close()
 			return nil, err
 		}
-		if batch == nil {
-			break
+		if c == nil {
+			return res, nil
 		}
-		res.Rows = append(res.Rows, batch...)
+		res.Rows = appendBoxed(res.Rows, c)
 	}
-	r.Close()
-	return res, nil
 }
+
+// appendBoxed appends the rows of c, every cell boxed by Cell.
+func appendBoxed(rows [][]any, c *storage.Chunk) [][]any {
+	for i := range c.NumRows() {
+		row := make([]any, len(c.Cols))
+		for j, col := range c.Cols {
+			row[j] = Cell(col, i)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// Cell returns entry i of a result column as Result.Rows holds it:
+// int64, float64, string, bool, time.Time (DATE), *Path or nil (NULL).
+func Cell(col *storage.Column, i int) any { return fromValue(col.Get(i)) }
 
 // QueryRows is the core query entry point every other query method
 // wraps: ctx-first, per-statement options, returning an incremental

@@ -7,21 +7,22 @@ import (
 )
 
 // Cursor is the one form a statement's result takes above the
-// executor: the row-batch iterator seam between execution and
-// row-oriented consumers (the HTTP response sinks, the facade's Rows,
-// the CLI). It pulls batches from an open Operator tree and re-windows
-// them to the consumer's requested size. Execution happens *during*
-// iteration — the first window is available before the query finishes —
+// executor: the row-batch iterator seam between execution and its
+// consumers (the HTTP response sinks, the facade's Rows, the CLI). It
+// pulls batches from an open Operator tree. Execution happens *during*
+// iteration — the first batch is available before the query finishes —
 // and the total row count is unknown until exhaustion. A statement
 // without an operator tree of its own (EXPLAIN text, DDL/DML) is a
 // one-chunk operator (NewCursor), so every consumer drains every result
 // the same way.
 //
-// Each Next call polls the cancellation context, keeping a
-// disconnecting client's cursor under the same cancellation contract
-// as execution itself. Windows are zero-copy views
-// (storage.Chunk.Slice) of the current batch; a window stays valid
-// until the next Next call. A Cursor is not safe for concurrent use.
+// Pull is the one pull loop: it hands out the executor's batches as
+// they come, typed and uncopied, which is how the wire encoders consume
+// a result. Next is an accumulation loop over Pull for consumers that
+// want fixed-size windows. Each call polls the cancellation context,
+// keeping a disconnecting client's cursor under the same cancellation
+// contract as execution itself. A Cursor is not safe for concurrent
+// use.
 //
 // Close releases the underlying operator tree and is idempotent; an
 // exhausted or failed cursor closes itself, but consumers that may
@@ -75,19 +76,16 @@ func (c *Cursor) Schema() storage.Schema { return c.op.Schema() }
 // unknown: a cursor only learns its total at exhaustion.
 func (c *Cursor) NumRows() int { return c.known }
 
-// Next returns the next window of exactly maxRows rows — fewer only at
-// exhaustion — or (nil, nil) once the cursor is exhausted. maxRows <= 0
-// drains everything remaining into one window. Windows are filled
-// across operator batches, so the frame sequence a consumer observes
-// is a pure function of the result and maxRows — ceil(n/maxRows)
-// frames — never of the executor's internal batch boundaries (the
-// streamed wire encoding relies on this to stay byte-identical across
-// batch sizes and cache replays). A window served from within a single
-// batch is a zero-copy view valid until the next Next call; one that
-// spans batches is materialized fresh. It returns the context's error
-// if the consumer was canceled between batches; any error closes the
-// cursor and is sticky.
-func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
+// Pull is the cursor's one pull: it returns the rest of the current
+// executor batch — at most maxRows rows of it, all of it when maxRows
+// <= 0 — pulling the next batch once the current one is spent, or
+// (nil, nil) once the cursor is exhausted. It never crosses a batch
+// boundary: a batch taken whole is the operator's own chunk, a part of
+// one a zero-copy view (storage.Chunk.Slice). Either is read-only and
+// stays valid after later pulls, since operators never reuse a batch
+// they emitted. It returns the context's error if the consumer was
+// canceled between pulls; any error closes the cursor and is sticky.
+func (c *Cursor) Pull(maxRows int) (*storage.Chunk, error) {
 	if c.sticky != nil {
 		return nil, c.sticky
 	}
@@ -99,87 +97,68 @@ func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
 	if c.done || c.closed {
 		return nil, nil
 	}
-	if maxRows <= 0 {
-		return c.drain()
-	}
-	var acc *storage.Chunk // partial window spanning batch boundaries
-	accRows := 0
-	for {
-		if c.pend != nil && c.pos < c.pend.NumRows() {
-			avail := c.pend.NumRows() - c.pos
-			need := maxRows - accRows
-			if acc == nil && avail >= need {
-				win := c.pend.Slice(c.pos, c.pos+need)
-				c.pos += need
-				c.served += need
-				return win, nil
-			}
-			take := avail
-			if take > need {
-				take = need
-			}
-			part := c.pend.Slice(c.pos, c.pos+take)
-			if acc == nil {
-				acc = emptyLike(part)
-			}
-			acc.Extend(part)
-			accRows += take
-			c.pos += take
-			if accRows == maxRows {
-				c.served += accRows
-				return acc, nil
-			}
-			continue
-		}
+	for c.pend == nil || c.pos == c.pend.NumRows() {
 		b, err := c.op.Next()
 		if err != nil {
 			return nil, c.fail(err)
 		}
 		if b == nil {
-			break
+			c.finish()
+			return nil, nil
 		}
 		c.pend, c.pos = b, 0
 	}
-	c.served += accRows
-	c.finish()
-	if accRows == 0 {
-		return nil, nil
+	n := c.pend.NumRows() - c.pos
+	if maxRows > 0 && n > maxRows {
+		n = maxRows
 	}
-	return acc, nil
+	out := c.pend
+	if n < out.NumRows() {
+		out = out.Slice(c.pos, c.pos+n)
+	}
+	c.pos += n
+	c.served += n
+	return out, nil
 }
 
-// drain returns everything remaining as one window.
-func (c *Cursor) drain() (*storage.Chunk, error) {
-	var rest *storage.Chunk
-	if c.pend != nil && c.pos < c.pend.NumRows() {
-		rest = c.pend.Slice(c.pos, c.pend.NumRows())
-		c.pos = c.pend.NumRows()
+// Next returns the next window of exactly maxRows rows — fewer only at
+// exhaustion — or (nil, nil) once the cursor is exhausted. maxRows <= 0
+// drains everything remaining into one window. Windows are filled
+// across operator batches, so the windows a consumer observes are a
+// pure function of the result and maxRows, never of the executor's
+// batch boundaries. A window that one Pull served whole is its batch
+// (or a view of it); one that spans batches is materialized fresh.
+func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
+	var win *storage.Chunk
+	fresh := false // win is a materialized copy, not a Pull's batch
+	for rows := 0; maxRows <= 0 || rows < maxRows; {
+		b, err := c.Pull(maxRows - rows)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		rows += b.NumRows()
+		if win == nil {
+			win = b
+			continue
+		}
+		if !fresh {
+			first := win
+			win, fresh = emptyLike(first), true
+			win.Extend(first)
+		}
+		win.Extend(b)
 	}
-	more, err := drainInput(c.op)
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	switch {
-	case rest == nil:
-		rest = more
-	case more.NumRows() > 0:
-		out := emptyLike(rest)
-		out.Extend(rest)
-		out.Extend(more)
-		rest = out
-	}
-	c.served += rest.NumRows()
-	c.finish()
-	if rest.NumRows() == 0 {
-		return nil, nil
-	}
-	return rest, nil
+	return win, nil
 }
 
 // finish marks exhaustion: the total becomes known and the operator
 // tree is released.
 func (c *Cursor) finish() {
 	c.done = true
+	c.pend = nil
 	c.known = c.served
 	c.Close()
 }

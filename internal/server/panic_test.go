@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,6 +237,93 @@ func TestServerUnencodableCell(t *testing.T) {
 			if got := s.failureCounters().since(before); got != (failureCounters{errors: 1}) {
 				t.Fatalf("%s: counter deltas %+v, want one error and nothing canceled", label, got)
 			}
+		}
+	}
+	if e := s.Cache().Snapshot().Entries; e != 0 {
+		t.Fatalf("%d cache entries, want the failed result uncached", e)
+	}
+	checkAdmissionClean(t, s)
+}
+
+// encFailScript loads a table whose query
+//
+//	SELECT id, x * 1e308 AS y FROM enc WHERE id % 2 = 0
+//
+// returns ten rows, the fifth of them (id 10) finite and the sixth
+// (id 12, x = 2.0) overflowing to +Inf. The filter keeps one or two
+// rows of each scanned batch, so at any batch_rows the executor's
+// batches are ragged and the bad row falls inside one of them.
+func encFailScript() string {
+	var b strings.Builder
+	b.WriteString("CREATE TABLE enc (id BIGINT, x DOUBLE);\nINSERT INTO enc VALUES ")
+	for id := 1; id <= 20; id++ {
+		x := fmt.Sprintf("%d.0 / 100", id)
+		if id == 12 {
+			x = "2.0"
+		}
+		if id > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %s)", id, x)
+	}
+	return b.String()
+}
+
+// TestServerMidStreamEncodeFailure pins the bytes of a cell that fails
+// to encode partway through a result, as recorded from the encoder that
+// cut frames in fixed windows before encoding them. Every complete
+// frame ahead of the bad row goes out and the error trailer counts
+// exactly their rows; the frame holding the bad row never does. The
+// buffered body is the plain error. The query log's rows field counts
+// the rows written to the client.
+func TestServerMidStreamEncodeFailure(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	lb := &logBuffer{}
+	logger := slog.New(slog.NewTextHandler(lb, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, hs := newTestServer(t, Config{MaxInFlight: 4, TotalWorkers: 4, Logger: logger})
+	if status, body := postJSON(t, hs.URL+"/graphs/default/load", &wire.LoadRequest{Script: encFailScript()}); status != http.StatusOK {
+		t.Fatalf("load: status %d: %s", status, body)
+	}
+	const (
+		header  = `{"columns":["id","y"]}` + "\n"
+		failure = `"error":{"code":"internal","message":"json: unsupported value: +Inf"}}`
+	)
+	for _, c := range []struct {
+		batchRows int // 0: the buffered body
+		status    int
+		body      string
+		rows      string
+	}{
+		{1, http.StatusOK, header +
+			`{"rows":[[2,2e+306]]}` + "\n" +
+			`{"rows":[[4,4e+306]]}` + "\n" +
+			`{"rows":[[6,6e+306]]}` + "\n" +
+			`{"rows":[[8,8e+306]]}` + "\n" +
+			`{"rows":[[10,1.0000000000000001e+307]]}` + "\n" +
+			`{"row_count":5,` + failure + "\n", "5"},
+		{2, http.StatusOK, header +
+			`{"rows":[[2,2e+306],[4,4e+306]]}` + "\n" +
+			`{"rows":[[6,6e+306],[8,8e+306]]}` + "\n" +
+			`{"row_count":4,` + failure + "\n", "4"},
+		{3, http.StatusOK, header +
+			`{"rows":[[2,2e+306],[4,4e+306],[6,6e+306]]}` + "\n" +
+			`{"row_count":3,` + failure + "\n", "3"},
+		{1024, http.StatusOK, header + `{"row_count":0,` + failure + "\n", "0"},
+		{0, http.StatusInternalServerError, `{"row_count":0,` + failure, "0"},
+	} {
+		before, lines := s.failureCounters(), len(lb.lines())
+		req := &wire.QueryRequest{SQL: `SELECT id, x * 1e308 AS y FROM enc WHERE id % 2 = 0`, Stream: c.batchRows > 0, BatchRows: c.batchRows}
+		status, body, _ := postRaw(t, hs.URL+"/query", req)
+		if status != c.status || string(body) != c.body {
+			t.Fatalf("batch_rows %d: status %d, body\n%s\nwant %d, body\n%s", c.batchRows, status, body, c.status, c.body)
+		}
+		if got := s.failureCounters().since(before); got != (failureCounters{errors: 1}) {
+			t.Fatalf("batch_rows %d: counter deltas %+v, want one error", c.batchRows, got)
+		}
+		waitUntil(t, "query log line", func() bool { return len(lb.lines()) > lines })
+		line := lb.lines()[lines]
+		if logAttr(line, "outcome") != wire.CodeInternal || logAttr(line, "rows") != c.rows {
+			t.Fatalf("batch_rows %d: log line %q, want outcome internal and rows=%s", c.batchRows, line, c.rows)
 		}
 	}
 	if e := s.Cache().Snapshot().Entries; e != 0 {

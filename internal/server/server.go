@@ -88,6 +88,7 @@ import (
 	"time"
 
 	"graphsql"
+	"graphsql/internal/storage"
 	"graphsql/internal/trace"
 	"graphsql/internal/wire"
 )
@@ -549,12 +550,11 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 		s.finishQuery(r.Context(), qid, graphName, fp, tr, start, outcome, rowsOut)
 	}()
 
-	// The two response encodings are one sink over one drain. frame is
-	// the window the result is drained in — and the executor's batch
-	// bound: the whole result at once for the single JSON body; the
-	// requested frame size for NDJSON, so a small-batch stream starts
-	// flowing after the first few rows are computed instead of after the
-	// first 1024.
+	// The two response encodings are one sink over one drain of the
+	// executor's batches. frame is the rows per NDJSON frame (0: the
+	// single JSON body) — and the executor's batch bound, so a
+	// small-batch stream starts flowing after the first few rows are
+	// computed instead of after the first 1024.
 	rq := &running{ctx: r.Context(), timedOut: func() bool { return false }, qid: qid, fp: fp}
 	if q.Trace {
 		rq.traced = tr
@@ -592,7 +592,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 			// trace, when requested, is per-request by nature and rides
 			// outside that equivalence.)
 			s.queries.Add(1)
-			outcome, rowsOut = s.respond(rq, cached, nil)
+			outcome, rowsOut = s.respond(rq, cached, nil), rq.out.sent()
 			return
 		}
 	}
@@ -700,7 +700,8 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *wire.QueryR
 	if key != "" {
 		rq.out.cache, rq.out.key, rq.out.graph = s.cache, key, graphName
 	}
-	outcome, rowsOut = s.respond(rq, wire.NewEncoded(rows.Columns), rows.NextBatch)
+	outcome = s.respond(rq, wire.NewEncoded(rows.Columns), rows.NextChunk)
+	rowsOut = rq.out.sent()
 }
 
 // finishQuery closes out one query's observability: stage histograms
@@ -757,9 +758,9 @@ type running struct {
 }
 
 // sink is the response to one request in the encoding it asked for:
-// NDJSON frames of at most frame rows (wire/stream.go), or one buffered
+// NDJSON frames of frame rows (wire/stream.go), or one buffered
 // wire.QueryResponse body when frame is 0, both written from one
-// wire.Encoded. respond calls header once, batch per drained window of
+// wire.Encoded. respond calls header once, batch per executor batch of
 // a live result, then finish; fail may come at any point before finish
 // and answers in whatever shape the bytes already sent allow.
 type sink struct {
@@ -771,9 +772,9 @@ type sink struct {
 	// result, before the last byte goes out: a torn drain caches nothing.
 	cache      *ResultCache
 	key, graph string
-	live       [][]any            // the buffered body's windows, encoded by finish
+	live       []*storage.Chunk   // the buffered body's batches, encoded by finish
 	sw         *wire.StreamWriter // a stream's, once its header frame is out
-	written    int                // rows of rows already in stream frames
+	written    int                // rows of the buffered body, once it is out
 }
 
 // header opens the response over rows: empty for a live result, which
@@ -784,57 +785,56 @@ func (o *sink) header(rows *wire.Encoded) error {
 		return nil
 	}
 	o.w.Header().Set("Content-Type", wire.StreamContentType)
-	o.sw = wire.NewStreamWriter(o.w)
+	o.sw = wire.NewStreamWriter(o.w).Frames(rows, o.frame, o.cache != nil)
 	return o.sw.Header(rows.Columns())
 }
 
-// batch takes one window of a live result. The buffered body keeps it
-// for finish, which encodes it inside the "encode" stage; a stream
-// frames it at once and keeps the written rows only for the cache,
-// while they fit its admission budget.
-func (o *sink) batch(b [][]any) error {
+// batch takes one executor batch of a live result. The buffered body
+// keeps it for finish, which encodes it inside the "encode" stage; a
+// stream encodes it at once, writes every complete frame, and keeps
+// the written rows only for the cache, while they fit its admission
+// budget.
+func (o *sink) batch(c *storage.Chunk) error {
 	if o.sw == nil {
-		o.live = append(o.live, b...)
+		o.live = append(o.live, c)
 		return nil
 	}
-	if err := o.rows.Append(b); err != nil {
+	if err := o.sw.Chunk(c); err != nil {
 		return err
 	}
-	if err := o.frames(); err != nil {
-		return err
-	}
-	if o.cache == nil || o.rows.Size() > o.cache.AdmissionBudget() {
-		o.rows.Reset()
-		o.written, o.cache = 0, nil
+	if o.cache != nil && o.rows.Size() > o.cache.AdmissionBudget() {
+		o.sw.Forget()
+		o.cache = nil
 	}
 	return nil
 }
 
-// frames writes the stream's rows not yet in a frame, frame rows each.
-func (o *sink) frames() error {
-	for o.written < o.rows.Len() {
-		hi := min(o.written+o.frame, o.rows.Len())
-		if err := o.sw.Rows(o.rows, o.written, hi); err != nil {
-			return err
-		}
-		o.written = hi
+// sent returns the rows written to the client so far.
+func (o *sink) sent() int {
+	if o.sw != nil {
+		return o.sw.Sent()
 	}
-	return nil
+	return o.written
 }
 
 // finish writes every row not yet written and completes a successful
 // response; tree is the query's span tree when the request asked for
 // it. It fails only before its last write: a cell that fails to encode
-// (*wire.EncodeError), or a frame of a cache hit that cannot go out.
+// (*wire.EncodeError), or a frame that cannot go out.
 func (o *sink) finish(tree *trace.Node) (err error) {
 	var body []byte
 	if o.sw != nil {
-		err = o.frames()
+		err = o.sw.Flush()
 	} else {
 		// tree was snapshotted before the encode span opens: it cannot
 		// describe the encoding it is itself part of.
 		spEnc := o.tr.Begin(trace.NoSpan, "encode")
-		if err = o.rows.Append(o.live); err == nil {
+		for _, c := range o.live {
+			if err = o.rows.AppendChunk(c); err != nil {
+				break
+			}
+		}
+		if err == nil {
 			body, err = o.rows.AppendResponse(nil, tree)
 		}
 		o.tr.End(spEnc)
@@ -852,6 +852,7 @@ func (o *sink) finish(tree *trace.Node) (err error) {
 	}
 	o.w.Header().Set("Content-Type", "application/json")
 	o.w.Write(body)
+	o.written = o.rows.Len()
 	return nil
 }
 
@@ -864,45 +865,43 @@ func (o *sink) fail(code string, err error) {
 }
 
 // respond is the one drain behind every successful response: it pulls
-// windows of rq.out.frame rows from next — a live cursor's NextBatch,
-// nil for a cache hit, whose stored rows finish writes — into the
-// request's sink. The cursor *is* the execution, so any execution
-// failure — a contained panic, an injected fault, a runtime error,
-// cancellation — can surface between windows; it, a cell that fails to
-// encode, a failed write and a panic on this goroutine (recovered here,
-// where the sink can still answer in the right shape) all go through
-// failExec. It reports the outcome ("ok", else the wire code the
-// response failed with) and the rows delivered.
-func (s *Server) respond(rq *running, rows *wire.Encoded, next func(max int) ([][]any, error)) (outcome string, sent int) {
+// executor batches from next — a live result's Rows.NextChunk, nil for
+// a cache hit, whose stored rows finish writes — into the request's
+// sink. The cursor *is* the execution, so any execution failure — a
+// contained panic, an injected fault, a runtime error, cancellation —
+// can surface between batches; it, a cell that fails to encode, a
+// failed write and a panic on this goroutine (recovered here, where
+// the sink can still answer in the right shape) all go through
+// failExec. It reports the outcome: "ok", else the wire code the
+// response failed with.
+func (s *Server) respond(rq *running, rows *wire.Encoded, next func() (*storage.Chunk, error)) (outcome string) {
 	defer func() {
 		if rv := recover(); rv != nil {
 			outcome = s.failExec(rq, &graphsql.QueryPanicError{Value: rv, Stack: debug.Stack()}, wire.CodePanic)
 		}
 	}()
 	if err := rq.out.header(rows); err != nil {
-		return s.failExec(rq, err, wire.CodeCanceled), 0 // client gone before the first frame
+		return s.failExec(rq, err, wire.CodeCanceled) // client gone before the first frame
 	}
-	sent = rows.Len() // a cache hit's, written by finish
 	for next != nil {
-		b, err := next(rq.out.frame)
+		c, err := next()
 		if err != nil {
-			return s.failExec(rq, err, wire.CodeSQL), sent
+			return s.failExec(rq, err, wire.CodeSQL)
 		}
-		if b == nil {
+		if c == nil {
 			break
 		}
 		// An unencodable cell or an injected stream fault is internal
 		// (wire.ErrorCode) and answered; only a failed write — the client
 		// is gone, nothing is left to tell it — falls back to canceled.
-		if err := rq.out.batch(b); err != nil {
-			return s.failExec(rq, err, wire.CodeCanceled), sent
+		if err := rq.out.batch(c); err != nil {
+			return s.failExec(rq, err, wire.CodeCanceled)
 		}
-		sent += len(b)
 	}
 	if err := rq.out.finish(rq.traced.Tree()); err != nil {
-		return s.failExec(rq, err, wire.CodeCanceled), sent
+		return s.failExec(rq, err, wire.CodeCanceled)
 	}
-	return "ok", sent
+	return "ok"
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,12 @@
 package wire
 
-// The one cell encoder: each cell is appended to a byte buffer once,
-// by appendCell. Anything without a direct case — a string that needs
-// escaping, NaN, ±Inf, a folded json.Number, another type — goes
-// through encoding/json, so bytes and error text are encoding/json's.
+// The one cell encoder: each cell is appended to a byte buffer once —
+// from its typed column by AppendChunk on every gsqld and gsql result,
+// or boxed by appendCell for the [][]any entry points (Append,
+// QueryResponse.Encode, StreamWriter.Batch). Anything without a direct
+// case — a string that needs escaping, NaN, ±Inf, a path, a folded
+// json.Number, another type — goes through appendCell's
+// encoding/json route, so bytes and error text are encoding/json's.
 
 import (
 	"encoding/json"
@@ -13,7 +16,9 @@ import (
 	"unicode/utf8"
 
 	"graphsql"
+	"graphsql/internal/storage"
 	"graphsql/internal/trace"
+	"graphsql/internal/types"
 )
 
 // EncodeError is a cell with no JSON encoding; its text is encoding/json's.
@@ -45,26 +50,91 @@ func (e *Encoded) Size() int64 { return int64(len(e.rows) + 8*len(e.ends)) }
 // Reset drops the encoded rows, keeping the buffers.
 func (e *Encoded) Reset() { e.rows, e.ends = e.rows[:0], e.ends[:0] }
 
-// Append encodes rows after those held; on an *EncodeError it keeps
-// none of them. Appending no rows does not touch e.
+// Append encodes rows after those held. On an *EncodeError it keeps
+// the rows before the failing one. Appending no rows does not touch e.
 func (e *Encoded) Append(rows [][]any) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	b, n, held := e.rows, len(e.rows), len(e.ends)
-	for _, row := range rows {
+	return e.appendRows(len(rows), func(b []byte, i int) ([]byte, error) { return appendRow(b, rows[i]) })
+}
+
+// AppendChunk encodes the rows of an executor batch after those held,
+// each cell straight from its typed column — the bytes Append writes
+// for the same rows boxed the way graphsql.Rows.NextBatch boxes them.
+// Path cells and non-finite floats take appendCell's route through
+// their boxed form, so their bytes and error text stay encoding/json's.
+// On an *EncodeError it keeps the rows before the failing one.
+func (e *Encoded) AppendChunk(c *storage.Chunk) error {
+	return e.appendRows(c.NumRows(), func(b []byte, i int) ([]byte, error) {
+		b = append(b, '[')
+		for j, col := range c.Cols {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendColumnCell(b, col, i); err != nil {
+				return b, err
+			}
+		}
+		return append(b, ']'), nil
+	})
+}
+
+// appendRows appends n rows, row i by row, each after a comma but the
+// first; a row that fails is dropped with the rows after it.
+func (e *Encoded) appendRows(n int, row func(b []byte, i int) ([]byte, error)) error {
+	for i := range n {
+		b, held := e.rows, len(e.rows)
 		if len(e.ends) > 0 {
 			b = append(b, ',')
 		}
-		var err error
-		if b, err = appendRow(b, row); err != nil {
-			e.rows, e.ends = b[:n], e.ends[:held]
+		b, err := row(b, i)
+		if err != nil {
+			e.rows = b[:held]
 			return err
 		}
-		e.ends = append(e.ends, len(b))
+		e.rows, e.ends = b, append(e.ends, len(b))
 	}
-	e.rows = b
 	return nil
+}
+
+// appendColumnCell appends entry i of col as appendCell appends its
+// boxed form (graphsql.Cell).
+func appendColumnCell(b []byte, col *storage.Column, i int) ([]byte, error) {
+	if col.IsNull(i) {
+		return append(b, "null"...), nil
+	}
+	switch col.Kind {
+	case types.KindFloat:
+		if f := col.Floats[i]; !math.IsInf(f, 0) && !math.IsNaN(f) {
+			return appendFloat(b, f), nil
+		}
+	case types.KindString:
+		return appendString(b, col.Strs[i])
+	case types.KindBool:
+		return strconv.AppendBool(b, col.Ints[i] != 0), nil
+	case types.KindDate:
+		return appendDate(b, time.Unix(col.Ints[i]*86400, 0).UTC()), nil
+	case types.KindPath: // appendCell's route, below
+	default:
+		return strconv.AppendInt(b, col.Ints[i], 10), nil
+	}
+	return appendCell(b, graphsql.Cell(col, i))
+}
+
+// discard drops the first n rows, keeping those after them.
+func (e *Encoded) discard(n int) {
+	if n == 0 {
+		return
+	}
+	if n == len(e.ends) {
+		e.Reset()
+		return
+	}
+	start := e.ends[n-1] + 1 // past the separating comma
+	e.rows = e.rows[:copy(e.rows, e.rows[start:])]
+	e.ends = e.ends[:copy(e.ends, e.ends[n:])]
+	for i := range e.ends {
+		e.ends[i] -= start
+	}
 }
 
 // window returns rows [lo, hi) as they appear inside a JSON array.
@@ -155,7 +225,7 @@ func appendCell(b []byte, v any) ([]byte, error) {
 	case string:
 		return appendString(b, t)
 	case time.Time:
-		return append(t.AppendFormat(append(b, '"'), "2006-01-02"), '"'), nil
+		return appendDate(b, t), nil
 	case *graphsql.Path:
 		if t != nil {
 			b = append(appendNames(append(b, `{"columns":`...), t.Columns), `,"rows":`...)
@@ -168,6 +238,11 @@ func appendCell(b []byte, v any) ([]byte, error) {
 		return b, &EncodeError{error: err}
 	}
 	return b, nil
+}
+
+// appendDate appends a DATE cell as a "YYYY-MM-DD" string.
+func appendDate(b []byte, t time.Time) []byte {
+	return append(t.AppendFormat(append(b, '"'), "2006-01-02"), '"')
 }
 
 // appendString appends s as a JSON string; it never fails.

@@ -26,6 +26,7 @@ import (
 	"io"
 
 	"graphsql/internal/fault"
+	"graphsql/internal/storage"
 	"graphsql/internal/trace"
 )
 
@@ -46,11 +47,22 @@ type flusher interface{ Flush() }
 
 // StreamWriter emits a chunked response frame by frame, each built in
 // one reused buffer. Methods must be called in protocol order: Header
-// once, Batch or Rows any number of times, then exactly one of Trailer
-// or Fail.
+// once, then batch frames, then exactly one of Trailer or Fail.
+//
+// A result's batch frames are cut from one Encoded (Frames): Chunk
+// encodes each executor batch into it as it arrives and writes every
+// complete window of frame rows, and Flush, on the trailer path, writes
+// the last partial one. Frame boundaries are thus a pure function of
+// the result and the frame size — never of the executor's batch
+// boundaries — which keeps a stream byte-identical across batch sizes
+// and cache replays. gsqld and gsql's -stream mode share this loop.
 type StreamWriter struct {
 	w     io.Writer
-	rows  Encoded // Batch's rows, reused
+	src   *Encoded // the rows batch frames are cut from
+	size  int      // rows per batch frame
+	cut   int      // rows of src already in frames
+	keep  bool     // keep src's rows once they are in frames
+	rows  Encoded  // Batch's rows, reused
 	frame []byte
 	sent  int // rows in the batch frames written
 }
@@ -58,6 +70,17 @@ type StreamWriter struct {
 // NewStreamWriter wraps a destination (typically an
 // http.ResponseWriter, which is flushed after every frame).
 func NewStreamWriter(w io.Writer) *StreamWriter { return &StreamWriter{w: w} }
+
+// Frames makes rows the result sw cuts batch frames of frame rows (at
+// least one) from, and returns sw. rows may already hold the whole
+// result (a cache hit, which Flush writes without touching rows) or be
+// empty and filled by Chunk. Unless keep is set, Chunk drops rows from
+// it once they are in frames, so a stream that keeps no copy of its
+// result holds at most a frame and a batch of encoded rows.
+func (sw *StreamWriter) Frames(rows *Encoded, frame int, keep bool) *StreamWriter {
+	sw.src, sw.size, sw.cut, sw.keep = rows, frame, 0, keep
+	return sw
+}
 
 // send writes frame, newline-terminated, and flushes.
 func (sw *StreamWriter) send(frame []byte) error {
@@ -78,6 +101,52 @@ func (sw *StreamWriter) Header(columns []string) error {
 	}
 	return sw.send(append(appendNames(append(sw.frame[:0], `{"columns":`...), columns), '}'))
 }
+
+// Chunk encodes one executor batch after the rows sw frames and writes
+// each complete frame of them not yet written. A cell with no JSON
+// encoding fails it with an *EncodeError, after the complete frames
+// of the rows before that cell went out — the frames a stream cut in
+// fixed windows from the start would have written before the window
+// that holds the bad row.
+func (sw *StreamWriter) Chunk(c *storage.Chunk) error {
+	err := sw.src.AppendChunk(c)
+	if werr := sw.frames(false); werr != nil {
+		return werr
+	}
+	if !sw.keep {
+		sw.src.discard(sw.cut)
+		sw.cut = 0
+	}
+	return err
+}
+
+// Flush writes every framed row not yet written — the last, partial
+// frame of a live result, or all of a stored one.
+func (sw *StreamWriter) Flush() error { return sw.frames(true) }
+
+// frames writes the rows of src not yet in a frame, size rows a frame;
+// a partial last frame only when all is set.
+func (sw *StreamWriter) frames(all bool) error {
+	for n := sw.src.Len() - sw.cut; n >= sw.size || all && n > 0; n = sw.src.Len() - sw.cut {
+		hi := sw.cut + min(n, sw.size)
+		if err := sw.Rows(sw.src, sw.cut, hi); err != nil {
+			return err
+		}
+		sw.cut = hi
+	}
+	return nil
+}
+
+// Forget stops keeping the rows: it drops those already in frames now,
+// and Chunk drops later ones as they go out.
+func (sw *StreamWriter) Forget() {
+	sw.keep = false
+	sw.src.discard(sw.cut)
+	sw.cut = 0
+}
+
+// Sent returns the rows in the batch frames written so far.
+func (sw *StreamWriter) Sent() int { return sw.sent }
 
 // Batch encodes and writes one row batch as a frame. Empty batches are
 // skipped.

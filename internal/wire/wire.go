@@ -7,6 +7,13 @@
 //
 // One encoder (encode.go) writes every cell once: for the buffered
 // body, each NDJSON frame, the server's result cache (Encoded) and gsql.
+// gsqld and gsql encode a result from the executor's typed batches
+// (graphsql.Rows.NextChunk → Encoded.AppendChunk), never boxing a cell;
+// the [][]any entry points — FromResult and QueryResponse.Encode,
+// Encoded.Append, StreamWriter.Batch — serve embedding callers, the
+// benchmark harness and tests. NDJSON frames are cut from the encoded
+// result in fixed windows (StreamWriter.Frames), whatever the sizes of
+// the batches it was encoded from.
 //
 // Cell mapping (lossless for everything the engine produces):
 //
@@ -32,6 +39,7 @@ import (
 
 	"graphsql"
 	"graphsql/internal/fault"
+	"graphsql/internal/storage"
 	"graphsql/internal/trace"
 )
 
@@ -218,19 +226,19 @@ func (r *QueryResponse) Encode() ([]byte, error) {
 // Write writes a statement's outcome the way gsqld answers it — its
 // rows, or err when it failed before it had any — as one buffered
 // QueryResponse object and a newline, or as an NDJSON stream of
-// DefaultBatchRows-row frames. tr, when non-nil, is the query's trace.
-// A failure ends the output in gsqld's shape and code and is returned.
+// DefaultBatchRows-row frames. Either is encoded from the executor's
+// typed batches (Rows.NextChunk), with gsqld's loop. tr, when non-nil,
+// is the query's trace. A failure ends the output in gsqld's shape and
+// code and is returned.
 func Write(w io.Writer, rows *graphsql.Rows, err error, stream bool, tr *trace.Trace) error {
 	if err == nil && stream {
 		defer rows.Close()
-		sw := NewStreamWriter(w)
-		err = sw.Header(rows.Columns)
-		for err == nil {
-			var b [][]any
-			if b, err = rows.NextBatch(DefaultBatchRows); err != nil || b == nil {
-				break
-			}
-			err = sw.Batch(b)
+		sw := NewStreamWriter(w).Frames(NewEncoded(nil), DefaultBatchRows, false)
+		if err = sw.Header(rows.Columns); err == nil {
+			err = drain(rows, sw.Chunk)
+		}
+		if err == nil {
+			err = sw.Flush()
 		}
 		if err != nil {
 			sw.Fail(ErrorCode(err, CodeSQL), err)
@@ -240,11 +248,10 @@ func Write(w io.Writer, rows *graphsql.Rows, err error, stream bool, tr *trace.T
 	}
 	var body []byte
 	if err == nil {
-		var res *graphsql.Result
-		if res, err = rows.Result(); err == nil {
-			resp := FromResult(res)
-			resp.Trace = tr.Tree()
-			body, err = resp.Encode()
+		defer rows.Close()
+		enc := NewEncoded(rows.Columns)
+		if err = drain(rows, enc.AppendChunk); err == nil {
+			body, err = enc.AppendResponse(nil, tr.Tree())
 		}
 	}
 	if err != nil {
@@ -254,6 +261,20 @@ func Write(w io.Writer, rows *graphsql.Rows, err error, stream bool, tr *trace.T
 		err = werr
 	}
 	return err
+}
+
+// drain hands each executor batch of rows to add, until the result
+// ends or either fails.
+func drain(rows *graphsql.Rows, add func(*storage.Chunk) error) error {
+	for {
+		c, err := rows.NextChunk()
+		if err != nil || c == nil {
+			return err
+		}
+		if err = add(c); err != nil {
+			return err
+		}
+	}
 }
 
 // DecodeRequest reads one request payload — a QueryRequest,

@@ -52,6 +52,48 @@ func TestQueryRowsBatches(t *testing.T) {
 	}
 }
 
+// TestQueryRowsNextChunk: NextChunk hands out the executor's batches
+// as they come — bounded by BatchRows, ragged after a filter — and Cell
+// reads each cell as Result.Rows holds it.
+func TestQueryRowsNextChunk(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE t (x BIGINT, s VARCHAR)`)
+	for i := 0; i < 10; i++ {
+		db.MustExec(`INSERT INTO t VALUES (?, ?)`, i, "v")
+	}
+	const q = `SELECT x, s FROM t WHERE x % 3 <> 1`
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryRows(context.Background(), QueryOptions{BatchRows: 4}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]any
+	var sizes []int
+	for {
+		c, err := rows.NextChunk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			break
+		}
+		sizes = append(sizes, c.NumRows())
+		for i := range c.NumRows() {
+			got = append(got, []any{Cell(c.Cols[0], i), Cell(c.Cols[1], i)})
+		}
+	}
+	// Scan batches 0-3, 4-7, 8-9 keep 0,2,3 | 5,6 | 8,9.
+	if !reflect.DeepEqual(sizes, []int{3, 2, 2}) || rows.Len() != 7 {
+		t.Fatalf("batch sizes %v, total %d; want [3 2 2] and 7", sizes, rows.Len())
+	}
+	if !reflect.DeepEqual(got, want.Rows) {
+		t.Fatalf("chunk rows differ:\n%v\nvs\n%v", got, want.Rows)
+	}
+}
+
 // TestQueryRowsSnapshotIsolation: a cursor taken before writes must
 // keep serving the rows it saw — INSERT appends beyond the snapshot,
 // DELETE swaps columns underneath it — while new queries see the new
