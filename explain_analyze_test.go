@@ -210,3 +210,54 @@ func TestExplainAnalyzeZeroRowOperators(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainAnalyzeShowsSkippedWindows: a 128-row range of a
+// 65,536-row sorted table reads the two windows it straddles, and the
+// scan line says so; a scan that skips nothing, and plain EXPLAIN,
+// render as before.
+func TestExplainAnalyzeShowsSkippedWindows(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE pairs (seq BIGINT, src BIGINT, dst BIGINT)`)
+	for from := 0; from < 64*1024; from += 1024 {
+		var b strings.Builder
+		b.WriteString("INSERT INTO pairs VALUES ")
+		for i := from; i < from+1024; i++ {
+			if i > from {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %d, %d)", i, i%7, i%13)
+		}
+		db.MustExec(b.String())
+	}
+	const q = `SELECT p.src, p.dst FROM pairs p WHERE p.seq >= ? AND p.seq < ?`
+	analyze := func(q string, args ...any) string {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE "+q, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planText(t, plan)
+	}
+	text := analyze(q, 960, 1088)
+	if !regexp.MustCompile(`(?m)^\s+Scan pairs AS p \(rows=2048, time=[^,]+, windows=2/64\)`).MatchString(text) {
+		t.Fatalf("range scan does not report windows=2/64:\n%s", text)
+	}
+	if !regexp.MustCompile(`Filter .*\(rows=128, rows_in=2048, `).MatchString(text) {
+		t.Fatalf("filter does not keep 128 of the 2,048 rows read:\n%s", text)
+	}
+	for _, whole := range []string{
+		`SELECT p.src FROM pairs p WHERE p.seq >= ? OR p.seq < ?`,
+		`SELECT p.src FROM pairs p WHERE p.seq >= ? AND p.src < ?`,
+	} {
+		if text := analyze(whole, 0, 5); strings.Contains(text, "windows=") {
+			t.Fatalf("a scan that read every window reports windows:\n%s", text)
+		}
+	}
+	plain, err := db.Explain(q, 960, 1088)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "Project p.src, p.dst\n  Filter ((p.seq >= ?1) AND (p.seq < ?2))\n    Scan pairs AS p\n"; plain != want {
+		t.Fatalf("plain EXPLAIN changed:\n%s\nwant\n%s", plain, want)
+	}
+}

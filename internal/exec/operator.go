@@ -62,7 +62,7 @@ func Build(n plan.Node, ctx *Context) (Operator, error) {
 func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanOp{windowOp: newWindow(n), scan: t}, nil
+		return &scanOp{opBase: newBase(n), scan: t}, nil
 	case *plan.ChunkScan:
 		return &chunkOp{windowOp: newWindow(n), src: t.Chunk}, nil
 	case *plan.Rename:
@@ -87,6 +87,9 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		child, err := buildOp(t.Input, ctx)
 		if err != nil {
 			return nil, err
+		}
+		if scan, ok := child.(*scanOp); ok {
+			scan.pred = t.Pred
 		}
 		return &filterOp{opBase: newBase(n), f: t, child: child}, nil
 	case *plan.Project:
@@ -425,18 +428,129 @@ func (o *windowOp) materialize() (*storage.Chunk, error) {
 // (storage.Chunk.Slice) under the caller's lock, so the batches stay
 // valid — and isolated from concurrent INSERT/DELETE — after the lock
 // is released.
+//
+// A scan under a Filter holds its predicate and reads only the sealed
+// windows (storage.ZoneRows rows each) whose zones can satisfy every
+// bound the predicate puts on a column (expr.Bounds), plus the partial
+// window at the end; a scan with nothing to prune reads the whole
+// table. The filter still runs the whole predicate over every batch,
+// so it alone decides which rows qualify.
 type scanOp struct {
-	windowOp
+	opBase
 	scan *plan.Scan
+	pred expr.Expr
+	view *storage.Chunk
+	// ranges are the row ranges still to emit, in order; whole backs
+	// the one range of a scan that reads everything.
+	ranges []rowRange
+	whole  [1]rowRange
 }
+
+type rowRange struct{ lo, hi int }
 
 func (o *scanOp) Open(ctx *Context) error {
 	defer o.openBase(ctx)()
 	if err := o.openCheck(); err != nil {
 		return err
 	}
-	o.win.chunk = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Slice(0, o.scan.Table.NumRows())
+	n := o.scan.Table.NumRows()
+	o.view = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Slice(0, n)
+	o.ranges = o.pick(ctx)
 	return nil
+}
+
+// pick chooses the row ranges to read and records on the span how many
+// windows they cover when that is fewer than the table's.
+func (o *scanOp) pick(ctx *Context) []rowRange {
+	n := o.view.NumRows()
+	sealed := n / storage.ZoneRows
+	var bounds []expr.Bound
+	if o.pred != nil && sealed > 0 {
+		bounds = expr.Bounds(ctx.Expr, o.pred, o.view)
+	}
+	if len(bounds) == 0 {
+		if n == 0 {
+			return nil
+		}
+		o.whole[0] = rowRange{0, n}
+		return o.whole[:]
+	}
+	zones := make([][]storage.Zone, len(bounds))
+	for i, b := range bounds {
+		zones[i] = o.scan.Table.Zones(b.Col, o.view.Cols[b.Col])
+	}
+	var out []rowRange
+	add := func(lo, hi int) {
+		if k := len(out); k > 0 && out[k-1].hi == lo {
+			out[k-1].hi = hi
+		} else {
+			out = append(out, rowRange{lo, hi})
+		}
+	}
+	scanned := 0
+windows:
+	for w := 0; w < sealed; w++ {
+		for i, b := range bounds {
+			if !b.Admits(zones[i][w]) {
+				continue windows
+			}
+		}
+		scanned++
+		add(w*storage.ZoneRows, (w+1)*storage.ZoneRows)
+	}
+	total := sealed
+	if tail := sealed * storage.ZoneRows; tail < n {
+		scanned++
+		total++
+		add(tail, n)
+	}
+	if scanned < total {
+		o.tr.SetWindows(o.sp, scanned, total)
+	}
+	return out
+}
+
+func (o *scanOp) Next() (*storage.Chunk, error) {
+	if err := o.step(); err != nil {
+		return nil, err
+	}
+	if len(o.ranges) == 0 {
+		return o.emit(nil), nil
+	}
+	r := &o.ranges[0]
+	hi := min(r.lo+o.ctx.batchRows(), r.hi)
+	c := o.view.Slice(r.lo, hi)
+	if r.lo = hi; r.lo == r.hi {
+		o.ranges = o.ranges[1:]
+	}
+	return o.emit(c), nil
+}
+
+// materialize hands over the remaining ranges as one chunk: a
+// zero-copy view when they are one range, else a copy.
+func (o *scanOp) materialize() (*storage.Chunk, error) {
+	if err := o.step(); err != nil {
+		return nil, err
+	}
+	var c *storage.Chunk
+	switch len(o.ranges) {
+	case 0:
+		c = storage.NewChunk(o.sch)
+	case 1:
+		if r := o.ranges[0]; r.lo > 0 || r.hi < o.view.NumRows() {
+			c = o.view.Slice(r.lo, r.hi)
+		} else {
+			c = o.view
+		}
+	default:
+		c = emptyLike(o.view)
+		for _, r := range o.ranges {
+			c.Extend(o.view.Slice(r.lo, r.hi))
+		}
+	}
+	o.ranges = nil
+	o.emit(c)
+	return c, nil
 }
 
 func (o *scanOp) Close() error {

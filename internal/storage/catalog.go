@@ -14,6 +14,7 @@ type Table struct {
 	Name   string
 	Schema Schema
 	Cols   []*Column
+	zones  tableZones
 }
 
 // NumRows returns the table cardinality.

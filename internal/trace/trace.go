@@ -55,7 +55,10 @@ type span struct {
 	index         string
 	graphVertices int
 	graphEdges    int
-	levels        []levelSample
+	// windowsScanned of windowsTotal zone windows a pruned scan read.
+	windowsScanned int
+	windowsTotal   int
+	levels         []levelSample
 }
 
 // Trace records the spans of one query. Safe for concurrent use: the
@@ -175,6 +178,19 @@ func (t *Trace) SetGraphBuilt(id SpanID, vertices, edges int) {
 	t.mu.Lock()
 	if int(id) < len(t.spans) {
 		t.spans[id].graphVertices, t.spans[id].graphEdges = vertices, edges
+	}
+	t.mu.Unlock()
+}
+
+// SetWindows records that a scan read scanned of the total windows of
+// its table, skipping the rest by their zones.
+func (t *Trace) SetWindows(id SpanID, scanned, total int) {
+	if t == nil || id < 0 {
+		return
+	}
+	t.mu.Lock()
+	if int(id) < len(t.spans) {
+		t.spans[id].windowsScanned, t.spans[id].windowsTotal = scanned, total
 	}
 	t.mu.Unlock()
 }
@@ -329,11 +345,21 @@ type Node struct {
 	// Index, GraphVertices and GraphEdges are GraphMatch attributes: how
 	// a cached graph index served the operator (IndexHit, IndexRefresh,
 	// IndexRebuild), or the size of the graph it built without one.
-	Index         string  `json:"index,omitempty"`
-	GraphVertices int     `json:"graph_vertices,omitempty"`
-	GraphEdges    int     `json:"graph_edges,omitempty"`
-	Levels        []Level `json:"levels,omitempty"`
-	Children      []*Node `json:"children,omitempty"`
+	Index         string `json:"index,omitempty"`
+	GraphVertices int    `json:"graph_vertices,omitempty"`
+	GraphEdges    int    `json:"graph_edges,omitempty"`
+	// Windows is set on a scan that skipped some of its table's
+	// windows by their zones.
+	Windows  *Windows `json:"windows,omitempty"`
+	Levels   []Level  `json:"levels,omitempty"`
+	Children []*Node  `json:"children,omitempty"`
+}
+
+// Windows is how many of its table's windows (storage.ZoneRows rows
+// each, the last one possibly partial) a scan read.
+type Windows struct {
+	Scanned int `json:"scanned"`
+	Total   int `json:"total"`
 }
 
 // Tree snapshots the spans as a tree under a synthetic root named
@@ -373,6 +399,9 @@ func (t *Trace) Tree() *Node {
 		if s.rows >= 0 {
 			rows := s.rows
 			n.Rows = &rows
+		}
+		if s.windowsTotal > 0 {
+			n.Windows = &Windows{Scanned: s.windowsScanned, Total: s.windowsTotal}
 		}
 		if len(s.levels) > 0 {
 			n.Levels = make([]Level, len(s.levels))
@@ -434,6 +463,9 @@ func Render(root *Node) string {
 		}
 		if n.GraphVertices > 0 || n.GraphEdges > 0 {
 			fmt.Fprintf(&b, ", graph_vertices=%d, graph_edges=%d", n.GraphVertices, n.GraphEdges)
+		}
+		if n.Windows != nil {
+			fmt.Fprintf(&b, ", windows=%d/%d", n.Windows.Scanned, n.Windows.Total)
 		}
 		if n.Workers > 0 {
 			fmt.Fprintf(&b, ", workers=%d", n.Workers)

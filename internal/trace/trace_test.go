@@ -17,6 +17,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 		sp := tr.Begin(NoSpan, "op")
 		tr.SetRows(sp, 42)
 		tr.SetWorkers(sp, 4)
+		tr.SetWindows(sp, 2, 64)
 		tr.AddLevel(sp, 3, 128, true)
 		tr.End(sp)
 		_ = tr.Duration(sp)
@@ -100,6 +101,38 @@ func TestLevelWireForm(t *testing.T) {
 		if string(got) != tc.want {
 			t.Fatalf("%+v encodes as %s, want %s", tc.l, got, tc.want)
 		}
+	}
+}
+
+// TestWindowsWireForm: a scan that skipped windows carries them on the
+// wire and in the rendered tree; any other span encodes as it did
+// before scans had windows.
+func TestWindowsWireForm(t *testing.T) {
+	tr := New()
+	pruned := tr.Begin(NoSpan, "Scan p AS p")
+	tr.SetRows(pruned, 2048)
+	tr.SetWindows(pruned, 2, 64)
+	tr.End(pruned)
+	whole := tr.Begin(NoSpan, "Scan q AS q")
+	tr.SetRows(whole, 7)
+	tr.End(whole)
+	root := tr.Tree()
+	got, err := json.Marshal(root.Children[0].Windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != `{"scanned":2,"total":64}` {
+		t.Fatalf("windows encode as %s", got)
+	}
+	if got, err = json.Marshal(root.Children[1]); err != nil || strings.Contains(string(got), "windows") {
+		t.Fatalf("a scan that skipped nothing encodes windows: %s, %v", got, err)
+	}
+	text := Render(root)
+	if !strings.Contains(text, "Scan p AS p (rows=2048, time=") || !strings.Contains(text, ", windows=2/64)") {
+		t.Fatalf("rendered tree lacks windows=2/64:\n%s", text)
+	}
+	if strings.Count(text, "windows=") != 1 {
+		t.Fatalf("windows= on a scan that skipped nothing:\n%s", text)
 	}
 }
 
