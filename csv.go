@@ -14,8 +14,10 @@ import (
 // LoadCSV bulk-loads CSV data into an existing table. The first record
 // must be a header naming a subset of the table's columns (matched
 // case-insensitively, in any order); remaining columns are filled with
-// NULL. Cell parsing follows the column type; empty cells are NULL.
-// It returns the number of rows loaded.
+// NULL. Cell parsing follows the column type; empty or all-space cells
+// are NULL. It returns the number of rows loaded; on an error, which
+// names its CSV row (the header is row 1), the rows before that one
+// stay loaded.
 //
 // Together with cmd/ldbcgen this round-trips generated datasets
 // through files.
@@ -30,13 +32,13 @@ func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
-		return 0, fmt.Errorf("reading CSV header: %w", err)
+		return 0, fmt.Errorf("CSV row 1: reading the header: %w", err)
 	}
 	colIdx := make([]int, len(header))
 	for i, name := range header {
 		idx := t.Schema.ColIndex("", strings.TrimSpace(name))
 		if idx < 0 {
-			return 0, fmt.Errorf("table %s has no column %q", t.Name, name)
+			return 0, fmt.Errorf("CSV row 1: table %s has no column %q", t.Name, name)
 		}
 		colIdx[i] = idx
 	}
@@ -61,7 +63,7 @@ func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
 			rowBuf[colIdx[i]] = v
 		}
 		if err := t.AppendRow(rowBuf); err != nil {
-			return rows, err
+			return rows, fmt.Errorf("CSV row %d: %w", rows+2, err)
 		}
 		rows++
 	}

@@ -42,7 +42,7 @@ type Cursor struct {
 }
 
 // NewCursor returns a cursor over an already-materialized chunk: a
-// chunkOp opened on the spot, so the result of a statement that
+// chunk source opened on the spot, so the result of a statement that
 // executed to completion drains like any operator tree. ctx may be nil
 // (never cancels); chunk may be nil (an empty result, e.g. a DDL
 // statement). A failure to open — cancellation, an injected fault — is
@@ -51,8 +51,7 @@ func NewCursor(ctx context.Context, chunk *storage.Chunk) *Cursor {
 	if chunk == nil {
 		chunk = &storage.Chunk{}
 	}
-	op := &chunkOp{src: chunk}
-	op.describe, op.sch = "Result", chunk.Schema
+	op := chunkSource(opBase{describe: "Result", sch: chunk.Schema}, chunk)
 	c := NewOperatorCursor(ctx, op, nil)
 	if err := op.Open((&Context{Ctx: ctx}).orDefault()); err != nil {
 		c.fail(err)
@@ -82,9 +81,9 @@ func (c *Cursor) NumRows() int { return c.known }
 // (nil, nil) once the cursor is exhausted. It never crosses a batch
 // boundary: a batch taken whole is the operator's own chunk, a part of
 // one a zero-copy view (storage.Chunk.Slice). Either is read-only and
-// stays valid after later pulls, since operators never reuse a batch
-// they emitted. It returns the context's error if the consumer was
-// canceled between pulls; any error closes the cursor and is sticky.
+// stays valid after later pulls (see the package doc on batches). It
+// returns the context's error if the consumer was canceled between
+// pulls; any error closes the cursor and is sticky.
 func (c *Cursor) Pull(maxRows int) (*storage.Chunk, error) {
 	if c.sticky != nil {
 		return nil, c.sticky
@@ -129,29 +128,7 @@ func (c *Cursor) Pull(maxRows int) (*storage.Chunk, error) {
 // batch boundaries. A window that one Pull served whole is its batch
 // (or a view of it); one that spans batches is materialized fresh.
 func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
-	var win *storage.Chunk
-	fresh := false // win is a materialized copy, not a Pull's batch
-	for rows := 0; maxRows <= 0 || rows < maxRows; {
-		b, err := c.Pull(maxRows - rows)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		rows += b.NumRows()
-		if win == nil {
-			win = b
-			continue
-		}
-		if !fresh {
-			first := win
-			win, fresh = emptyLike(first), true
-			win.Extend(first)
-		}
-		win.Extend(b)
-	}
-	return win, nil
+	return accumulate(c.Pull, maxRows)
 }
 
 // finish marks exhaustion: the total becomes known and the operator

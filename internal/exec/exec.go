@@ -10,9 +10,26 @@
 // distinct, the deduplicating set operations, CTE bodies — drain their
 // inputs, run their one deterministic core over the whole input once
 // (on as many workers as the size gate grants), and window the output
-// back into batches. Results are value-identical at any worker count
+// back into batches. Every operator shares one skeleton (opBase): Open
+// opens its span and its inputs in plan order, Close closes them all
+// and ends the span, and windowOp hands out any held chunk in batches.
+//
+// A statement that succeeds returns the same rows at any worker count
 // and any batch size; the golden corpus, the batch-size differential
 // tests and the relational oracle in internal/testutil pin that down.
+// A statement that fails is not batch-independent in what it reports:
+// a kernel stops at the first error of the batch it runs over, so the
+// batch boundaries decide which operand's error is reported, and
+// whether a LIMIT fills up before the batch holding a failing row.
+//
+// Batches are read-only and never reused: an operator never writes to
+// or recycles a batch it emitted, so a consumer may hold one for as
+// long as it likes. Holders that rely on this are the accumulation
+// loop behind drainInput and Cursor.Next (it keeps its first batch
+// while it pulls the second), the server's buffered response sink
+// (its live slice keeps every batch until finish encodes them), and
+// the breakers (they keep their drained inputs until their core has
+// run). Reusing batches must change each of them first.
 package exec
 
 import (

@@ -82,7 +82,7 @@ func openFilter(t *testing.T, pred expr.Expr, batch *storage.Chunk, params ...ty
 	ctx := (&Context{Expr: &expr.Context{Params: params}}).orDefault()
 	f := &plan.Filter{Input: scan(batch), Pred: pred}
 	child := &repeatOp{batch: batch}
-	op := &filterOp{opBase: newBase(f), f: f, child: child}
+	op := &filterOp{opBase: newBase(f, []Operator{child}, ctx), f: f}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -59,19 +59,11 @@ func Build(n plan.Node, ctx *Context) (Operator, error) {
 	return buildOp(n, ctx.orDefault())
 }
 
+// buildOp builds the node's children in plan order, then the operator
+// over them. A Shared (CTE) node builds its body once per execution;
+// every reference to it windows that body's one materialization.
 func buildOp(n plan.Node, ctx *Context) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return &scanOp{opBase: newBase(n), scan: t}, nil
-	case *plan.ChunkScan:
-		return &chunkOp{windowOp: newWindow(n), src: t.Chunk}, nil
-	case *plan.Rename:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &renameOp{opBase: newBase(n), child: child}, nil
-	case *plan.Shared:
+	if t, ok := n.(*plan.Shared); ok {
 		st := ctx.sharedState(t)
 		if st.op == nil {
 			op, err := buildOp(t.Input, ctx)
@@ -80,113 +72,85 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 			}
 			st.op = op
 		}
-		op := &sharedOp{windowOp: newWindow(n), state: st}
+		op := &sharedOp{windowOp: windowOp{opBase: newBase(n, nil, ctx)}, state: st}
 		op.compute = op.drainShared
 		return op, nil
-	case *plan.Filter:
-		child, err := buildOp(t.Input, ctx)
+	}
+	kids := n.Children()
+	in := make([]Operator, len(kids))
+	for i, c := range kids {
+		op, err := buildOp(c, ctx)
 		if err != nil {
 			return nil, err
 		}
-		if scan, ok := child.(*scanOp); ok {
+		in[i] = op
+	}
+	b := newBase(n, in, ctx)
+	switch t := n.(type) {
+	case *plan.Scan:
+		return &scanOp{windowOp: windowOp{opBase: b}, scan: t}, nil
+	case *plan.ChunkScan:
+		return chunkSource(b, t.Chunk), nil
+	case *plan.Rename:
+		return &renameOp{opBase: b}, nil
+	case *plan.Filter:
+		if scan, ok := in[0].(*scanOp); ok {
 			scan.pred = t.Pred
 		}
-		return &filterOp{opBase: newBase(n), f: t, child: child}, nil
+		return &filterOp{opBase: b, f: t}, nil
 	case *plan.Project:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &projectOp{opBase: newBase(n), p: t, child: child}, nil
+		return &projectOp{opBase: b, p: t}, nil
 	case *plan.Unnest:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &unnestOp{opBase: newBase(n), u: t, child: child}, nil
+		return &unnestOp{opBase: b, u: t}, nil
 	case *plan.Limit:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOp{opBase: newBase(n), l: t, child: child}, nil
+		return &limitOp{opBase: b, l: t}, nil
 	case *plan.GraphMatch:
-		input, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		edge, err := buildOp(t.Edge, ctx)
-		if err != nil {
-			return nil, err
-		}
-		op := &graphMatchOp{windowOp: newWindow(n), g: t, input: input, edge: edge}
+		op := &graphMatchOp{windowOp: windowOp{opBase: b}, g: t}
 		op.compute = op.solve
 		return op, nil
 	case *plan.SetOp:
-		left, err := buildOp(t.Left, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := buildOp(t.Right, ctx)
-		if err != nil {
-			return nil, err
-		}
 		if t.Op == "UNION" && t.All {
 			// UNION ALL is the one set operation that pipelines: it is
 			// pure concatenation, the merge operator shard routing will
 			// compose over.
-			return &unionAllOp{opBase: newBase(n), left: left, right: right}, nil
+			return &unionAllOp{opBase: b}, nil
 		}
-		return newBreaker(n, []Operator{left, right}, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
+		return breaker(b, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
 			return setOpCore(t, ins[0], ins[1], ctx)
 		}), nil
 	case *plan.Join:
-		left, err := buildOp(t.Left, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := buildOp(t.Right, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newBreaker(n, []Operator{left, right}, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
+		return breaker(b, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
 			return joinCore(t, ins[0], ins[1], ctx)
 		}), nil
 	case *plan.Aggregate:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newBreaker(n, []Operator{child}, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
+		return breaker(b, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
 			return aggregateCore(t, ins[0], ctx)
 		}), nil
 	case *plan.Sort:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newBreaker(n, []Operator{child}, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
+		return breaker(b, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
 			return sortCore(t, ins[0], ctx)
 		}), nil
 	case *plan.Distinct:
-		child, err := buildOp(t.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newBreaker(n, []Operator{child}, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
+		return breaker(b, func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error) {
 			return distinctCore(t, ins[0], ctx)
 		}), nil
 	}
 	return nil, planNodeError(n)
 }
 
-// opBase carries the cross-cutting concerns every operator shares: the
-// schema, the execution context captured at Open, and the operator's
-// trace span (opened at Open, fed per batch, ended at exhaustion or
-// Close).
+// opBase is the life cycle every operator shares: the schema, the
+// operator's inputs, the execution context captured at Open, and the
+// operator's trace span (opened at Open, fed per batch, ended at
+// exhaustion or Close). An operator overrides Open or Close only to add
+// to them.
 type opBase struct {
+	node plan.Node
+	// describe is node's Describe line (see newBase and name).
 	describe string
 	sch      storage.Schema
+	// in holds the operator's inputs in plan order; Open opens them in
+	// that order and Close closes them all.
+	in       []Operator
 	ctx      *Context
 	tr       *trace.Trace
 	sp       trace.SpanID
@@ -194,27 +158,70 @@ type opBase struct {
 	spanDone bool
 }
 
-func newBase(n plan.Node) opBase {
-	return opBase{describe: n.Describe(), sch: n.Schema()}
+// newBase renders the operator's Describe line at once when the
+// execution is traced, before any span opens, so no span pays for its
+// inputs' names; untraced, only the batch observer may ever need it.
+func newBase(n plan.Node, in []Operator, ctx *Context) opBase {
+	b := opBase{node: n, sch: n.Schema(), in: in}
+	if ctx.Trace != nil {
+		b.describe = n.Describe()
+	}
+	return b
+}
+
+func (b *opBase) name() string {
+	if b.describe == "" {
+		b.describe = b.node.Describe()
+	}
+	return b.describe
 }
 
 // Schema implements Operator.
 func (b *opBase) Schema() storage.Schema { return b.sch }
 
-// openBase records the execution context and opens this operator's
+// Open implements Operator: it opens the span, runs the admission
+// check, then opens the inputs in order under the span.
+func (b *opBase) Open(ctx *Context) error {
+	parent := b.openSpan(ctx)
+	defer func() { ctx.TraceSpan = parent }()
+	if err := b.openCheck(); err != nil {
+		return err
+	}
+	for _, c := range b.in {
+		if err := c.Open(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close implements Operator: it closes every input, keeping the first
+// error, and ends the span. Closing an input twice is harmless, so a
+// breaker may close each input as soon as it has drained it.
+func (b *opBase) Close() error {
+	var err error
+	for _, c := range b.in {
+		if cerr := c.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	b.endSpan()
+	return err
+}
+
+// openSpan records the execution context and opens this operator's
 // trace span under the current parent, redirecting ctx.TraceSpan at it
-// so children opened before the returned restore func runs nest under
-// it, mirroring the plan tree.
-func (b *opBase) openBase(ctx *Context) func() {
+// so inputs opened until the caller restores the returned parent nest
+// under it, mirroring the plan tree.
+func (b *opBase) openSpan(ctx *Context) (parent trace.SpanID) {
 	b.ctx = ctx
 	b.tr = ctx.Trace
-	if b.tr == nil {
-		return func() {}
+	parent = ctx.TraceSpan
+	if b.tr != nil {
+		b.sp = b.tr.Begin(parent, b.name())
+		ctx.TraceSpan = b.sp
 	}
-	parent := ctx.TraceSpan
-	b.sp = b.tr.Begin(parent, b.describe)
-	ctx.TraceSpan = b.sp
-	return func() { ctx.TraceSpan = parent }
+	return parent
 }
 
 // openCheck is the per-operator admission check, fired once per
@@ -256,7 +263,7 @@ func (b *opBase) emit(c *storage.Chunk) *storage.Chunk {
 		b.tr.AddBatch(b.sp)
 	}
 	if obs := batchObserver; obs != nil {
-		obs(b.describe, c.NumRows())
+		obs(b.name(), c.NumRows())
 	}
 	return c
 }
@@ -293,40 +300,49 @@ type materializer interface {
 }
 
 // drainInput fully materializes the remaining output of an open
-// operator. Batches are concatenated into fresh columns (a batch is
-// typically a zero-copy view whose backing arrays must not be appended
-// to); a single-batch result is returned as-is, and zero batches yield
-// an empty chunk with the operator's schema.
+// operator; zero batches yield an empty chunk with its schema.
 func drainInput(op Operator) (*storage.Chunk, error) {
 	if m, ok := op.(materializer); ok {
 		return m.materialize()
 	}
-	var first, out *storage.Chunk
-	for {
-		c, err := op.Next()
+	c, err := accumulate(func(int) (*storage.Chunk, error) { return op.Next() }, 0)
+	if c == nil && err == nil {
+		c = storage.NewChunk(op.Schema())
+	}
+	return c, err
+}
+
+// accumulate is the one accumulation loop: it pulls batches of at most
+// the rows still wanted until it holds maxRows rows (everything when
+// maxRows <= 0) or pull is exhausted, and returns nil if pull had
+// nothing. A single batch is returned as it came; once a second one
+// arrives, both are copied into fresh columns (a batch is typically a
+// zero-copy view whose backing arrays must not be appended to). It
+// holds the first batch across the next pull (see the package doc).
+func accumulate(pull func(maxRows int) (*storage.Chunk, error), maxRows int) (*storage.Chunk, error) {
+	var win *storage.Chunk
+	fresh := false // win is a copy, not a pulled batch
+	for rows := 0; maxRows <= 0 || rows < maxRows; {
+		b, err := pull(maxRows - rows)
 		if err != nil {
 			return nil, err
 		}
-		if c == nil {
+		if b == nil {
 			break
 		}
-		if first == nil {
-			first = c
+		rows += b.NumRows()
+		if win == nil {
+			win = b
 			continue
 		}
-		if out == nil {
-			out = emptyLike(first)
-			out.Extend(first)
+		if !fresh {
+			first := win
+			win, fresh = emptyLike(first), true
+			win.Extend(first)
 		}
-		out.Extend(c)
+		win.Extend(b)
 	}
-	if out != nil {
-		return out, nil
-	}
-	if first != nil {
-		return first, nil
-	}
-	return storage.NewChunk(op.Schema()), nil
+	return win, nil
 }
 
 // emptyLike returns an empty chunk whose columns match c's kinds (not
@@ -339,56 +355,99 @@ func emptyLike(c *storage.Chunk) *storage.Chunk {
 	return out
 }
 
-// outWindow hands out bounded zero-copy windows of a materialized
-// chunk; breakers use it to re-batch their output.
+// outWindow hands out bounded zero-copy windows of a list of row
+// ranges of one chunk: the windows a scan picked of its table view, or
+// all of a breaker's output.
 type outWindow struct {
 	chunk *storage.Chunk
-	pos   int
+	// ranges are the non-empty row ranges still to hand out, in order;
+	// whole backs the one range of a window over all of chunk.
+	ranges []rowRange
+	whole  [1]rowRange
 }
 
+type rowRange struct{ lo, hi int }
+
+// all points the window at every row of c.
+func (w *outWindow) all(c *storage.Chunk) {
+	w.chunk, w.ranges = c, nil
+	if n := c.NumRows(); n > 0 {
+		w.whole[0] = rowRange{0, n}
+		w.ranges = w.whole[:]
+	}
+}
+
+// next returns the next window of at most batch rows (the rest of the
+// current range when batch <= 0), or nil when no rows are left.
 func (w *outWindow) next(batch int) *storage.Chunk {
-	n := w.chunk.NumRows()
-	if w.pos >= n {
+	if len(w.ranges) == 0 {
 		return nil
 	}
-	hi := w.pos + batch
-	if hi > n {
-		hi = n
+	r := &w.ranges[0]
+	hi := r.hi
+	if batch > 0 {
+		hi = min(r.lo+batch, hi)
 	}
-	c := w.chunk.Slice(w.pos, hi)
-	w.pos = hi
+	c := w.chunk.Slice(r.lo, hi)
+	if r.lo = hi; r.lo == r.hi {
+		w.ranges = w.ranges[1:]
+	}
 	return c
 }
 
-// rest returns everything not yet windowed out as one chunk.
+// rest returns everything not yet windowed out as one chunk: the chunk
+// itself while all of it is left, else the remaining ranges
+// accumulated (a zero-copy view when one is left).
 func (w *outWindow) rest() *storage.Chunk {
-	n := w.chunk.NumRows()
-	if w.pos == 0 {
-		w.pos = n
+	if n := w.chunk.NumRows(); n == 0 || len(w.ranges) == 1 && w.ranges[0] == (rowRange{0, n}) {
+		w.ranges = nil
 		return w.chunk
 	}
-	c := w.chunk.Slice(w.pos, n)
-	w.pos = n
-	if c.NumRows() == 0 {
-		return nil
-	}
+	c, _ := accumulate(func(int) (*storage.Chunk, error) { return w.next(0), nil }, 0)
 	return c
 }
 
 // windowOp is the shared body of every operator that holds its whole
-// output as one chunk and hands it out in bounded windows: the scans
-// (chunk set at Open) and the breakers (chunk produced by compute on
-// the first pull). It implements Next and the materializer drain once
-// for all of them.
+// output as one chunk and hands it out in bounded windows: the sources
+// (a scan windows its table at Open, a chunk source its chunk at Build)
+// and the breakers (chunk produced by compute on the first pull). It
+// implements Next and the materializer drain once for all of them.
 type windowOp struct {
 	opBase
 	win outWindow
-	// compute fills win.chunk on the first Next or materialize; scans
-	// leave it nil because Open already did.
-	compute func() error
+	// compute produces the chunk on the first Next or materialize;
+	// sources leave it nil because their window is already set.
+	compute func() (*storage.Chunk, error)
 }
 
-func newWindow(n plan.Node) windowOp { return windowOp{opBase: newBase(n)} }
+// chunkSource windows an already-materialized chunk (ChunkScan, and the
+// result of a statement that ran to completion).
+func chunkSource(b opBase, c *storage.Chunk) *windowOp {
+	op := &windowOp{opBase: b}
+	op.win.all(c)
+	return op
+}
+
+// breaker is the generic pipeline breaker: on the first pull it drains
+// its inputs into materialized chunks and runs core over them once.
+// Each input is closed as soon as it is drained, so its trace span
+// reports production time, not the breaker's lifetime.
+func breaker(b opBase, core func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)) *windowOp {
+	op := &windowOp{opBase: b}
+	op.compute = func() (*storage.Chunk, error) {
+		ins := make([]*storage.Chunk, len(op.in))
+		for i, c := range op.in {
+			in, err := drainInput(c)
+			if err != nil {
+				return nil, err
+			}
+			c.Close()
+			ins[i] = in
+		}
+		return core(op.ctx, ins)
+	}
+	return op
+}
 
 // pull is the per-call prologue of Next and materialize: the batch
 // boundary check, then the one-time compute.
@@ -397,7 +456,11 @@ func (o *windowOp) pull() error {
 		return err
 	}
 	if o.win.chunk == nil {
-		return o.compute()
+		c, err := o.compute()
+		if err != nil {
+			return err
+		}
+		o.win.all(c)
 	}
 	return nil
 }
@@ -436,48 +499,35 @@ func (o *windowOp) materialize() (*storage.Chunk, error) {
 // table. The filter still runs the whole predicate over every batch,
 // so it alone decides which rows qualify.
 type scanOp struct {
-	opBase
+	windowOp
 	scan *plan.Scan
 	pred expr.Expr
-	view *storage.Chunk
-	// ranges are the row ranges still to emit, in order; whole backs
-	// the one range of a scan that reads everything.
-	ranges []rowRange
-	whole  [1]rowRange
 }
 
-type rowRange struct{ lo, hi int }
-
 func (o *scanOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
+	if err := o.opBase.Open(ctx); err != nil {
 		return err
 	}
 	n := o.scan.Table.NumRows()
-	o.view = (&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Slice(0, n)
-	o.ranges = o.pick(ctx)
+	o.win.all((&storage.Chunk{Schema: o.scan.Sch, Cols: o.scan.Table.Cols}).Slice(0, n))
+	if o.pred != nil && n >= storage.ZoneRows {
+		o.prune(ctx)
+	}
 	return nil
 }
 
-// pick chooses the row ranges to read and records on the span how many
-// windows they cover when that is fewer than the table's.
-func (o *scanOp) pick(ctx *Context) []rowRange {
-	n := o.view.NumRows()
-	sealed := n / storage.ZoneRows
-	var bounds []expr.Bound
-	if o.pred != nil && sealed > 0 {
-		bounds = expr.Bounds(ctx.Expr, o.pred, o.view)
-	}
+// prune narrows the window to the ranges the zones admit and records on
+// the span how many windows they cover when that is fewer than the
+// table's.
+func (o *scanOp) prune(ctx *Context) {
+	view := o.win.chunk
+	bounds := expr.Bounds(ctx.Expr, o.pred, view)
 	if len(bounds) == 0 {
-		if n == 0 {
-			return nil
-		}
-		o.whole[0] = rowRange{0, n}
-		return o.whole[:]
+		return
 	}
 	zones := make([][]storage.Zone, len(bounds))
 	for i, b := range bounds {
-		zones[i] = o.scan.Table.Zones(b.Col, o.view.Cols[b.Col])
+		zones[i] = o.scan.Table.Zones(b.Col, view.Cols[b.Col])
 	}
 	var out []rowRange
 	add := func(lo, hi int) {
@@ -487,6 +537,8 @@ func (o *scanOp) pick(ctx *Context) []rowRange {
 			out = append(out, rowRange{lo, hi})
 		}
 	}
+	n := view.NumRows()
+	sealed := n / storage.ZoneRows
 	scanned := 0
 windows:
 	for w := 0; w < sealed; w++ {
@@ -507,75 +559,7 @@ windows:
 	if scanned < total {
 		o.tr.SetWindows(o.sp, scanned, total)
 	}
-	return out
-}
-
-func (o *scanOp) Next() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	if len(o.ranges) == 0 {
-		return o.emit(nil), nil
-	}
-	r := &o.ranges[0]
-	hi := min(r.lo+o.ctx.batchRows(), r.hi)
-	c := o.view.Slice(r.lo, hi)
-	if r.lo = hi; r.lo == r.hi {
-		o.ranges = o.ranges[1:]
-	}
-	return o.emit(c), nil
-}
-
-// materialize hands over the remaining ranges as one chunk: a
-// zero-copy view when they are one range, else a copy.
-func (o *scanOp) materialize() (*storage.Chunk, error) {
-	if err := o.step(); err != nil {
-		return nil, err
-	}
-	var c *storage.Chunk
-	switch len(o.ranges) {
-	case 0:
-		c = storage.NewChunk(o.sch)
-	case 1:
-		if r := o.ranges[0]; r.lo > 0 || r.hi < o.view.NumRows() {
-			c = o.view.Slice(r.lo, r.hi)
-		} else {
-			c = o.view
-		}
-	default:
-		c = emptyLike(o.view)
-		for _, r := range o.ranges {
-			c.Extend(o.view.Slice(r.lo, r.hi))
-		}
-	}
-	o.ranges = nil
-	o.emit(c)
-	return c, nil
-}
-
-func (o *scanOp) Close() error {
-	o.endSpan()
-	return nil
-}
-
-// chunkOp windows an already-materialized chunk (ChunkScan).
-type chunkOp struct {
-	windowOp
-	src *storage.Chunk
-}
-
-func (o *chunkOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	o.win.chunk = o.src
-	return nil
-}
-
-func (o *chunkOp) Close() error {
-	o.endSpan()
-	return nil
+	o.win.ranges = out
 }
 
 // ---------------------------------------------------------------------------
@@ -583,24 +567,13 @@ func (o *chunkOp) Close() error {
 
 // renameOp relabels its child's batches under the derived-table or CTE
 // alias schema; zero cost per batch.
-type renameOp struct {
-	opBase
-	child Operator
-}
-
-func (o *renameOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	return o.child.Open(ctx)
-}
+type renameOp struct{ opBase }
 
 func (o *renameOp) Next() (*storage.Chunk, error) {
 	if err := o.step(); err != nil {
 		return nil, err
 	}
-	in, err := o.child.Next()
+	in, err := o.in[0].Next()
 	if err != nil {
 		return nil, err
 	}
@@ -614,7 +587,7 @@ func (o *renameOp) materialize() (*storage.Chunk, error) {
 	if err := o.step(); err != nil {
 		return nil, err
 	}
-	in, err := drainInput(o.child)
+	in, err := drainInput(o.in[0])
 	if err != nil {
 		return nil, err
 	}
@@ -623,33 +596,17 @@ func (o *renameOp) materialize() (*storage.Chunk, error) {
 	return out, nil
 }
 
-func (o *renameOp) Close() error {
-	err := o.child.Close()
-	o.endSpan()
-	return err
-}
-
 // filterOp selects each batch's rows with expr.Select — row-local, so
 // per-batch selection concatenates to the whole-input result — and
 // emits the survivors: a batch that survives whole passes through
 // unchanged, any other is gathered into a fresh exact-size batch, and
 // one with no survivors is skipped, so consumers never see empty
 // batches. The selection vector is scratch reused across batches; an
-// emitted batch is never reused, since drainInput and the cursor hold
-// it across the next Next.
+// emitted batch is never reused (see the package doc).
 type filterOp struct {
 	opBase
-	f     *plan.Filter
-	child Operator
-	sel   []int
-}
-
-func (o *filterOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	return o.child.Open(ctx)
+	f   *plan.Filter
+	sel []int
 }
 
 func (o *filterOp) Next() (*storage.Chunk, error) {
@@ -657,7 +614,7 @@ func (o *filterOp) Next() (*storage.Chunk, error) {
 		return nil, err
 	}
 	for {
-		in, err := o.child.Next()
+		in, err := o.in[0].Next()
 		if err != nil {
 			return nil, err
 		}
@@ -677,34 +634,19 @@ func (o *filterOp) Next() (*storage.Chunk, error) {
 	}
 }
 
-func (o *filterOp) Close() error {
-	err := o.child.Close()
-	o.endSpan()
-	return err
-}
-
 // projectOp evaluates the projection expressions per batch. Scalar
 // expressions are row-local, so per-batch evaluation concatenates to
 // exactly the whole-input evaluation.
 type projectOp struct {
 	opBase
-	p     *plan.Project
-	child Operator
-}
-
-func (o *projectOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	return o.child.Open(ctx)
+	p *plan.Project
 }
 
 func (o *projectOp) Next() (*storage.Chunk, error) {
 	if err := o.step(); err != nil {
 		return nil, err
 	}
-	in, err := o.child.Next()
+	in, err := o.in[0].Next()
 	if err != nil {
 		return nil, err
 	}
@@ -718,32 +660,17 @@ func (o *projectOp) Next() (*storage.Chunk, error) {
 	return o.emit(out), nil
 }
 
-func (o *projectOp) Close() error {
-	err := o.child.Close()
-	o.endSpan()
-	return err
-}
-
 // unnestOp expands nested-table paths incrementally: it fills each
 // output batch up to the batch bound and remembers its position inside
 // the current input row's path, so even one row with a huge path never
 // forces an unbounded batch.
 type unnestOp struct {
 	opBase
-	u     *plan.Unnest
-	child Operator
-	in    *storage.Chunk
-	pc    *storage.Column
-	row   int
-	edge  int
-}
-
-func (o *unnestOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	return o.child.Open(ctx)
+	u    *plan.Unnest
+	cur  *storage.Chunk
+	pc   *storage.Column
+	row  int
+	edge int
 }
 
 func (o *unnestOp) Next() (*storage.Chunk, error) {
@@ -754,9 +681,9 @@ func (o *unnestOp) Next() (*storage.Chunk, error) {
 	out := storage.NewChunk(o.u.Sch)
 	nPathCols := len(o.u.PathSchema)
 	appendRow := func(row int, edge []types.Value, ord int64) {
-		inWidth := len(o.in.Cols)
+		inWidth := len(o.cur.Cols)
 		for c := 0; c < inWidth; c++ {
-			out.Cols[c].Append(o.in.Cols[c].Get(row))
+			out.Cols[c].Append(o.cur.Cols[c].Get(row))
 		}
 		if edge == nil {
 			for c := 0; c < nPathCols; c++ {
@@ -775,20 +702,20 @@ func (o *unnestOp) Next() (*storage.Chunk, error) {
 		}
 	}
 	for out.NumRows() < batch {
-		if o.in == nil || o.row >= o.in.NumRows() {
-			in, err := o.child.Next()
+		if o.cur == nil || o.row >= o.cur.NumRows() {
+			in, err := o.in[0].Next()
 			if err != nil {
 				return nil, err
 			}
 			if in == nil {
-				o.in = nil
+				o.cur = nil
 				break
 			}
 			pc, err := o.u.PathExpr.Eval(o.ctx.Expr, in)
 			if err != nil {
 				return nil, err
 			}
-			o.in, o.pc, o.row, o.edge = in, pc, 0, 0
+			o.cur, o.pc, o.row, o.edge = in, pc, 0, 0
 		}
 		row := o.row
 		if o.pc.IsNull(row) || o.pc.Paths[row].Len() == 0 {
@@ -814,18 +741,11 @@ func (o *unnestOp) Next() (*storage.Chunk, error) {
 	return o.emit(out), nil
 }
 
-func (o *unnestOp) Close() error {
-	err := o.child.Close()
-	o.endSpan()
-	return err
-}
-
 // limitOp skips and truncates without materializing: once the count is
 // exhausted it stops pulling its child entirely.
 type limitOp struct {
 	opBase
 	l         *plan.Limit
-	child     Operator
 	skip      int
 	remain    int
 	unlimited bool
@@ -833,11 +753,7 @@ type limitOp struct {
 }
 
 func (o *limitOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	if err := o.child.Open(ctx); err != nil {
+	if err := o.opBase.Open(ctx); err != nil {
 		return err
 	}
 	skip, count, unlimited, err := limitBounds(o.l, ctx)
@@ -857,7 +773,7 @@ func (o *limitOp) Next() (*storage.Chunk, error) {
 		return o.emit(nil), nil
 	}
 	for {
-		in, err := o.child.Next()
+		in, err := o.in[0].Next()
 		if err != nil {
 			return nil, err
 		}
@@ -886,33 +802,19 @@ func (o *limitOp) Next() (*storage.Chunk, error) {
 	}
 }
 
-func (o *limitOp) Close() error {
-	err := o.child.Close()
-	o.endSpan()
-	return err
-}
-
 // unionAllOp concatenates its inputs: all left batches, then all right
 // batches relabeled to the left schema — the composable merge operator
 // a shard-scatter coordinator stacks results with.
 type unionAllOp struct {
 	opBase
-	left, right Operator
-	onRight     bool
+	cur int // the input being read
 }
 
 func (o *unionAllOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
+	if err := o.opBase.Open(ctx); err != nil {
 		return err
 	}
-	if err := o.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := o.right.Open(ctx); err != nil {
-		return err
-	}
-	if nl, nr := len(o.left.Schema()), len(o.right.Schema()); nl != nr {
+	if nl, nr := len(o.in[0].Schema()), len(o.in[1].Schema()); nl != nr {
 		return fmt.Errorf("UNION: operands have %d and %d columns", nl, nr)
 	}
 	return nil
@@ -922,105 +824,27 @@ func (o *unionAllOp) Next() (*storage.Chunk, error) {
 	if err := o.step(); err != nil {
 		return nil, err
 	}
-	for {
-		src := o.left
-		if o.onRight {
-			src = o.right
-		}
-		in, err := src.Next()
+	for ; o.cur < len(o.in); o.cur++ {
+		in, err := o.in[o.cur].Next()
 		if err != nil {
 			return nil, err
 		}
-		if in == nil {
-			if !o.onRight {
-				o.onRight = true
-				continue
-			}
-			return o.emit(nil), nil
+		if in != nil {
+			return o.emit(&storage.Chunk{Schema: o.sch, Cols: in.Cols}), nil
 		}
-		return o.emit(&storage.Chunk{Schema: o.sch, Cols: in.Cols}), nil
 	}
-}
-
-func (o *unionAllOp) Close() error {
-	lerr := o.left.Close()
-	rerr := o.right.Close()
-	o.endSpan()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
+	return o.emit(nil), nil
 }
 
 // ---------------------------------------------------------------------------
 // Pipeline breakers
 
-// breakerOp is the generic pipeline breaker: it drains its children
-// into materialized chunks on the first pull, runs the operator's
-// parallel core over them once, and windows the output back into
-// batches.
-type breakerOp struct {
-	windowOp
-	children []Operator
-	eval     func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)
-}
-
-func newBreaker(n plan.Node, children []Operator, eval func(ctx *Context, ins []*storage.Chunk) (*storage.Chunk, error)) *breakerOp {
-	op := &breakerOp{windowOp: newWindow(n), children: children, eval: eval}
-	op.compute = op.run
-	return op
-}
-
-func (o *breakerOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
-	for _, c := range o.children {
-		if err := c.Open(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// run drains the inputs and runs the core. Children are closed as soon
-// as they are drained, so their trace spans report production time, not
-// the breaker's lifetime.
-func (o *breakerOp) run() error {
-	ins := make([]*storage.Chunk, len(o.children))
-	for i, c := range o.children {
-		in, err := drainInput(c)
-		if err != nil {
-			return err
-		}
-		c.Close()
-		ins[i] = in
-	}
-	out, err := o.eval(o.ctx, ins)
-	if err != nil {
-		return err
-	}
-	o.win.chunk = out
-	return nil
-}
-
-func (o *breakerOp) Close() error {
-	var err error
-	for _, c := range o.children {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	o.endSpan()
-	return err
-}
-
-// graphMatchOp is the pull form of the paper's graph select σ̂. Open
-// resolves — and refreshes — the cached dynamic graph index under the
-// caller's lock; the solve itself runs at the first Next, lock-free
-// under the index's own read lock. Without an index the edge subplan
-// is drained and a throwaway graph is built.
+// graphMatchOp is the pull form of the paper's graph select σ̂. Its
+// inputs are the pair input and the edge subplan. Open resolves — and
+// refreshes — the cached dynamic graph index under the caller's lock;
+// the solve itself runs at the first Next, lock-free under the index's
+// own read lock. Without an index the edge subplan is drained and a
+// throwaway graph is built.
 //
 // Relaxation: with a cached index, a solve that runs after the
 // caller's lock was released may observe edges appended by writes that
@@ -1029,18 +853,19 @@ func (o *breakerOp) Close() error {
 // serialization point.
 type graphMatchOp struct {
 	windowOp
-	g     *plan.GraphMatch
-	input Operator
-	edge  Operator
-	dg    *core.DynamicGraph
+	g  *plan.GraphMatch
+	dg *core.DynamicGraph
 }
 
+// Open opens the pair input, then either the cached index or the edge
+// input, never both.
 func (o *graphMatchOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
+	parent := o.openSpan(ctx)
+	defer func() { ctx.TraceSpan = parent }()
 	if err := o.openCheck(); err != nil {
 		return err
 	}
-	if err := o.input.Open(ctx); err != nil {
+	if err := o.in[0].Open(ctx); err != nil {
 		return err
 	}
 	if o.tr != nil {
@@ -1069,7 +894,7 @@ func (o *graphMatchOp) Open(ctx *Context) error {
 			return nil
 		}
 	}
-	return o.edge.Open(ctx)
+	return o.in[1].Open(ctx)
 }
 
 // solverCtx returns the std context solver calls receive, carrying the
@@ -1083,54 +908,36 @@ func (o *graphMatchOp) solverCtx() context.Context {
 	return stdctx
 }
 
-func (o *graphMatchOp) solve() error {
-	in, err := drainInput(o.input)
+func (o *graphMatchOp) solve() (*storage.Chunk, error) {
+	input, edge := o.in[0], o.in[1]
+	in, err := drainInput(input)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	o.input.Close()
+	input.Close()
 	xc, err := o.g.X.Eval(o.ctx.Expr, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	yc, err := o.g.Y.Eval(o.ctx.Expr, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stdctx := o.solverCtx()
-	var out *storage.Chunk
 	if o.dg != nil {
-		out, err = o.dg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
-	} else {
-		var edges *storage.Chunk
-		edges, err = drainInput(o.edge)
-		if err != nil {
-			return err
-		}
-		o.edge.Close()
-		var pg *core.PreparedGraph
-		pg, err = core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism)
-		if err != nil {
-			return err
-		}
-		o.tr.SetGraphBuilt(o.sp, pg.NumVertices(), pg.NumEdges())
-		out, err = pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
+		return o.dg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 	}
+	edges, err := drainInput(edge)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	o.win.chunk = out
-	return nil
-}
-
-func (o *graphMatchOp) Close() error {
-	ierr := o.input.Close()
-	eerr := o.edge.Close()
-	o.endSpan()
-	if ierr != nil {
-		return ierr
+	edge.Close()
+	pg, err := core.BuildGraphCtx(stdctx, edges, o.g.SrcIdx, o.g.DstIdx, o.ctx.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	return eerr
+	o.tr.SetGraphBuilt(o.sp, pg.NumVertices(), pg.NumEdges())
+	return pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 }
 
 // sharedState is the once-per-execution materialization of a CTE body,
@@ -1138,56 +945,38 @@ func (o *graphMatchOp) Close() error {
 type sharedState struct {
 	op     Operator
 	opened bool
-	done   bool
-	closed bool
 	chunk  *storage.Chunk
 }
 
 // sharedOp serves one reference to a Shared (CTE) subplan. The first
-// reference to open also opens — and, at first Next, drains — the
-// shared subtree; every reference then windows the one materialized
-// chunk independently.
+// reference to open takes the shared subtree as its input, so it opens
+// it under its own span and closes it at its Close; the first to pull
+// drains it (and closes it), and every reference then windows the one
+// materialized chunk independently.
 type sharedOp struct {
 	windowOp
 	state *sharedState
 }
 
 func (o *sharedOp) Open(ctx *Context) error {
-	defer o.openBase(ctx)()
-	if err := o.openCheck(); err != nil {
-		return err
-	}
 	if !o.state.opened {
 		o.state.opened = true
-		return o.state.op.Open(ctx)
+		o.in = []Operator{o.state.op}
 	}
-	return nil
+	return o.opBase.Open(ctx)
 }
 
 // drainShared materializes the shared subtree unless another reference
-// already did, then points this reference's window at the result.
-func (o *sharedOp) drainShared() error {
+// already did.
+func (o *sharedOp) drainShared() (*storage.Chunk, error) {
 	st := o.state
-	if !st.done {
-		chunk, err := drainInput(st.op)
+	if st.chunk == nil {
+		c, err := drainInput(st.op)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		st.op.Close()
-		st.closed = true
-		st.chunk = chunk
-		st.done = true
+		st.chunk = c
 	}
-	o.win.chunk = st.chunk
-	return nil
-}
-
-func (o *sharedOp) Close() error {
-	var err error
-	if o.state.opened && !o.state.closed {
-		err = o.state.op.Close()
-		o.state.closed = true
-	}
-	o.endSpan()
-	return err
+	return st.chunk, nil
 }

@@ -62,8 +62,10 @@ type QueryOptions struct {
 	// BatchRows bounds the row count of the batches the executor's
 	// pipeline operators hand between each other; 0 (or negative) uses
 	// the default (1024). Smaller batches lower time-to-first-row and
-	// peak intermediate memory at some per-batch overhead. Results are
-	// identical at any value.
+	// peak intermediate memory at some per-batch overhead. A statement
+	// that succeeds returns the same rows at any value; for one that
+	// fails, the batch boundaries decide which error it reports, and
+	// whether a LIMIT fills up before the failing row.
 	BatchRows int
 }
 
