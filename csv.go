@@ -19,6 +19,10 @@ import (
 // names its CSV row (the header is row 1), the rows before that one
 // stay loaded.
 //
+// Records are read with encoding/csv, whose rules apply: inside a
+// quoted field a "\r\n" reads as "\n", while a lone "\r" is kept. So a
+// VARCHAR that DumpCSV wrote with "\r\n" in it loads back with "\n".
+//
 // Together with cmd/ldbcgen this round-trips generated datasets
 // through files.
 func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
@@ -82,7 +86,9 @@ func (db *DB) LoadCSVFile(table, path string) (int, error) {
 
 // DumpCSV writes a query result as CSV (header + rows). Dates use
 // YYYY-MM-DD; nested-table paths are rendered with Path.String; NULLs
-// are empty cells.
+// are empty cells. A string is written as it is, quoted where CSV needs
+// it; LoadCSV reads it back the same, except that a "\r\n" in it comes
+// back as "\n" (see LoadCSV).
 func (db *DB) DumpCSV(w io.Writer, sql string, args ...any) error {
 	res, err := db.Query(sql, args...)
 	if err != nil {

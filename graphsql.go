@@ -336,9 +336,10 @@ func (r *Rows) Len() int { return r.cur.NumRows() }
 // NextChunk returns the next executor batch whole, as typed columns,
 // or (nil, nil) once the result is exhausted. Batch sizes are the
 // executor's (QueryOptions.BatchRows bounds them; a filter leaves them
-// ragged). A chunk is read-only and stays valid after later calls: the
-// executor never reuses a batch it emitted (see the exec package doc).
-// Read a cell the way Result.Rows holds it with Cell.
+// ragged). A chunk is read-only and valid only until the next call on
+// r: the executor may reuse its memory for the next batch (see the exec
+// package doc), so a caller that keeps rows copies or encodes them
+// first. Read a cell the way Result.Rows holds it with Cell.
 func (r *Rows) NextChunk() (*storage.Chunk, error) {
 	return r.pull(r.cur.Pull, 0)
 }

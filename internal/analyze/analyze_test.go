@@ -71,8 +71,8 @@ func TestBindProducesGraphMatch(t *testing.T) {
 		if g, ok := x.(*plan.GraphMatch); ok {
 			gm = g
 		}
-		for _, c := range x.Children() {
-			walk(c)
+		for i := 0; x.Child(i) != nil; i++ {
+			walk(x.Child(i))
 		}
 	}
 	walk(n)

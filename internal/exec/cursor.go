@@ -81,7 +81,7 @@ func (c *Cursor) NumRows() int { return c.known }
 // (nil, nil) once the cursor is exhausted. It never crosses a batch
 // boundary: a batch taken whole is the operator's own chunk, a part of
 // one a zero-copy view (storage.Chunk.Slice). Either is read-only and
-// stays valid after later pulls (see the package doc on batches). It
+// valid until the next pull (see the package doc on batches). It
 // returns the context's error if the consumer was canceled between
 // pulls; any error closes the cursor and is sticky.
 func (c *Cursor) Pull(maxRows int) (*storage.Chunk, error) {
@@ -125,8 +125,11 @@ func (c *Cursor) Pull(maxRows int) (*storage.Chunk, error) {
 // drains everything remaining into one window. Windows are filled
 // across operator batches, so the windows a consumer observes are a
 // pure function of the result and maxRows, never of the executor's
-// batch boundaries. A window that one Pull served whole is its batch
-// (or a view of it); one that spans batches is materialized fresh.
+// batch boundaries. A window of maxRows > 0 rows that one Pull filled
+// is its batch (or a view of it), valid until the next call. Any other
+// window is materialized fresh: the first batch is copied before the
+// next pull, even when that pull turns out to be the last, so a drain
+// (maxRows <= 0) copies even a one-batch result.
 func (c *Cursor) Next(maxRows int) (*storage.Chunk, error) {
 	return accumulate(c.Pull, maxRows)
 }

@@ -22,14 +22,21 @@
 // batch boundaries decide which operand's error is reported, and
 // whether a LIMIT fills up before the batch holding a failing row.
 //
-// Batches are read-only and never reused: an operator never writes to
-// or recycles a batch it emitted, so a consumer may hold one for as
-// long as it likes. Holders that rely on this are the accumulation
-// loop behind drainInput and Cursor.Next (it keeps its first batch
-// while it pulls the second), the server's buffered response sink
-// (its live slice keeps every batch until finish encodes them), and
-// the breakers (they keep their drained inputs until their core has
-// run). Reusing batches must change each of them first.
+// Batches are read-only, and a batch returned by Next (and so by
+// Cursor.Pull and graphsql's Rows.NextChunk) is valid until that
+// operator returns its next batch: batches stay put, so an operator
+// may reuse one batch's memory for the next. Windowed output (scans,
+// chunk sources, breakers, CTE references) re-points one view, the
+// filter gathers its survivors into one output batch, and a projection
+// reuses its chunk header. A consumer that keeps rows across the next
+// pull copies or encodes them first. The consumers that keep rows are
+// the accumulation loop behind drainInput and Cursor.Next (it copies
+// its first batch before it pulls a second), the server's response
+// sinks (they encode each batch as it arrives) and the breakers (they
+// keep only what drainInput gives them). Building with the gsqlpoison
+// tag scribbles over every batch the moment its owner reuses it, so a
+// consumer that holds one too long returns poisoned rows rather than,
+// now and then, another batch's.
 package exec
 
 import (
@@ -137,19 +144,6 @@ func (ctx *Context) orDefault() *Context {
 
 func planNodeError(n plan.Node) error {
 	return fmt.Errorf("internal: unknown plan node %T", n)
-}
-
-// projectCore evaluates the projection over one input chunk.
-func projectCore(p *plan.Project, in *storage.Chunk, ctx *Context) (*storage.Chunk, error) {
-	out := &storage.Chunk{Schema: p.Sch, Cols: make([]*storage.Column, len(p.Exprs))}
-	for i, e := range p.Exprs {
-		c, err := e.Eval(ctx.Expr, in)
-		if err != nil {
-			return nil, err
-		}
-		out.Cols[i] = c
-	}
-	return out, nil
 }
 
 // sortCore orders one materialized input chunk.

@@ -110,22 +110,71 @@ func TestFilterPassesWholeBatchesAndGathersPartialOnes(t *testing.T) {
 		t.Fatalf("a batch that survives whole must pass through unchanged: %v", err)
 	}
 	op, child = openFilter(t, seqWindow(), batch, types.NewInt(10), types.NewInt(20))
-	child.left = 2
-	first, err := op.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := op.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == second || &first.Cols[0].Ints[0] == &second.Cols[0].Ints[0] {
-		t.Fatal("an emitted batch must not be reused by the next one")
-	}
-	for _, c := range []*storage.Chunk{first, second} {
-		if c.NumRows() != 10 || cap(c.Cols[0].Ints) != 10 || c.Cols[0].Ints[0] != 10 || c.Cols[2].Ints[9] != 19*13%DefaultBatchRows {
-			t.Fatalf("gathered batch wrong:\n%s", c)
+	child.left = 3
+	var first *storage.Chunk
+	for i := 0; i < 3; i++ {
+		c, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c.NumRows() != 10 || c.Cols[0].Ints[0] != 10 || c.Cols[2].Ints[9] != 19*13%DefaultBatchRows {
+			t.Fatalf("gathered batch %d wrong:\n%s", i, c)
+		}
+		if i == 0 {
+			first = c
+			continue
+		}
+		// Batches stay put: every partial batch is gathered into the
+		// first one's memory (a poisoning build gathers afresh).
+		if !poisoning && (c != first || &c.Cols[0].Ints[0] != &first.Cols[0].Ints[0]) {
+			t.Fatalf("partial batch %d was not gathered into the filter's one output batch", i)
+		}
+	}
+}
+
+// TestPipelineAllocatesPerQueryNotPerBatch: a scan → filter → project
+// pipeline whose filter keeps part of every batch allocates as much
+// over 64 batches as over 8. The scan re-points one view, the filter
+// gathers into one output batch and the projection reuses one header.
+func TestPipelineAllocatesPerQueryNotPerBatch(t *testing.T) {
+	if poisoning {
+		t.Skip("a poisoning build allocates a fresh batch at every reuse")
+	}
+	seq := &expr.ColRef{Idx: 0, K: types.KindInt, Name: "p.seq"}
+	dst := &expr.ColRef{Idx: 2, K: types.KindInt, Name: "p.dst"}
+	allocs := func(batches int) float64 {
+		in := pairsChunk(batches * DefaultBatchRows)
+		// dst = seq*13 mod n, so about a tenth of every batch survives.
+		f := &plan.Filter{Input: scan(in), Pred: &expr.Cmp{Op: expr.CmpLt, L: dst, R: &expr.Param{Idx: 0, K: types.KindInt}}}
+		n := &plan.Project{Input: f, Exprs: []expr.Expr{seq, dst}, Sch: storage.Schema{in.Schema[0], in.Schema[2]}}
+		params := []types.Value{types.NewInt(int64(len(in.Cols[0].Ints) / 10))}
+		return testing.AllocsPerRun(5, func() {
+			ctx := (&Context{Expr: &expr.Context{Params: params}}).orDefault()
+			op, err := Build(n, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer op.Close()
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for rows := 0; ; {
+				c, err := op.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c == nil {
+					if rows != len(in.Cols[0].Ints)/10 {
+						t.Fatalf("%d rows survived, want %d", rows, len(in.Cols[0].Ints)/10)
+					}
+					return
+				}
+				rows += c.NumRows()
+			}
+		})
+	}
+	if few, many := allocs(8), allocs(64); few != many {
+		t.Fatalf("the pipeline allocated %v times over 8 batches and %v over 64", few, many)
 	}
 }
 

@@ -29,8 +29,10 @@ const DefaultBatchRows = 1024
 //     GraphMatch resolves (and refreshes) its cached graph index — so
 //     everything after Open runs without the catalog lock.
 //   - Next returns the next batch of at most Context.BatchRows rows,
-//     or (nil, nil) once exhausted. Cancellation is polled at every
-//     Next, so a canceled query unwinds at the next batch boundary.
+//     or (nil, nil) once exhausted. The batch is valid until the
+//     operator returns its next one (see the package doc).
+//     Cancellation is polled at every Next, so a canceled query
+//     unwinds at the next batch boundary.
 //   - Close releases the operator and its children and ends its trace
 //     span. Close is idempotent and must be called exactly once per
 //     Build, even when Open failed.
@@ -76,10 +78,13 @@ func buildOp(n plan.Node, ctx *Context) (Operator, error) {
 		op.compute = op.drainShared
 		return op, nil
 	}
-	kids := n.Children()
-	in := make([]Operator, len(kids))
-	for i, c := range kids {
-		op, err := buildOp(c, ctx)
+	k := 0
+	for n.Child(k) != nil {
+		k++
+	}
+	in := make([]Operator, k)
+	for i := range in {
+		op, err := buildOp(n.Child(i), ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -315,14 +320,21 @@ func drainInput(op Operator) (*storage.Chunk, error) {
 // accumulate is the one accumulation loop: it pulls batches of at most
 // the rows still wanted until it holds maxRows rows (everything when
 // maxRows <= 0) or pull is exhausted, and returns nil if pull had
-// nothing. A single batch is returned as it came; once a second one
-// arrives, both are copied into fresh columns (a batch is typically a
-// zero-copy view whose backing arrays must not be appended to). It
-// holds the first batch across the next pull (see the package doc).
+// nothing. A batch that fills the window alone is returned as it came.
+// Otherwise the first batch is copied into fresh columns before the
+// next pull, which may overwrite it (see the package doc), and every
+// later batch is appended to the copy. Whether that pull is the last
+// is not known before it, so a drain (maxRows <= 0) of a one-batch
+// input copies its batch too.
 func accumulate(pull func(maxRows int) (*storage.Chunk, error), maxRows int) (*storage.Chunk, error) {
 	var win *storage.Chunk
 	fresh := false // win is a copy, not a pulled batch
 	for rows := 0; maxRows <= 0 || rows < maxRows; {
+		if win != nil && !fresh {
+			first := win
+			win, fresh = emptyLike(first), true
+			win.Extend(first)
+		}
 		b, err := pull(maxRows - rows)
 		if err != nil {
 			return nil, err
@@ -334,11 +346,6 @@ func accumulate(pull func(maxRows int) (*storage.Chunk, error), maxRows int) (*s
 		if win == nil {
 			win = b
 			continue
-		}
-		if !fresh {
-			first := win
-			win, fresh = emptyLike(first), true
-			win.Extend(first)
 		}
 		win.Extend(b)
 	}
@@ -357,13 +364,15 @@ func emptyLike(c *storage.Chunk) *storage.Chunk {
 
 // outWindow hands out bounded zero-copy windows of a list of row
 // ranges of one chunk: the windows a scan picked of its table view, or
-// all of a breaker's output.
+// all of a breaker's output. A window that is all of chunk is chunk
+// itself; any other is one view, re-pointed at each window in turn.
 type outWindow struct {
 	chunk *storage.Chunk
 	// ranges are the non-empty row ranges still to hand out, in order;
 	// whole backs the one range of a window over all of chunk.
 	ranges []rowRange
 	whole  [1]rowRange
+	view   *storage.Chunk
 }
 
 type rowRange struct{ lo, hi int }
@@ -384,24 +393,36 @@ func (w *outWindow) next(batch int) *storage.Chunk {
 		return nil
 	}
 	r := &w.ranges[0]
-	hi := r.hi
+	lo, hi := r.lo, r.hi
 	if batch > 0 {
-		hi = min(r.lo+batch, hi)
+		hi = min(lo+batch, hi)
 	}
-	c := w.chunk.Slice(r.lo, hi)
 	if r.lo = hi; r.lo == r.hi {
 		w.ranges = w.ranges[1:]
 	}
-	return c
+	if lo == 0 && hi == w.chunk.NumRows() {
+		return w.chunk
+	}
+	w.view = w.chunk.SliceInto(retire(w.view, true), lo, hi)
+	return w.view
 }
 
 // rest returns everything not yet windowed out as one chunk: the chunk
-// itself while all of it is left, else the remaining ranges
-// accumulated (a zero-copy view when one is left).
+// itself while all of it is left, a fresh view when one range is left,
+// else the remaining ranges accumulated.
 func (w *outWindow) rest() *storage.Chunk {
-	if n := w.chunk.NumRows(); n == 0 || len(w.ranges) == 1 && w.ranges[0] == (rowRange{0, n}) {
+	n := w.chunk.NumRows()
+	switch {
+	case n == 0:
 		w.ranges = nil
 		return w.chunk
+	case len(w.ranges) == 1:
+		r := w.ranges[0]
+		w.ranges = nil
+		if r == (rowRange{0, n}) {
+			return w.chunk
+		}
+		return w.chunk.Slice(r.lo, r.hi)
 	}
 	c, _ := accumulate(func(int) (*storage.Chunk, error) { return w.next(0), nil }, 0)
 	return c
@@ -599,14 +620,15 @@ func (o *renameOp) materialize() (*storage.Chunk, error) {
 // filterOp selects each batch's rows with expr.Select — row-local, so
 // per-batch selection concatenates to the whole-input result — and
 // emits the survivors: a batch that survives whole passes through
-// unchanged, any other is gathered into a fresh exact-size batch, and
-// one with no survivors is skipped, so consumers never see empty
-// batches. The selection vector is scratch reused across batches; an
-// emitted batch is never reused (see the package doc).
+// unchanged, any other is gathered into the one output batch the
+// filter reuses, and one with no survivors is skipped, so consumers
+// never see empty batches. The selection vector is scratch reused
+// across batches too.
 type filterOp struct {
 	opBase
 	f   *plan.Filter
 	sel []int
+	out *storage.Chunk
 }
 
 func (o *filterOp) Next() (*storage.Chunk, error) {
@@ -629,17 +651,21 @@ func (o *filterOp) Next() (*storage.Chunk, error) {
 		case in.NumRows():
 			return o.emit(in), nil
 		default:
-			return o.emit(in.Gather(o.sel, 1)), nil
+			o.out = in.GatherInto(retire(o.out, true), o.sel)
+			return o.emit(o.out), nil
 		}
 	}
 }
 
-// projectOp evaluates the projection expressions per batch. Scalar
-// expressions are row-local, so per-batch evaluation concatenates to
-// exactly the whole-input evaluation.
+// projectOp evaluates the projection expressions per batch into the
+// one output chunk header it reuses. Scalar expressions are row-local,
+// so per-batch evaluation concatenates to exactly the whole-input
+// evaluation. A bare column reference evaluates to its input column
+// (expr.ColRef.Eval), so it passes through uncopied.
 type projectOp struct {
 	opBase
-	p *plan.Project
+	p   *plan.Project
+	out *storage.Chunk
 }
 
 func (o *projectOp) Next() (*storage.Chunk, error) {
@@ -653,11 +679,15 @@ func (o *projectOp) Next() (*storage.Chunk, error) {
 	if in == nil {
 		return o.emit(nil), nil
 	}
-	out, err := projectCore(o.p, in, o.ctx)
-	if err != nil {
-		return nil, err
+	if o.out = retire(o.out, false); o.out == nil {
+		o.out = &storage.Chunk{Schema: o.p.Sch, Cols: make([]*storage.Column, len(o.p.Exprs))}
 	}
-	return o.emit(out), nil
+	for i, e := range o.p.Exprs {
+		if o.out.Cols[i], err = e.Eval(o.ctx.Expr, in); err != nil {
+			return nil, err
+		}
+	}
+	return o.emit(o.out), nil
 }
 
 // unnestOp expands nested-table paths incrementally: it fills each

@@ -202,9 +202,15 @@ func (g *predGen) chunk(rows int) *storage.Chunk {
 		sch = append(sch, storage.ColMeta{Name: string(rune('a' + j)), Kind: genKinds[j/2]})
 	}
 	c := storage.NewChunk(sch)
+	// A column drawn without NULLs has no null mask, which is the shape
+	// of most base-table columns and the kernels' fast path.
+	maskless := make([]bool, numCols)
+	for j := range maskless {
+		maskless[j] = g.next(3) == 1
+	}
 	for i := 0; i < rows; i++ {
 		for j, col := range c.Cols {
-			if g.next(5) == 1 {
+			if !maskless[j] && g.next(5) == 1 {
 				col.AppendNull()
 			} else {
 				col.Append(g.value(sch[j].Kind))
@@ -349,4 +355,49 @@ func FuzzPredicateKernels(f *testing.F) {
 		in := g.chunk(rows)
 		checkPredicate(t, &Context{Params: g.params}, pred, in)
 	})
+}
+
+// TestScalarComparisonEdges holds every comparison operator, with the
+// scalar on either side and selected for TRUE and for FALSE, to the
+// reference over the float edge values — NaN, ±0.0, ±Inf — and the
+// integer extremes, on columns with and without a null mask: the
+// values at which the per-operator loops and the outcome-index loops
+// could part.
+func TestScalarComparisonEdges(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	floats := []float64{nan, negZero, 0, math.Inf(1), math.Inf(-1), 1.5, -1}
+	ints := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	sch := storage.Schema{{Name: "f", Kind: types.KindFloat}, {Name: "i", Kind: types.KindInt}}
+	for _, withNull := range []bool{false, true} {
+		in := storage.NewChunk(sch)
+		for r := 0; r < len(floats)*len(ints); r++ {
+			in.Cols[0].AppendFloat(floats[r%len(floats)])
+			in.Cols[1].AppendInt(ints[r%len(ints)])
+		}
+		if withNull {
+			in.Cols[0].AppendNull()
+			in.Cols[1].AppendNull()
+		}
+		var scalars []types.Value
+		for _, f := range floats {
+			scalars = append(scalars, types.NewFloat(f))
+		}
+		for _, i := range ints {
+			scalars = append(scalars, types.NewInt(i))
+		}
+		for col, k := range []types.Kind{types.KindFloat, types.KindInt} {
+			x := &ColRef{Idx: col, K: k}
+			for _, v := range scalars {
+				for op := CmpEq; op <= CmpGe; op++ {
+					for _, scalarLeft := range []bool{false, true} {
+						var c Expr = &Cmp{Op: op, L: x, R: &Const{Val: v}}
+						if scalarLeft {
+							c = &Cmp{Op: op, L: &Const{Val: v}, R: x}
+						}
+						checkPredicate(t, &Context{}, c, in)
+					}
+				}
+			}
+		}
+	}
 }

@@ -295,13 +295,12 @@ func cmpColScalar(mask uint8, c *storage.Column, v types.Value, cand []int) ([]i
 	k := 0
 	switch class {
 	case classInt:
-		xs, y := c.Ints, v.I
-		for _, i := range cand {
-			cand[k] = i
-			k += int(mask >> intIdx(xs[i], y) & 1)
-		}
+		return cmpScalarLoop(mask, c.Ints, v.I, cand), nil
 	case classFloat:
 		xs, y := floatsOf(c), v.AsFloat()
+		if y == y {
+			return cmpScalarLoop(mask, xs, y, cand), nil
+		}
 		for _, i := range cand {
 			cand[k] = i
 			k += int(mask >> floatIdx(xs[i], y) & 1)
@@ -316,6 +315,53 @@ func cmpColScalar(mask uint8, c *storage.Column, v types.Value, cand []int) ([]i
 		k = len(cand) * int(mask>>1&1)
 	}
 	return cand[:k], nil
+}
+
+// cmpScalarLoop is the column × scalar kernel of the int-backed and
+// float classes: one branchless loop per operator instead of an outcome
+// index per row. y must not be NaN. A NaN entry then folds into the
+// loops with one comparison: it is greater than y, so it satisfies
+// x > y || x != x (written without a branch) and !(x < y), and none
+// of x < y, x <= y and x == y. For int64 the extra comparison is
+// constant and compiles away. mask is one of the six operator masks:
+// negation and mirroring map that set onto itself, and the masks of a
+// path's IN (nothing or everything) take cmpColScalar's path branch.
+func cmpScalarLoop[T int64 | float64](mask uint8, xs []T, y T, cand []int) []int {
+	k := 0
+	switch mask {
+	case cmpMasks[CmpLt]:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(xs[i] < y)
+		}
+	case cmpMasks[CmpLe]:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(xs[i] <= y)
+		}
+	case cmpMasks[CmpEq]:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(xs[i] == y)
+		}
+	case cmpMasks[CmpNe]:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(xs[i] != y)
+		}
+	case cmpMasks[CmpGt]:
+		for _, i := range cand {
+			x := xs[i]
+			cand[k] = i
+			k += b2i(x > y) | b2i(x != x)
+		}
+	case cmpMasks[CmpGe]:
+		for _, i := range cand {
+			cand[k] = i
+			k += b2i(!(xs[i] < y))
+		}
+	}
+	return cand[:k]
 }
 
 // cmpColCol is the column × column kernel.

@@ -19,10 +19,20 @@ import (
 type Node interface {
 	// Schema is the output schema of the operator.
 	Schema() storage.Schema
-	// Children returns the input operators.
-	Children() []Node
+	// Child returns the i-th input in plan order, or nil past the last
+	// one. It allocates nothing, so the executor walks a plan once per
+	// execution without garbage.
+	Child(i int) Node
 	// Describe renders one line for EXPLAIN output.
 	Describe() string
+}
+
+// nth is Child for a node whose inputs are kids.
+func nth(i int, kids ...Node) Node {
+	if i < len(kids) {
+		return kids[i]
+	}
+	return nil
 }
 
 // Scan reads a base table.
@@ -36,8 +46,8 @@ type Scan struct {
 // Schema implements Node.
 func (s *Scan) Schema() storage.Schema { return s.Sch }
 
-// Children implements Node.
-func (s *Scan) Children() []Node { return nil }
+// Child implements Node.
+func (s *Scan) Child(int) Node { return nil }
 
 // Describe implements Node.
 func (s *Scan) Describe() string { return fmt.Sprintf("Scan %s AS %s", s.Table.Name, s.Alias) }
@@ -51,8 +61,8 @@ type ChunkScan struct {
 // Schema implements Node.
 func (s *ChunkScan) Schema() storage.Schema { return s.Chunk.Schema }
 
-// Children implements Node.
-func (s *ChunkScan) Children() []Node { return nil }
+// Child implements Node.
+func (s *ChunkScan) Child(int) Node { return nil }
 
 // Describe implements Node.
 func (s *ChunkScan) Describe() string { return "ChunkScan " + s.Name }
@@ -66,8 +76,8 @@ type Filter struct {
 // Schema implements Node.
 func (f *Filter) Schema() storage.Schema { return f.Input.Schema() }
 
-// Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
+// Child implements Node.
+func (f *Filter) Child(i int) Node { return nth(i, f.Input) }
 
 // Describe implements Node.
 func (f *Filter) Describe() string { return "Filter " + f.Pred.String() }
@@ -82,8 +92,8 @@ type Project struct {
 // Schema implements Node.
 func (p *Project) Schema() storage.Schema { return p.Sch }
 
-// Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Input} }
+// Child implements Node.
+func (p *Project) Child(i int) Node { return nth(i, p.Input) }
 
 // Describe implements Node.
 func (p *Project) Describe() string {
@@ -133,8 +143,8 @@ func (j *Join) Schema() storage.Schema {
 	return out
 }
 
-// Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
+// Child implements Node.
+func (j *Join) Child(i int) Node { return nth(i, j.Left, j.Right) }
 
 // Describe implements Node.
 func (j *Join) Describe() string {
@@ -189,8 +199,8 @@ type GraphMatch struct {
 // Schema implements Node.
 func (g *GraphMatch) Schema() storage.Schema { return g.Sch }
 
-// Children implements Node.
-func (g *GraphMatch) Children() []Node { return []Node{g.Input, g.Edge} }
+// Child implements Node.
+func (g *GraphMatch) Child(i int) Node { return nth(i, g.Input, g.Edge) }
 
 // Describe implements Node.
 func (g *GraphMatch) Describe() string {
@@ -244,8 +254,8 @@ type Aggregate struct {
 // Schema implements Node.
 func (a *Aggregate) Schema() storage.Schema { return a.Sch }
 
-// Children implements Node.
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
+// Child implements Node.
+func (a *Aggregate) Child(i int) Node { return nth(i, a.Input) }
 
 // Describe implements Node.
 func (a *Aggregate) Describe() string {
@@ -269,8 +279,8 @@ type Sort struct {
 // Schema implements Node.
 func (s *Sort) Schema() storage.Schema { return s.Input.Schema() }
 
-// Children implements Node.
-func (s *Sort) Children() []Node { return []Node{s.Input} }
+// Child implements Node.
+func (s *Sort) Child(i int) Node { return nth(i, s.Input) }
 
 // Describe implements Node.
 func (s *Sort) Describe() string { return fmt.Sprintf("Sort keys=%d", len(s.Keys)) }
@@ -285,8 +295,8 @@ type Limit struct {
 // Schema implements Node.
 func (l *Limit) Schema() storage.Schema { return l.Input.Schema() }
 
-// Children implements Node.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
+// Child implements Node.
+func (l *Limit) Child(i int) Node { return nth(i, l.Input) }
 
 // Describe implements Node.
 func (l *Limit) Describe() string { return "Limit" }
@@ -297,8 +307,8 @@ type Distinct struct{ Input Node }
 // Schema implements Node.
 func (d *Distinct) Schema() storage.Schema { return d.Input.Schema() }
 
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
+// Child implements Node.
+func (d *Distinct) Child(i int) Node { return nth(i, d.Input) }
 
 // Describe implements Node.
 func (d *Distinct) Describe() string { return "Distinct" }
@@ -322,8 +332,8 @@ type Unnest struct {
 // Schema implements Node.
 func (u *Unnest) Schema() storage.Schema { return u.Sch }
 
-// Children implements Node.
-func (u *Unnest) Children() []Node { return []Node{u.Input} }
+// Child implements Node.
+func (u *Unnest) Child(i int) Node { return nth(i, u.Input) }
 
 // Describe implements Node.
 func (u *Unnest) Describe() string {
@@ -347,8 +357,8 @@ type SetOp struct {
 // Schema implements Node.
 func (s *SetOp) Schema() storage.Schema { return s.Left.Schema() }
 
-// Children implements Node.
-func (s *SetOp) Children() []Node { return []Node{s.Left, s.Right} }
+// Child implements Node.
+func (s *SetOp) Child(i int) Node { return nth(i, s.Left, s.Right) }
 
 // Describe implements Node.
 func (s *SetOp) Describe() string {
@@ -367,8 +377,8 @@ func Explain(n Node) string {
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(n.Describe())
 		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
+		for i := 0; n.Child(i) != nil; i++ {
+			walk(n.Child(i), depth+1)
 		}
 	}
 	walk(n, 0)

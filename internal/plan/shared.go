@@ -12,8 +12,8 @@ type Rename struct {
 // Schema implements Node.
 func (r *Rename) Schema() storage.Schema { return r.Sch }
 
-// Children implements Node.
-func (r *Rename) Children() []Node { return []Node{r.Input} }
+// Child implements Node.
+func (r *Rename) Child(i int) Node { return nth(i, r.Input) }
 
 // Describe implements Node.
 func (r *Rename) Describe() string { return "Rename" }
@@ -29,8 +29,8 @@ type Shared struct {
 // Schema implements Node.
 func (s *Shared) Schema() storage.Schema { return s.Input.Schema() }
 
-// Children implements Node.
-func (s *Shared) Children() []Node { return []Node{s.Input} }
+// Child implements Node.
+func (s *Shared) Child(i int) Node { return nth(i, s.Input) }
 
 // Describe implements Node.
 func (s *Shared) Describe() string { return "Shared " + s.Name }

@@ -772,7 +772,6 @@ type sink struct {
 	// result, before the last byte goes out: a torn drain caches nothing.
 	cache      *ResultCache
 	key, graph string
-	live       []*storage.Chunk   // the buffered body's batches, encoded by finish
 	sw         *wire.StreamWriter // a stream's, once its header frame is out
 	written    int                // rows of the buffered body, once it is out
 }
@@ -789,15 +788,14 @@ func (o *sink) header(rows *wire.Encoded) error {
 	return o.sw.Header(rows.Columns())
 }
 
-// batch takes one executor batch of a live result. The buffered body
-// keeps it for finish, which encodes it inside the "encode" stage; a
-// stream encodes it at once, writes every complete frame, and keeps
-// the written rows only for the cache, while they fit its admission
-// budget.
+// batch takes one executor batch of a live result and encodes it at
+// once: the batch is only valid until the next pull (see the exec
+// package doc). The buffered body keeps the encoded rows for finish; a
+// stream writes every complete frame, and keeps the written rows only
+// for the cache, while they fit its admission budget.
 func (o *sink) batch(c *storage.Chunk) error {
 	if o.sw == nil {
-		o.live = append(o.live, c)
-		return nil
+		return o.rows.AppendChunk(c)
 	}
 	if err := o.sw.Chunk(c); err != nil {
 		return err
@@ -827,16 +825,11 @@ func (o *sink) finish(tree *trace.Node) (err error) {
 		err = o.sw.Flush()
 	} else {
 		// tree was snapshotted before the encode span opens: it cannot
-		// describe the encoding it is itself part of.
+		// describe the encoding it is itself part of. The cells were
+		// encoded batch by batch during the drain; this stage writes the
+		// body around them.
 		spEnc := o.tr.Begin(trace.NoSpan, "encode")
-		for _, c := range o.live {
-			if err = o.rows.AppendChunk(c); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			body, err = o.rows.AppendResponse(nil, tree)
-		}
+		body, err = o.rows.AppendResponse(nil, tree)
 		o.tr.End(spEnc)
 	}
 	if err != nil {

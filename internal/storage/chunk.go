@@ -94,13 +94,51 @@ func (c *Chunk) Gather(rows []int, workers int) *Chunk {
 	return out
 }
 
+// GatherInto is Gather on one goroutine into dst, a chunk an earlier
+// GatherInto returned (nil the first time): its columns and their
+// arrays are overwritten and reused, so a batch-at-a-time caller
+// gathers without allocating once the arrays are large enough. It
+// returns dst.
+func (c *Chunk) GatherInto(dst *Chunk, rows []int) *Chunk {
+	dst = dst.reshape(c)
+	for j, col := range c.Cols {
+		col.gatherInto(dst.Cols[j], rows, 1)
+	}
+	return dst
+}
+
 // Slice returns a zero-copy view of rows [lo, hi); see Column.Slice.
 func (c *Chunk) Slice(lo, hi int) *Chunk {
-	out := &Chunk{Schema: c.Schema, Cols: make([]*Column, len(c.Cols))}
+	return c.SliceInto(nil, lo, hi)
+}
+
+// SliceInto is Slice into dst, a chunk an earlier SliceInto returned
+// (nil the first time): its column headers are re-pointed at rows
+// [lo, hi) of c instead of allocated. It returns dst.
+func (c *Chunk) SliceInto(dst *Chunk, lo, hi int) *Chunk {
+	dst = dst.reshape(c)
 	for j, col := range c.Cols {
-		out.Cols[j] = col.Slice(lo, hi)
+		dst.Cols[j].view(col, lo, hi)
 	}
-	return out
+	return dst
+}
+
+// reshape returns c, or a new chunk when c is nil, with src's schema
+// and one column header per column of src, allocating only the headers
+// c lacks.
+func (c *Chunk) reshape(src *Chunk) *Chunk {
+	if c == nil {
+		c = new(Chunk)
+	}
+	c.Schema = src.Schema
+	if len(c.Cols) != len(src.Cols) {
+		c.Cols = make([]*Column, len(src.Cols))
+		cols := make([]Column, len(src.Cols))
+		for j := range c.Cols {
+			c.Cols[j] = &cols[j]
+		}
+	}
+	return c
 }
 
 // Extend appends every row of o, which must share c's column kinds, to

@@ -192,21 +192,27 @@ func (c *Column) Get(i int) types.Value {
 // in-place overwrites of existing rows — the engine never does that
 // (DELETE and reloads swap whole columns).
 func (c *Column) Slice(lo, hi int) *Column {
-	out := &Column{Kind: c.Kind, n: hi - lo}
-	switch c.Kind {
-	case types.KindFloat:
-		out.Floats = c.Floats[lo:hi:hi]
-	case types.KindString:
-		out.Strs = c.Strs[lo:hi:hi]
-	case types.KindPath:
-		out.Paths = c.Paths[lo:hi:hi]
-	default:
-		out.Ints = c.Ints[lo:hi:hi]
-	}
-	if c.Nulls != nil {
-		out.Nulls = c.Nulls[lo:hi:hi]
-	}
+	out := new(Column)
+	out.view(c, lo, hi)
 	return out
+}
+
+// view re-points c at rows [lo, hi) of src, as Slice does.
+func (c *Column) view(src *Column, lo, hi int) {
+	*c = Column{Kind: src.Kind, n: hi - lo}
+	switch src.Kind {
+	case types.KindFloat:
+		c.Floats = src.Floats[lo:hi:hi]
+	case types.KindString:
+		c.Strs = src.Strs[lo:hi:hi]
+	case types.KindPath:
+		c.Paths = src.Paths[lo:hi:hi]
+	default:
+		c.Ints = src.Ints[lo:hi:hi]
+	}
+	if src.Nulls != nil {
+		c.Nulls = src.Nulls[lo:hi:hi]
+	}
 }
 
 // Gather returns a new column holding the entries of c at the given
@@ -215,17 +221,52 @@ func (c *Column) Slice(lo, hi int) *Column {
 // at every worker count; callers gate by size and pass 1 for a plain
 // loop on the calling goroutine.
 func (c *Column) Gather(rows []int, workers int) *Column {
-	out := c.sized(len(rows))
+	out := new(Column)
+	c.gatherInto(out, rows, workers)
+	return out
+}
+
+// gatherInto is Gather into dst: dst becomes an exact copy of c's
+// entries at rows, in payload and null-mask arrays it reuses when
+// their capacity suffices.
+func (c *Column) gatherInto(dst *Column, rows []int, workers int) {
+	n := len(rows)
+	if dst.Kind != c.Kind {
+		*dst = Column{Kind: c.Kind}
+	}
+	dst.n = n
+	switch c.Kind {
+	case types.KindFloat:
+		dst.Floats = fit(dst.Floats, n)
+	case types.KindString:
+		dst.Strs = fit(dst.Strs, n)
+	case types.KindPath:
+		dst.Paths = fit(dst.Paths, n)
+	default:
+		dst.Ints = fit(dst.Ints, n)
+	}
+	nulls := dst.Nulls
+	dst.Nulls = nil
 	if c.Nulls != nil {
-		out.Nulls = make([]bool, len(rows))
+		dst.Nulls = fit(nulls, n)
 	}
 	if workers <= 1 {
 		// Same range copy, minus the closure par.Ranges would allocate.
-		c.gatherRange(out, rows, 0, len(rows))
+		c.gatherRange(dst, rows, 0, n)
 	} else {
-		par.Ranges(workers, len(rows), func(_, lo, hi int) { c.gatherRange(out, rows, lo, hi) })
+		par.Ranges(workers, n, func(_, lo, hi int) { c.gatherRange(dst, rows, lo, hi) })
 	}
-	return out
+}
+
+// fit returns s resized to n entries, reusing its array when the
+// capacity suffices; the entries are left for the caller to overwrite.
+// The result is never nil, so a gathered null mask of zero entries
+// still marks a column that may hold NULLs.
+func fit[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // gatherRange fills out[lo:hi) with the entries of c at rows[lo:hi).
