@@ -140,6 +140,57 @@ func TestExplainAnalyzeBidirectionalLevels(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeSearches pins the searches= attribute of the
+// GraphMatch line: how many destinations the solver searched from both
+// ends and how many forward. Over the edges 1->{2,3}, {2,3}->4, 4->5 (5
+// vertices) the search from 1 to 4 reaches 1, 2, 3 and 4, which
+// projects 1 × 4 ≤ 5 for the one destination left, so 4 and 5 are
+// both searched from both ends. The search to 2 meets it on 1's first
+// edge and reaches 2 vertices; three left project 6 > 5, so 3, 4 and
+// 5 share one forward traversal. Without the index everything
+// searches forward.
+func TestExplainAnalyzeSearches(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE knows (src BIGINT, dst BIGINT)`)
+	db.MustExec(`INSERT INTO knows VALUES (1,2),(1,3),(2,4),(3,4),(4,5)`)
+	db.MustExec(`CREATE TABLE two (id BIGINT)`)
+	db.MustExec(`INSERT INTO two VALUES (4),(5)`)
+	db.MustExec(`CREATE TABLE star (id BIGINT)`)
+	db.MustExec(`INSERT INTO star VALUES (2),(3),(4),(5)`)
+	attr := regexp.MustCompile(`GraphMatch .*, (searches=both:\d+,forward:\d+), workers=\d+\)`)
+	searches := func(table string) string {
+		t.Helper()
+		plan, err := db.Query(`EXPLAIN ANALYZE SELECT d.id, CHEAPEST SUM(1) FROM ` + table + ` d
+			WHERE 1 REACHES d.id OVER knows EDGE (src, dst)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := planText(t, plan)
+		m := attr.FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("no searches= on the GraphMatch line:\n%s", text)
+		}
+		return m[1]
+	}
+	cases := []struct{ table, adhoc, index string }{
+		{"two", "searches=both:0,forward:2", "searches=both:2,forward:0"},
+		{"star", "searches=both:0,forward:4", "searches=both:1,forward:3"},
+	}
+	for _, tc := range cases {
+		if got := searches(tc.table); got != tc.adhoc {
+			t.Errorf("%s over the ad hoc graph: %s, want %s", tc.table, got, tc.adhoc)
+		}
+	}
+	if err := db.BuildGraphIndex("knows", "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if got := searches(tc.table); got != tc.index {
+			t.Errorf("%s over the graph index: %s, want %s", tc.table, got, tc.index)
+		}
+	}
+}
+
 // TestExplainWithoutAnalyze: plain EXPLAIN renders the bound plan
 // without executing, matching DB.Explain.
 func TestExplainWithoutAnalyze(t *testing.T) {

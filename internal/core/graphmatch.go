@@ -226,12 +226,8 @@ func (pg *PreparedGraph) match(stdctx context.Context, gm *plan.GraphMatch, inpu
 	solver.Ctx = stdctx
 	if stdctx != nil {
 		// A traced query carries its trace (and the GraphMatch span) in
-		// the context; report each BFS level's frontier size into it.
-		if tr, span, ok := trace.FromContext(stdctx); ok {
-			solver.OnLevel = func(level int64, size int, backward bool) {
-				tr.AddLevel(span, level, size, backward)
-			}
-		}
+		// the context; the solve reports its levels and searches there.
+		solver.Trace, solver.Span, _ = trace.FromContext(stdctx)
 	}
 	sol, err := solver.Solve(srcs, dsts, specs)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"graphsql/internal/fault"
 	"graphsql/internal/par"
+	"graphsql/internal/trace"
 )
 
 // Spec describes one CHEAPEST SUM evaluation over a graph: the edge
@@ -54,8 +55,10 @@ type Solution struct {
 // single traversal that serves all its destinations (the batching that
 // figure 1b shows amortizes graph construction), with early exit once
 // every destination of the group is settled. Over a graph that carries
-// its transpose, a group with one destination and no weights or paths
-// to compute searches from both ends instead (runBiBFS).
+// its transpose, a group with no weights or paths to compute searches
+// its destinations from both ends instead, one at a time (runBiBFS),
+// for as long as that is projected to cost less than the one forward
+// traversal (see searchBothEnds).
 //
 // Source groups are independent — each writes a disjoint set of pair
 // indices of the Solution — so large batches are drained by a pool of
@@ -82,11 +85,17 @@ type Solver struct {
 	// OnLevel, when non-nil, receives one (level, frontier size,
 	// direction) sample per BFS level of every traversal: level 0 is
 	// the source itself, or the destination for the backward half of a
-	// bidirectional search. Source groups run concurrently, so the
-	// callback must be safe for concurrent use and samples from distinct
-	// sources may interleave. Observation only — it cannot affect
-	// results. Nil is free.
+	// bidirectional search. The searches buffer their samples, and
+	// Solve replays them on its own goroutine once the workers finish
+	// (also when the solve fails), the samples of each worker in the
+	// order it ran them. Observation only — it cannot affect results.
+	// Nil is free.
 	OnLevel func(level int64, size int, backward bool)
+	// Trace and Span, when Trace is non-nil, receive the same samples
+	// and the count of destinations searched from both ends and
+	// forward, in one Trace.AddSolve call per solve.
+	Trace *trace.Trace
+	Span  trace.SpanID
 }
 
 // NewSolver returns a solver for g.
@@ -105,13 +114,34 @@ func NewSolverWithDelta(g *CSR, delta *Delta) *Solver {
 }
 
 // takeScratch returns idle scratch from the graph's pool, or a fresh
-// one. A pooled scratch shorter than n is dropped: the delta has grown
-// the graph since it was made.
-func (s *Solver) takeScratch() *search {
-	if sc, ok := s.g.pool.Get().(*search); ok && len(sc.wanted) >= s.n {
-		return sc
+// one, emptied of the last solve's samples and counts. A pooled
+// scratch shorter than n is dropped: the delta has grown the graph
+// since it was made.
+func (s *Solver) takeScratch(record bool) *search {
+	sc, ok := s.g.pool.Get().(*search)
+	if !ok || len(sc.wanted) < s.n {
+		sc = newSearch(s.n)
 	}
-	return newSearch(s.n)
+	sc.record, sc.levels, sc.both, sc.forward = record, sc.levels[:0], 0, 0
+	return sc
+}
+
+// report hands the level samples and search counts of every worker to
+// OnLevel and to the trace span, once the workers have finished: no
+// search takes a lock or calls out while it runs.
+func (s *Solver) report(scratch []*search) {
+	all := scratch[0]
+	for _, sc := range scratch[1:] {
+		all.levels = append(all.levels, sc.levels...)
+		all.both += sc.both
+		all.forward += sc.forward
+	}
+	if s.OnLevel != nil {
+		for _, l := range all.levels {
+			s.OnLevel(l.Level, l.Size, l.Backward)
+		}
+	}
+	s.Trace.AddSolve(s.Span, all.levels, trace.Searches{Both: all.both, Forward: all.forward})
 }
 
 // ValidateWeights checks the strict positivity requirement of §2 and
@@ -198,7 +228,7 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 	workers := s.solveWorkers(len(groups))
 	scratch := make([]*search, workers)
 	for w := range scratch {
-		scratch[w] = s.takeScratch()
+		scratch[w] = s.takeScratch(s.OnLevel != nil || s.Trace != nil)
 	}
 	// canceled latches the first failure observation so remaining groups
 	// drain as no-ops instead of starting new traversals; failOnce keeps
@@ -219,10 +249,9 @@ func (s *Solver) Solve(srcs, dsts []VertexID, specs []Spec) (*Solution, error) {
 		}
 	})
 	// The scratch goes back to the graph only here: a traversal that
-	// panicked unwinds past this point, so its scratch is dropped. It
-	// must not keep this query's level callback (and trace) alive.
+	// panicked unwinds past this point, so its scratch is dropped.
+	s.report(scratch)
 	for _, sc := range scratch {
-		sc.onLevel = nil
 		s.g.pool.Put(sc)
 	}
 	if canceled.Load() {
@@ -256,14 +285,13 @@ func (s *Solver) solveWorkers(groups int) int {
 	return min(par.Gated(s.Parallelism, groups*s.traversalWork(), minParallelSolveWork), groups)
 }
 
-// bidirectional reports whether a source group searches from both
-// ends, given its count of distinct destinations and its specs: it
-// needs exactly one destination, a graph that carries its transpose,
-// and only unit-weight specs without paths (REACHES, CHEAPEST SUM of a
+// bidirectional reports whether a source group may search its
+// destinations from both ends: the graph carries its transpose, and
+// every spec is unit-weight without a path (REACHES, CHEAPEST SUM of a
 // constant), because the bidirectional search yields one hop count and
 // nothing else.
-func (s *Solver) bidirectional(distinct int, specs []Spec) bool {
-	if distinct != 1 || s.g.In == nil {
+func (s *Solver) bidirectional(specs []Spec) bool {
+	if s.g.In == nil {
 		return false
 	}
 	for k := range specs {
@@ -276,28 +304,83 @@ func (s *Solver) bidirectional(distinct int, specs []Spec) bool {
 
 // solveGroup answers all pairs sharing one source vertex. It runs
 // concurrently for distinct groups, so it must write only through its
-// private scratch and the pair indices of its own group. A non-nil
-// error means the traversal stopped mid-flight (cancellation or an
+// private scratch and the pair indices of its own group (group is its
+// own part of the solve's order, so it may reorder it). A non-nil
+// error means a traversal stopped mid-flight (cancellation or an
 // injected fault) and the group's outputs are partial garbage the
 // caller must discard.
 func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) error {
 	if err := fault.Inject(fault.PointSolverGroup); err != nil {
 		return err
 	}
-	// Mark the distinct destinations of this group.
-	distinct := 0
-	for _, i := range group {
-		d := dsts[i]
-		if !sc.wanted[d] {
-			sc.wanted[d] = true
-			distinct++
+	if s.bidirectional(specs) {
+		answered, err := s.searchBothEnds(sc, src, group, dsts, specs, sol)
+		if err != nil || answered == len(group) {
+			return err
 		}
+		group = group[answered:]
 	}
-	defer func() {
-		for _, i := range group {
-			sc.wanted[dsts[i]] = false
+	return s.searchForward(sc, src, group, dsts, specs, sol)
+}
+
+// searchBothEnds answers a group's pairs one distinct destination at a
+// time with runBiBFS. After each search it projects the searches still
+// to run at the mean vertices reached per search so far; once that
+// exceeds the vertices of the graph, which bound what one forward
+// traversal reaches, it searches no more. It moves the pairs it
+// answered to the front of group and returns their count;
+// searchForward answers the rest. The switch depends only on the
+// input, and hop counts are unique, so where it falls cannot change an
+// answer.
+//
+// Work is counted in vertices reached, not edges scanned. Nearly every
+// edge a search from both ends scans reaches a new vertex, while most
+// of the edges one traversal scans lead to vertices it has already
+// reached, so per edge scanned the searches cost several times more.
+// Per vertex reached they cost less, since the traversal's vertices
+// also pay for all the edges it scans: the switch errs early, towards
+// the traversal.
+func (s *Solver) searchBothEnds(sc *search, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) (int, error) {
+	// wanted marks the destinations not searched yet; answer holds the
+	// hop count (-1: unreachable) of those searched.
+	left := sc.mark(group, dsts)
+	defer sc.unmark(group, dsts)
+	if sc.answer == nil {
+		sc.answer = make([]int32, len(sc.wanted))
+	}
+	searched, work, answered := 0, 0, 0
+	for at, i := range group {
+		d := dsts[i]
+		if sc.wanted[d] {
+			if searched > 0 && left*work > searched*s.n {
+				continue
+			}
+			sc.both++
+			hops, ok, err := sc.runBiBFS(s.g, s.delta, src, d, s.Ctx)
+			if err != nil {
+				return answered, err
+			}
+			if !ok {
+				hops = -1
+			}
+			sc.wanted[d], sc.answer[d] = false, int32(hops)
+			searched, work, left = searched+1, work+sc.reached, left-1
 		}
-	}()
+		putHops(sol, specs, i, int64(sc.answer[d]))
+		group[answered], group[at] = i, group[answered]
+		answered++
+	}
+	return answered, nil
+}
+
+// searchForward answers a group's pairs with one traversal from the
+// source per way of counting cost: a BFS for reachability and the
+// unit-weight specs, and one Dijkstra run per weighted spec, each
+// stopping once every destination is settled.
+func (s *Solver) searchForward(sc *search, src VertexID, group []int, dsts []VertexID, specs []Spec, sol *Solution) error {
+	distinct := sc.mark(group, dsts)
+	defer sc.unmark(group, dsts)
+	sc.forward += distinct
 
 	// Reachability (and unit-weight costs) come from one BFS. If every
 	// spec is weighted we still derive reachability from the first
@@ -313,43 +396,23 @@ func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []Vertex
 	// scratch.
 	reachedSet := false
 	if needBFS {
-		sc.onLevel = s.OnLevel
-		// hopsTo reads a destination's hop count off the traversal.
-		hopsTo := func(d VertexID) (int64, bool) { return sc.dist[d], sc.seen(d) }
-		if s.bidirectional(distinct, specs) {
-			hops, ok, err := sc.runBiBFS(s.g, s.delta, src, dsts[group[0]], s.Ctx)
-			if err != nil {
-				return err
-			}
-			hopsTo = func(VertexID) (int64, bool) { return hops, ok }
-		} else if _, err := sc.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
+		if _, err := sc.runBFS(s.g, s.delta, src, sc.wanted, distinct, s.Ctx); err != nil {
 			return err
 		}
 		for _, i := range group {
-			_, sol.Reached[i] = hopsTo(dsts[i])
-		}
-		reachedSet = true
-		for k := range specs {
-			spec := &specs[k]
-			if !spec.Unit {
+			d := dsts[i]
+			if !sc.seen(d) {
+				putHops(sol, specs, i, -1)
 				continue
 			}
-			for _, i := range group {
-				d := dsts[i]
-				hops, ok := hopsTo(d)
-				if !ok {
-					continue
-				}
-				if spec.Float {
-					sol.CostF[k][i] = float64(hops) * spec.UnitF
-				} else {
-					sol.CostI[k][i] = hops * spec.UnitI
-				}
-				if spec.NeedPath {
+			putHops(sol, specs, i, sc.dist[d])
+			for k := range specs {
+				if specs[k].Unit && specs[k].NeedPath {
 					sol.Paths[k][i], _ = sc.pathTo(d)
 				}
 			}
 		}
+		reachedSet = true
 	}
 
 	for k := range specs {
@@ -390,4 +453,22 @@ func (s *Solver) solveGroup(sc *search, src VertexID, group []int, dsts []Vertex
 		reachedSet = true
 	}
 	return nil
+}
+
+// putHops answers pair i for a destination hops hops away (-1:
+// unreachable): whether it is reached, and its cost under every
+// unit-weight spec.
+func putHops(sol *Solution, specs []Spec, i int, hops int64) {
+	if sol.Reached[i] = hops >= 0; !sol.Reached[i] {
+		return
+	}
+	for k := range specs {
+		switch spec := &specs[k]; {
+		case !spec.Unit:
+		case spec.Float:
+			sol.CostF[k][i] = float64(hops) * spec.UnitF
+		default:
+			sol.CostI[k][i] = hops * spec.UnitI
+		}
+	}
 }

@@ -13,7 +13,7 @@ import (
 // vertices actually reached. ctx (optional) is polled every
 // cancelCheckInterval dequeues so one huge traversal aborts mid-flight
 // rather than running to completion. Each level boundary fires
-// fault.PointSolverLevel and reports the level to onLevel.
+// fault.PointSolverLevel and records the level.
 func (s *search) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantLeft int, ctx context.Context) (int, error) {
 	s.reset(src, false)
 	reached := 0
@@ -42,9 +42,7 @@ func (s *search) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantL
 			if err := fault.Inject(fault.PointSolverLevel); err != nil {
 				return reached, err
 			}
-			if s.onLevel != nil {
-				s.onLevel(du, len(s.queue)-head, false)
-			}
+			s.level(du, len(s.queue)-head, false)
 		}
 		relax := func(v VertexID, row int32) bool {
 			if s.seen(v) {
@@ -90,13 +88,16 @@ func (s *search) runBFS(g *CSR, delta *Delta, src VertexID, wanted []bool, wantL
 // path is longer than a+b, so the level that meets the other side finds
 // a path of exactly a+b+1 hops. Hop counts are unique, so the answer
 // equals runBFS's. It returns the hop count and whether dst is
-// reachable. No parents are recorded, so pathTo means nothing after it.
-// Like runBFS it polls ctx every cancelCheckInterval dequeues, fires
-// fault.PointSolverLevel per level and reports every expanded level,
-// with its direction, to onLevel.
+// reachable, and leaves the number of vertices the two sides reached in
+// s.reached. No parents are recorded, so pathTo means nothing after
+// it. Like runBFS it polls ctx every cancelCheckInterval dequeues
+// (counted across the runs on this scratch), fires
+// fault.PointSolverLevel per level and records every expanded level
+// with its direction.
 func (s *search) runBiBFS(g *CSR, delta *Delta, src, dst VertexID, ctx context.Context) (int64, bool, error) {
 	s.reset(src, false)
 	if src == dst {
+		s.reached = 1
 		return 0, true, nil
 	}
 	s.resetBackward(dst)
@@ -105,9 +106,12 @@ func (s *search) runBiBFS(g *CSR, delta *Delta, src, dst VertexID, ctx context.C
 	if delta != nil {
 		fwd.delta, bwd.delta = delta.Adj, delta.In
 	}
-	// Keep the grown queues for the next run on this scratch.
-	defer func() { s.queue, s.bqueue = fwd.queue, bwd.queue }()
-	pops := 0
+	// Keep the grown queues for the next run on this scratch. Every
+	// vertex a side reached is on its queue.
+	defer func() {
+		s.queue, s.bqueue = fwd.queue, bwd.queue
+		s.reached = len(fwd.queue) + len(bwd.queue)
+	}()
 	for {
 		a, b := &fwd, &bwd
 		if b.frontier() < a.frontier() {
@@ -118,7 +122,7 @@ func (s *search) runBiBFS(g *CSR, delta *Delta, src, dst VertexID, ctx context.C
 			// other side.
 			return 0, false, nil
 		}
-		if hops, met, err := s.expandLevel(a, b, &pops, ctx); met || err != nil {
+		if hops, met, err := s.expandLevel(a, b, ctx); met || err != nil {
 			return hops, met, err
 		}
 	}
@@ -142,18 +146,16 @@ func (b *biSide) frontier() int { return len(b.queue) - b.lo }
 // expandLevel expands a's whole frontier by one level, stopping at the
 // first vertex b has seen; it then returns the hop count of the path
 // through that vertex and true.
-func (s *search) expandLevel(a, b *biSide, pops *int, ctx context.Context) (int64, bool, error) {
+func (s *search) expandLevel(a, b *biSide, ctx context.Context) (int64, bool, error) {
 	lvl := a.dist[a.queue[a.lo]]
 	if err := fault.Inject(fault.PointSolverLevel); err != nil {
 		return 0, false, err
 	}
-	if s.onLevel != nil {
-		s.onLevel(lvl, a.frontier(), a.backward)
-	}
+	s.level(lvl, a.frontier(), a.backward)
 	cur := s.cur
 	for end := len(a.queue); a.lo < end; a.lo++ {
 		if ctx != nil {
-			if *pops++; *pops&(cancelCheckInterval-1) == 0 {
+			if s.pops++; s.pops&(cancelCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return 0, false, err
 				}

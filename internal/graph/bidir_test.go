@@ -2,10 +2,15 @@ package graph
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"graphsql/internal/fault"
+	"graphsql/internal/trace"
 )
 
 // TestEpochWrapClearsStaleStamps runs BFS, bidirectional BFS and
@@ -145,40 +150,52 @@ func genBidirectional(p picker) (g *CSR, delta *Delta, n int) {
 // checkBidirectional holds runBiBFS to runBFS on random pairs of one
 // random graph: the same reachability and hop count, on one scratch
 // reused across both traversals. Every traversal's levels must count
-// up from zero in each direction. The Solver, which picks the
-// bidirectional search for single-pair unit-weight groups, must answer
-// the pairs exactly as it does over the same graph without a transpose.
+// up from zero in each direction. The Solver, which searches the
+// destinations of unit-weight groups from both ends until a forward
+// traversal is projected to be cheaper, must answer the pairs exactly
+// as it does over the same graph without a transpose. A third of the
+// draws take every pair from one source, so that one group holds all
+// of them, duplicates and the source itself included.
 func checkBidirectional(t *testing.T, p picker) {
 	g, delta, n := genBidirectional(p)
 	s := newSearch(n)
-	var next [2]int64
-	s.onLevel = func(level int64, _ int, backward bool) {
-		dir := 0
-		if backward {
-			dir = 1
+	s.record = true
+	checkLevels := func() {
+		t.Helper()
+		var next [2]int64
+		for _, l := range s.levels {
+			dir := 0
+			if l.Backward {
+				dir = 1
+			}
+			if l.Level != next[dir] {
+				t.Fatalf("levels %v: backward=%v level %d, want %d", s.levels, l.Backward, l.Level, next[dir])
+			}
+			next[dir]++
 		}
-		if level != next[dir] {
-			t.Fatalf("backward=%v level %d, want %d", backward, level, next[dir])
-		}
-		next[dir]++
+		s.levels = s.levels[:0]
 	}
 	pairs := 1 + p.Intn(16)
+	oneSource := p.Intn(3) == 0
 	srcs, dsts := make([]VertexID, pairs), make([]VertexID, pairs)
 	for i := range srcs {
 		src, dst := VertexID(p.Intn(n)), VertexID(p.Intn(n))
+		if oneSource && i > 0 {
+			src = srcs[0]
+		}
 		srcs[i], dsts[i] = src, dst
 		s.wanted[dst] = true
-		next = [2]int64{}
 		if _, err := s.runBFS(g, delta, src, s.wanted, 1, nil); err != nil {
 			t.Fatal(err)
 		}
+		checkLevels()
 		s.wanted[dst] = false
 		wantHops, wantOK := s.dist[dst], s.seen(dst)
-		next = [2]int64{}
 		hops, ok, err := s.runBiBFS(g, delta, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkLevels()
 		if ok != wantOK || ok && hops != wantHops {
 			t.Fatalf("%d -> %d (n %d, delta %v): bidirectional %d hops, reached %v; forward %d hops, reached %v",
 				src, dst, n, delta != nil, hops, ok, wantHops, wantOK)
@@ -195,7 +212,7 @@ func checkBidirectional(t *testing.T, p picker) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("solver over the transpose differs\nforward: %+v\nboth ends: %+v", want, got)
+			t.Fatalf("solver over the transpose differs (pairs %v -> %v)\nforward: %+v\nboth ends: %+v", srcs, dsts, want, got)
 		}
 	}
 }
@@ -221,4 +238,139 @@ func FuzzBidirectionalBFS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkBidirectional(t, &bytePicker{data: data})
 	})
+}
+
+// solveTraced solves on g and returns the solution with what the solve
+// handed its trace span.
+func solveTraced(t *testing.T, s *Solver, srcs, dsts []VertexID, specs []Spec) (*Solution, trace.Searches, error) {
+	t.Helper()
+	tr := trace.New()
+	s.Trace, s.Span = tr, tr.Begin(trace.NoSpan, "GraphMatch")
+	sol, err := s.Solve(srcs, dsts, specs)
+	tr.End(s.Span)
+	var searches trace.Searches
+	if node := tr.Tree().Children[0]; node.Searches != nil {
+		searches = *node.Searches
+	}
+	return sol, searches, err
+}
+
+// TestGroupSearchesBothEndsThenForward pins both branches of a
+// multi-destination group over a graph that carries its transpose. On
+// the star 0 -> {1..8} (9 vertices) a search from both ends to d
+// expands the source up to its edge to d: it reaches the source, 1..d
+// and d from the other side, d+1 vertices. Destinations 5 then 3
+// project 1 × 6 ≤ 9 after the first search, so both are searched from
+// both ends; 8, 7, ..., 1 project 7 × 9 > 9 and switch to one forward
+// BFS for the remaining seven. A repeated destination is searched
+// once, and the source as its own destination is a search that reaches
+// only itself (0, 1, ... projects 8 × 1 ≤ 9, then 7 × 3/2 > 9). Every
+// answer equals the forward-only solver's.
+func TestGroupSearchesBothEndsThenForward(t *testing.T) {
+	var star [][2]int
+	for v := 1; v <= 8; v++ {
+		star = append(star, [2]int{0, v})
+	}
+	g := withTranspose(t, 9, star)
+	forward := buildTestCSR(t, 9, star)
+	for _, tc := range []struct {
+		name string
+		dsts []VertexID
+		want trace.Searches
+	}{
+		{"two destinations", []VertexID{5, 3}, trace.Searches{Both: 2}},
+		{"a repeated destination", []VertexID{3, 5, 3}, trace.Searches{Both: 2}},
+		{"the source among them", []VertexID{3, 0, 5, 0}, trace.Searches{Both: 3}},
+		{"every vertex", []VertexID{8, 7, 6, 5, 4, 3, 2, 1}, trace.Searches{Both: 1, Forward: 7}},
+		{"every vertex and the source", []VertexID{0, 1, 2, 3, 4, 5, 6, 7, 8}, trace.Searches{Both: 2, Forward: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srcs := make([]VertexID, len(tc.dsts))
+			specs := []Spec{{Unit: true, UnitI: 2}, {Unit: true, Float: true, UnitF: 0.5}}
+			got, searches, err := solveTraced(t, NewSolver(g), srcs, tc.dsts, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if searches != tc.want {
+				t.Fatalf("searches %+v, want %+v", searches, tc.want)
+			}
+			want, fwd, err := solveTraced(t, NewSolver(forward), srcs, tc.dsts, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("answers differ\nforward: %+v\nboth ends: %+v", want, got)
+			}
+			if distinct := len(slices.Compact(slices.Sorted(slices.Values(tc.dsts)))); fwd != (trace.Searches{Forward: distinct}) {
+				t.Fatalf("ad hoc graph searches %+v, want %d forward", fwd, distinct)
+			}
+		})
+	}
+}
+
+// chainGroup is a chain 0 -> 1 -> ... -> n-1 over its transpose and
+// one group from 0 to the destinations 1..k. Each search from both
+// ends expands d forward levels of one vertex to reach d, so the group
+// pops k(k+1)/2 vertices in all. A search reaches d+1 vertices, so in
+// any order the projection stays below k(k+1), and the group does not
+// switch while that is at most n.
+func chainGroup(t *testing.T, n, k int) (*CSR, []VertexID, []VertexID) {
+	t.Helper()
+	line := make([][2]int, n-1)
+	for i := range line {
+		line[i] = [2]int{i, i + 1}
+	}
+	srcs, dsts := make([]VertexID, k), make([]VertexID, k)
+	for i := range dsts {
+		dsts[i] = VertexID(i + 1)
+	}
+	return withTranspose(t, n, line), srcs, dsts
+}
+
+// TestGroupSearchesPollContext cancels a group of many short searches
+// from both ends. No single search pops cancelCheckInterval vertices,
+// so only a dequeue count that runs across the group's searches polls
+// the context: the solve must stop once the group has popped two poll
+// intervals' worth instead of finishing the group.
+func TestGroupSearchesPollContext(t *testing.T) {
+	// 192 destinations pop 18,528 vertices in all, four poll
+	// intervals.
+	const k = 192
+	g, srcs, dsts := chainGroup(t, 16*cancelCheckInterval, k)
+	s := NewSolver(g)
+	// One poll at the group boundary, one at pop cancelCheckInterval,
+	// and the third cancels.
+	s.Ctx = newCountdownCtx(2)
+	_, searches, err := solveTraced(t, s, srcs, dsts, []Spec{{Unit: true, UnitI: 1}})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if searches.Both >= k || searches.Forward != 0 {
+		t.Fatalf("searches %+v: the group ran to its end or switched", searches)
+	}
+}
+
+// TestGroupSearchesLevelFault arms the level fault point to fire in the
+// second search of a group searched from both ends: the injected error
+// surfaces from Solve, and the samples of the levels that ran are
+// still handed over.
+func TestGroupSearchesLevelFault(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	g, srcs, dsts := chainGroup(t, 64, 3)
+	// Destinations 1, 2, 3 take 1, 2 and 3 forward levels: skip the
+	// first 2 hits, so the second level of the second search fails.
+	if err := fault.Set(fault.Rule{Point: fault.PointSolverLevel, Kind: fault.KindError, After: 2}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(g)
+	var levels []int64
+	s.OnLevel = func(level int64, _ int, _ bool) { levels = append(levels, level) }
+	_, searches, err := solveTraced(t, s, srcs, dsts, []Spec{{Unit: true, UnitI: 1}})
+	var inj *fault.InjectedError
+	if !errors.As(err, &inj) || inj.Point != fault.PointSolverLevel {
+		t.Fatalf("Solve error = %v, want injected error at %s", err, fault.PointSolverLevel)
+	}
+	if searches != (trace.Searches{Both: 2}) || !reflect.DeepEqual(levels, []int64{0, 0}) {
+		t.Fatalf("searches %+v, levels %v; want 2 from both ends and levels [0 0]", searches, levels)
+	}
 }

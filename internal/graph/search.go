@@ -1,5 +1,7 @@
 package graph
 
+import "graphsql/internal/trace"
+
 // search is the traversal scratch shared by BFS, bidirectional BFS and
 // both Dijkstra variants. Instead of clearing O(V) state between
 // sources, entries carry an epoch stamp and are considered unset unless
@@ -37,12 +39,22 @@ type search struct {
 	bepoch []uint32
 	bdist  []int64
 	bqueue []VertexID
+	// answer[d] is the hop count (-1: unreachable) a search from both
+	// ends found for destination d of the group being solved.
+	answer []int32
 
-	// onLevel, when non-nil, receives one (level, frontier size,
-	// direction) sample per BFS level (level 0 is the source or the
-	// destination itself). Set per traversal from Solver.OnLevel; nil
-	// costs one pointer check per level.
-	onLevel func(level int64, size int, backward bool)
+	// What one solve did on this scratch, handed over once its workers
+	// finish (Solver.report). When record is set, levels buffers one
+	// (level, frontier size, direction) sample per BFS level (level 0
+	// is the source or the destination itself). both and forward count
+	// the destinations searched from both ends and forward.
+	record        bool
+	levels        []trace.Level
+	both, forward int
+	// reached counts the vertices the last bidirectional run reached;
+	// pops counts bidirectional dequeues across runs, so a group of
+	// many short searches still polls its context.
+	reached, pops int
 }
 
 func newSearch(n int) *search {
@@ -96,6 +108,32 @@ func (s *search) resetBackward(dst VertexID) {
 	s.bepoch[dst] = s.cur
 	s.bdist[dst] = 0
 	s.bqueue = append(s.bqueue[:0], dst)
+}
+
+// mark sets wanted for the destinations of a source group and returns
+// how many distinct ones there are; unmark clears them.
+func (s *search) mark(group []int, dsts []VertexID) int {
+	distinct := 0
+	for _, i := range group {
+		if d := dsts[i]; !s.wanted[d] {
+			s.wanted[d] = true
+			distinct++
+		}
+	}
+	return distinct
+}
+
+func (s *search) unmark(group []int, dsts []VertexID) {
+	for _, i := range group {
+		s.wanted[dsts[i]] = false
+	}
+}
+
+// level records one BFS level sample when the solve asked for them.
+func (s *search) level(level int64, size int, backward bool) {
+	if s.record {
+		s.levels = append(s.levels, trace.Level{Level: level, Size: size, Backward: backward})
+	}
 }
 
 // floatDist returns the float cost array, allocating it on first use.

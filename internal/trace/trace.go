@@ -5,11 +5,12 @@
 // A *Trace is created once per query (or not at all) and threaded down
 // the existing seams: the server brackets resolve/admission/encode, the
 // facade brackets parse/fingerprint/plan-cache, each exec operator opens
-// one span (rows out, wall time), and the shortest-path solver
-// reports per-level frontier sizes through a callback installed from
-// the trace carried in the context. All methods are nil-receiver-safe:
-// a nil *Trace is the disabled path and performs no work and no
-// allocations, so call sites never branch on "is tracing on".
+// one span (rows out, wall time), and the shortest-path solver hands
+// the span carried in the context its per-level frontier sizes and
+// search counts, once per solve (AddSolve). All methods are
+// nil-receiver-safe: a nil *Trace is the disabled path and performs no
+// work and no allocations, so call sites never branch on "is tracing
+// on".
 //
 // Timing uses a single time.Time epoch captured at New; every span
 // start/end is a time.Since(epoch) — a monotonic-clock read — so spans
@@ -20,6 +21,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -35,12 +37,6 @@ type SpanID int32
 const NoSpan SpanID = -1
 
 const slabSize = 24
-
-type levelSample struct {
-	level    int64
-	size     int
-	backward bool
-}
 
 type span struct {
 	name    string
@@ -58,12 +54,12 @@ type span struct {
 	// windowsScanned of windowsTotal zone windows a pruned scan read.
 	windowsScanned int
 	windowsTotal   int
-	levels         []levelSample
+	levels         []Level
+	searches       Searches
 }
 
 // Trace records the spans of one query. Safe for concurrent use: the
-// solver reports frontier levels from worker goroutines while the
-// coordinator opens and closes operator spans.
+// in-flight listing reads a trace while its query runs.
 type Trace struct {
 	mu    sync.Mutex
 	epoch time.Time
@@ -195,17 +191,20 @@ func (t *Trace) SetWindows(id SpanID, scanned, total int) {
 	t.mu.Unlock()
 }
 
-// AddLevel appends one BFS frontier sample (level number, frontier
-// size, and whether the level belongs to the backward half of a
-// bidirectional search) to the span. Called from solver goroutines
-// mid-traversal.
-func (t *Trace) AddLevel(id SpanID, level int64, size int, backward bool) {
+// AddSolve hands a solver span what one solve did, in one call made
+// after its workers finish: the frontier samples of its searches, and
+// how many destinations it searched from both ends and forward. A span
+// that runs several solves accumulates them.
+func (t *Trace) AddSolve(id SpanID, levels []Level, searches Searches) {
 	if t == nil || id < 0 {
 		return
 	}
 	t.mu.Lock()
 	if int(id) < len(t.spans) {
-		t.spans[id].levels = append(t.spans[id].levels, levelSample{level, size, backward})
+		sp := &t.spans[id]
+		sp.levels = append(sp.levels, levels...)
+		sp.searches.Both += searches.Both
+		sp.searches.Forward += searches.Forward
 	}
 	t.mu.Unlock()
 }
@@ -329,6 +328,14 @@ type Level struct {
 	Backward bool  `json:"backward,omitempty"`
 }
 
+// Searches counts the destinations a solver span searched from both
+// ends (a bidirectional BFS per destination) and forward (one
+// traversal from the source serving all of a group's destinations).
+type Searches struct {
+	Both    int `json:"both"`
+	Forward int `json:"forward"`
+}
+
 // Node is the wire form of a span subtree: what a traced /query
 // response carries (buffered body or stream trailer) and what EXPLAIN
 // ANALYZE renders. Field order is the deterministic JSON encoding
@@ -350,9 +357,11 @@ type Node struct {
 	GraphEdges    int    `json:"graph_edges,omitempty"`
 	// Windows is set on a scan that skipped some of its table's
 	// windows by their zones.
-	Windows  *Windows `json:"windows,omitempty"`
-	Levels   []Level  `json:"levels,omitempty"`
-	Children []*Node  `json:"children,omitempty"`
+	Windows *Windows `json:"windows,omitempty"`
+	// Searches is set on a GraphMatch span whose solver searched.
+	Searches *Searches `json:"searches,omitempty"`
+	Levels   []Level   `json:"levels,omitempty"`
+	Children []*Node   `json:"children,omitempty"`
 }
 
 // Windows is how many of its table's windows (storage.ZoneRows rows
@@ -403,11 +412,12 @@ func (t *Trace) Tree() *Node {
 		if s.windowsTotal > 0 {
 			n.Windows = &Windows{Scanned: s.windowsScanned, Total: s.windowsTotal}
 		}
+		if s.searches != (Searches{}) {
+			searches := s.searches
+			n.Searches = &searches
+		}
 		if len(s.levels) > 0 {
-			n.Levels = make([]Level, len(s.levels))
-			for j, l := range s.levels {
-				n.Levels[j] = Level{Level: l.level, Size: l.size, Backward: l.backward}
-			}
+			n.Levels = slices.Clone(s.levels)
 		}
 		nodes[i] = n
 		if s.parent >= 0 && int(s.parent) < len(nodes) && nodes[s.parent] != nil {
@@ -466,6 +476,9 @@ func Render(root *Node) string {
 		}
 		if n.Windows != nil {
 			fmt.Fprintf(&b, ", windows=%d/%d", n.Windows.Scanned, n.Windows.Total)
+		}
+		if n.Searches != nil {
+			fmt.Fprintf(&b, ", searches=both:%d,forward:%d", n.Searches.Both, n.Searches.Forward)
 		}
 		if n.Workers > 0 {
 			fmt.Fprintf(&b, ", workers=%d", n.Workers)

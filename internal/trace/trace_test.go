@@ -18,7 +18,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 		tr.SetRows(sp, 42)
 		tr.SetWorkers(sp, 4)
 		tr.SetWindows(sp, 2, 64)
-		tr.AddLevel(sp, 3, 128, true)
+		tr.AddSolve(sp, nil, Searches{Both: 1})
 		tr.End(sp)
 		_ = tr.Duration(sp)
 		_ = tr.CurrentStage()
@@ -41,9 +41,8 @@ func TestSpanTreeAndRowsIn(t *testing.T) {
 	tr.End(scan1)
 	scan2 := tr.Begin(proj, "Scan b")
 	tr.SetRows(scan2, 5)
-	tr.AddLevel(scan2, 0, 1, false)
-	tr.AddLevel(scan2, 1, 7, false)
-	tr.AddLevel(scan2, 0, 2, true)
+	tr.AddSolve(scan2, []Level{{Level: 0, Size: 1}, {Level: 1, Size: 7}}, Searches{})
+	tr.AddSolve(scan2, []Level{{Level: 0, Size: 2, Backward: true}}, Searches{})
 	tr.SetWorkers(scan2, 3)
 	tr.End(scan2)
 	tr.SetRows(proj, 8)
@@ -161,9 +160,10 @@ func TestStagesAndCurrentStage(t *testing.T) {
 	}
 }
 
-// TestConcurrentLevelSamples exercises the solver-side contract: level
-// samples arrive from worker goroutines while the coordinator opens
-// and closes spans. Run under -race.
+// TestConcurrentLevelSamples: solves hand their samples over while
+// other goroutines open and close spans of the same trace (two
+// GraphMatch operators of one query may solve at once). Every sample
+// and count lands, in order within each hand-off. Run under -race.
 func TestConcurrentLevelSamples(t *testing.T) {
 	tr := New()
 	sp := tr.Begin(NoSpan, "GraphMatch")
@@ -172,8 +172,12 @@ func TestConcurrentLevelSamples(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr.AddLevel(sp, int64(i), w, i%2 == 1)
+			levels := make([]Level, 10)
+			for i := range levels {
+				levels[i] = Level{Level: int64(i), Size: w, Backward: i%2 == 1}
+			}
+			for i := 0; i < 10; i++ {
+				tr.AddSolve(sp, levels, Searches{Both: 1, Forward: w})
 			}
 		}(w)
 	}
@@ -188,8 +192,44 @@ func TestConcurrentLevelSamples(t *testing.T) {
 	if len(gm.Levels) != 400 {
 		t.Fatalf("got %d level samples, want 400", len(gm.Levels))
 	}
+	for i, l := range gm.Levels {
+		if l.Level != int64(i%10) {
+			t.Fatalf("sample %d is level %d: a hand-off was split", i, l.Level)
+		}
+	}
+	if *gm.Searches != (Searches{Both: 40, Forward: 60}) {
+		t.Fatalf("searches %+v, want both 40, forward 60", *gm.Searches)
+	}
 	if len(gm.Children) != 50 {
 		t.Fatalf("got %d children, want 50", len(gm.Children))
+	}
+}
+
+// TestSearchesWireForm: a solver span that searched carries its counts
+// on the wire and in the rendered tree, before the worker budget; any
+// other span encodes as it did before spans had searches.
+func TestSearchesWireForm(t *testing.T) {
+	tr := New()
+	gm := tr.Begin(NoSpan, "GraphMatch")
+	tr.SetWorkers(gm, 2)
+	tr.AddSolve(gm, nil, Searches{Both: 127, Forward: 1})
+	tr.End(gm)
+	scan := tr.Begin(NoSpan, "Scan q AS q")
+	tr.AddSolve(scan, nil, Searches{})
+	tr.End(scan)
+	root := tr.Tree()
+	got, err := json.Marshal(root.Children[0].Searches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != `{"both":127,"forward":1}` {
+		t.Fatalf("searches encode as %s", got)
+	}
+	if got, err = json.Marshal(root.Children[1]); err != nil || strings.Contains(string(got), "searches") {
+		t.Fatalf("a span that searched nothing encodes searches: %s, %v", got, err)
+	}
+	if text := Render(root); !strings.Contains(text, ", searches=both:127,forward:1, workers=2)") {
+		t.Fatalf("rendered tree lacks the searches:\n%s", text)
 	}
 }
 

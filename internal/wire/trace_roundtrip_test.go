@@ -20,9 +20,8 @@ func sampleTrace() *trace.Node {
 	gm := tr.Begin(proj, "GraphMatch")
 	tr.SetRows(gm, 7)
 	tr.SetWorkers(gm, 2)
-	tr.AddLevel(gm, 0, 1, false)
-	tr.AddLevel(gm, 1, 42, false)
-	tr.AddLevel(gm, 0, 3, true)
+	tr.AddSolve(gm, []trace.Level{{Level: 0, Size: 1}, {Level: 1, Size: 42}, {Level: 0, Size: 3, Backward: true}},
+		trace.Searches{Both: 1, Forward: 2})
 	tr.End(gm)
 	tr.SetRows(proj, 7)
 	tr.End(proj)
@@ -60,7 +59,7 @@ func TestTraceRoundTripBuffered(t *testing.T) {
 	}
 	gm := back.Trace.Children[1].Children[0].Children[0]
 	if gm.Rows == nil || *gm.Rows != 7 || gm.Workers != 2 || len(gm.Levels) != 3 || gm.Levels[1].Size != 42 ||
-		gm.Levels[1].Backward || !gm.Levels[2].Backward {
+		gm.Levels[1].Backward || !gm.Levels[2].Backward || gm.Searches == nil || *gm.Searches != (trace.Searches{Both: 1, Forward: 2}) {
 		t.Fatalf("GraphMatch node mangled: %+v", gm)
 	}
 }

@@ -138,9 +138,13 @@ func TestShortestPathsAgainstOracle(t *testing.T) {
 	const costQ = `SELECT a.id, b.id, CHEAPEST SUM(1) AS hops,
 			CHEAPEST SUM(x: w) AS (icost, ipath), CHEAPEST SUM(x: f) AS (fcost, fpath)
 		FROM v a, v b WHERE a.id REACHES b.id OVER e x EDGE (src, dst)`
-	// The cross joins above give every source several destinations. A
-	// single pair over the graph index is searched from both ends
-	// instead, so each pair is also asked on its own.
+	// The cross joins give every source several destinations. Over the
+	// graph index, reachQ and hopsQ search them from both ends, one at
+	// a time, until one forward traversal is projected to be cheaper;
+	// costQ asks for paths and weights, so it always searches forward.
+	// Each pair is also asked on its own, a group of one destination.
+	const hopsQ = `SELECT a.id, b.id, CHEAPEST SUM(1) AS hops
+		FROM v a, v b WHERE a.id REACHES b.id OVER e EDGE (src, dst)`
 	const pairReachQ = `SELECT 1 AS r WHERE ? REACHES ? OVER e EDGE (src, dst)`
 	const pairHopsQ = `SELECT CHEAPEST SUM(1) AS hops WHERE ? REACHES ? OVER e EDGE (src, dst)`
 
@@ -188,6 +192,24 @@ func TestShortestPathsAgainstOracle(t *testing.T) {
 			for _, row := range reach.Rows {
 				if _, ok := hops[[2]int64{row[0].(int64), row[1].(int64)}]; !ok {
 					fail("REACHES claims %v reaches %v; the oracle disagrees", row[0], row[1])
+				}
+			}
+
+			unit, err := db.Query(hopsQ)
+			if err != nil {
+				fail("%v", err)
+			}
+			if unit.Len() != len(hops) {
+				fail("CHEAPEST SUM(1) returned %d pairs, oracle %d", unit.Len(), len(hops))
+			}
+			for _, row := range unit.Rows {
+				a, b := row[0].(int64), row[1].(int64)
+				wantHops, ok := hops[[2]int64{a, b}]
+				if !ok {
+					fail("CHEAPEST SUM(1) answers unreachable pair %d→%d", a, b)
+				}
+				if got := row[2].(int64); got != int64(wantHops) {
+					fail("%d→%d: CHEAPEST SUM(1) hops %d, oracle %d", a, b, got, wantHops)
 				}
 			}
 
