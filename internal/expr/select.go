@@ -18,44 +18,44 @@ import (
 // its right operand only the rows its left one kept, OR hands its right
 // operand only the rows its left one did not keep and unions the two,
 // NOT and IS [NOT] NULL select directly, and comparisons, IN and LIKE
-// run typed kernels over the candidate rows. The value operands of
-// those kernels — anything but a column reference, a literal or a
-// bound parameter — are still evaluated over the whole chunk, so an
-// expression that can fail (division, CAST, a function) fails on the
-// same rows whatever selection it is reached with.
+// run typed kernels over the candidate rows. The first column × scalar
+// comparison of BIGINT-backed or DOUBLE values reads its column
+// straight through; every other kernel that is handed all rows first
+// writes them out as indices. The value operands of the kernels —
+// anything but a column reference, a literal or a bound parameter —
+// are still evaluated over the whole chunk, so an expression that can
+// fail (division, CAST, a function) fails on the same rows whatever
+// selection it is reached with.
 func Select(ctx *Context, pred Expr, in *storage.Chunk, sel []int) ([]int, error) {
 	n := in.NumRows()
 	if cap(sel) < n {
 		sel = make([]int, n)
 	}
-	sel = sel[:n]
-	for i := range sel {
-		sel[i] = i
-	}
-	return selectRows(ctx, pred, in, sel, true)
+	return selectRows(ctx, pred, in, sel[:n], true, true)
 }
 
 // selectRows narrows cand, in place, to the rows where e is exactly
-// want (never NULL). It evaluates every operand even when cand is
-// empty: an operand that can fail must fail as it would over the
-// whole batch.
-func selectRows(ctx *Context, e Expr, in *storage.Chunk, cand []int, want bool) ([]int, error) {
+// want (never NULL). When all is set, cand stands for every row of the
+// chunk and its entries are not yet written (see rowsOf). It evaluates
+// every operand even when cand is empty: an operand that can fail must
+// fail as it would over the whole batch.
+func selectRows(ctx *Context, e Expr, in *storage.Chunk, cand []int, all, want bool) ([]int, error) {
 	switch t := e.(type) {
 	case *Logic:
 		if t.And != want {
 			// OR for TRUE, AND for FALSE: either operand decides.
-			return selectAny(cand, 2, func(j int, rows []int) ([]int, error) {
-				return selectRows(ctx, [2]Expr{t.L, t.R}[j], in, rows, want)
+			return selectAny(rowsOf(cand, all), 2, func(j int, rows []int) ([]int, error) {
+				return selectRows(ctx, [2]Expr{t.L, t.R}[j], in, rows, false, want)
 			})
 		}
 		// AND for TRUE, OR for FALSE: both operands must agree.
 		var err error
-		if cand, err = selectRows(ctx, t.L, in, cand, want); err != nil {
+		if cand, err = selectRows(ctx, t.L, in, cand, all, want); err != nil {
 			return nil, err
 		}
-		return selectRows(ctx, t.R, in, cand, want)
+		return selectRows(ctx, t.R, in, cand, false, want)
 	case *Not:
-		return selectRows(ctx, t.X, in, cand, !want)
+		return selectRows(ctx, t.X, in, cand, all, !want)
 	case *Cmp:
 		l, err := evalOperand(ctx, t.L, in)
 		if err != nil {
@@ -69,15 +69,15 @@ func selectRows(ctx *Context, e Expr, in *storage.Chunk, cand []int, want bool) 
 		if !want {
 			mask ^= maskAll
 		}
-		return selectCmp(mask, l, r, cand)
+		return selectCmp(mask, l, r, cand, all)
 	case *IsNull:
 		x, err := evalOperand(ctx, t.X, in)
 		if err != nil {
 			return nil, err
 		}
-		return selectNull(x, cand, want != t.Not), nil
+		return selectNull(x, rowsOf(cand, all), want != t.Not), nil
 	case *InList:
-		return selectIn(ctx, t, in, cand, want != t.Not)
+		return selectIn(ctx, t, in, rowsOf(cand, all), want != t.Not)
 	case *Like:
 		x, err := evalOperand(ctx, t.X, in)
 		if err != nil {
@@ -87,13 +87,24 @@ func selectRows(ctx *Context, e Expr, in *storage.Chunk, cand []int, want bool) 
 		if err != nil {
 			return nil, err
 		}
-		return selectLike(x, p, cand, want != t.Not), nil
+		return selectLike(x, p, rowsOf(cand, all), want != t.Not), nil
 	}
 	x, err := evalOperand(ctx, e, in)
 	if err != nil {
 		return nil, err
 	}
-	return selectBool(x, cand, want), nil
+	return selectBool(x, rowsOf(cand, all), want), nil
+}
+
+// rowsOf returns the rows cand stands for as indices: when all is set,
+// cand is scratch of the chunk's length, filled here with every row.
+func rowsOf(cand []int, all bool) []int {
+	if all {
+		for i := range cand {
+			cand[i] = i
+		}
+	}
+	return cand
 }
 
 // selectAny narrows cand to the rows at least one of k selections
@@ -261,30 +272,31 @@ func floatsOf(c *storage.Column) []float64 {
 	return fs
 }
 
-// selectCmp narrows cand to the rows where l compared with r has an
-// outcome in mask; a NULL on either side selects nothing.
-func selectCmp(mask uint8, l, r operand, cand []int) ([]int, error) {
+// selectCmp narrows cand (every row when all is set) to the rows where
+// l compared with r has an outcome in mask; a NULL on either side
+// selects nothing.
+func selectCmp(mask uint8, l, r operand, cand []int, all bool) ([]int, error) {
 	if l.col == nil && r.col == nil {
 		if l.val.Null || r.val.Null || mask>>(1+types.Compare(l.val, r.val))&1 == 0 {
 			return cand[:0], nil
 		}
-		return cand, nil
+		return rowsOf(cand, all), nil
 	}
 	if l.col == nil {
 		l, r, mask = r, l, mirror(mask)
 	}
 	var err error
 	if r.col == nil {
-		cand, err = cmpColScalar(mask, l.col, r.val, cand)
+		cand, err = cmpColScalar(mask, l.col, r.val, cand, all)
 	} else {
-		cand, err = cmpColCol(mask, l.col, r.col, cand)
+		cand, err = cmpColCol(mask, l.col, r.col, rowsOf(cand, all))
 		cand = dropNulls(cand, r.col.Nulls)
 	}
 	return dropNulls(cand, l.col.Nulls), err
 }
 
 // cmpColScalar is the column × scalar kernel.
-func cmpColScalar(mask uint8, c *storage.Column, v types.Value, cand []int) ([]int, error) {
+func cmpColScalar(mask uint8, c *storage.Column, v types.Value, cand []int, all bool) ([]int, error) {
 	if v.Null {
 		return cand[:0], nil
 	}
@@ -295,70 +307,84 @@ func cmpColScalar(mask uint8, c *storage.Column, v types.Value, cand []int) ([]i
 	k := 0
 	switch class {
 	case classInt:
-		return cmpScalarLoop(mask, c.Ints, v.I, cand), nil
+		return cmpScalarLoop(mask, c.Ints, v.I, cand, all), nil
 	case classFloat:
 		xs, y := floatsOf(c), v.AsFloat()
 		if y == y {
-			return cmpScalarLoop(mask, xs, y, cand), nil
+			return cmpScalarLoop(mask, xs, y, cand, all), nil
 		}
+		cand = rowsOf(cand, all)
 		for _, i := range cand {
 			cand[k] = i
 			k += int(mask >> floatIdx(xs[i], y) & 1)
 		}
 	case classString:
 		xs, y := c.Strs, v.S
+		cand = rowsOf(cand, all)
 		for _, i := range cand {
 			cand[k] = i
 			k += int(mask >> strIdx(xs[i], y) & 1)
 		}
 	case classPath:
-		k = len(cand) * int(mask>>1&1)
+		cand, k = rowsOf(cand, all), len(cand)*int(mask>>1&1)
 	}
 	return cand[:k], nil
 }
 
 // cmpScalarLoop is the column × scalar kernel of the int-backed and
 // float classes: one branchless loop per operator instead of an outcome
-// index per row. y must not be NaN. A NaN entry then folds into the
-// loops with one comparison: it is greater than y, so it satisfies
-// x > y || x != x (written without a branch) and !(x < y), and none
-// of x < y, x <= y and x == y. For int64 the extra comparison is
-// constant and compiles away. mask is one of the six operator masks:
-// negation and mirroring map that set onto itself, and the masks of a
-// path's IN (nothing or everything) take cmpColScalar's path branch.
-func cmpScalarLoop[T int64 | float64](mask uint8, xs []T, y T, cand []int) []int {
+// index per row, over cand or, when all is set, over the whole column.
+// y must not be NaN. >, >= and <> run the loops of <=, < and = with
+// the outcome flipped, which also places a NaN entry: it is greater
+// than y, so it fails x <= y, x < y and x == y and passes their
+// negations. mask is one of the six operator masks: negation and
+// mirroring map that set onto itself, and the masks of a path's IN
+// (nothing or everything) take cmpColScalar's path branch.
+func cmpScalarLoop[T int64 | float64](mask uint8, xs []T, y T, cand []int, all bool) []int {
+	flip := 0
+	if mask&0b100 != 0 {
+		mask, flip = mask^maskAll, 1
+	}
+	if all {
+		xs = xs[:len(cand)]
+	}
 	k := 0
 	switch mask {
 	case cmpMasks[CmpLt]:
-		for _, i := range cand {
-			cand[k] = i
-			k += b2i(xs[i] < y)
+		if all {
+			for i, x := range xs {
+				cand[k] = i
+				k += b2i(x < y) ^ flip
+			}
+		} else {
+			for _, i := range cand {
+				cand[k] = i
+				k += b2i(xs[i] < y) ^ flip
+			}
 		}
 	case cmpMasks[CmpLe]:
-		for _, i := range cand {
-			cand[k] = i
-			k += b2i(xs[i] <= y)
+		if all {
+			for i, x := range xs {
+				cand[k] = i
+				k += b2i(x <= y) ^ flip
+			}
+		} else {
+			for _, i := range cand {
+				cand[k] = i
+				k += b2i(xs[i] <= y) ^ flip
+			}
 		}
 	case cmpMasks[CmpEq]:
-		for _, i := range cand {
-			cand[k] = i
-			k += b2i(xs[i] == y)
-		}
-	case cmpMasks[CmpNe]:
-		for _, i := range cand {
-			cand[k] = i
-			k += b2i(xs[i] != y)
-		}
-	case cmpMasks[CmpGt]:
-		for _, i := range cand {
-			x := xs[i]
-			cand[k] = i
-			k += b2i(x > y) | b2i(x != x)
-		}
-	case cmpMasks[CmpGe]:
-		for _, i := range cand {
-			cand[k] = i
-			k += b2i(!(xs[i] < y))
+		if all {
+			for i, x := range xs {
+				cand[k] = i
+				k += b2i(x == y) ^ flip
+			}
+		} else {
+			for _, i := range cand {
+				cand[k] = i
+				k += b2i(xs[i] == y) ^ flip
+			}
 		}
 	}
 	return cand[:k]
@@ -469,11 +495,11 @@ func selectIn(ctx *Context, t *InList, in *storage.Chunk, cand []int, found bool
 	}
 	if found {
 		return selectAny(cand, len(list), func(j int, rows []int) ([]int, error) {
-			return selectCmp(eq, x, list[j], rows)
+			return selectCmp(eq, x, list[j], rows, false)
 		})
 	}
 	for _, e := range list {
-		if cand, err = selectCmp(eq^maskAll, x, e, cand); err != nil {
+		if cand, err = selectCmp(eq^maskAll, x, e, cand, false); err != nil {
 			return nil, err
 		}
 	}
@@ -587,7 +613,7 @@ func evalPredicate(ctx *Context, p Expr, in *storage.Chunk) (*storage.Column, er
 	if err != nil {
 		return nil, err
 	}
-	f, err := selectRows(ctx, p, in, Complement(t, n), false)
+	f, err := selectRows(ctx, p, in, Complement(t, n), false, false)
 	if err != nil {
 		return nil, err
 	}

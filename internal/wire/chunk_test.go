@@ -171,12 +171,12 @@ func FuzzAppendChunk(f *testing.F) {
 }
 
 // scanChunk is a 1,024-row int/int/float batch, the shape of a streamed
-// filter scan's result.
-func scanChunk() *storage.Chunk {
+// filter scan's result, with weight(i) in row i's float cell.
+func scanChunk(weight func(i int) float64) *storage.Chunk {
 	const n = 1024
 	src, dst, w := make([]int64, n), make([]int64, n), make([]float64, n)
 	for i := range n {
-		src[i], dst[i], w[i] = int64(i*7919), int64(1<<40+i), float64(i)/3
+		src[i], dst[i], w[i] = int64(i*7919), int64(1<<40+i), weight(i)
 	}
 	return &storage.Chunk{
 		Schema: storage.Schema{{Name: "src", Kind: types.KindInt}, {Name: "dst", Kind: types.KindInt}, {Name: "weight", Kind: types.KindFloat}},
@@ -184,19 +184,29 @@ func scanChunk() *storage.Chunk {
 	}
 }
 
+// The weights of a scan chunk: full-precision floats (integers over
+// three) take strconv's route; 4-decimal weights in [0.5, 5), the
+// friends.weight column scan_stream returns, take appendFloat's
+// scaled-integer branch.
+func fullWeight(i int) float64  { return float64(i) / 3 }
+func shortWeight(i int) float64 { return float64(5000+i*7919%45000) / 1e4 }
+
 // TestAppendChunkZeroAllocs pins the result path's allocation floor:
-// encoding a batch into a warmed Encoded allocates nothing, and neither
-// does writing a stream's complete frames once its buffers are warm.
+// encoding a batch into a warmed Encoded allocates nothing, whichever
+// route its floats take, and neither does writing a stream's complete
+// frames once its buffers are warm.
 func TestAppendChunkZeroAllocs(t *testing.T) {
-	c := scanChunk()
+	c := scanChunk(fullWeight)
 	enc := NewEncoded(nil)
-	if n := testing.AllocsPerRun(20, func() {
-		enc.Reset()
-		if err := enc.AppendChunk(c); err != nil {
-			t.Fatal(err)
+	for _, in := range []*storage.Chunk{c, scanChunk(shortWeight)} {
+		if n := testing.AllocsPerRun(20, func() {
+			enc.Reset()
+			if err := enc.AppendChunk(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("AppendChunk of %d rows: %v allocs, want 0", in.NumRows(), n)
 		}
-	}); n != 0 {
-		t.Fatalf("AppendChunk of %d rows: %v allocs, want 0", c.NumRows(), n)
 	}
 	sw := NewStreamWriter(io.Discard).Frames(NewEncoded(nil), 100, false)
 	if n := testing.AllocsPerRun(20, func() {
@@ -214,7 +224,7 @@ func TestAppendChunkZeroAllocs(t *testing.T) {
 // them at the end; one that never keeps them, or forgets them midway,
 // writes the same bytes.
 func TestChunkFramesAreFixedWindows(t *testing.T) {
-	c := scanChunk().Slice(0, 23)
+	c := scanChunk(fullWeight).Slice(0, 23)
 	all := NewEncoded(nil)
 	if err := all.AppendChunk(c); err != nil {
 		t.Fatal(err)
@@ -254,21 +264,30 @@ func TestChunkFramesAreFixedWindows(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendChunk encodes a 1,024-row batch from its typed columns.
+// BenchmarkAppendChunk encodes a 1,024-row batch from its typed
+// columns, with 4-decimal weights (short) and full-precision ones
+// (full): both sides of appendFloat's scaled-integer test.
 func BenchmarkAppendChunk(b *testing.B) {
-	c := scanChunk()
-	enc := NewEncoded(nil)
-	perRow(b, c.NumRows(), func() error {
-		enc.Reset()
-		return enc.AppendChunk(c)
-	})
+	for _, bc := range []struct {
+		name   string
+		weight func(int) float64
+	}{{"short", shortWeight}, {"full", fullWeight}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := scanChunk(bc.weight)
+			enc := NewEncoded(nil)
+			perRow(b, c.NumRows(), func() error {
+				enc.Reset()
+				return enc.AppendChunk(c)
+			})
+		})
+	}
 }
 
 // BenchmarkAppendBoxed encodes the same rows the way the result path
 // did before typed batches: boxed as Rows.NextBatch boxes them, then
 // appended cell by cell.
 func BenchmarkAppendBoxed(b *testing.B) {
-	c := scanChunk()
+	c := scanChunk(fullWeight)
 	enc := NewEncoded(nil)
 	perRow(b, c.NumRows(), func() error {
 		enc.Reset()

@@ -7,6 +7,12 @@ package wire
 // case — a string that needs escaping, NaN, ±Inf, a path, a folded
 // json.Number, another type — goes through appendCell's
 // encoding/json route, so bytes and error text are encoding/json's.
+//
+// A float cell costs what its digits cost: a value with at most eight
+// decimals between 1e-6 and 1e7 (a weight such as 4.8751) is printed
+// from one exact scaled-integer test, and every other float goes
+// through strconv's shortest round-trip search. Both give
+// encoding/json's bytes; appendFloat says why.
 
 import (
 	"encoding/json"
@@ -255,9 +261,48 @@ func appendString(b []byte, s string) ([]byte, error) {
 
 // appendFloat is encoding/json's float64 form: shortest round-trip
 // digits, exponent notation below 1e-6 and from 1e21, "e-7" not "e-07".
+//
+// For 1e-6 <= |f| < 1e7 it first tries the decimal N/1e8 with N =
+// round(|f|·1e8). Adjacent floats there are at most 2^-29 < 1e-8
+// apart, so at most one multiple of 1e-8 rounds to f. When one does,
+// |f|·1e8 lies within 0.1 of its numerator, and below 1e15 the product
+// and the added 0.5 each round by at most 1/16, so the truncation is
+// that numerator. float64(N)/1e8 divides two exact values with one
+// correct rounding, so it equals |f| exactly when N/1e8 rounds to |f|.
+// That decimal, trailing zeros dropped, is the shortest that rounds
+// to f — what strconv's 'f', -1 prints: any other decimal rounding to
+// f lies within 1e-8 of it, has a digit below 1e-8 and no higher
+// leading digit, so it has more digits. -0, NaN, ±Inf and the
+// exponent range never take this branch; a full-precision float pays
+// one multiply, one divide and one compare before strconv.
 func appendFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e7 {
+		if n := uint64(abs*1e8 + 0.5); float64(n)/1e8 == abs {
+			if f < 0 {
+				b = append(b, '-')
+			}
+			b = strconv.AppendUint(b, n/1e8, 10)
+			frac := n % 1e8
+			if frac == 0 {
+				return b
+			}
+			digits := 8
+			for frac%10 == 0 {
+				frac /= 10
+				digits--
+			}
+			var d [9]byte // the point and up to eight decimals
+			d[0] = '.'
+			for i := digits; i > 0; i-- {
+				d[i] = byte('0' + frac%10)
+				frac /= 10
+			}
+			return append(b, d[:digits+1]...)
+		}
+	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)

@@ -96,7 +96,10 @@ var ErrTest = &Error{Code: "x", Message: "boom"}
 
 // FuzzAppendCell holds the direct int64, float64 and string cases of
 // the cell encoder to encoding/json, byte for byte; strings are
-// arbitrary bytes, so escaping and invalid UTF-8 are covered.
+// arbitrary bytes, so escaping and invalid UTF-8 are covered. Random
+// float bits almost never land on a short decimal, so the int64 also
+// derives one — a mantissa below 1e15 over 10^0..10^8, either sign —
+// for appendFloat's scaled-integer branch.
 func FuzzAppendCell(f *testing.F) {
 	f.Add(int64(0), 0.0, "")
 	f.Add(int64(math.MinInt64), math.Copysign(0, -1), "plain")
@@ -106,8 +109,20 @@ func FuzzAppendCell(f *testing.F) {
 	f.Add(int64(42), math.Nextafter(1e21, 0), "bad\xff\xc3")
 	f.Add(int64(7), 5e-324, "héllo 日本 😀 \ufffd")
 	f.Add(int64(8), math.MaxFloat64, "\xed\xa0\x80")
+	// The edges and both sides of appendFloat's scaled-integer branch.
+	for _, fl := range []float64{
+		math.Nextafter(1e-6, 1), 1e7, math.Nextafter(1e7, 0), math.Nextafter(1e7, 2e7),
+		9999999.99999999, 0.1 + 0.2, 4.8751, -4.8751, 1e-8, 5e-9, 12345678.5,
+	} {
+		f.Add(int64(math.Float64bits(fl)), fl, "")
+	}
 	f.Fuzz(func(t *testing.T, i int64, fl float64, s string) {
-		for _, v := range []any{i, fl, s} {
+		u := uint64(i)
+		short := float64(u>>5%1e15) / math.Pow10(int(u%9))
+		if u>>4&1 == 1 {
+			short = -short
+		}
+		for _, v := range []any{i, fl, s, short} {
 			want, wantErr := json.Marshal(v)
 			got, err := appendCell([]byte("prefix"), v)
 			if (err != nil) != (wantErr != nil) {
