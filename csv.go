@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"graphsql/internal/storage"
 	"graphsql/internal/types"
 )
 
@@ -48,13 +49,23 @@ func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
 	}
 	rows := 0
 	rowBuf := make([]types.Value, len(t.Schema))
+	batch := storage.NewChunk(t.Schema)
+	// flush appends the rows read since its last call, then returns
+	// the number of rows loaded and err.
+	flush := func(err error) (int, error) {
+		if aerr := t.AppendChunk(batch); aerr != nil {
+			return rows - batch.NumRows(), aerr
+		}
+		batch = storage.NewChunk(t.Schema)
+		return rows, err
+	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return rows, fmt.Errorf("CSV row %d: %w", rows+2, err)
+			return flush(fmt.Errorf("CSV row %d: %w", rows+2, err))
 		}
 		for i := range rowBuf {
 			rowBuf[i] = types.NewNull(t.Schema[i].Kind)
@@ -62,17 +73,23 @@ func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
 		for i, cell := range rec {
 			v, err := parseCell(cell, t.Schema[colIdx[i]].Kind)
 			if err != nil {
-				return rows, fmt.Errorf("CSV row %d column %s: %w", rows+2, header[i], err)
+				return flush(fmt.Errorf("CSV row %d column %s: %w", rows+2, header[i], err))
 			}
 			rowBuf[colIdx[i]] = v
 		}
-		if err := t.AppendRow(rowBuf); err != nil {
-			return rows, fmt.Errorf("CSV row %d: %w", rows+2, err)
-		}
+		batch.AppendRow(rowBuf)
 		rows++
+		if batch.NumRows() == csvBatchRows {
+			if n, err := flush(nil); err != nil {
+				return n, err
+			}
+		}
 	}
-	return rows, nil
+	return flush(nil)
 }
+
+// csvBatchRows is how many CSV rows LoadCSV appends at a time.
+const csvBatchRows = 1 << 14
 
 // LoadCSVFile is LoadCSV over a file path.
 func (db *DB) LoadCSVFile(table, path string) (int, error) {

@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"fmt"
+
 	"graphsql/internal/expr"
 	"graphsql/internal/sql/ast"
 	"graphsql/internal/storage"
@@ -21,4 +23,39 @@ func (b *Binder) BindScalar(e ast.Expr) (expr.Expr, error) {
 // DELETE ... WHERE).
 func (b *Binder) BindOver(e ast.Expr, sch storage.Schema) (expr.Expr, error) {
 	return b.bindExpr(e, &scope{schema: sch, paths: map[int]storage.Schema{}})
+}
+
+// LitValue is the value of one literal VALUES cell: what binding and
+// evaluating the same literal as an expression (BindScalar, then
+// expr.EvalScalar) gives, errors and their text included.
+func LitValue(c ast.Lit, params []types.Value) (types.Value, error) {
+	switch c.Kind {
+	case ast.LitParam:
+		if int(c.Param) >= len(params) {
+			return types.Value{}, paramError(int(c.Param), len(params))
+		}
+		v := params[c.Param]
+		v.K = v.K.Stored()
+		return v, nil
+	case ast.LitDate:
+		return expr.CastValue(types.NewString(c.Text), types.KindDate)
+	}
+	v, err := litValue(c.Kind, c.Text)
+	if err != nil {
+		return v, err
+	}
+	switch {
+	case !c.Neg:
+	case v.K == types.KindFloat:
+		v.F = -v.F
+	default:
+		v.I = -v.I
+	}
+	v.K = v.K.Stored()
+	return v, nil
+}
+
+// paramError reports a ? past the supplied arguments.
+func paramError(idx, supplied int) error {
+	return fmt.Errorf("statement uses parameter %d but only %d argument(s) were supplied", idx+1, supplied)
 }

@@ -89,6 +89,41 @@ func isAggName(name string) bool {
 	return false
 }
 
+// litValue converts a literal the parser read: the one place the
+// int/float choice of a number is made, for the binder's literal nodes
+// and for the VALUES cells the engine appends without binding
+// (LitValue). A DATE or a ? is not a plain literal here.
+func litValue(k ast.LitKind, text string) (types.Value, error) {
+	switch k {
+	case ast.LitInt:
+		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return types.NewInt(i), nil
+		}
+		fallthrough
+	case ast.LitFloat:
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return types.Value{}, fmt.Errorf("invalid numeric literal %q", text)
+		}
+		return types.NewFloat(f), nil
+	case ast.LitString:
+		return types.NewString(text), nil
+	case ast.LitTrue, ast.LitFalse:
+		return types.NewBool(k == ast.LitTrue), nil
+	case ast.LitNull:
+		return types.NewNull(types.KindNull), nil
+	}
+	return types.Value{}, fmt.Errorf("internal: literal kind %d has no plain value", k)
+}
+
+func constLit(k ast.LitKind, text string) (expr.Expr, error) {
+	v, err := litValue(k, text)
+	if err != nil {
+		return nil, err
+	}
+	return &expr.Const{Val: v}, nil
+}
+
 // bindExpr translates an AST expression into a bound expression over
 // the scope.
 func (b *Binder) bindExpr(e ast.Expr, sc *scope) (expr.Expr, error) {
@@ -116,29 +151,27 @@ func (b *Binder) bindExpr(e ast.Expr, sc *scope) (expr.Expr, error) {
 		return &expr.ColRef{Idx: idx, K: m.Kind, Name: m.QualifiedName()}, nil
 
 	case *ast.NumberLit:
-		if !t.IsFloat {
-			if i, err := strconv.ParseInt(t.Text, 10, 64); err == nil {
-				return &expr.Const{Val: types.NewInt(i)}, nil
-			}
+		kind := ast.LitInt
+		if t.IsFloat {
+			kind = ast.LitFloat
 		}
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid numeric literal %q", t.Text)
-		}
-		return &expr.Const{Val: types.NewFloat(f)}, nil
+		return constLit(kind, t.Text)
 
 	case *ast.StringLit:
-		return &expr.Const{Val: types.NewString(t.Val)}, nil
+		return constLit(ast.LitString, t.Val)
 
 	case *ast.BoolLit:
-		return &expr.Const{Val: types.NewBool(t.Val)}, nil
+		if t.Val {
+			return constLit(ast.LitTrue, "")
+		}
+		return constLit(ast.LitFalse, "")
 
 	case *ast.NullLit:
-		return &expr.Const{Val: types.NewNull(types.KindNull)}, nil
+		return constLit(ast.LitNull, "")
 
 	case *ast.ParamExpr:
 		if t.Index >= len(b.params) {
-			return nil, fmt.Errorf("statement uses parameter %d but only %d argument(s) were supplied", t.Index+1, len(b.params))
+			return nil, paramError(t.Index, len(b.params))
 		}
 		return &expr.Param{Idx: t.Index, K: b.params[t.Index].K}, nil
 

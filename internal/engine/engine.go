@@ -560,25 +560,6 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 	}
 	// Appended rows are absorbed by dynamic graph indexes at the next
 	// query (DynamicGraph.Refresh); no invalidation needed here.
-	appendRow := func(vals []types.Value) error {
-		if len(vals) != len(colIdx) {
-			return fmt.Errorf("INSERT row has %d values, expected %d", len(vals), len(colIdx))
-		}
-		row := make([]types.Value, len(table.Schema))
-		for i := range row {
-			row[i] = types.NewNull(table.Schema[i].Kind)
-		}
-		for i, v := range vals {
-			target := table.Schema[colIdx[i]].Kind
-			cv, err := expr.CastValue(v, target)
-			if err != nil {
-				return fmt.Errorf("column %s: %w", table.Schema[colIdx[i]].Name, err)
-			}
-			row[colIdx[i]] = cv
-		}
-		return table.AppendRow(row)
-	}
-
 	if t.Select != nil {
 		p, err := analyze.BindSelect(e.cat, t.Select, params)
 		if err != nil {
@@ -597,33 +578,122 @@ func (e *Engine) execInsert(ctx context.Context, t *ast.InsertStmt, params []typ
 		if res.NumCols() != len(colIdx) {
 			return fmt.Errorf("INSERT SELECT produces %d columns, expected %d", res.NumCols(), len(colIdx))
 		}
-		for i := 0; i < res.NumRows(); i++ {
-			if err := appendRow(res.Row(i)); err != nil {
-				return err
-			}
-		}
-		return nil
+		cols, n, err := castColumns(res.Cols, res.NumRows(), table.Schema, colIdx)
+		return appendInsert(table, colIdx, cols, n, err)
 	}
-	b := analyze.NewBinder(e.cat, params)
+	cols, n, err := e.valuesColumns(t, table.Schema, colIdx, params)
+	return appendInsert(table, colIdx, cols, n, err)
+}
+
+// valuesColumns reads the VALUES rows of t, in order, into one column
+// per target column, each of its target's kind. A row of literals is
+// converted cell by cell (analyze.LitValue); any other row is bound
+// and evaluated. Either way a row's values are all read, then its
+// arity checked, then its cells cast in order, so the first error is
+// the one a row-at-a-time insert meets first. It returns the columns
+// and how many leading rows they hold in full.
+func (e *Engine) valuesColumns(t *ast.InsertStmt, sch storage.Schema, colIdx []int, params []types.Value) ([]*storage.Column, int, error) {
+	cols := make([]*storage.Column, len(colIdx))
+	for i, j := range colIdx {
+		cols[i] = storage.NewColumn(sch[j].Kind, len(t.Rows))
+	}
+	var b *analyze.Binder
 	ectx := &expr.Context{Params: params}
-	for _, rowExprs := range t.Rows {
-		vals := make([]types.Value, len(rowExprs))
-		for i, re := range rowExprs {
-			be, err := b.BindScalar(re)
+	vals := make([]types.Value, 0, len(colIdx))
+	for r, exprs := range t.Rows {
+		vals = vals[:0]
+		for _, c := range t.RowCells(r) {
+			v, err := analyze.LitValue(c, params)
 			if err != nil {
-				return err
+				return cols, r, err
+			}
+			vals = append(vals, v)
+		}
+		for _, x := range exprs {
+			if b == nil {
+				b = analyze.NewBinder(e.cat, params)
+			}
+			be, err := b.BindScalar(x)
+			if err != nil {
+				return cols, r, err
 			}
 			v, err := expr.EvalScalar(be, ectx)
 			if err != nil {
-				return err
+				return cols, r, err
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
-		if err := appendRow(vals); err != nil {
+		if len(vals) != len(colIdx) {
+			return cols, r, fmt.Errorf("INSERT row has %d values, expected %d", len(vals), len(colIdx))
+		}
+		for i, v := range vals {
+			if err := castInto(cols[i], v); err != nil {
+				return cols, r, fmt.Errorf("column %s: %w", sch[colIdx[i]].Name, err)
+			}
+		}
+	}
+	return cols, len(t.Rows), nil
+}
+
+// castColumns casts the n-row source columns of INSERT … SELECT to
+// their target columns' kinds, a whole column at a time. It returns
+// the columns and how many leading rows cast cleanly; the error is the
+// one a row-at-a-time insert meets first (the lowest failing row, and
+// in it the lowest failing column), since each column after a failure
+// is cast only up to the row that failed.
+func castColumns(src []*storage.Column, n int, sch storage.Schema, colIdx []int) ([]*storage.Column, int, error) {
+	out := make([]*storage.Column, len(src))
+	var first error
+	for i, col := range src {
+		m := sch[colIdx[i]]
+		if col.Kind == m.Kind || (m.Kind == types.KindFloat && col.Kind == types.KindInt) {
+			out[i] = col // Table.AppendChunk widens BIGINT into DOUBLE
+			continue
+		}
+		c := storage.NewColumn(m.Kind, n)
+		for r := 0; r < n; r++ {
+			if err := castInto(c, col.Get(r)); err != nil {
+				n, first = r, fmt.Errorf("column %s: %w", m.Name, err)
+				break
+			}
+		}
+		out[i] = c
+	}
+	return out, n, first
+}
+
+// castInto appends v to col, cast to the column's kind as CAST would.
+func castInto(col *storage.Column, v types.Value) error {
+	if !v.Null && v.K != col.Kind {
+		var err error
+		if v, err = expr.CastValue(v, col.Kind); err != nil {
 			return err
 		}
 	}
+	col.Append(v)
 	return nil
+}
+
+// appendInsert appends the first n rows of cols (one per target
+// column; a column targeted twice takes the later one) through one
+// Table.AppendChunk, the table's other columns NULL, and then returns
+// err, the error that stopped the statement at row n, if any.
+func appendInsert(table *storage.Table, colIdx []int, cols []*storage.Column, n int, err error) error {
+	if n > 0 {
+		chunk := &storage.Chunk{Schema: table.Schema, Cols: make([]*storage.Column, len(table.Schema))}
+		for i, c := range cols {
+			chunk.Cols[colIdx[i]] = c.Slice(0, n)
+		}
+		for j, c := range chunk.Cols {
+			if c == nil {
+				chunk.Cols[j] = storage.ConstColumn(types.NewNull(table.Schema[j].Kind), n)
+			}
+		}
+		if aerr := table.AppendChunk(chunk); aerr != nil {
+			return aerr
+		}
+	}
+	return err
 }
 
 func (e *Engine) execDelete(t *ast.DeleteStmt, params []types.Value) error {

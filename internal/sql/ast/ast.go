@@ -93,11 +93,58 @@ type ColumnDef struct {
 }
 
 // InsertStmt is INSERT INTO name [(cols)] VALUES (...),... | SELECT.
+//
+// Rows lists the VALUES rows in order. A row made only of literals
+// (see Lit) is nil in Rows, and its cells are Cells[Ends[i-1]:Ends[i]]
+// (Ends[-1] being 0), so a bulk load builds no Expr per value. Any
+// other row keeps its expressions and an empty range of cells.
 type InsertStmt struct {
 	Table   string
 	Columns []string
-	Rows    [][]Expr    // literal VALUES rows, or
+	Rows    [][]Expr
+	Cells   []Lit
+	Ends    []int
 	Select  *SelectStmt // INSERT ... SELECT
+}
+
+// RowCells returns the cells of VALUES row i; it is empty unless the
+// row is made only of literals.
+func (s *InsertStmt) RowCells(i int) []Lit {
+	lo := 0
+	if i > 0 {
+		lo = s.Ends[i-1]
+	}
+	return s.Cells[lo:s.Ends[i]]
+}
+
+// LitKind tells what a Lit holds.
+type LitKind uint8
+
+// Literal kinds. LitInt and LitFloat are the parser's reading of a
+// number's text (LitFloat when it has a '.' or an exponent), the same
+// reading NumberLit.IsFloat records.
+const (
+	LitNull LitKind = iota
+	LitInt
+	LitFloat
+	LitString
+	LitTrue
+	LitFalse
+	LitDate  // DATE 'text'
+	LitParam // ?
+)
+
+// Lit is one cell of a VALUES row made only of literals: a number with
+// an optional sign, a string, TRUE, FALSE, NULL, DATE 'text' or ?.
+type Lit struct {
+	Kind LitKind
+	// Neg marks a number written with a leading '-'; it is negated
+	// after it is read, as the unary minus of an expression would be.
+	Neg bool
+	// Param is the 0-based index of a ?.
+	Param int32
+	// Text is a number's digits, a string's value or a date's text.
+	Text string
 }
 
 // DropTableStmt is DROP TABLE name.

@@ -410,26 +410,33 @@ func (p *Parser) parseInsert() (ast.Statement, error) {
 	}
 	switch {
 	case p.acceptKeyword("VALUES"):
+		rows, cells := p.valuesSize()
+		stmt.Rows = make([][]ast.Expr, 0, rows)
+		stmt.Ends = make([]int, 0, rows)
+		stmt.Cells = make([]ast.Lit, 0, cells)
 		for {
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
 			var row []ast.Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
+			if !p.literalRow(stmt) {
+				for {
+					e, err := p.parseExpr()
+					if err != nil {
+						return nil, err
+					}
+					row = append(row, e)
+					if p.acceptSymbol(",") {
+						continue
+					}
+					break
+				}
+				if err := p.expectSymbol(")"); err != nil {
 					return nil, err
 				}
-				row = append(row, e)
-				if p.acceptSymbol(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
 			}
 			stmt.Rows = append(stmt.Rows, row)
+			stmt.Ends = append(stmt.Ends, len(stmt.Cells))
 			if p.acceptSymbol(",") {
 				continue
 			}
@@ -445,6 +452,110 @@ func (p *Parser) parseInsert() (ast.Statement, error) {
 		return nil, p.errorf("expected VALUES or SELECT, found %s", p.peek())
 	}
 	return stmt, nil
+}
+
+// valuesSize bounds the size of the VALUES list that follows from
+// the statement's tokens: its rows (the '(' outside parentheses) and
+// its cells (the tokens directly inside a row but ','), so the lists
+// are allocated once instead of grown.
+func (p *Parser) valuesSize() (rows, cells int) {
+	depth := 0
+	for _, t := range p.toks[p.pos:] {
+		if t.Type == lexer.Symbol {
+			switch t.Text {
+			case "(":
+				if depth == 0 {
+					rows++
+				}
+				depth++
+				continue
+			case ")":
+				depth--
+				continue
+			case ",":
+				continue
+			}
+		}
+		if depth == 1 {
+			cells++
+		}
+	}
+	return rows, cells
+}
+
+// literalRow reads the rest of a VALUES row, after its '(', when the
+// row is made only of literals (see ast.Lit), and records its cells on
+// stmt. Otherwise it consumes nothing, so the row is parsed as
+// expressions, with the same parameter numbering and errors.
+func (p *Parser) literalRow(stmt *ast.InsertStmt) bool {
+	pos, params, cells := p.pos, p.params, len(stmt.Cells)
+	for {
+		c, ok := p.literal()
+		if !ok {
+			break
+		}
+		stmt.Cells = append(stmt.Cells, c)
+		if p.acceptSymbol(",") {
+			continue
+		}
+		if p.acceptSymbol(")") {
+			return true
+		}
+		break
+	}
+	p.pos, p.params, stmt.Cells = pos, params, stmt.Cells[:cells]
+	return false
+}
+
+// literal consumes one VALUES literal; on false the caller rewinds.
+func (p *Parser) literal() (ast.Lit, bool) {
+	t := p.next()
+	switch t.Type {
+	case lexer.Number:
+		return numberLit(t.Text), true
+	case lexer.String:
+		return ast.Lit{Kind: ast.LitString, Text: t.Text}, true
+	case lexer.Param:
+		p.params++
+		return ast.Lit{Kind: ast.LitParam, Param: int32(p.params - 1)}, true
+	case lexer.Symbol:
+		if (t.Text == "-" || t.Text == "+") && p.peek().Type == lexer.Number {
+			c := numberLit(p.next().Text)
+			c.Neg = t.Text == "-"
+			return c, true
+		}
+	case lexer.Keyword:
+		switch t.Text {
+		case "NULL":
+			return ast.Lit{Kind: ast.LitNull}, true
+		case "TRUE":
+			return ast.Lit{Kind: ast.LitTrue}, true
+		case "FALSE":
+			return ast.Lit{Kind: ast.LitFalse}, true
+		case "DATE":
+			if p.peek().Type == lexer.String {
+				return ast.Lit{Kind: ast.LitDate, Text: p.next().Text}, true
+			}
+		}
+	}
+	return ast.Lit{}, false
+}
+
+func numberLit(text string) ast.Lit {
+	if isFloatText(text) {
+		return ast.Lit{Kind: ast.LitFloat, Text: text}
+	}
+	return ast.Lit{Kind: ast.LitInt, Text: text}
+}
+
+// isFloatText reports whether a number token reads as a float.
+func isFloatText(text string) bool {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c == '.' || c == 'e' || c == 'E' {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *Parser) parseDropTable() (ast.Statement, error) {
@@ -1229,8 +1340,7 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 	switch t.Type {
 	case lexer.Number:
 		p.next()
-		isFloat := strings.ContainsAny(t.Text, ".eE")
-		return &ast.NumberLit{Text: t.Text, IsFloat: isFloat}, nil
+		return &ast.NumberLit{Text: t.Text, IsFloat: isFloatText(t.Text)}, nil
 	case lexer.String:
 		p.next()
 		return &ast.StringLit{Val: t.Text}, nil

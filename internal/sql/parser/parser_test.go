@@ -490,3 +490,53 @@ func TestParseKeywordAfterDot(t *testing.T) {
 		t.Fatalf("ident = %v", id.Parts)
 	}
 }
+
+// TestValuesLiteralRows: a VALUES row of literals becomes cells, with
+// no Expr; any other row keeps its expressions, in order, and ? are
+// numbered across both as they appear.
+func TestValuesLiteralRows(t *testing.T) {
+	stmt, nparams, err := ParseWithParams(`INSERT INTO t VALUES
+		(1, -2.5, +3, 'a''b', TRUE, FALSE, NULL, DATE '2020-01-02', ?),
+		(?, 1 + 1),
+		(-?, ?),
+		(- 9223372036854775808, 1e3)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nparams != 4 {
+		t.Fatalf("nparams = %d, want 4", nparams)
+	}
+	ins := stmt.(*ast.InsertStmt)
+	if len(ins.Rows) != 4 || ins.Rows[0] != nil || ins.Rows[1] == nil || ins.Rows[2] == nil || ins.Rows[3] != nil {
+		t.Fatalf("rows = %v", ins.Rows)
+	}
+	want := [][]ast.Lit{
+		{
+			{Kind: ast.LitInt, Text: "1"}, {Kind: ast.LitFloat, Neg: true, Text: "2.5"},
+			{Kind: ast.LitInt, Text: "3"}, {Kind: ast.LitString, Text: "a'b"},
+			{Kind: ast.LitTrue}, {Kind: ast.LitFalse}, {Kind: ast.LitNull},
+			{Kind: ast.LitDate, Text: "2020-01-02"}, {Kind: ast.LitParam, Param: 0},
+		},
+		{},
+		{},
+		{{Kind: ast.LitInt, Neg: true, Text: "9223372036854775808"}, {Kind: ast.LitFloat, Text: "1e3"}},
+	}
+	for i, w := range want {
+		if got := ins.RowCells(i); !reflect.DeepEqual(got, w) && len(got)+len(w) > 0 {
+			t.Errorf("row %d cells = %+v, want %+v", i, got, w)
+		}
+	}
+	if p, ok := ins.Rows[1][0].(*ast.ParamExpr); !ok || p.Index != 1 {
+		t.Errorf("row 1 starts with %#v, want ?2", ins.Rows[1][0])
+	}
+	if u, ok := ins.Rows[2][0].(*ast.UnaryExpr); !ok || u.X.(*ast.ParamExpr).Index != 2 {
+		t.Errorf("row 2 starts with %#v, want -?3", ins.Rows[2][0])
+	}
+	// A row that only starts like literals fails where the expression
+	// parser fails.
+	for _, sql := range []string{`INSERT INTO t VALUES (1, )`, `INSERT INTO t VALUES (1 2)`, `INSERT INTO t VALUES (DATE)`} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("%s parsed", sql)
+		}
+	}
+}

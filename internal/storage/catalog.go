@@ -30,23 +30,74 @@ func (t *Table) Chunk() *Chunk {
 	return &Chunk{Schema: t.Schema, Cols: t.Cols}
 }
 
-// AppendRow inserts one row; values must match the schema arity.
-func (t *Table) AppendRow(row []types.Value) error {
-	if len(row) != len(t.Schema) {
-		return fmt.Errorf("table %s: insert arity %d, want %d", t.Name, len(row), len(t.Schema))
+// AppendChunk appends every row of c, whose columns match the table's
+// in number and kind (an integer column may fill a DOUBLE one) and are
+// of one length. Every column is checked before any is written, so a
+// rejected chunk leaves the table as it was. String cells are copied
+// into one allocation per column that the table owns, so a table never
+// keeps what the cells were cut from (a script, a CSV record) alive.
+func (t *Table) AppendChunk(c *Chunk) error {
+	if len(c.Cols) != len(t.Schema) {
+		return fmt.Errorf("table %s: insert arity %d, want %d", t.Name, len(c.Cols), len(t.Schema))
 	}
-	for j, v := range row {
-		if !v.Null {
-			want := t.Schema[j].Kind
-			got := v.K
-			if got != want && !(want == types.KindFloat && got == types.KindInt) {
-				return fmt.Errorf("table %s column %s: cannot insert %v into %v",
-					t.Name, t.Schema[j].Name, got, want)
-			}
+	n := c.NumRows()
+	for j, col := range c.Cols {
+		want, got := t.Schema[j].Kind, col.Kind
+		if got != want && !(want == types.KindFloat && got == types.KindInt) {
+			return fmt.Errorf("table %s column %s: cannot insert %v into %v",
+				t.Name, t.Schema[j].Name, got, want)
 		}
-		t.Cols[j].Append(row[j])
+		if col.Len() != n {
+			return fmt.Errorf("table %s column %s: %d rows, want %d", t.Name, t.Schema[j].Name, col.Len(), n)
+		}
+	}
+	for j, col := range c.Cols {
+		dst := t.Cols[j]
+		switch {
+		case col.Kind == types.KindString:
+			from := len(dst.Strs)
+			dst.Extend(col)
+			own(dst.Strs[from:])
+		case dst.Kind != col.Kind: // BIGINT into DOUBLE
+			fs := make([]float64, n)
+			for i, v := range col.Ints {
+				fs[i] = float64(v)
+			}
+			wide := ColumnFromFloats(fs)
+			wide.Nulls = col.Nulls
+			dst.Extend(wide)
+		default:
+			dst.Extend(col)
+		}
 	}
 	return nil
+}
+
+// own re-points every string of s into one fresh allocation (an empty
+// one, which may still point into its source, at the static "").
+func own(s []string) {
+	size := 0
+	for i, v := range s {
+		if v == "" {
+			s[i] = ""
+		}
+		size += len(v)
+	}
+	if size == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, v := range s {
+		b.WriteString(v)
+	}
+	all, off := b.String(), 0
+	for i, v := range s {
+		if v != "" {
+			s[i] = all[off : off+len(v)]
+			off += len(v)
+		}
+	}
 }
 
 // Catalog is the collection of base tables. It is safe for concurrent

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"graphsql/internal/types"
 )
@@ -212,13 +213,13 @@ func TestCatalog(t *testing.T) {
 	}); err == nil {
 		t.Fatal("duplicate column must fail")
 	}
-	if err := tbl.AppendRow([]types.Value{types.NewInt(5)}); err != nil {
+	if err := tbl.AppendChunk(rowChunk(types.NewInt(5))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.AppendRow([]types.Value{types.NewString("no")}); err == nil {
+	if err := tbl.AppendChunk(rowChunk(types.NewString("no"))); err == nil {
 		t.Fatal("kind mismatch must fail")
 	}
-	if err := tbl.AppendRow([]types.Value{types.NewInt(1), types.NewInt(2)}); err == nil {
+	if err := tbl.AppendChunk(rowChunk(types.NewInt(1), types.NewInt(2))); err == nil {
 		t.Fatal("arity mismatch must fail")
 	}
 	got, ok := cat.Table("T")
@@ -240,7 +241,7 @@ func TestCatalog(t *testing.T) {
 func TestTableChunkIsZeroCopy(t *testing.T) {
 	cat := NewCatalog()
 	tbl, _ := cat.CreateTable("t", Schema{{Name: "x", Kind: types.KindInt}})
-	_ = tbl.AppendRow([]types.Value{types.NewInt(1)})
+	_ = tbl.AppendChunk(rowChunk(types.NewInt(1)))
 	c := tbl.Chunk()
 	if c.Cols[0] != tbl.Cols[0] {
 		t.Fatal("chunk must share the table's columns")
@@ -253,10 +254,79 @@ func TestTableChunkIsZeroCopy(t *testing.T) {
 func TestFloatIntMixedInsertIntoFloatColumn(t *testing.T) {
 	cat := NewCatalog()
 	tbl, _ := cat.CreateTable("t", Schema{{Name: "x", Kind: types.KindFloat}})
-	if err := tbl.AppendRow([]types.Value{types.NewInt(3)}); err != nil {
+	if err := tbl.AppendChunk(rowChunk(types.NewInt(3))); err != nil {
 		t.Fatal(err) // ints are accepted into DOUBLE columns
 	}
 	if tbl.Cols[0].Get(0).F != 3.0 {
 		t.Fatal("int was not widened")
+	}
+	nulls := rowChunk(types.NewInt(4))
+	nulls.Cols[0].AppendNull()
+	if err := tbl.AppendChunk(nulls); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Cols[0]; got.Len() != 3 || got.Get(1).F != 4 || !got.IsNull(2) {
+		t.Fatalf("widened column = %v, %v, %v", got.Get(0), got.Get(1), got.Get(2))
+	}
+}
+
+// rowChunk is a one-row chunk of the given values.
+func rowChunk(vals ...types.Value) *Chunk {
+	c := &Chunk{Cols: make([]*Column, len(vals))}
+	for j, v := range vals {
+		c.Cols[j] = NewColumn(v.K, 1)
+		c.Cols[j].Append(v)
+	}
+	return c
+}
+
+// TestAppendChunkChecksEveryColumnFirst: a chunk whose second column
+// cannot go into the table is refused before the first is written, so
+// the table is never ragged.
+func TestAppendChunkChecksEveryColumnFirst(t *testing.T) {
+	cat := NewCatalog()
+	tbl, _ := cat.CreateTable("t", Schema{{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindInt}})
+	if err := tbl.AppendChunk(rowChunk(types.NewInt(1), types.NewInt(2))); err != nil {
+		t.Fatal(err)
+	}
+	bad := []*Chunk{
+		rowChunk(types.NewInt(3), types.NewString("x")),                                   // wrong kind
+		{Cols: []*Column{NewColumn(types.KindInt, 0), rowChunk(types.NewInt(4)).Cols[0]}}, // lengths differ
+	}
+	bad[0].Cols[0].AppendInt(5) // also ragged itself
+	for i, c := range bad {
+		if err := tbl.AppendChunk(c); err == nil {
+			t.Fatalf("chunk %d: appended", i)
+		}
+		for j, col := range tbl.Cols {
+			if col.Len() != 1 {
+				t.Fatalf("chunk %d: column %d has %d rows after a refused append, want 1", i, j, col.Len())
+			}
+		}
+	}
+}
+
+// TestAppendChunkOwnsItsStrings: the appended strings share no memory
+// with the chunk's.
+func TestAppendChunkOwnsItsStrings(t *testing.T) {
+	cat := NewCatalog()
+	tbl, _ := cat.CreateTable("t", Schema{{Name: "s", Kind: types.KindString}})
+	src := "alpha,beta,"
+	c := &Chunk{Cols: []*Column{NewColumn(types.KindString, 3)}}
+	c.Cols[0].AppendString(src[0:5])
+	c.Cols[0].AppendNull()
+	c.Cols[0].AppendString(src[6:10])
+	c.Cols[0].AppendString(src[11:11])
+	if err := tbl.AppendChunk(c); err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for i, s := range tbl.Cols[0].Strs {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p <= lo+uintptr(len(src)) {
+			t.Fatalf("cell %d (%q) points into the source", i, s)
+		}
+	}
+	if got := tbl.Cols[0]; got.Get(0).S != "alpha" || !got.IsNull(1) || got.Get(2).S != "beta" || got.Get(3).S != "" {
+		t.Fatalf("strings = %q", got.Strs)
 	}
 }

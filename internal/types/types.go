@@ -124,12 +124,62 @@ func (v Value) Bool() bool { return v.I != 0 }
 func (v Value) IsNull() bool { return v.Null }
 
 // ParseDate parses a 'YYYY-MM-DD' literal into days since the epoch.
+// A canonical date (four, two and two digits naming a real day) is
+// counted from its fields; anything else goes to time.Parse, which
+// decides what else it accepts and words the error.
 func ParseDate(s string) (int64, error) {
+	if d, ok := civilDays(s); ok {
+		return d, nil
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return 0, fmt.Errorf("invalid date literal %q: %w", s, err)
 	}
 	return t.Unix() / 86400, nil
+}
+
+// civilDays is the day number of a canonical YYYY-MM-DD date of the
+// proleptic Gregorian calendar (as time counts), or false.
+func civilDays(s string) (int64, bool) {
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	num := func(i, j int) int64 {
+		n := int64(0)
+		for ; i < j; i++ {
+			c := s[i] - '0'
+			if c > 9 {
+				return -1
+			}
+			n = n*10 + int64(c)
+		}
+		return n
+	}
+	y, m, d := num(0, 4), num(5, 7), num(8, 10)
+	if y < 0 || m < 1 || m > 12 || d < 1 {
+		return 0, false
+	}
+	days := 30 + (m+m/8)%2
+	if m == 2 {
+		days = 28
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			days = 29
+		}
+	}
+	if d > days {
+		return 0, false
+	}
+	// Days from the civil date, counting years from March so the leap
+	// day ends a year (H. Hinnant's days_from_civil); y >= 0, so the
+	// 400-year era needs no floor division once shifted by one era.
+	if m <= 2 {
+		y--
+	}
+	y += 400
+	era, yoe := y/400, y%400
+	doy := (153*((m+9)%12)+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return (era-1)*146097 + doe - 719468, true
 }
 
 // FormatDate renders days-since-epoch as 'YYYY-MM-DD'.

@@ -1,8 +1,10 @@
 package types
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -194,5 +196,49 @@ func TestAsFloat(t *testing.T) {
 	}
 	if NewBool(true).AsFloat() != 1.0 {
 		t.Error("bool widening failed")
+	}
+}
+
+// FuzzParseDate holds ParseDate to time.Parse: the same day number for
+// every input it accepts, and the same error text for every other.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{
+		"2020-02-29", "2021-02-29", "1900-02-29", "2000-02-29", "0000-02-29",
+		"0000-01-01", "9999-12-31", "1969-12-31", "1970-01-01", "2011-04-31",
+		"2020-1-01", "2020-13-01", "2020-00-10", "2020-01-00", "2020-01-32",
+		"+020-01-01", "-001-01-01", "2020-01-01 ", " 2020-01-01", "2020/01/01",
+		"20200-1-01", "", "soon", "2020-0a-01", "2020-01-1\x00",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, werr := int64(0), error(nil)
+		if tm, err := time.Parse("2006-01-02", s); err != nil {
+			werr = fmt.Errorf("invalid date literal %q: %w", s, err)
+		} else {
+			want = tm.Unix() / 86400
+		}
+		got, err := ParseDate(s)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || got != want {
+			t.Fatalf("ParseDate(%q) = %d, %v; time.Parse says %d, %v", s, got, err, want, werr)
+		}
+	})
+}
+
+// TestParseDateCountsEveryMonth: the first and the last day of every
+// month of years 0000–9999, and the day after the last, against time.
+func TestParseDateCountsEveryMonth(t *testing.T) {
+	for y := 0; y <= 9999; y++ {
+		for m := time.January; m <= time.December; m++ {
+			last := time.Date(y, m+1, 0, 0, 0, 0, 0, time.UTC).Day()
+			for _, d := range []int{1, last, last + 1} {
+				s := fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+				got, err := ParseDate(s)
+				tm, terr := time.Parse("2006-01-02", s)
+				if (err == nil) != (terr == nil) || err == nil && got != tm.Unix()/86400 {
+					t.Fatalf("ParseDate(%q) = %d, %v; time says %v, %v", s, got, err, tm, terr)
+				}
+			}
+		}
 	}
 }
