@@ -33,9 +33,10 @@ environment variable, e.g.:
 The grammar is `+"`point:kind[:p=prob][:after=n][:ms=latency][:seed=s]`"+`
 with kinds `+"`error`"+`, `+"`panic`"+` and `+"`latency`"+`; rules are
 separated by `+"`;`"+` or `+"`,`"+`. A rule naming a point not listed
-here is rejected at arm time, and `+"`gsqlvet`"+`'s faultpoint analyzer
-rejects unregistered points at the injection site, so this list is
-complete by construction.
+here is rejected at arm time, and the faultpoint analyzer (run by
+`+"`go test ./internal/lint`"+`'s `+"`TestRepoIsClean`"+`) rejects
+unregistered points at the injection site, so this list is complete by
+construction.
 
 | Point | Package | Effect |
 |-------|---------|--------|

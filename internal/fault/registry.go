@@ -11,8 +11,8 @@ import (
 // PointInfo describes one registered injection point: the canonical
 // registry behind docs/FAULTPOINTS.md (regenerated by go generate and
 // held fresh by CI), the gsqlvet faultpoint analyzer (which flags any
-// Inject call naming an unregistered point), and Parse's unknown-point
-// rejection.
+// Inject call naming an unregistered point when internal/lint's
+// TestRepoIsClean runs), and Parse's unknown-point rejection.
 type PointInfo struct {
 	// Name is the point's canonical spec name.
 	Name string
@@ -23,10 +23,10 @@ type PointInfo struct {
 }
 
 // Registry lists every injection point in the codebase. Adding a
-// planted Inject call without registering its point here fails `go vet
-// -vettool=gsqlvet` (faultpoint) and the fault package's own
-// registry-completeness test; naming an unregistered point in a
-// GSQLD_FAULTS spec fails at arm time in Parse.
+// planted Inject call without registering its point here fails
+// internal/lint's TestRepoIsClean (the faultpoint analyzer) and the
+// fault package's own registry-completeness test; naming an
+// unregistered point in a GSQLD_FAULTS spec fails at arm time in Parse.
 var Registry = []PointInfo{
 	{
 		Name:    PointGraphBuildChunk,

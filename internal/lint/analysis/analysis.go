@@ -1,20 +1,18 @@
 // Package analysis is the stdlib-only core of gsqlvet, the engine's
-// custom static-analysis suite. It mirrors the shape of
+// custom static-analysis suite. It borrows the shape of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — so the
-// six invariant checkers under internal/lint read exactly like upstream
-// vet passes and could be rebased onto x/tools mechanically, but it
-// depends on nothing outside the standard library: the build
-// environment pins its dependency set, so the framework the analyzers
-// run on is vendored here in miniature instead of fetched.
+// invariant checkers under internal/lint read like upstream vet passes,
+// but it depends on nothing outside the standard library: the module
+// takes no dependencies, so the framework the analyzers run on lives
+// here in miniature.
 //
-// The driver contract is the same as vet's: an Analyzer's Run receives
-// one type-checked package (syntax, *types.Package, *types.Info) and
-// reports position-anchored diagnostics. Facts (cross-package analysis
-// state) are intentionally unsupported — every gsqlvet invariant is
-// checkable package-locally because the things it guards (context
-// construction, map iteration order, span pairing, fault-point names,
-// goroutine spawns, wire struct literals) are properties of the code at
-// the violation site.
+// An Analyzer's Run receives one type-checked package (syntax,
+// *types.Package, *types.Info) and reports position-anchored
+// diagnostics. Facts (cross-package analysis state) are unsupported —
+// every gsqlvet invariant is checkable package-locally because the
+// things it guards (context construction, map iteration order, span
+// and cursor pairing, fault-point names, goroutine spawns) are
+// properties of the code at the violation site.
 //
 // # Suppression
 //
@@ -25,8 +23,8 @@
 // placed either on the flagged line (trailing) or on the line directly
 // above it. The reason is mandatory; an annotation without one is
 // itself reported, so the allowlist can never decay into bare
-// switch-offs. Suppression is applied by the driver (Filter), not by
-// analyzers, so every analyzer gets it uniformly.
+// switch-offs. Suppression is applied by Run, not by analyzers, so
+// every analyzer gets it uniformly.
 package analysis
 
 import (
@@ -42,21 +40,16 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //gsqlvet:allow annotations. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description `gsqlvet help` prints: what
-	// invariant the analyzer guards and what a violation means.
-	Doc string
 	// Run checks one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
 }
 
 // Pass carries one type-checked package through an Analyzer's Run.
 type Pass struct {
-	// Analyzer is the checker this pass runs.
-	Analyzer *Analyzer
 	// Fset maps token.Pos to file positions for every file in the pass.
 	Fset *token.FileSet
 	// Files is the package's parsed syntax (production files only; the
-	// drivers do not feed _test.go files to analyzers).
+	// loader does not feed _test.go files to analyzers).
 	Files []*ast.File
 	// Pkg is the type-checked package. Path-gated analyzers key off
 	// Pkg.Path().
@@ -64,7 +57,7 @@ type Pass struct {
 	// TypesInfo holds the type-checker's expression types, object uses
 	// and selections for Files.
 	TypesInfo *types.Info
-	// Report delivers one diagnostic to the driver.
+	// Report delivers one diagnostic to Run.
 	Report func(Diagnostic)
 }
 
@@ -73,17 +66,37 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding: a position and a message. The driver
-// prefixes the reporting analyzer's name when printing.
+// Diagnostic is one finding: a position, a message, and the analyzer
+// that reported it.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Analyzer is filled by the driver from the reporting pass.
+	// Analyzer is filled by Run from the reporting pass.
 	Analyzer string
 }
 
-// AllowDirective is the comment prefix of a suppression annotation.
-const AllowDirective = "//gsqlvet:allow"
+// Run checks one type-checked package with every analyzer and returns
+// the diagnostics that survive //gsqlvet:allow suppression. Both the
+// repository self-check and the fixture harness go through it, so a
+// finding means the same thing in each. An analyzer's error (an
+// internal failure, not a finding) aborts the run.
+func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
+		pass.Report = func(d Diagnostic) {
+			d.Analyzer = a.Name
+			diags = append(diags, d)
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %v", pkg.Path(), a.Name, err)
+		}
+	}
+	return filter(fset, files, diags), nil
+}
+
+// allowDirective is the comment prefix of a suppression annotation.
+const allowDirective = "//gsqlvet:allow"
 
 // allowSite records one parsed //gsqlvet:allow annotation.
 type allowSite struct {
@@ -92,21 +105,20 @@ type allowSite struct {
 	pos      token.Pos
 }
 
-// Filter applies //gsqlvet:allow suppression to diags and returns the
+// filter applies //gsqlvet:allow suppression to diags and returns the
 // surviving diagnostics. Malformed annotations (missing analyzer name
 // or missing reason) are appended as fresh diagnostics attributed to
-// the driver, so a bare switch-off is itself a finding. files must be
-// the same syntax the diagnostics were produced from.
-func Filter(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
+// gsqlvet itself, so a bare switch-off is itself a finding.
+func filter(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
 	var sites []allowSite
 	var out []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, AllowDirective) {
+				if !strings.HasPrefix(c.Text, allowDirective) {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, AllowDirective)
+				rest := strings.TrimPrefix(c.Text, allowDirective)
 				fields := strings.Fields(rest)
 				pos := fset.Position(c.Pos())
 				if len(fields) == 0 {
@@ -157,11 +169,4 @@ func suppressed(fset *token.FileSet, sites []allowSite, d Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// InTestdata reports whether the position's file path contains a
-// testdata element; drivers never report diagnostics there.
-func InTestdata(fset *token.FileSet, pos token.Pos) bool {
-	name := fset.Position(pos).Filename
-	return strings.Contains(name, "/testdata/") || strings.HasPrefix(name, "testdata/")
 }

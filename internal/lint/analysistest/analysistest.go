@@ -12,7 +12,7 @@
 // type-checked under a caller-chosen synthetic import path, so a
 // path-gated analyzer can be exercised both inside and outside its
 // gate without the fixture living in a real engine package. Fixtures
-// may import real module packages (trace, fault, wire); their export
+// may import real module packages (trace, fault, exec); their export
 // data comes from the shared loader sweep.
 package analysistest
 
@@ -61,22 +61,10 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 		t.Fatalf("fixture %s: %v", dir, err)
 	}
 
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report: func(d analysis.Diagnostic) {
-			d.Analyzer = a.Name
-			diags = append(diags, d)
-		},
+	diags, err := analysis.Run([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-	diags = analysis.Filter(pkg.Fset, pkg.Files, diags)
 
 	type key struct {
 		file string

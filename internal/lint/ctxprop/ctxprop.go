@@ -23,11 +23,7 @@ import (
 // request-path packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxprop",
-	Doc: "flag context.Background()/context.TODO() in request-path packages " +
-		"(engine, exec, graph, server, core, facade); a detached context breaks " +
-		"query cancellation — thread the caller's ctx, or justify the detachment " +
-		"with //gsqlvet:allow ctxprop <reason>",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

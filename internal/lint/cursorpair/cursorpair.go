@@ -43,11 +43,7 @@ import (
 // in request-path packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "cursorpair",
-	Doc: "every cursor acquisition (exec.Cursor, exec.Operator, Rows) in a " +
-		"request-path package must reach Close on all paths (defer it, close " +
-		"before any return, or hand the cursor off); an unclosed cursor pins " +
-		"its operator tree and snapshot forever",
-	Run: run,
+	Run:  run,
 }
 
 // releasingMethods are the methods that release the cursor's operator

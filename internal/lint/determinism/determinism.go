@@ -1,21 +1,20 @@
 // Package determinism implements the gsqlvet analyzer protecting the
 // engine's bit-identical-results guarantee. Every result a query
 // produces must be byte-for-byte identical at every worker count and
-// across runs; the two classic ways Go code silently breaks that are
-// (1) iterating a map while building output — map iteration order is
-// deliberately randomized — and (2) folding wall-clock or random values
-// into result-producing code.
+// across runs, and iterating a map while building output breaks that
+// silently: map iteration order is deliberately randomized, and a
+// small map can come out in one order often enough to pass a test.
 //
-// Rule 1 flags a `for range` over a map whose body appends to (or
+// The analyzer flags a `for range` over a map whose body appends to (or
 // index-assigns into) a slice declared outside the loop, unless the
 // function later passes that slice through a sort (sort.*, slices.Sort*
 // or any sort-named helper): collect-then-sort is the sanctioned
 // pattern (see storage.Catalog.TableNames or the server's metrics
 // exposition). Writes into maps are order-independent and ignored.
 //
-// Rule 2 flags time.Now() calls and math/rand imports inside
-// result-producing packages. Trace, metrics and benchmark code live
-// outside the gated packages and keep their clocks.
+// Clocks and math/rand in result-producing code are not checked here:
+// every such value planted where it reaches results failed the
+// differential, golden or sort-stability tests.
 package determinism
 
 import (
@@ -27,14 +26,11 @@ import (
 	"graphsql/internal/lint/lintutil"
 )
 
-// Analyzer flags map-iteration-order and clock/randomness leaks in
+// Analyzer flags map iteration that builds unsorted slice output in
 // result-producing packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "flag map iteration that builds slice output without a following sort, " +
-		"plus time.Now/math/rand use, inside result-producing packages; " +
-		"either breaks the bit-identical-results guarantee",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -42,38 +38,22 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path == "math/rand" || path == "math/rand/v2" {
-				pass.Reportf(imp.Pos(),
-					"math/rand imported in result-producing package %s: randomness must not reach results",
-					pass.Pkg.Path())
-			}
-		}
-		// Walk per enclosing function so rule 1's "following sort" scan
-		// has a scope to search.
+		// Walk per enclosing function so the "following sort" scan has a
+		// scope to search.
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
 				checkFunc(pass, fd.Body)
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if ok && lintutil.IsPkgFunc(pass.TypesInfo, call, "time", "Now") {
-				pass.Reportf(call.Pos(),
-					"time.Now() in result-producing package %s: clocks must not reach results (trace/metrics code lives outside these packages)",
-					pass.Pkg.Path())
-			}
-			return true
-		})
 	}
 	return nil
 }
 
-// checkFunc applies rule 1 inside one function body. Function literals
-// nested in body are scanned as part of it: a sort after the loop in
-// the enclosing function still sanctions a closure's map-fed append.
+// checkFunc checks the map loops inside one function body. Function
+// literals nested in body are scanned as part of it: a sort after the
+// loop in the enclosing function still sanctions a closure's map-fed
+// append.
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)

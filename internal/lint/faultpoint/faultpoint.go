@@ -28,10 +28,7 @@ import (
 // non-constant points, and unparseable literal schedules.
 var Analyzer = &analysis.Analyzer{
 	Name: "faultpoint",
-	Doc: "every fault.Inject site must name a constant, registered injection " +
-		"point (fault.Registry); unregistered points are invisible to " +
-		"GSQLD_FAULTS and docs/FAULTPOINTS.md and would never fire",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,12 +1,15 @@
 // Package lint assembles the gsqlvet analyzer suite: custom static
 // analyzers that mechanically enforce the engine's cross-cutting
-// invariants — the ones the type system cannot express and code review
-// keeps re-litigating. Each analyzer's package documents the invariant
-// it guards; this package is just the roster.
+// invariants — the ones the type system cannot express and no test
+// catches, because the violation sits on a path no test opens. Each
+// analyzer's package documents the invariant it guards; this package
+// is just the roster.
 //
-// Run the suite standalone (go run ./cmd/gsqlvet ./...) or as a vet
-// tool (go vet -vettool=$(which gsqlvet) ./...). Suppress a finding
-// with a justified annotation on or directly above the offending line:
+// The suite runs as tests: `go test ./internal/lint` runs
+// TestRepoIsClean, which checks every production package in the module,
+// and `go test ./internal/lint/...` adds each analyzer's fixture tests.
+// Suppress a finding with a justified annotation on or directly above
+// the offending line:
 //
 //	//gsqlvet:allow <analyzer> <reason>
 //
@@ -21,7 +24,6 @@ import (
 	"graphsql/internal/lint/faultpoint"
 	"graphsql/internal/lint/parbudget"
 	"graphsql/internal/lint/tracepair"
-	"graphsql/internal/lint/wirestability"
 )
 
 // Analyzers is the full gsqlvet suite, in stable order.
@@ -32,5 +34,4 @@ var Analyzers = []*analysis.Analyzer{
 	faultpoint.Analyzer,
 	parbudget.Analyzer,
 	tracepair.Analyzer,
-	wirestability.Analyzer,
 }

@@ -28,8 +28,8 @@ var RequestPathPackages = []string{
 
 // ResultPathPackages are the packages whose output feeds query results
 // or the pinned wire encoding; the bit-identical-at-every-worker-count
-// guarantee lives here, so iteration order and clocks must not leak
-// into what they produce.
+// guarantee lives here, so map iteration order must not leak into what
+// they produce.
 var ResultPathPackages = []string{
 	ModulePath,
 	ModulePath + "/internal/engine",
@@ -64,9 +64,6 @@ const TracePackage = ModulePath + "/internal/trace"
 
 // FaultPackage is the fault-injection framework's import path.
 const FaultPackage = ModulePath + "/internal/fault"
-
-// WirePackage is the pinned wire-format package's import path.
-const WirePackage = ModulePath + "/internal/wire"
 
 // InPackages reports whether path is one of the listed packages or a
 // subpackage of one. The bare module path matches only the root facade

@@ -1,12 +1,10 @@
-// Package loader turns Go package patterns into type-checked packages
-// for the gsqlvet analyzers, using only the standard library and the go
-// command. It is the standalone-mode driver's front end (cmd/gsqlvet
-// run as `gsqlvet ./...`), and the fixture harness and self-check test
-// reuse it.
+// Package loader type-checks the module's packages for the gsqlvet
+// analyzers, using only the standard library and the go command. The
+// self-check test and the fixture harness both load through it.
 //
 // Loading is two-phase, mirroring how real vet drivers work:
 //
-//  1. `go list -e -json -deps -export <patterns>` enumerates the target
+//  1. `go list -e -json -deps -export ./...` enumerates the module's
 //     packages and every dependency, compiling each dependency's export
 //     data into the build cache and reporting its file path. This works
 //     fully offline: the module has no external dependencies, and the
@@ -17,7 +15,7 @@
 //     files phase 1 reported.
 //
 // The same export-data map also serves the fixture harness: testdata
-// packages import real engine packages (trace, fault, wire), and their
+// packages import real engine packages (trace, fault, exec), and their
 // export data comes from the same `go list` sweep.
 package loader
 
@@ -39,9 +37,6 @@ import (
 
 // Package is one type-checked target package.
 type Package struct {
-	// ImportPath is the package's import path (or the synthetic path a
-	// fixture was checked under).
-	ImportPath string
 	// Fset positions the package's syntax.
 	Fset *token.FileSet
 	// Files is the parsed production syntax (GoFiles only).
@@ -76,15 +71,11 @@ type Env struct {
 	fset       *token.FileSet
 }
 
-// NewEnv runs the go list sweep for patterns (default ./...) from the
-// module root and returns an environment that can type-check both the
-// listed packages and ad-hoc fixture directories against them.
-func NewEnv(moduleRoot string, patterns ...string) (*Env, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-e", "-json", "-deps", "-export"}, patterns...)
-	cmd := exec.Command("go", args...)
+// NewEnv runs the go list sweep over ./... from the module root and
+// returns an environment that can type-check both the module's packages
+// and ad-hoc fixture directories against them.
+func NewEnv(moduleRoot string) (*Env, error) {
+	cmd := exec.Command("go", "list", "-e", "-json", "-deps", "-export", "./...")
 	cmd.Dir = moduleRoot
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -216,10 +207,9 @@ func (e *Env) check(importPath string, files []string) (*Package, error) {
 		return nil, fmt.Errorf("%s: typecheck: %v", importPath, err)
 	}
 	return &Package{
-		ImportPath: importPath,
-		Fset:       e.fset,
-		Files:      syntax,
-		Types:      tpkg,
-		TypesInfo:  info,
+		Fset:      e.fset,
+		Files:     syntax,
+		Types:     tpkg,
+		TypesInfo: info,
 	}, nil
 }

@@ -21,11 +21,7 @@ import (
 // Analyzer flags bare go statements in budget-governed packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "parbudget",
-	Doc: "flag bare `go` statements in engine/exec/graph/core/server; " +
-		"per-query concurrency must flow through internal/par so the admission " +
-		"scheduler's worker grants stay meaningful — annotate long-lived " +
-		"infrastructure goroutines with //gsqlvet:allow parbudget <reason>",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,11 +1,8 @@
-// Fixture for determinism's map-iteration and clock rules, checked
-// under a result-producing import path.
+// Fixture for determinism, checked under a result-producing import
+// path.
 package fixture
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // unsortedAppend builds output in map-iteration order: flagged.
 func unsortedAppend(m map[string]int) []string {
@@ -62,15 +59,6 @@ func indexAssign(m map[int]int, out []int) {
 	for k, v := range m { // want "map iteration writes to slice \"out\" in nondeterministic order"
 		out[k%len(out)] = v
 	}
-}
-
-func clock() int64 {
-	return time.Now().UnixNano() // want "time.Now\\(\\) in result-producing package"
-}
-
-func annotatedClock() time.Time {
-	//gsqlvet:allow determinism latency histogram bucket stamp, not result data
-	return time.Now()
 }
 
 // annotatedRange: an allowed iteration (order proven irrelevant by the

@@ -1,12 +1,6 @@
 // Fixture for determinism, checked under an import path outside the
-// result-path gate (metrics-style code keeps its clocks): no findings.
+// result-path gate: no findings.
 package fixture
-
-import "time"
-
-func clock() int64 {
-	return time.Now().UnixNano()
-}
 
 func unsorted(m map[string]int) []string {
 	var out []string

@@ -36,10 +36,7 @@ import (
 // paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracepair",
-	Doc: "every trace.Trace.Begin must reach a matching End on all paths " +
-		"(defer it, or close before any return); an unclosed span reports its " +
-		"stage as live forever",
-	Run: run,
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,6 +236,18 @@ func TestCatalog(t *testing.T) {
 	}
 	if err := cat.DropTable("t"); err == nil {
 		t.Fatal("double drop must fail")
+	}
+	// TableNames is sorted whatever order the tables were created in;
+	// with 16 names, map iteration order is practically never sorted.
+	var want []string
+	for i := 0; i < 16; i++ {
+		want = append(want, fmt.Sprintf("t%02d", i))
+		if _, err := cat.CreateTable(fmt.Sprintf("t%02d", i*7%16), Schema{{Name: "x", Kind: types.KindInt}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := cat.TableNames(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("names = %v, want %v", names, want)
 	}
 }
 

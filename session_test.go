@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"graphsql/internal/fault"
 )
 
 func sessionTestDB(t *testing.T) *DB {
@@ -195,8 +196,12 @@ func TestQueryCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestQueryCtxCancelMidSolve cancels during a batched solve and
-// requires the canceled error well before the query could finish.
+// TestQueryCtxCancelMidSolve gives a batched solve a deadline far
+// shorter than the solve and requires the query to stop at it. Every
+// source group sleeps, so a solver deaf to its context runs for seconds
+// before the after-the-solve context check reports the same error; only
+// the elapsed time tells the two apart. Not parallel: the fault
+// schedule is process-global.
 func TestQueryCtxCancelMidSolve(t *testing.T) {
 	db := Open()
 	db.MustExec(`CREATE TABLE e (s BIGINT, d BIGINT)`)
@@ -228,31 +233,26 @@ func TestQueryCtxCancelMidSolve(t *testing.T) {
 	}
 	db.MustExec(b.String())
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	defer wg.Wait()
+	// 2,000 source groups at 2 ms each: seconds of solving unless the
+	// solver stops between groups.
+	if err := fault.SetSpec(fault.PointSolverGroup + ":latency:ms=2"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
 	_, err := db.QueryCtx(ctx,
 		`SELECT p.a, p.b, CHEAPEST SUM(1) FROM p WHERE p.a REACHES p.b OVER e EDGE (s, d)`)
-	if err == nil {
-		// The machine may genuinely have finished first; pin the
-		// behavior with an immediate cancel instead.
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		cancel2()
-		if _, err2 := db.QueryCtx(ctx2, `SELECT COUNT(*) FROM e`); !errors.Is(err2, context.Canceled) {
-			t.Fatalf("expected context.Canceled, got %v", err2)
-		}
-		return
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expected context.DeadlineExceeded, got %v", err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled, got %v", err)
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("query returned %v after a 20ms deadline: the solve ran on past its cancellation", elapsed)
 	}
 	// The database stays usable after a canceled query.
+	fault.Reset()
 	if _, err := db.Query(`SELECT COUNT(*) FROM e`); err != nil {
 		t.Fatalf("post-cancel query failed: %v", err)
 	}
