@@ -191,6 +191,58 @@ func TestExplainAnalyzeSearches(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeDictForm pins the dict= attribute of a GraphMatch
+// that builds its graph. BIGINT keys spanning at most a quarter of the
+// key count take the dense form of the vertex dictionary, and VARCHAR
+// keys the hash form. A graph index hit builds nothing and shows none;
+// a rebuild shows the form of the snapshot it built.
+func TestExplainAnalyzeDictForm(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE ik (src BIGINT, dst BIGINT)`)
+	// 16 keys over the vertices 1..4: a span of 4 = 16/4.
+	db.MustExec(`INSERT INTO ik VALUES (1,2),(2,3),(3,4),(4,1),(1,3),(2,4),(3,1),(4,2)`)
+	db.MustExec(`CREATE TABLE sk (src VARCHAR, dst VARCHAR)`)
+	db.MustExec(`INSERT INTO sk VALUES ('a','b'),('b','c'),('c','d'),('d','a'),('a','c'),('b','d'),('c','a'),('d','b')`)
+	line := regexp.MustCompile(`GraphMatch .*`)
+	graphMatch := func(q string) string {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := planText(t, plan)
+		m := line.FindString(text)
+		if m == "" {
+			t.Fatalf("no GraphMatch line:\n%s", text)
+		}
+		return m
+	}
+	const ints = `SELECT CHEAPEST SUM(1) WHERE 1 REACHES 3 OVER ik EDGE (src, dst)`
+	for _, tc := range []struct{ q, want string }{
+		{ints, "graph_edges=8, dict=dense"},
+		{`SELECT CHEAPEST SUM(1) WHERE 'a' REACHES 'c' OVER sk EDGE (src, dst)`, "graph_edges=8, dict=hash"},
+	} {
+		if got := graphMatch(tc.q); !strings.Contains(got, tc.want) {
+			t.Errorf("%s: %s, want %s", tc.q, got, tc.want)
+		}
+	}
+	if err := db.BuildGraphIndex("ik", "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	if got := graphMatch(ints); !strings.Contains(got, "index=hit") || strings.Contains(got, "dict=") {
+		t.Errorf("index hit: %s, want index=hit and no dict=", got)
+	}
+	// 65 appended edges pass the rebuild threshold, at least 64 edges.
+	var rows []string
+	for i := 0; i < 65; i++ {
+		rows = append(rows, fmt.Sprintf("(%d,%d)", 1+i%4, 1+(i+1)%4))
+	}
+	db.MustExec(`INSERT INTO ik VALUES ` + strings.Join(rows, ","))
+	if got := graphMatch(ints); !strings.Contains(got, "index=rebuild, dict=dense") {
+		t.Errorf("index rebuild: %s, want index=rebuild, dict=dense", got)
+	}
+}
+
 // TestExplainWithoutAnalyze: plain EXPLAIN renders the bound plan
 // without executing, matching DB.Explain.
 func TestExplainWithoutAnalyze(t *testing.T) {

@@ -63,6 +63,14 @@ func (dg *DynamicGraph) AppliedRows() int {
 	return dg.appliedRows
 }
 
+// DictForm reports the form ("dense" or "hash") of the snapshot's
+// vertex dictionary.
+func (dg *DynamicGraph) DictForm() string {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	return dg.pg.Dict.Form()
+}
+
 // deltaEdgesLocked reports the number of edges currently in the
 // delta; the caller holds mu.
 func (dg *DynamicGraph) deltaEdgesLocked() int {
@@ -87,9 +95,9 @@ func (dg *DynamicGraph) rebuildThreshold() int {
 // unchanged (append-only contract). Returns whether a full rebuild
 // happened. A snapshot rebuild triggered by delta growth runs the full
 // graph construction, and the ctx is threaded through its
-// dictionary-encode and CSR chunk loops so a canceled query does not
-// pin the write lock for the whole rebuild. On cancellation the index
-// is left unchanged.
+// dictionary-encode pass and CSR chunk loops so a canceled query does
+// not pin the write lock for the whole rebuild. On cancellation the
+// index is left unchanged.
 func (dg *DynamicGraph) RefreshCtx(ctx context.Context, current *storage.Chunk) (rebuilt bool, err error) {
 	n := current.NumRows()
 	// Fast path: nothing to absorb. Taken under the read lock so

@@ -52,13 +52,16 @@ func stringKeyed(k types.Kind) bool { return k == types.KindString }
 
 // BuildGraphCtx compiles an edge chunk into a PreparedGraph. The source
 // and destination columns must share one comparable scalar kind.
-// Dictionary encoding and CSR construction run chunked over up to
-// parallelism workers (<= 0 means one per CPU, size-gated), and solvers
-// over the resulting graph inherit the same budget; the graph is
-// bit-identical to a sequential build at any setting. The context is
-// threaded through the dictionary-encode and CSR chunk loops: a cancel
-// landing during ad-hoc graph construction aborts the build within a
-// few thousand rows instead of finishing it. A nil ctx never cancels.
+// Dictionary encoding (§3.1) is one sequential pass: int-backed keys
+// whose span is at most a quarter of the keys take the dense form of
+// graph.Dict, other keys its hash map. CSR construction (§3.2) runs
+// chunked over up to parallelism workers (<= 0 means one per CPU,
+// size-gated), and solvers over the resulting graph inherit the same
+// budget; the graph is bit-identical to a sequential build at any
+// setting. The context is threaded through the encode pass and the CSR
+// chunk loops: a cancel landing during ad-hoc graph construction aborts
+// the build within a few thousand rows instead of finishing it. A nil
+// ctx never cancels.
 // The graph carries no transpose: one query's traversals cannot pay
 // back an O(E) transpose build, so they all search forward.
 func BuildGraphCtx(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, parallelism int) (*PreparedGraph, error) {
@@ -100,9 +103,10 @@ func buildGraph(ctx context.Context, edges *storage.Chunk, srcIdx, dstIdx, paral
 	dstIDs := make([]graph.VertexID, m)
 	ids := [][]graph.VertexID{srcIDs, dstIDs}
 	var err error
-	// The dictionary starts empty and grows with the distinct keys: a
-	// capacity hint of m edge rows would allocate a map sized by edges,
-	// not vertices.
+	// The dictionary starts empty, so int keys may take its dense form;
+	// in the hash form it grows with the distinct keys, where a capacity
+	// hint of m edge rows would allocate a map sized by edges, not
+	// vertices.
 	if stringKeyed(sc.Kind) {
 		dict = graph.NewStringDict(0)
 		err = dict.EncodeColumnsStringCtx(ctx, [][]string{sc.Strs, dc.Strs}, ids, parallelism)

@@ -915,6 +915,7 @@ func (o *graphMatchOp) Open(ctx *Context) error {
 			switch {
 			case rebuilt:
 				o.tr.SetIndex(o.sp, trace.IndexRebuild)
+				o.tr.SetDict(o.sp, dg.DictForm())
 			case dg.AppliedRows() != before:
 				o.tr.SetIndex(o.sp, trace.IndexRefresh)
 			default:
@@ -967,6 +968,7 @@ func (o *graphMatchOp) solve() (*storage.Chunk, error) {
 		return nil, err
 	}
 	o.tr.SetGraphBuilt(o.sp, pg.NumVertices(), pg.NumEdges())
+	o.tr.SetDict(o.sp, pg.Dict.Form())
 	return pg.MatchCtx(stdctx, o.g, in, xc, yc, o.ctx.Expr)
 }
 

@@ -53,8 +53,8 @@ const (
 	// PointGraphBuildChunk fires in the CSR builder's chunk loops
 	// (degree count and scatter), on the build workers.
 	PointGraphBuildChunk = "graph.build.chunk"
-	// PointGraphEncodeChunk fires in the dictionary-encode chunk loops
-	// (per-chunk dedup and output fill), on the encode workers.
+	// PointGraphEncodeChunk fires once every few thousand keys of the
+	// sequential dictionary-encode pass, on the encoding goroutine.
 	PointGraphEncodeChunk = "graph.encode.chunk"
 	// PointSolverGroup fires at the start of every source-group
 	// traversal, on the solver pool workers.

@@ -36,7 +36,7 @@ var Registry = []PointInfo{
 	{
 		Name:    PointGraphEncodeChunk,
 		Package: "graphsql/internal/graph",
-		Effect:  "fires in the dictionary-encode chunk loops (per-chunk dedup and output fill), on the encode workers; an error aborts the encode",
+		Effect:  "fires once every few thousand keys of the sequential dictionary-encode pass, on the encoding goroutine; an error aborts the encode",
 	},
 	{
 		Name:    PointSolverGroup,

@@ -77,3 +77,39 @@ func BenchmarkBatchSolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncode times the bulk dictionary encode of the LDBC SF1
+// edge keys (362k edges, 724k keys over 9,892 persons), as an ad hoc
+// graph build encodes them:
+//
+//	go test -run - -bench Encode -benchmem ./internal/graph
+//
+// ints encodes the BIGINT person ids, whose span is ~0.18× the key
+// count, so it takes the dense form; strings encodes the same keys as
+// strings, which take the hash form.
+func BenchmarkEncode(b *testing.B) {
+	ds, err := ldbc.Generate(ldbc.Config{SF: 1, Shrink: 1, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	outs := [][]VertexID{make([]VertexID, ds.NumEdges()), make([]VertexID, ds.NumEdges())}
+	b.Run("ints", func(b *testing.B) {
+		cols := [][]int64{ds.Src, ds.Dst}
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := NewIntDict(0).EncodeColumnsIntCtx(ctx, cols, outs, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("strings", func(b *testing.B) {
+		cols := [][]string{stringKeys(ds.Src), stringKeys(ds.Dst)}
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := NewStringDict(0).EncodeColumnsStringCtx(ctx, cols, outs, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

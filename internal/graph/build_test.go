@@ -3,6 +3,8 @@ package graph
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,14 +13,13 @@ import (
 )
 
 // The graph-build phases — dictionary encode and CSR construction —
-// each have one core, written against a worker count. These tests hold
-// the cores to independent references that share no code with them:
+// are held to independent references that share no code with them:
 // the CSR is the edge rows stably ordered by source, and the dense ids
 // are first occurrences over the concatenated key stream. The
 // references are the spec, so a change to the build semantics must
 // change them too.
 
-// buildWorkers are the worker counts every core is checked at.
+// buildWorkers are the worker counts the CSR core is checked at.
 var buildWorkers = []int{1, 2, 3, 7}
 
 // referenceCSR builds the CSR the spec defines: row ids stably ordered
@@ -133,35 +134,100 @@ func checkTranspose(t *testing.T, name string, n int, src, dst []VertexID, paral
 	}
 }
 
-// checkEncode runs the encode core over a dictionary holding pre at
-// each parallelism and compares the ids and the dictionary with the
-// reference. With the gates open, parallelism is the worker count.
-func checkEncode[K comparable](t *testing.T, name string, pre []K, cols [][]K, parallelisms ...int) {
+// checkEncode encodes pre key by key into a fresh dictionary, then the
+// columns in one bulk pass, once as int keys and once as string keys,
+// and compares the ids and Len with the reference. The int dictionary
+// must have taken the dense form exactly when pre is empty and the
+// keys span at most a quarter of the keys in the stream. It is then
+// probed around the range the bulk pass saw: LookupInt must find every
+// key's id and NoVertex for absent keys, inside and outside the range,
+// and EncodeInt of new keys below, inside and above the range must
+// assign the reference's ids. checkEncode returns the int form.
+func checkEncode(t *testing.T, name string, pre []int64, cols [][]int64) string {
 	t.Helper()
-	wantDict, want := referenceEncode(pre, cols)
-	for _, p := range parallelisms {
-		dict := map[K]VertexID{}
-		next := VertexID(0)
-		for _, k := range pre {
-			if _, ok := dict[k]; !ok {
-				dict[k] = next
-				next++
-			}
+	wantIDs, want := referenceEncode(pre, cols)
+	ctx := context.Background()
+	ints := NewIntDict(0)
+	for _, k := range pre {
+		ints.EncodeInt(k)
+	}
+	got := newIDColumns(cols)
+	if err := ints.EncodeColumnsIntCtx(ctx, cols, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) || ints.Len() != len(wantIDs) {
+		t.Fatalf("%s, %s form: ids (|V| = %d) differ from the reference (|V| = %d)\nwant %v\ngot  %v", name, ints.Form(), ints.Len(), len(wantIDs), want, got)
+	}
+	strs := NewStringDict(0)
+	for _, k := range stringKeys(pre) {
+		strs.EncodeString(k)
+	}
+	strCols := make([][]string, len(cols))
+	for c, col := range cols {
+		strCols[c] = stringKeys(col)
+	}
+	got = newIDColumns(cols)
+	if err := strs.EncodeColumnsStringCtx(ctx, strCols, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) || strs.Len() != len(wantIDs) {
+		t.Fatalf("%s, string keys: ids (|V| = %d) differ from the reference (|V| = %d)", name, strs.Len(), len(wantIDs))
+	}
+
+	keys := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, col := range cols {
+		for _, k := range col {
+			lo, hi = min(lo, k), max(hi, k)
 		}
-		got := make([][]VertexID, len(cols))
-		for c, col := range cols {
-			got[c] = make([]VertexID, len(col))
-		}
-		if err := encode(context.Background(), dict, &next, cols, got, p); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s, parallelism %d: ids differ from the reference\nwant %v\ngot  %v", name, p, want, got)
-		}
-		if !reflect.DeepEqual(wantDict, dict) || int(next) != len(wantDict) {
-			t.Fatalf("%s, parallelism %d: dictionary (|V| = %d) differs from the reference (|V| = %d)", name, p, next, len(wantDict))
+		keys += len(col)
+	}
+	// The span is taken in big.Int, where hi − lo cannot overflow.
+	wantForm := "hash"
+	if keys > 0 && len(pre) == 0 && new(big.Int).Sub(big.NewInt(hi), big.NewInt(lo)).Cmp(big.NewInt(int64(keys/4))) < 0 {
+		wantForm = "dense"
+	}
+	if ints.Form() != wantForm {
+		t.Fatalf("%s: %s form over %d keys spanning [%d, %d], want %s", name, ints.Form(), keys, lo, hi, wantForm)
+	}
+	if keys == 0 {
+		return ints.Form()
+	}
+	// Probes: the range's ends and their outer neighbours (wrapping at
+	// the int64 limits), the first key inside the range the stream
+	// lacks, and the int64 limits themselves.
+	probes := []int64{lo - 1, lo, hi, hi + 1, math.MinInt64, math.MaxInt64}
+	for i, k := 0, lo; i <= len(wantIDs) && k < hi; i, k = i+1, k+1 {
+		if _, ok := wantIDs[k]; !ok {
+			probes = append(probes, k)
+			break
 		}
 	}
+	for _, k := range probes {
+		id, ok := wantIDs[k]
+		if !ok {
+			id = NoVertex
+		}
+		if got := ints.LookupInt(k); got != id {
+			t.Fatalf("%s, %s form: LookupInt(%d) = %d, want %d", name, ints.Form(), k, got, id)
+		}
+	}
+	_, wantAll := referenceEncode(pre, append(cols[:len(cols):len(cols)], probes))
+	for i, k := range probes {
+		if got, id := ints.EncodeInt(k), wantAll[len(cols)][i]; got != id {
+			t.Fatalf("%s, %s form: EncodeInt(%d) after the bulk pass = %d, want %d", name, ints.Form(), k, got, id)
+		}
+	}
+	return ints.Form()
+}
+
+// newIDColumns allocates one id column per key column.
+func newIDColumns(cols [][]int64) [][]VertexID {
+	outs := make([][]VertexID, len(cols))
+	for c, col := range cols {
+		outs[c] = make([]VertexID, len(col))
+	}
+	return outs
 }
 
 type picker interface{ Intn(n int) int }
@@ -200,20 +266,46 @@ func genEdges(p picker, maxN, maxM int, bad bool) (int, []VertexID, []VertexID) 
 }
 
 // genKeys draws a source and a destination key column over a small
-// domain, so keys repeat within and across the columns, plus a few keys
-// the dictionary holds beforehand.
+// domain at an offset that may be negative, so keys repeat within and
+// across the columns, plus a few keys the dictionary holds beforehand
+// (none half the time, so the bulk pass may take the dense form). The
+// domain is drawn freely, or its span is pinned just under, at or just
+// over the dense form's bound of a quarter of the keys. Some draws also
+// hold MinInt64 and MaxInt64, whose span overflows int64.
 func genKeys(p picker, maxM int) (pre []int64, cols [][]int64) {
+	cols = [][]int64{make([]int64, p.Intn(maxM+1)), make([]int64, p.Intn(maxM+1))}
+	keys := len(cols[0]) + len(cols[1])
 	domain := 1 + p.Intn(maxM+1)
-	cols = make([][]int64, 2)
+	pinned := p.Intn(2) == 0 && keys >= 8
+	if pinned {
+		domain = keys/4 - 1 + p.Intn(3)
+	}
+	base := int64(p.Intn(2*maxM+1) - maxM)
 	for c := range cols {
-		cols[c] = make([]int64, p.Intn(maxM+1))
 		for i := range cols[c] {
-			cols[c][i] = int64(p.Intn(domain))
+			cols[c][i] = base + int64(p.Intn(domain))
 		}
 	}
-	pre = make([]int64, p.Intn(4))
-	for i := range pre {
-		pre[i] = int64(p.Intn(2 * domain))
+	// The stream's first and last keys are the domain's ends, so the
+	// span is exactly the domain.
+	at := func(i int) *int64 {
+		if i < len(cols[0]) {
+			return &cols[0][i]
+		}
+		return &cols[1][i-len(cols[0])]
+	}
+	if pinned {
+		*at(0), *at(keys - 1) = base, base+int64(domain-1)
+	}
+	if keys >= 2 && p.Intn(8) == 0 {
+		i := p.Intn(keys)
+		*at(i), *at((i + 1 + p.Intn(keys-1)) % keys) = math.MinInt64, math.MaxInt64
+	}
+	if p.Intn(2) == 0 {
+		pre = make([]int64, 1+p.Intn(3))
+		for i := range pre {
+			pre[i] = base + int64(p.Intn(2*domain))
+		}
 	}
 	return pre, cols
 }
@@ -260,17 +352,19 @@ func TestBuildCSRParallelErrors(t *testing.T) {
 	}
 }
 
-// TestBulkEncodeMatchesSequential checks the encode core against the
-// reference at 1, 2, 3 and 7 workers, over empty and pre-populated
-// dictionaries (the delta-refresh case), for int and string keys.
+// TestBulkEncodeMatchesSequential checks the bulk encode against the
+// reference over empty and pre-populated dictionaries (the delta-refresh
+// case), unequal columns, and int and string keys, and requires the
+// draws to reach both forms of the int dictionary.
 func TestBulkEncodeMatchesSequential(t *testing.T) {
-	openGates(t)
 	rng := rand.New(rand.NewSource(13))
+	forms := map[string]int{}
 	for trial := 0; trial < 200; trial++ {
 		pre, cols := genKeys(rng, 300)
-		name := fmt.Sprintf("trial %d", trial)
-		checkEncode(t, name, pre, cols, buildWorkers...)
-		checkEncode(t, name+" (strings)", stringKeys(pre), [][]string{stringKeys(cols[0]), stringKeys(cols[1])}, buildWorkers...)
+		forms[checkEncode(t, fmt.Sprintf("trial %d", trial), pre, cols)]++
+	}
+	if forms["dense"] == 0 || forms["hash"] == 0 {
+		t.Fatalf("the draws reached the forms %v, want both", forms)
 	}
 }
 
@@ -299,46 +393,10 @@ func TestBuildCSRParallelPublicThreshold(t *testing.T) {
 	}
 }
 
-// TestBulkEncodeAtDefaultGate runs the public entry points at
-// parallelism 2 over exactly minParallelEncodeKeys-1 keys (one worker)
-// and minParallelEncodeKeys keys (two workers), with the gate left at
-// its default, over a dictionary that already holds a key.
-func TestBulkEncodeAtDefaultGate(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, total := range []int{minParallelEncodeKeys - 1, minParallelEncodeKeys} {
-		// Unequal columns, so a range boundary falls inside one.
-		cols := [][]int64{make([]int64, total/3), make([]int64, total-total/3)}
-		for _, col := range cols {
-			for i := range col {
-				col[i] = int64(rng.Intn(total / 4))
-			}
-		}
-		pre := []int64{int64(total)}
-		_, want := referenceEncode(pre, cols)
-		ints := NewIntDict(0)
-		ints.EncodeInt(pre[0])
-		got := [][]VertexID{make([]VertexID, len(cols[0])), make([]VertexID, len(cols[1]))}
-		if err := ints.EncodeColumnsIntCtx(context.Background(), cols, got, 2); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%d int keys: ids differ from the reference", total)
-		}
-		strs := NewStringDict(0)
-		strs.EncodeString(stringKeys(pre)[0])
-		got = [][]VertexID{make([]VertexID, len(cols[0])), make([]VertexID, len(cols[1]))}
-		if err := strs.EncodeColumnsStringCtx(context.Background(), [][]string{stringKeys(cols[0]), stringKeys(cols[1])}, got, 2); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) || strs.Len() != ints.Len() {
-			t.Fatalf("%d string keys: ids differ from the reference", total)
-		}
-	}
-}
-
-// FuzzGraphBuild drives both build cores from fuzz input: the
+// FuzzGraphBuild drives both build phases from fuzz input: the
 // randomized tests' generators draw from the input instead of a seeded
-// rand.Rand. Each case runs at 1 and 3 workers against the references.
+// rand.Rand. The CSR runs at 1 and 3 workers against its reference, and
+// the keys are encoded as ints and as strings against theirs.
 // The seed corpus is generator output for a range of seeds.
 func FuzzGraphBuild(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
@@ -353,6 +411,6 @@ func FuzzGraphBuild(f *testing.F) {
 		n, src, dst := genEdges(p, 40, 200, true)
 		checkCSR(t, "fuzz", n, src, dst, 1, 3)
 		pre, cols := genKeys(p, 200)
-		checkEncode(t, "fuzz", pre, cols, 1, 3)
+		checkEncode(t, "fuzz", pre, cols)
 	})
 }

@@ -6,11 +6,13 @@
 // radix queue (integer weights) or Dijkstra with a binary heap (float
 // weights), batched over many source/destination pairs.
 //
-// Each of the three phases has one core, written against a worker
-// count (see parallel.go): the chunked dictionary encode (encode.go),
-// the chunked CSR build (this file) and the solver, whose traversals
-// share one epoch-stamped search scratch (search.go). A size gate only
-// picks how many workers run a core.
+// The dictionary encode is one sequential pass (encode.go): int keys
+// whose span is small against the key count index a dense table,
+// other keys a hash map. The two phases after it each have one core,
+// written against a worker count (see parallel.go): the chunked CSR
+// build (this file) and the solver, whose traversals share one
+// epoch-stamped search scratch (search.go). A size gate only picks how
+// many workers run a core.
 //
 // A graph index (core.DynamicGraph) also carries the transpose of its
 // CSR, built by the same core with the endpoints swapped. Over it the

@@ -1,167 +1,110 @@
 package graph
 
 // Bulk dictionary encoding. The GraphMatch operator encodes two whole
-// key columns (sources then destinations) at once; treating their
-// concatenation as one key stream lets the expensive part — hashing
-// every key — run chunked across workers while keeping the dense-ID
-// assignment deterministic. Every loop polls the optional cancellation
-// context every cancelCheckInterval keys, so a cancel landing during
-// ad-hoc graph construction aborts the encode within a few thousand
-// keys instead of waiting for the whole column pair.
+// key columns (sources then destinations) at once, as one key stream
+// in one sequential pass. Int keys whose span is small against the
+// stream take the dense form of the dictionary (see Dict): one min/max
+// pass, then one pass over a table indexed by key − min, with no
+// hashing at all. Other keys take one pass over the dictionary's map.
+// The pass polls the optional cancellation context every
+// cancelCheckInterval keys, so a cancel landing during ad-hoc graph
+// construction aborts the encode within a few thousand keys instead of
+// waiting for the whole column pair.
 
 import (
 	"context"
+	"math"
 
 	"graphsql/internal/fault"
-	"graphsql/internal/par"
 )
 
 // EncodeColumnsIntCtx encodes the concatenation of the given int64 key
 // columns, writing dense IDs into the parallel outs slices (outs[c]
 // must have len(cols[c])). IDs are identical to sequential EncodeInt
-// calls in stream order, for any parallelism. On cancellation the
-// dictionary is left partially populated and must be discarded; the
-// outs contents are unspecified.
-func (d *Dict) EncodeColumnsIntCtx(ctx context.Context, cols [][]int64, outs [][]VertexID, parallelism int) error {
-	return encode(ctx, d.ints, &d.n, cols, outs, parallelism)
+// calls in stream order. Over an empty dictionary whose keys span at
+// most a quarter of the keys in the stream (max − min + 1 ≤ keys/4) it
+// takes the dense form, whose table is then at most half the size of
+// one id column. On cancellation the dictionary is left partially
+// populated and must be discarded; the outs contents are unspecified.
+// The last argument is ignored: the encode is one sequential pass.
+func (d *Dict) EncodeColumnsIntCtx(ctx context.Context, cols [][]int64, outs [][]VertexID, _ int) error {
+	if d.n == 0 {
+		if lo, span, ok := denseSpan(cols); ok {
+			return d.encodeDense(ctx, cols, outs, lo, span)
+		}
+	}
+	return encodeColumns(ctx, cols, outs, func(keys []int64, out []VertexID) {
+		for j, k := range keys {
+			out[j] = d.EncodeInt(k)
+		}
+	})
+}
+
+// encodeDense takes the dense form for an empty dictionary: a table of
+// span slots from lo, which holds every key of cols.
+func (d *Dict) encodeDense(ctx context.Context, cols [][]int64, outs [][]VertexID, lo int64, span int) error {
+	d.lo, d.dense = lo, make([]VertexID, span)
+	dense := d.dense
+	return encodeColumns(ctx, cols, outs, func(keys []int64, out []VertexID) {
+		n := d.n
+		for j, k := range keys {
+			slot := &dense[k-lo]
+			if *slot == 0 {
+				n++
+				*slot = n
+			}
+			out[j] = *slot - 1
+		}
+		d.n = n
+	})
 }
 
 // EncodeColumnsStringCtx is EncodeColumnsIntCtx over the string key
-// space.
-func (d *Dict) EncodeColumnsStringCtx(ctx context.Context, cols [][]string, outs [][]VertexID, parallelism int) error {
-	return encode(ctx, d.strs, &d.n, cols, outs, parallelism)
+// space, which always takes the map. The last argument is ignored.
+func (d *Dict) EncodeColumnsStringCtx(ctx context.Context, cols [][]string, outs [][]VertexID, _ int) error {
+	return encodeColumns(ctx, cols, outs, func(keys []string, out []VertexID) {
+		for j, k := range keys {
+			out[j] = d.EncodeString(k)
+		}
+	})
 }
 
-// encode is the dictionary-encode core. The key stream is split into
-// one contiguous range per worker the size gate grants, then:
-//
-//  1. range 0 interns its keys straight into the dictionary; every
-//     other range numbers its keys by first occurrence in a private
-//     map, writing range-local ids into outs and collecting its
-//     distinct keys in order;
-//  2. one sequential pass interns those ranges' distinct keys in
-//     stream order, recording a local-to-dense remap per range;
-//  3. each range but the first rewrites its outs through its remap.
-//
-// Range 0 comes first in stream order, so a key's id is fixed by the
-// first range holding it, at its first occurrence there: ids are
-// exactly those of sequential EncodeInt calls in stream order, over an
-// empty or a populated dictionary. On one worker this is one pass over
-// one map, which grows with the distinct keys rather than being sized
-// by edges.
-func encode[K comparable](ctx context.Context, m map[K]VertexID, next *VertexID, cols [][]K, outs [][]VertexID, parallelism int) error {
-	total := 0
+// denseSpan returns the least key of cols and the span max − min + 1
+// of their keys, and whether that span is at most a quarter of the
+// keys. max − min is taken as uint64, which holds it for any pair of
+// int64 keys; comparing it with keys/4 strictly keeps the + 1 from
+// overflowing. No keys give a difference of 1, against a quarter of 0.
+func denseSpan(cols [][]int64) (lo int64, span int, ok bool) {
+	keys := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, col := range cols {
-		total += len(col)
+		for _, k := range col {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		keys += len(col)
 	}
-	workers := par.Gated(parallelism, total, minParallelEncodeKeys)
-	ranges := par.NumRanges(workers, total)
-	distinct := make([][]K, ranges)
-	// ferr collects per-range injected faults (disjoint slots, read
-	// after each phase's barrier).
-	ferr := make([]error, ranges)
-	cp := &cancelPoller{ctx: ctx}
-	par.Ranges(workers, total, func(w, lo, hi int) {
-		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
-			ferr[w] = err
-			return
-		}
-		if w == 0 {
-			segments(cols, lo, hi, func(c, a, b int) {
-				col, out := cols[c], outs[c]
-				for j := a; j < b; j++ {
-					if j&(cancelCheckInterval-1) == 0 && cp.poll() {
-						return
-					}
-					k := col[j]
-					id, ok := m[k]
-					if !ok {
-						id = *next
-						m[k] = id
-						*next++
-					}
-					out[j] = id
-				}
-			})
-			return
-		}
-		local := make(map[K]VertexID)
-		var keys []K
-		segments(cols, lo, hi, func(c, a, b int) {
-			col, out := cols[c], outs[c]
-			for j := a; j < b; j++ {
-				if j&(cancelCheckInterval-1) == 0 && cp.poll() {
-					return
-				}
-				k := col[j]
-				id, ok := local[k]
-				if !ok {
-					id = VertexID(len(keys))
-					local[k] = id
-					keys = append(keys, k)
-				}
-				out[j] = id
-			}
-		})
-		distinct[w] = keys
-	})
-	if err := canceled(ctx); err != nil {
-		return err
+	diff := uint64(hi) - uint64(lo)
+	if diff >= uint64(keys/4) {
+		return 0, 0, false
 	}
-	if err := firstError(ferr); err != nil {
-		return err
-	}
-	remaps := make([][]VertexID, ranges)
-	for w := 1; w < ranges; w++ {
-		if err := canceled(ctx); err != nil {
-			return err
-		}
-		remap := make([]VertexID, len(distinct[w]))
-		for j, k := range distinct[w] {
-			id, ok := m[k]
-			if !ok {
-				id = *next
-				m[k] = id
-				*next++
-			}
-			remap[j] = id
-		}
-		remaps[w] = remap
-	}
-	par.Ranges(workers, total, func(w, lo, hi int) {
-		if w == 0 { // range 0 interned into the dictionary itself
-			return
-		}
-		remap := remaps[w]
-		// ferr slots are all nil again (a phase-1 fault returned early).
-		if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
-			ferr[w] = err
-			return
-		}
-		segments(cols, lo, hi, func(c, a, b int) {
-			out := outs[c]
-			for j := a; j < b; j++ {
-				if j&(cancelCheckInterval-1) == 0 && cp.poll() {
-					return
-				}
-				out[j] = remap[out[j]]
-			}
-		})
-	})
-	if err := canceled(ctx); err != nil {
-		return err
-	}
-	return firstError(ferr)
+	return lo, int(diff) + 1, true
 }
 
-// segments calls f(c, a, b) for every piece cols[c][a:b] of the
-// positions [lo, hi) of the concatenated key stream.
-func segments[K any](cols [][]K, lo, hi int, f func(c, a, b int)) {
-	base := 0
+// encodeColumns hands encode the concatenated columns in stream order,
+// in blocks of at most cancelCheckInterval keys with their id slices.
+// Before each block it polls ctx and fires fault.PointGraphEncodeChunk.
+func encodeColumns[K any](ctx context.Context, cols [][]K, outs [][]VertexID, encode func(keys []K, out []VertexID)) error {
 	for c, col := range cols {
-		if a, b := max(lo-base, 0), min(hi-base, len(col)); a < b {
-			f(c, a, b)
+		for lo := 0; lo < len(col); lo += cancelCheckInterval {
+			if err := canceled(ctx); err != nil {
+				return err
+			}
+			if err := fault.Inject(fault.PointGraphEncodeChunk); err != nil {
+				return err
+			}
+			hi := min(lo+cancelCheckInterval, len(col))
+			encode(col[lo:hi], outs[c][lo:hi])
 		}
-		base += len(col)
 	}
+	return nil
 }

@@ -163,7 +163,7 @@ func TestBuildCSRFaults(t *testing.T) {
 // dictionary encode.
 func TestBulkEncodeFault(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	keys := make([]int64, 3*minParallelEncodeKeys)
+	keys := make([]int64, 98304)
 	for i := range keys {
 		keys[i] = int64(i % 500)
 	}

@@ -5,30 +5,30 @@ import (
 	"sync/atomic"
 )
 
-// Parallelism of the shortest-path runtime. Each runtime phase —
-// dictionary encode, CSR build, the batched solve — has exactly one
-// core, written against a worker count: work is partitioned over
-// disjoint output ranges and merged in a fixed order, so the output is
-// bit-identical at any worker count. A parallelism value of 0 (the
-// default everywhere) resolves to runtime.GOMAXPROCS(0); explicit
-// values cap the worker count. The size gates below only pick how many
-// workers run a core (see par.Gated): small interactive inputs run it
-// on one worker, a plain loop with no goroutines. The distribution
-// primitives live in internal/par, shared with the relational
-// operators and result materialization.
+// Parallelism of the shortest-path runtime. Two runtime phases — the
+// CSR build and the batched solve — each have exactly one core, written
+// against a worker count: work is partitioned over disjoint output
+// ranges and merged in a fixed order, so the output is bit-identical at
+// any worker count. The dictionary encode before them is one sequential
+// pass (encode.go). A parallelism value of 0 (the default everywhere)
+// resolves to runtime.GOMAXPROCS(0); explicit values cap the worker
+// count. The size gates below only pick how many workers run a core
+// (see par.Gated): small interactive inputs run it on one worker, a
+// plain loop with no goroutines. The distribution primitives live in
+// internal/par, shared with the relational operators and result
+// materialization.
 const (
 	// minParallelSolveWork gates the solver: the estimated traversal
 	// work (source groups × graph size) must reach it.
 	minParallelSolveWork = 1 << 17
 	// minParallelCSREdges gates CSR construction.
 	minParallelCSREdges = 1 << 16
-	// minParallelEncodeKeys gates dictionary encoding.
-	minParallelEncodeKeys = 1 << 15
 	// cancelCheckInterval is how many queue pops a traversal (BFS
-	// dequeues, Dijkstra settles) runs between Ctx polls. Power of two;
-	// at graph-traversal speeds this bounds the latency of a
-	// cancellation to well under a millisecond of extra work while
-	// keeping the poll itself out of the hot loop.
+	// dequeues, Dijkstra settles), keys an encode or rows a CSR build
+	// runs between Ctx polls. Power of two; at graph-traversal speeds
+	// this bounds the latency of a cancellation to well under a
+	// millisecond of extra work while keeping the poll itself out of
+	// the hot loop.
 	cancelCheckInterval = 1 << 12
 )
 

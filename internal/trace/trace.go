@@ -48,9 +48,12 @@ type span struct {
 	workers int
 	// index is how a GraphMatch span obtained its graph index ("" = no
 	// index); graphVertices/graphEdges size the graph it built instead.
+	// dict is the form of the dictionary of a graph it built, ad hoc or
+	// by an index rebuild.
 	index         string
 	graphVertices int
 	graphEdges    int
+	dict          string
 	// windowsScanned of windowsTotal zone windows a pruned scan read.
 	windowsScanned int
 	windowsTotal   int
@@ -174,6 +177,20 @@ func (t *Trace) SetGraphBuilt(id SpanID, vertices, edges int) {
 	t.mu.Lock()
 	if int(id) < len(t.spans) {
 		t.spans[id].graphVertices, t.spans[id].graphEdges = vertices, edges
+	}
+	t.mu.Unlock()
+}
+
+// SetDict records the form ("dense" or "hash") of the vertex
+// dictionary of the graph a GraphMatch span built, ad hoc or by an
+// index rebuild.
+func (t *Trace) SetDict(id SpanID, form string) {
+	if t == nil || id < 0 {
+		return
+	}
+	t.mu.Lock()
+	if int(id) < len(t.spans) {
+		t.spans[id].dict = form
 	}
 	t.mu.Unlock()
 }
@@ -349,12 +366,15 @@ type Node struct {
 	RowsIn  *int64 `json:"rows_in,omitempty"`
 	Batches int64  `json:"batches,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	// Index, GraphVertices and GraphEdges are GraphMatch attributes: how
-	// a cached graph index served the operator (IndexHit, IndexRefresh,
-	// IndexRebuild), or the size of the graph it built without one.
+	// Index, GraphVertices, GraphEdges and Dict are GraphMatch
+	// attributes: how a cached graph index served the operator
+	// (IndexHit, IndexRefresh, IndexRebuild), the size of the graph it
+	// built without one, and the form of the dictionary ("dense" or
+	// "hash") of a graph it built, ad hoc or by an index rebuild.
 	Index         string `json:"index,omitempty"`
 	GraphVertices int    `json:"graph_vertices,omitempty"`
 	GraphEdges    int    `json:"graph_edges,omitempty"`
+	Dict          string `json:"dict,omitempty"`
 	// Windows is set on a scan that skipped some of its table's
 	// windows by their zones.
 	Windows *Windows `json:"windows,omitempty"`
@@ -404,6 +424,7 @@ func (t *Trace) Tree() *Node {
 			Index:         s.index,
 			GraphVertices: s.graphVertices,
 			GraphEdges:    s.graphEdges,
+			Dict:          s.dict,
 		}
 		if s.rows >= 0 {
 			rows := s.rows
@@ -473,6 +494,9 @@ func Render(root *Node) string {
 		}
 		if n.GraphVertices > 0 || n.GraphEdges > 0 {
 			fmt.Fprintf(&b, ", graph_vertices=%d, graph_edges=%d", n.GraphVertices, n.GraphEdges)
+		}
+		if n.Dict != "" {
+			fmt.Fprintf(&b, ", dict=%s", n.Dict)
 		}
 		if n.Windows != nil {
 			fmt.Fprintf(&b, ", windows=%d/%d", n.Windows.Scanned, n.Windows.Total)
